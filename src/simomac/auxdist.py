@@ -102,9 +102,11 @@ def sample(p, rng, size=None):
 def fit_params(norm_sq_samples, n, a):
     """Canonical fit: beta = mean(||A Y||^2), alpha = 1/ln(beta).
 
-    Raises InvalidRegime when the sample mean is <= 1 (alpha would be
-    nonpositive).
+    Raises InvalidRegime when there are no samples or their mean is <= 1
+    (alpha would be nonpositive).
     """
+    if np.size(norm_sq_samples) == 0:
+        raise InvalidRegime("no samples to fit")
     beta = float(np.mean(norm_sq_samples))
     if beta <= 1.0:
         raise InvalidRegime(f"mean ||A Y||^2 = {beta:.4g} <= 1; alpha undefined")

@@ -68,22 +68,20 @@ def annulus_second_moment(r_lo=ANNULUS_R_LO, r_hi=ANNULUS_R_HI):
     return (r_lo**2 + r_lo * r_hi + r_hi**2) / 3.0
 
 
-def apply_channel(h1, h2, x1, x2, rng, noiseless=False):
-    """Y = h1 x1^T + h2 x2^T + Z.  Supports batched leading axes on all
-    four inputs; output shape (..., N, T).  ``noiseless`` is a test hook."""
-    h1 = np.asarray(h1, dtype=complex)
-    h2 = np.asarray(h2, dtype=complex)
-    x1 = np.asarray(x1, dtype=complex)
-    x2 = np.asarray(x2, dtype=complex)
-    if h1.shape != h2.shape or x1.shape != x2.shape:
-        raise InvalidParam("user dimensions must agree")
-    if h1.shape[:-1] != x1.shape[:-1]:
-        raise InvalidParam("batch shapes of fading and input must agree")
-    y = h1[..., :, None] * x1[..., None, :] + h2[..., :, None] * x2[..., None, :]
-    if not noiseless:
-        n, t = h1.shape[-1], x1.shape[-1]
-        y = y + sample_complex_gaussian(t, rng, size=y.shape[:-2] + (n,))
-    return y
+def sample_outputs(inputs, cfg, rng, size=None):
+    """One block per trial: Y = sum_k h_k x_k^T + Z, shape (B, N, T).
+
+    ``inputs`` holds one InputDistribution per user.  Draws every user's
+    inputs, then every user's fading, then the noise, all from ``rng``;
+    B is ``size`` or ``cfg.trials``.  Returns (list of (B, T) inputs, Y).
+    """
+    if any(d.T != cfg.T for d in inputs):
+        raise InvalidParam("every input must have T = cfg.T slots")
+    b = cfg.trials if size is None else size
+    xs = [d.sample(rng, size=b) for d in inputs]
+    hs = [sample_fading(cfg.fading_kind, cfg.N, rng, size=b) for _ in inputs]
+    y = sum(h[:, :, None] * x[:, None, :] for h, x in zip(hs, xs))
+    return xs, y + sample_complex_gaussian(cfg.T, rng, size=(b, cfg.N))
 
 
 INPUT_KINDS = (

@@ -6,9 +6,12 @@ Configuration: sectioned key=value file (INI), path from --config or the
 SIMOMAC_CONFIG environment variable; command-line flags override file
 values.  Every JSON report embeds the fully resolved configuration, the
 seed, and the package version, and is byte-identical across reruns with
-the same seed and worker count.
+the same seed.
 
-Exit codes: 0 success, 1 property failure, 2 usage error.
+Exit codes: 0 success, 1 property failure, 2 usage error: bad flags
+(argparse's usage message), or a missing or malformed config file or a
+typed SimomacError from the library (one ``error:`` line on stderr).
+Neither prints a traceback.
 """
 
 import argparse
@@ -29,10 +32,8 @@ from .converse import (
     duality_bound_mac_user1,
     duality_bound_single_user,
 )
-from .errors import LowSnrRegime, SimomacError
+from .errors import InvalidRegime, SimomacError
 from .training import mac_training_rates, single_user_training_rate
-
-WORKERS = 1  # declared worker count, recorded for reproducibility
 
 
 def _frac_str(x):
@@ -51,15 +52,23 @@ def _emit(report, args):
 
 
 def _base_report(cmd, cfg_dict):
-    return {"version": __version__, "command": cmd, "workers": WORKERS, "config": cfg_dict}
+    return {"version": __version__, "command": cmd, "config": cfg_dict}
+
+
+def _usage_error(msg):
+    print(f"error: {msg}", file=sys.stderr)
+    raise SystemExit(2)
 
 
 def _load_config(path):
     cp = configparser.ConfigParser()
     if path:
         if not os.path.exists(path):
-            raise SystemExit(2)
-        cp.read(path)
+            _usage_error(f"config file {path} not found")
+        try:
+            cp.read(path)
+        except configparser.Error as exc:
+            _usage_error(f"config file {path}: {exc}".splitlines()[0])
     return cp
 
 
@@ -69,6 +78,14 @@ def _cfg_get(cp, section, key, fallback=None):
     if cp.has_option("common", key):
         return cp.get("common", key)
     return fallback
+
+
+def _cfg_int(cp, section, key, fallback):
+    raw = _cfg_get(cp, section, key, fallback)
+    try:
+        return int(raw)
+    except ValueError:
+        _usage_error(f"config value {key} = {raw!r} is not an integer")
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +128,7 @@ def _bound_to_dict(rep):
 
 
 def cmd_bounds(args, cp):
-    p_dbs = [float(s) for s in args.P_dB.split(",")]
+    p_dbs = args.P_dB
     regime = args.regime
     if regime == "auto":
         regime = REGIME_T_GE_N_PLUS_1 if args.T >= args.N + 1 else REGIME_T_LE_N
@@ -139,7 +156,7 @@ def cmd_bounds(args, cp):
             entry["mac_user1_upper"] = _bound_to_dict(
                 duality_bound_mac_user1(iso1, iso2, cfg, regime)
             )
-        except LowSnrRegime as exc:
+        except InvalidRegime as exc:
             warnings.append(f"P={p_db} dB: {exc}")
         if cfg.fading_kind == "iid_complex_gaussian":
             su = single_user_training_rate(cfg)
@@ -152,8 +169,9 @@ def cmd_bounds(args, cp):
                 }
         per_p.append(entry)
     slopes = []
+    bounds = ("single_user_upper", "mac_user1_upper")
     for lo, hi in zip(per_p, per_p[1:]):
-        if "single_user_upper" in lo and "single_user_upper" in hi:
+        if all(k in pt for pt in (lo, hi) for k in bounds):
             dx = (hi["P_dB"] - lo["P_dB"]) / 10.0 * np.log2(10.0)
             slopes.append(
                 {
@@ -282,6 +300,13 @@ def _positive_int(s):
     return v
 
 
+def _db_list(s):
+    vals = [float(v) for v in s.split(",")]
+    if not np.all(np.isfinite(vals)):
+        raise ValueError(s)
+    return vals
+
+
 def build_parser(cp):
     parser = argparse.ArgumentParser(prog="simomac")
     parser.add_argument("--config", default=None, help=argparse.SUPPRESS)
@@ -297,10 +322,11 @@ def build_parser(cp):
     pb = sub.add_parser("bounds", help="Monte-Carlo bound experiments")
     pb.add_argument("--T", type=_positive_int, required=True)
     pb.add_argument("--N", type=_positive_int, required=True)
-    pb.add_argument("--P-dB", dest="P_dB", required=True, help="comma-separated dB list")
+    pb.add_argument("--P-dB", dest="P_dB", type=_db_list, required=True,
+                    help="comma-separated dB list")
     pb.add_argument("--trials", type=_positive_int,
-                    default=int(_cfg_get(cp, "bounds", "trials", 100_000)))
-    pb.add_argument("--seed", type=int, default=int(_cfg_get(cp, "bounds", "seed", 0)))
+                    default=_cfg_int(cp, "bounds", "trials", 100_000))
+    pb.add_argument("--seed", type=int, default=_cfg_int(cp, "bounds", "seed", 0))
     pb.add_argument("--fading", choices=FADING_KINDS,
                     default=_cfg_get(cp, "bounds", "fading", "iid_complex_gaussian"))
     pb.add_argument("--regime", choices=("auto", REGIME_T_GE_N_PLUS_1, REGIME_T_LE_N),
@@ -310,7 +336,7 @@ def build_parser(cp):
     pv = sub.add_parser("verify", help="property suites")
     pv.add_argument("--suite", choices=("lemmas", "props", "region", "optimizer"),
                     required=True)
-    pv.add_argument("--seed", type=int, default=int(_cfg_get(cp, "verify", "seed", 0)))
+    pv.add_argument("--seed", type=int, default=_cfg_int(cp, "verify", "seed", 0))
     pv.set_defaults(func=cmd_verify)
 
     pe = sub.add_parser("export-plot", help="write region polygon CSVs")
@@ -322,7 +348,14 @@ def build_parser(cp):
 
 
 def main(argv=None):
-    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse takes a value such as "-10,30" for an option string, so bind
+    # each dB list to its flag before parsing
+    argv, raw = [], list(sys.argv[1:] if argv is None else argv)
+    for arg in raw:
+        if argv and argv[-1] == "--P-dB":
+            argv[-1] = f"--P-dB={arg}"
+        else:
+            argv.append(arg)
     # config path must be known before defaults are resolved
     pre = argparse.ArgumentParser(add_help=False)
     pre.add_argument("--config", default=os.environ.get("SIMOMAC_CONFIG"))

@@ -12,13 +12,12 @@ in the returned reports with the calibrated constants from
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
 
-from .auxdist import remainder_slack_bits
-from .channel import sample_fading
-from .errors import InvalidParam, LowSnrRegime, RegimeUnsupported
+from .auxdist import fit_params, log_density_from_norm_sq, remainder_slack_bits
+from .channel import InputDistribution, sample_outputs
+from .errors import InvalidParam, InvalidRegime, RegimeUnsupported
 from .knn_entropy import knn_entropy_bits
-from .linalg import sample_complex_gaussian
+from .linalg import apply_rotation
 
 LN2 = np.log(2.0)
 LOG2_PI_E = np.log2(np.pi * np.e)
@@ -87,34 +86,6 @@ class EntropyReport:
     order_one_flagged: bool = False
 
 
-def _rotate_by_x2(x1, x2):
-    """Batched rotation: returns x1t = x1^T U(x2) with U from the
-    Householder construction; identity where x2 = 0."""
-    x1 = np.atleast_2d(np.asarray(x1, dtype=complex))
-    x2 = np.atleast_2d(np.asarray(x2, dtype=complex))
-    u_mats = _batched_rotation(x2)
-    return np.einsum("bt,bts->bs", x1, u_mats), u_mats
-
-
-def _batched_rotation(x):
-    """(B, T) -> (B, T, T) unitaries whose last column is conj(x)/||x||;
-    identity rows where x = 0."""
-    b, t = x.shape
-    nrm = np.linalg.norm(x, axis=1)
-    safe = np.where(nrm > 0, nrm, 1.0)
-    u = np.conj(x) / safe[:, None]
-    last = u[:, -1]
-    ph = np.where(np.abs(last) > 0, last / np.where(np.abs(last) > 0, np.abs(last), 1.0), 1.0)
-    v = u.copy()
-    v[:, -1] += ph
-    vnorm_sq = np.maximum(np.linalg.norm(v, axis=1) ** 2, 1e-300)
-    mats = np.broadcast_to(np.eye(t, dtype=complex), (b, t, t)).copy()
-    mats -= 2.0 * v[:, :, None] * np.conj(v)[:, None, :] / vnorm_sq[:, None, None]
-    mats[:, :, -1] *= -ph[:, None]
-    mats[nrm == 0] = np.eye(t)
-    return mats
-
-
 def _exact_log2_det(x1, x2):
     """log2 det(I_T + x1 x1^H + x2 x2^H), batched over leading axis."""
     n1 = np.linalg.norm(x1, axis=-1) ** 2
@@ -141,8 +112,7 @@ def conditional_entropy_given_inputs(x1, x2, cfg, branch="exact"):
         bits = float(n * _exact_log2_det(x1[None], x2[None])[0] + n * t * LOG2_PI_E)
         return EntropyReport(bits=bits, order_one_flagged=False)
     if branch == "dominant":
-        x1t, _ = _rotate_by_x2(x1[None], x2[None])
-        x1t = x1t[0]
+        x1t = apply_rotation(x1[None, None], x2[None])[0, 0]
         s2 = float(np.linalg.norm(x2) ** 2)
         head = float(np.sum(np.abs(x1t[:-1]) ** 2))
         bits = float(n * np.log2((1.0 + s2) * (1.0 + head) + np.abs(x1t[-1]) ** 2))
@@ -193,67 +163,92 @@ def eval_g(x1t, x2, p, n):
 
 
 # ---------------------------------------------------------------------------
-# Auxiliary density bookkeeping (vectorized, natural log internally)
+# Duality-bound core shared by the three bounds
 # ---------------------------------------------------------------------------
 
-def _neg_log2_density(norm_sq, log_abs_det_sq, alpha, beta, n):
-    """-log2 r(y) from ||A y||^2 and ln |det A|^2 (vectorized)."""
-    norm_sq = np.maximum(norm_sq, 1e-300)
-    ln_r = (
-        gammaln(n)
-        + log_abs_det_sq
-        - n * np.log(np.pi)
-        - alpha * np.log(beta)
-        - gammaln(alpha)
-        + (alpha - n) * np.log(norm_sq)
-        - norm_sq / beta
-    )
-    return -ln_r / LN2
+def _duality_core(yt, v, s, c, names, branch=None):
+    """Per-trial -log2 q(Y) for the genie-aided auxiliary output density.
 
-
-def _fit_alpha_beta(norm_sq_fit, label):
-    beta = float(np.mean(norm_sq_fit)) if norm_sq_fit.size else 0.0
-    if beta <= 1.0:
-        raise LowSnrRegime(f"fitted beta = {beta:.4g} <= 1 for category {label!r}")
-    return 1.0 / np.log(beta), beta
-
-
-def _whitened_norm_sq(y, pilot, s, c):
-    """||A y||^2 for A = (s I + c * pilot pilot^H)^{-1/2}, batched.
-
-    y, pilot: (B, N); s, c: scalars or (B,) arrays.
+    yt: (B, N, T) outputs (rotated for the MAC); v: (B,) pilot slot; s, c:
+    (B, T) whitening scales, non-pilot slot i being whitened by
+    A = (s_i I + c_i y_v y_v^H)^{-1/2} and the pilot slot left as is.
+    ``names`` labels the categories (pilot, other slots[, last slot]);
+    with three names the last slot, when not the pilot, is its own
+    category.  One canonical radial member is fitted per (branch,
+    category) on the even trials, falling back to the fit pooled over
+    branches for a sparse branch.  Returns (-log2 q per trial,
+    {label: (alpha, beta)}).
     """
-    ip = np.abs(np.einsum("bn,bn->b", np.conj(y), pilot)) ** 2
-    pn = np.linalg.norm(pilot, axis=1) ** 2
-    return np.linalg.norm(y, axis=1) ** 2 / s - (c / s) * ip / (s + c * pn)
+    b, n, t = yt.shape
+    rows = np.arange(b)
+    y_v = yt[rows, :, v]
+    nv2 = np.linalg.norm(y_v, axis=1) ** 2
+    ip = np.abs(np.einsum("bnt,bn->bt", yt, np.conj(y_v))) ** 2
+    denom = s + c * nv2[:, None]
+    norm_sq = np.linalg.norm(yt, axis=1) ** 2 / s - (c / s) * ip / denom
+    log_det = -((n - 1) * np.log(s) + np.log(denom))  # ln |det A|^2
+    norm_sq[rows, v] = nv2
+    log_det[rows, v] = 0.0
+
+    slot = np.arange(t)
+    category = np.where(slot == v[:, None], 0, np.where(slot == t - 1, len(names) - 1, 1))
+    fit_rows = np.zeros((b, 1), dtype=bool)
+    fit_rows[0::2] = True
+    branches = np.zeros(b, dtype=int) if branch is None else branch
+    ln_q = np.zeros((b, t))
+    fitted = {}
+    for br in np.unique(branches):
+        for cat, name in enumerate(names):
+            sel = (category == cat) & (branches == br)[:, None]
+            if not sel.any():
+                continue
+            label = name if branch is None else f"branch{br}/{name}"
+            pop = norm_sq[sel & fit_rows]
+            if pop.size < 100 or np.mean(pop) <= 1.0:
+                pop = norm_sq[(category == cat) & fit_rows]  # sparse branch: pooled fit
+            try:
+                params = fit_params(pop, n, np.eye(n))
+            except InvalidRegime as exc:
+                raise InvalidRegime(f"category {label!r}: {exc}") from None
+            fitted[label] = (params.alpha, params.beta)
+            ln_q[sel] = log_density_from_norm_sq(norm_sq[sel], params) + log_det[sel]
+    return -ln_q.sum(axis=1) / LN2, fitted
 
 
-def _whitened_log_det_sq(pilot, s, c, n):
-    """ln |det A|^2 for the same A (negative of the covariance logdet)."""
-    pn = np.linalg.norm(pilot, axis=1) ** 2
-    return -((n - 1) * np.log(s) + np.log(s + c * pn))
-
-
-# ---------------------------------------------------------------------------
-# Sample generation
-# ---------------------------------------------------------------------------
-
-def _draw_mac_samples(input1, input2, cfg, rng):
-    b, n, t = cfg.trials, cfg.N, cfg.T
-    x1 = input1.sample(rng, size=b)
-    x2 = input2.sample(rng, size=b)
-    h1 = sample_fading(cfg.fading_kind, n, rng, size=b)
-    h2 = sample_fading(cfg.fading_kind, n, rng, size=b)
-    z = sample_complex_gaussian(t, rng, size=(b, n))
-    y = h1[:, :, None] * x1[:, None, :] + h2[:, :, None] * x2[:, None, :] + z
-    return x1, x2, y
-
-
-def _split(b):
-    """(fit indices, eval indices): even/odd interleave keeps both halves
-    statistically identical."""
-    idx = np.arange(b)
-    return idx[0::2], idx[1::2]
+def _bound_report(neg_q, rhs, h_given_x, genie_cost, cfg, fitted, flags=None, branch=None):
+    """BoundReport from per-trial -log2 q(Y), analytic right-hand side and
+    h(Y | X), averaged over the odd trials (the core fits on the even ones)."""
+    t = cfg.T
+    ev = slice(1, None, 2)
+    neg_q, rhs, h_given_x = neg_q[ev], rhs[ev], h_given_x[ev]
+    if neg_q.size == 0:
+        raise InvalidParam("the bound needs trials >= 2: even trials fit, odd trials evaluate")
+    stat = (neg_q - h_given_x + genie_cost) / t
+    components = {
+        "neg_log_q_per_cu": float((neg_q / t).mean()),
+        "h_y_given_x_per_cu": float((h_given_x / t).mean()),
+        "analytic_rhs_value": float(((rhs - h_given_x + genie_cost) / t).mean()),
+        "fitted": fitted,
+    }
+    if branch is not None:
+        per_branch = {k: branch[ev] == k for k in (0, 1, 2)}
+        components["branch_counts"] = {k: int(m.sum()) for k, m in per_branch.items()}
+        components["branch_neg_log_q_per_cu"] = {
+            k: float((neg_q[m] / t).mean()) if m.any() else None for k, m in per_branch.items()
+        }
+        components["branch_rhs_per_cu"] = {
+            k: float((rhs[m] / t).mean()) if m.any() else None for k, m in per_branch.items()
+        }
+    return BoundReport(
+        value=float(stat.mean()),
+        std_error=float(stat.std() / np.sqrt(stat.size)),
+        remainder_terms={
+            "log_log_slack_bits": remainder_slack_bits(cfg.P),
+            "genie_cost_bits": float(genie_cost),
+            **(flags or {}),
+        },
+        components=components,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -268,108 +263,47 @@ def duality_bound_single_user(input_dist, cfg, genie_slots=None):
     ``genie_slots`` restricts the argmax to the first slots (testing hook
     for the MAC reduction); default all T slots.
     """
-    n, t, p = cfg.N, cfg.T, cfg.P
-    rng = cfg.rng()
-    b = cfg.trials
-    x = input_dist.sample(rng, size=b)
-    h = sample_fading(cfg.fading_kind, n, rng, size=b)
-    z = sample_complex_gaussian(t, rng, size=(b, n))
-    y = h[:, :, None] * x[:, None, :] + z
-
+    n, t = cfg.N, cfg.T
+    (x,), y = sample_outputs([input_dist], cfg, cfg.rng())
     slots = t if genie_slots is None else genie_slots
-    mag = np.abs(x[:, :slots]) ** 2
-    v = np.argmax(mag, axis=1)
-    rows = np.arange(b)
-    y_v = y[rows, :, v]  # (B, N)
-    nv2 = np.linalg.norm(y_v, axis=1) ** 2
-
-    off = np.stack([y[:, :, i] for i in range(t)], axis=1)  # (B, T, N)
-    ip = np.abs(np.einsum("btn,bn->bt", np.conj(off), y_v)) ** 2
-    off_norm_sq = np.linalg.norm(off, axis=2) ** 2 - ip / (1.0 + nv2)[:, None]
-    off_mask = np.ones((b, t), dtype=bool)
-    off_mask[rows, v] = False
-
-    fit_idx, eval_idx = _split(b)
-    a_p, b_p = _fit_alpha_beta(nv2[fit_idx], "pilot")
-    a_o, b_o = _fit_alpha_beta(off_norm_sq[fit_idx][off_mask[fit_idx]], "offpilot")
-
-    neg_q = _neg_log2_density(nv2, 0.0, a_p, b_p, n)
-    log_det_off = -np.log(1.0 + nv2)  # ln|det A_v|^2, shared by off slots
-    off_bits = _neg_log2_density(off_norm_sq, log_det_off[:, None], a_o, b_o, n)
-    neg_q = neg_q + np.where(off_mask, off_bits, 0.0).sum(axis=1)
-
+    mag = np.abs(x) ** 2
+    v = np.argmax(mag[:, :slots], axis=1)
+    ones = np.ones(mag.shape)
+    neg_q, fitted = _duality_core(y, v, ones, ones, ("pilot", "offpilot"))
     h_given_x = n * np.log2(1.0 + np.linalg.norm(x, axis=1) ** 2) + n * t * LOG2_PI_E
-    genie_cost = np.log2(slots)
-    stat = (neg_q - h_given_x + genie_cost) / t
-    value = float(stat[eval_idx].mean())
-    se = float(stat[eval_idx].std() / np.sqrt(eval_idx.size))
 
     # analytic Proposition right-hand side, same composition, same samples
-    xv2 = mag[rows, v]
-    ratios = np.abs(x) ** 2 / (1.0 + xv2)[:, None]
+    xv2 = mag[np.arange(mag.shape[0]), v]
+    off = np.arange(t) != v[:, None]
+    ratios = mag / (1.0 + xv2)[:, None]
     rhs = (n + t - 1) * np.log2(1.0 + xv2) + n * np.where(
-        off_mask, np.log2(1.0 + ratios), 0.0
+        off, np.log2(1.0 + ratios), 0.0
     ).sum(axis=1)
-    rhs_stat = (rhs - h_given_x + genie_cost) / t
-    analytic = float(rhs_stat[eval_idx].mean())
-
-    return BoundReport(
-        value=value,
-        std_error=se,
-        remainder_terms={
-            "log_log_slack_bits": remainder_slack_bits(p),
-            "genie_cost_bits": genie_cost,
-        },
-        components={
-            "neg_log_q_per_cu": float((neg_q[eval_idx] / t).mean()),
-            "h_y_given_x_per_cu": float((h_given_x[eval_idx] / t).mean()),
-            "analytic_rhs_value": analytic,
-            "fitted": {"pilot": (a_p, b_p), "offpilot": (a_o, b_o)},
-        },
-    )
+    return _bound_report(neg_q, rhs, h_given_x, np.log2(slots), cfg, fitted)
 
 
 # ---------------------------------------------------------------------------
 # MAC duality bound on user 1
 # ---------------------------------------------------------------------------
 
-def _mac_bound_high_t(x1t, x2, yt, cfg):
-    """Mean-log duality bound for the T >= N+1 regime; returns per-sample
-    (neg_log2_q, analytic_rhs, fitted dict)."""
-    b, n, t = yt.shape[0], cfg.N, cfg.T
+MAC_CATEGORIES = ("pilot", "middle", "last")
+
+
+def _mac_bound_high_t(x1t, s2, yt, cfg):
+    """(T-1)-slot genie for the T >= N+1 regime; the last slot is whitened
+    against the interference power.  Returns (-log2 q, analytic rhs,
+    fitted, branch=None) per trial."""
+    b, n, t = yt.shape
     mag = np.abs(x1t) ** 2
-    s2 = np.linalg.norm(x2, axis=1) ** 2
     v = np.argmax(mag[:, : t - 1], axis=1)
-    rows = np.arange(b)
-    y_v = yt[rows, :, v]
-    nv2 = np.linalg.norm(y_v, axis=1) ** 2
-
-    cols = np.stack([yt[:, :, i] for i in range(t)], axis=1)  # (B, T, N)
-    ip = np.abs(np.einsum("btn,bn->bt", np.conj(cols), y_v)) ** 2
-    norm_sq_mid = np.linalg.norm(cols, axis=2) ** 2 - ip / (1.0 + nv2)[:, None]
-    mid_mask = np.ones((b, t), dtype=bool)
-    mid_mask[rows, v] = False
-    mid_mask[:, -1] = False
-
-    s_last = 1.0 + s2
-    norm_sq_last = _whitened_norm_sq(yt[:, :, -1], y_v, s_last, 1.0)
-    log_det_last = _whitened_log_det_sq(y_v, s_last, 1.0, n)
-
-    fit_idx, eval_idx = _split(b)
-    a_p, b_p = _fit_alpha_beta(nv2[fit_idx], "pilot")
-    a_m, b_m = _fit_alpha_beta(norm_sq_mid[fit_idx][mid_mask[fit_idx]], "middle")
-    a_l, b_l = _fit_alpha_beta(norm_sq_last[fit_idx], "last")
-
-    neg_q = _neg_log2_density(nv2, 0.0, a_p, b_p, n)
-    log_det_mid = -np.log(1.0 + nv2)
-    mid_bits = _neg_log2_density(norm_sq_mid, log_det_mid[:, None], a_m, b_m, n)
-    neg_q = neg_q + np.where(mid_mask, mid_bits, 0.0).sum(axis=1)
-    neg_q = neg_q + _neg_log2_density(norm_sq_last, log_det_last, a_l, b_l, n)
+    s = np.ones((b, t))
+    s[:, -1] = 1.0 + s2
+    neg_q, fitted = _duality_core(yt, v, s, np.ones((b, t)), MAC_CATEGORIES)
 
     # analytic right-hand side evaluated on the same samples
-    mv = mag[rows, v]
+    mv = mag[np.arange(b), v]
     head_ratios = mag[:, : t - 1] / (1.0 + mv)[:, None]
-    head_mask = mid_mask[:, : t - 1]
+    head_mask = np.arange(t - 1) != v[:, None]
     rhs = (
         (n + t - 2) * np.log2(1.0 + mv)
         + n * np.where(head_mask, np.log2(1.0 + head_ratios), 0.0).sum(axis=1)
@@ -377,77 +311,29 @@ def _mac_bound_high_t(x1t, x2, yt, cfg):
         + np.log2(1.0 + mv / (1.0 + s2))
         + n * np.log2(1.0 + mag[:, -1] / (1.0 + s2 + mv))
     )
-    fitted = {"pilot": (a_p, b_p), "middle": (a_m, b_m), "last": (a_l, b_l)}
-    return neg_q, rhs, fitted, fit_idx, eval_idx, {}
+    return neg_q, rhs, fitted, None
 
 
-def _mac_bound_low_t(x1t, x2, yt, cfg):
-    """(V, U)-genie bound for the T <= N regime with the three aux
-    branches; also returns per-branch bookkeeping."""
-    b, n, t = yt.shape[0], cfg.N, cfg.T
+def _mac_bound_low_t(x1t, s2, yt, cfg):
+    """(V, U)-genie for the T <= N regime with the three aux branches:
+    0 when the pilot is the last slot, 1 otherwise, 2 when moreover the
+    last entry dominates everything."""
+    b, n, t = yt.shape
     p = cfg.P
     mag = np.abs(x1t) ** 2
-    s2 = np.linalg.norm(x2, axis=1) ** 2
     sigma = np.ones((b, t))
     sigma[:, -1] = 1.0 + s2
     v = np.argmax(mag / sigma, axis=1)
     head_max = mag[:, : t - 1].max(axis=1)
-    u = (mag[:, -1] >= np.maximum(head_max, 1.0 + s2)).astype(int)
+    u = mag[:, -1] >= np.maximum(head_max, 1.0 + s2)
+    branch = np.where(v == t - 1, 0, np.where(u, 2, 1))
 
     rows = np.arange(b)
-    y_v = yt[rows, :, v]
-    nv2 = np.linalg.norm(y_v, axis=1) ** 2
-    sigma_v = sigma[rows, v]
-
-    branch = np.where(v == t - 1, 0, np.where(u == 0, 1, 2))
-
-    cols = np.stack([yt[:, :, i] for i in range(t)], axis=1)  # (B, T, N)
-    norm_sq = np.zeros((b, t))
-    log_det = np.zeros((b, t))
-    for i in range(t):
-        s_i = sigma[:, i].copy()
-        c_i = 1.0 / sigma_v
-        if i == t - 1:
-            # branch 2 rescales the pilot direction by P / ||Y_v||^2
-            c_i = np.where(branch == 2, p / np.maximum(nv2, 1e-300), c_i)
-        norm_sq[:, i] = _whitened_norm_sq(cols[:, i], y_v, s_i, c_i)
-        log_det[:, i] = _whitened_log_det_sq(y_v, s_i, c_i, n)
-    norm_sq[rows, v] = nv2
-    log_det[rows, v] = 0.0
-
-    mask = np.ones((b, t), dtype=bool)
-    mask[rows, v] = False
-    # 0 pilot, 1 middle, 2 last; when v = T the pilot occupies the last
-    # slot, so that branch has no 'last' category by construction
-    category = np.where(mask, np.where(np.arange(t) == t - 1, 2, 1), 0)
-
-    fit_idx, eval_idx = _split(b)
-    fit_sel = np.zeros(b, dtype=bool)
-    fit_sel[fit_idx] = True
-
-    neg_q = np.zeros(b)
-    fitted = {}
-    pooled = {}
-    for cat in (0, 1, 2):
-        sel = category == cat
-        pooled[cat] = norm_sq[sel & fit_sel[:, None]]
-    for br in (0, 1, 2):
-        in_br = branch == br
-        if not in_br.any():
-            continue
-        for cat in (0, 1, 2):
-            sel = (category == cat) & in_br[:, None]
-            if not sel.any():
-                continue
-            fit_pop = norm_sq[sel & fit_sel[:, None]]
-            label = f"branch{br}/{('pilot', 'middle', 'last')[cat]}"
-            if fit_pop.size < 100 or np.mean(fit_pop) <= 1.0:
-                fit_pop = pooled[cat]  # sparse branch: pooled fallback
-            a_c, b_c = _fit_alpha_beta(fit_pop, label)
-            fitted[label] = (a_c, b_c)
-            flat = np.zeros_like(norm_sq)
-            flat[sel] = _neg_log2_density(norm_sq[sel], log_det[sel], a_c, b_c, n)
-            neg_q += flat.sum(axis=1)
+    c = np.repeat(1.0 / sigma[rows, v][:, None], t, axis=1)
+    # branch 2 rescales the pilot direction by P / ||Y_v||^2
+    nv2 = np.linalg.norm(yt[rows, :, v], axis=1) ** 2
+    c[:, -1] = np.where(branch == 2, p / np.maximum(nv2, 1e-300), c[:, -1])
+    neg_q, fitted = _duality_core(yt, v, sigma, c, MAC_CATEGORIES, branch)
 
     # analytic per-branch right-hand sides (shared samples)
     mv = mag[rows, v]
@@ -469,8 +355,7 @@ def _mac_bound_low_t(x1t, x2, yt, cfg):
         + n * np.log2(1.0 + s2[b2])
         + np.log2(1.0 + p / (1.0 + s2[b2]))
     )
-    extra = {"branch": branch, "branch_rhs": rhs}
-    return neg_q, rhs, fitted, fit_idx, eval_idx, extra
+    return neg_q, rhs, fitted, branch
 
 
 def duality_bound_mac_user1(input1, input2, cfg, regime):
@@ -488,61 +373,28 @@ def duality_bound_mac_user1(input1, input2, cfg, regime):
         genie_cost = np.log2(t - 1)
         engine = _mac_bound_high_t
     elif regime == REGIME_T_LE_N:
-        if t > n:
-            raise RegimeUnsupported(f"regime {regime} needs T <= N")
+        if not 2 <= t <= n:
+            raise RegimeUnsupported(f"regime {regime} needs 2 <= T <= N")
         genie_cost = np.log2(2 * t)
         engine = _mac_bound_low_t
     else:
         raise InvalidParam(f"unknown regime {regime!r}")
 
-    rng = cfg.rng()
-    x1, x2, y = _draw_mac_samples(input1, input2, cfg, rng)
-    x1t, u_mats = _rotate_by_x2(x1, x2)
-    yt = np.einsum("bnt,bts->bns", y, u_mats)
+    (x1, x2), y = sample_outputs([input1, input2], cfg, cfg.rng())
+    x1t = apply_rotation(x1[:, None, :], x2)[:, 0]
+    yt = apply_rotation(y, x2)
+    s2 = np.linalg.norm(x2, axis=1) ** 2
 
-    neg_q, rhs, fitted, fit_idx, eval_idx, extra = engine(x1t, x2, yt, cfg)
+    neg_q, rhs, fitted, branch = engine(x1t, s2, yt, cfg)
 
     h_given_x = n * _exact_log2_det(x1, x2) + n * t * LOG2_PI_E
-    if cfg.fading_kind != "iid_complex_gaussian":
+    flagged = cfg.fading_kind != "iid_complex_gaussian"
+    if flagged:
         # dominant term only; the O(1) stays flagged in the report
-        s2 = np.linalg.norm(x2, axis=1) ** 2
         head = np.sum(np.abs(x1t[:, :-1]) ** 2, axis=1)
         h_given_x = n * np.log2((1.0 + s2) * (1.0 + head) + np.abs(x1t[:, -1]) ** 2)
-
-    stat = (neg_q - h_given_x + genie_cost) / t
-    value = float(stat[eval_idx].mean())
-    se = float(stat[eval_idx].std() / np.sqrt(eval_idx.size))
-    rhs_stat = (rhs - h_given_x + genie_cost) / t
-
-    components = {
-        "neg_log_q_per_cu": float((neg_q[eval_idx] / t).mean()),
-        "h_y_given_x_per_cu": float((h_given_x[eval_idx] / t).mean()),
-        "analytic_rhs_value": float(rhs_stat[eval_idx].mean()),
-        "fitted": fitted,
-    }
-    if "branch" in extra:
-        br = extra["branch"][eval_idx]
-        components["branch_counts"] = {int(k): int((br == k).sum()) for k in (0, 1, 2)}
-        components["branch_neg_log_q_per_cu"] = {
-            int(k): float((neg_q[eval_idx][br == k] / t).mean()) if (br == k).any() else None
-            for k in (0, 1, 2)
-        }
-        components["branch_rhs_per_cu"] = {
-            int(k): float((extra["branch_rhs"][eval_idx][br == k] / t).mean())
-            if (br == k).any()
-            else None
-            for k in (0, 1, 2)
-        }
-    return BoundReport(
-        value=value,
-        std_error=se,
-        remainder_terms={
-            "log_log_slack_bits": remainder_slack_bits(cfg.P),
-            "genie_cost_bits": float(genie_cost),
-            "h_order_one_flagged": cfg.fading_kind != "iid_complex_gaussian",
-        },
-        components=components,
-    )
+    return _bound_report(neg_q, rhs, h_given_x, genie_cost, cfg, fitted,
+                         {"h_order_one_flagged": flagged}, branch)
 
 
 # ---------------------------------------------------------------------------
@@ -567,13 +419,8 @@ def isotropic_mixture_mi_estimate(cfg, trials=None):
         raise RegimeUnsupported("closed-form mixture needs Gaussian fading")
     n, t, p = cfg.N, cfg.T, cfg.P
     b = trials if trials is not None else min(cfg.trials, 10_000)
-    rng = cfg.rng(stream=2)
-    from .channel import InputDistribution
-
-    x = InputDistribution(kind="isotropic_peak", T=t, P=p).sample(rng, size=b)
-    h = sample_fading(cfg.fading_kind, n, rng, size=b)
-    z = sample_complex_gaussian(t, rng, size=(b, n))
-    y = h[:, :, None] * x[:, None, :] + z
+    iso = InputDistribution(kind="isotropic_peak", T=t, P=p)
+    _, y = sample_outputs([iso], cfg, cfg.rng(stream=2), size=b)
     c = p / (1.0 + p)
     neg_log_p = np.empty(b)
     for i in range(b):
@@ -604,11 +451,7 @@ def mutual_information_lower_estimate(input_dist, cfg, k=4, max_knn_samples=20_0
     if cfg.fading_kind != "iid_complex_gaussian":
         raise RegimeUnsupported("plug-in estimate needs the exact Gaussian branch")
     n, t = cfg.N, cfg.T
-    rng = cfg.rng(stream=1)
-    x = input_dist.sample(rng, size=cfg.trials)
-    h = sample_fading(cfg.fading_kind, n, rng, size=cfg.trials)
-    z = sample_complex_gaussian(t, rng, size=(cfg.trials, n))
-    y = h[:, :, None] * x[:, None, :] + z
+    (x,), y = sample_outputs([input_dist], cfg, cfg.rng(stream=1))
     m = min(cfg.trials, max_knn_samples)
     h_y = knn_entropy_bits(y[:m].reshape(m, -1), k=k)
     h_cond = n * np.log2(1.0 + np.linalg.norm(x, axis=1) ** 2) + n * t * LOG2_PI_E

@@ -29,9 +29,5 @@ class RegimeUnsupported(SimomacError):
     """An operation was called with an unsupported (T, N) regime."""
 
 
-class LowSnrRegime(SimomacError):
-    """SNR too low for the auxiliary-distribution fit to be well defined."""
-
-
 class RegimeWarning(UserWarning):
     """The requested objective/regime pairing is valid but known to be non-tight."""

@@ -20,24 +20,40 @@ def rotation_unitary_from(x):
 
     Consequently conj(x) x^T = U diag(0,...,0,||x||^2) U^H and
     x^T U = (0, ..., 0, ||x||).  Deterministic: built from a single
-    Householder reflector with the sign chosen to avoid cancellation.
+    Householder reflector with the sign chosen to avoid cancellation
+    (:func:`apply_rotation` applied to the identity).
 
     Raises DegenerateInput on a zero vector.
     """
     x = np.asarray(x, dtype=complex).ravel()
-    t = x.size
     nrm = np.linalg.norm(x)
     if nrm <= 0.0 or not np.isfinite(nrm):
         raise DegenerateInput("rotation_unitary_from requires a nonzero finite vector")
-    u = np.conj(x) / nrm
+    return apply_rotation(np.eye(x.size, dtype=complex)[None], x[None])[0]
+
+
+def apply_rotation(a, x):
+    """Batched a[b] @ U(x[b]) for the unitary of :func:`rotation_unitary_from`.
+
+    a: (B, M, T), x: (B, T); returns (B, M, T), unchanged where x[b] = 0.
+    The reflector H = I - 2 v v^H / ||v||^2 is applied implicitly,
+    a -> a - 2 (a v) v^H / ||v||^2, followed by the phase fix of the last
+    column, so the cost is O(B M T) and no (B, T, T) array is formed
+    (Golub & Van Loan, Matrix Computations, sec. 5.1).
+    """
+    a = np.asarray(a, dtype=complex)
+    x = np.asarray(x, dtype=complex)
+    nrm = np.linalg.norm(x, axis=1, keepdims=True)
+    v = np.conj(x) / np.where(nrm > 0, nrm, 1.0)
     # phase of the last entry; zero entry -> phase 1
-    ph = u[-1] / abs(u[-1]) if abs(u[-1]) > 0 else 1.0
-    v = u.copy()
-    v[-1] += ph  # no cancellation: |v[-1]| = |u[-1]| + 1
-    h = np.eye(t, dtype=complex) - 2.0 * np.outer(v, np.conj(v)) / np.vdot(v, v).real
-    # H e_T = -conj(ph) * u; rescale the last column so it equals u exactly
-    h[:, -1] *= -ph
-    return h
+    last = np.abs(v[:, -1])
+    ph = np.where(last > 0, v[:, -1] / np.where(last > 0, last, 1.0), 1.0)
+    v[:, -1] += ph  # no cancellation: |v[-1]| grows by 1, so ||v||^2 >= 1
+    coef = 2.0 * np.einsum("bmt,bt->bm", a, v) / np.sum(np.abs(v) ** 2, axis=1)[:, None]
+    out = a - coef[:, :, None] * np.conj(v)[:, None, :]
+    # H e_T = -conj(ph) u; rescale the last column so U e_T = u exactly
+    out[:, :, -1] *= -ph[:, None]
+    return out
 
 
 def log_det_hermitian_psd(m):

@@ -30,6 +30,8 @@ class TestParams:
     def test_fit_requires_scale_above_one(self):
         with pytest.raises(InvalidRegime):
             fit_params(np.full(100, 0.5), 2, np.eye(2))
+        with pytest.raises(InvalidRegime):
+            fit_params(np.empty(0), 2, np.eye(2))
 
 
 class TestDensity:

@@ -5,8 +5,8 @@ from simomac.channel import (
     ChannelConfig,
     InputDistribution,
     annulus_second_moment,
-    apply_channel,
     sample_fading,
+    sample_outputs,
     truncate_to_peak,
 )
 from simomac.errors import InvalidParam
@@ -36,35 +36,40 @@ class TestFading:
             sample_fading("rayleigh", 1, np.random.default_rng(0))
 
 
-class TestApplyChannel:
+def _point(x):
+    x = np.asarray(x, dtype=float)
+    return InputDistribution(kind="deterministic_point", T=x.size, P=1.0, params={"x": x})
+
+
+class TestSampleOutputs:
     def test_pure_noise_power(self):
         rng = np.random.default_rng(3)
         n, t, b = 2, 4, 100_000
-        zeros = np.zeros((b, t))
-        h = sample_fading("iid_complex_gaussian", n, rng, size=b)
-        y = apply_channel(h, h, zeros, zeros, rng)
+        cfg = ChannelConfig(T=t, N=n, P=1.0, trials=b)
+        zeros = _point(np.zeros(t))
+        _, y = sample_outputs([zeros, zeros], cfg, rng)
         assert np.mean(np.linalg.norm(y, axis=(1, 2)) ** 2) == pytest.approx(
             n * t, rel=0.01
         )
 
-    def test_noiseless_rank(self):
-        rng = np.random.default_rng(4)
+    def test_signal_rank(self):
+        # deterministic inputs draw nothing, so equal seeds give equal
+        # fading and noise and the difference is h1 x1^T + h2 x2^T
         n, t = 4, 6
-        h1 = sample_fading("iid_complex_gaussian", n, rng)
-        h2 = sample_fading("iid_complex_gaussian", n, rng)
-        x1 = np.ones(t)
-        x2 = np.arange(t, dtype=float)
-        y = apply_channel(h1, h2, x1, x2, rng, noiseless=True)
-        assert np.linalg.matrix_rank(y) <= 2
+        cfg = ChannelConfig(T=t, N=n, P=1.0, trials=1)
+        _, y = sample_outputs([_point(np.ones(t)), _point(np.arange(t))], cfg,
+                              np.random.default_rng(4))
+        _, z = sample_outputs([_point(np.zeros(t)), _point(np.zeros(t))], cfg,
+                              np.random.default_rng(4))
+        assert np.linalg.matrix_rank(y[0] - z[0], tol=1e-9) == 2
 
     def test_total_power_identity(self):
         rng = np.random.default_rng(5)
         n, t, b = 2, 3, 200_000
-        x1 = np.tile(np.array([1.0, 2.0, 0.0]), (b, 1))
-        x2 = np.tile(np.array([0.0, 1.0, 1.0]), (b, 1))
-        h1 = sample_fading("iid_complex_gaussian", n, rng, size=b)
-        h2 = sample_fading("iid_complex_gaussian", n, rng, size=b)
-        y = apply_channel(h1, h2, x1, x2, rng)
+        cfg = ChannelConfig(T=t, N=n, P=1.0, trials=b)
+        (x1, x2), y = sample_outputs([_point([1.0, 2.0, 0.0]), _point([0.0, 1.0, 1.0])],
+                                     cfg, rng)
+        assert x1.shape == x2.shape == (b, t)
         expected = n * (t + 5.0 + 2.0)
         assert np.mean(np.linalg.norm(y, axis=(1, 2)) ** 2) == pytest.approx(
             expected, rel=0.01
@@ -72,8 +77,9 @@ class TestApplyChannel:
 
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(6)
+        cfg = ChannelConfig(T=4, N=2, P=1.0, trials=10)
         with pytest.raises(InvalidParam):
-            apply_channel(np.ones(2), np.ones(3), np.ones(4), np.ones(4), rng)
+            sample_outputs([_point(np.ones(4)), _point(np.ones(3))], cfg, rng)
 
 
 class TestConfig:

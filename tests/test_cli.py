@@ -2,14 +2,20 @@ import json
 
 import pytest
 
-from simomac import __version__
+from simomac import __version__, cli
 from simomac.cli import main
+from simomac.errors import InvalidRegime
 
 
 def _run(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
     return code, out
+
+
+def _assert_one_error_line(err):
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 class TestRegion:
@@ -54,7 +60,7 @@ class TestBounds:
     def test_schema(self, capsys):
         _, out = _run(capsys, self.ARGS + ["--P-dB", "20,30"])
         rep = json.loads(out)
-        assert set(rep) == {"version", "command", "workers", "config",
+        assert set(rep) == {"version", "command", "config",
                             "points", "slopes", "warnings"}
         assert len(rep["points"]) == 2
         pt = rep["points"][0]
@@ -63,6 +69,34 @@ class TestBounds:
             assert key in pt
         assert rep["slopes"][0]["from_dB"] == 20.0
         assert rep["config"]["regime"] == "T_ge_N_plus_1"
+
+    def test_negative_db_list(self, capsys):
+        code, out = _run(capsys, ["bounds", "--T", "2", "--N", "2",
+                                  "--P-dB", "-10,30", "--trials", "2000"])
+        assert code == 0
+        assert json.loads(out)["config"]["P_dB"] == [-10.0, 30.0]
+
+    def test_empty_evaluation_half_exit_2(self, capsys):
+        code = main(["bounds", "--T", "4", "--N", "2", "--P-dB", "20",
+                     "--trials", "1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        _assert_one_error_line(captured.err)
+
+    def test_slopes_need_both_bounds(self, capsys, monkeypatch):
+        def no_mac_bound(*args, **kwargs):
+            raise InvalidRegime("category 'last': mean ||A Y||^2 <= 1")
+
+        monkeypatch.setattr(cli, "duality_bound_mac_user1", no_mac_bound)
+        code, out = _run(capsys, ["bounds", "--T", "4", "--N", "2",
+                                  "--P-dB", "20,30", "--trials", "2000"])
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["slopes"] == []
+        assert len(rep["warnings"]) == 2
+        assert all("single_user_upper" in pt and "mac_user1_upper" not in pt
+                   for pt in rep["points"])
 
     def test_low_snr_warning(self, capsys):
         code, out = _run(capsys, ["bounds", "--T", "2", "--N", "1",
@@ -112,8 +146,22 @@ class TestConfigFile:
         code, out = _run(capsys, ["region", "--T", "5", "--N", "3"])
         assert out.startswith("0/1,0/1")
 
-    def test_missing_config_exit_2(self):
+    def test_missing_config_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--config", "/nonexistent.ini", "region",
                   "--T", "4", "--N", "2"])
         assert exc.value.code == 2
+        err = capsys.readouterr().err
+        _assert_one_error_line(err)
+        assert "/nonexistent.ini" in err
+
+    def test_bad_value_exit_2(self, capsys, tmp_path):
+        cfg = tmp_path / "simomac.ini"
+        cfg.write_text("[bounds]\ntrials = abc\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(cfg), "bounds", "--T", "4", "--N", "2",
+                  "--P-dB", "20"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        _assert_one_error_line(err)
+        assert "trials" in err

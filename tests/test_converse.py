@@ -15,7 +15,7 @@ from simomac.converse import (
     isotropic_mixture_mi_estimate,
     mutual_information_lower_estimate,
 )
-from simomac.errors import InvalidParam, LowSnrRegime, RegimeUnsupported
+from simomac.errors import InvalidParam, InvalidRegime, RegimeUnsupported
 from simomac.knn_entropy import knn_entropy_bits
 from simomac.linalg import sample_complex_gaussian
 
@@ -188,8 +188,15 @@ class TestSingleUserBound:
         cfg = _cfg(t=2, n=1, p=0.01, trials=5_000)
         zero = InputDistribution(kind="deterministic_point", T=2, P=0.01,
                                  params={"x": np.zeros(2)})
-        with pytest.raises(LowSnrRegime):
+        with pytest.raises(InvalidRegime, match="category"):
             duality_bound_single_user(zero, cfg)
+
+    def test_empty_evaluation_half_raises(self):
+        # one trial is fitted and none is left to evaluate the bound on
+        cfg = _cfg(t=4, n=2, trials=1)
+        iso = InputDistribution(kind="isotropic_peak", T=4, P=100.0)
+        with pytest.raises(InvalidParam, match="trials >= 2"):
+            duality_bound_single_user(iso, cfg)
 
 
 class TestMacBound:
@@ -198,6 +205,9 @@ class TestMacBound:
         iso = InputDistribution(kind="isotropic_peak", T=4, P=100.0)
         with pytest.raises(RegimeUnsupported):
             duality_bound_mac_user1(iso, iso, cfg, REGIME_T_LE_N)
+        one = InputDistribution(kind="isotropic_peak", T=1, P=100.0)
+        with pytest.raises(RegimeUnsupported):
+            duality_bound_mac_user1(one, one, _cfg(t=1, n=2), REGIME_T_LE_N)
 
     def test_genie_costs(self):
         cfg = _cfg(t=4, n=2, trials=20_000)

@@ -5,6 +5,7 @@ from simomac.errors import DegenerateInput, InvalidParam, NumericalDomain
 from simomac.linalg import (
     TOL_ALGEBRAIC,
     TOL_STRUCTURAL,
+    apply_rotation,
     log_det_hermitian_psd,
     rotation_unitary_from,
     sample_complex_gaussian,
@@ -42,6 +43,28 @@ class TestRotationUnitary:
     def test_deterministic(self):
         x = np.array([1 + 2j, -0.5j, 3.0])
         assert np.array_equal(rotation_unitary_from(x), rotation_unitary_from(x))
+
+
+class TestApplyRotation:
+    def test_rows_match_unitary(self):
+        rng = np.random.default_rng(11)
+        x = sample_complex_gaussian(5, rng, size=6)
+        x[::2, -1] = 0.0  # zero last entry: the phase-1 branch
+        a = sample_complex_gaussian(5, rng, size=(6, 3))
+        out = apply_rotation(a, x)
+        for b in range(6):
+            assert np.abs(out[b] - a[b] @ rotation_unitary_from(x[b])).max() <= 1e-12
+        rotated = apply_rotation(x[:, None, :], x)[:, 0]
+        nrm = np.linalg.norm(x, axis=1)
+        assert np.abs(rotated[:, :-1]).max() <= TOL_STRUCTURAL * nrm.max()
+        assert np.abs(rotated[:, -1] - nrm).max() <= TOL_ALGEBRAIC
+
+    def test_zero_vector_leaves_rows_unchanged(self):
+        rng = np.random.default_rng(12)
+        x = sample_complex_gaussian(4, rng, size=3)
+        x[1] = 0.0
+        a = sample_complex_gaussian(4, rng, size=(3, 2))
+        assert np.array_equal(apply_rotation(a, x)[1], a[1])
 
 
 class TestLogDet:
