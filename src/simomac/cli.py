@@ -80,6 +80,14 @@ def _cfg_get(cp, section, key, fallback=None):
     return fallback
 
 
+def _cfg_choice(cp, section, key, choices, fallback):
+    # argparse checks choices on command-line values only, not on defaults
+    raw = _cfg_get(cp, section, key, fallback)
+    if raw not in choices:
+        _usage_error(f"config value {key} = {raw!r} is not one of {', '.join(choices)}")
+    return raw
+
+
 def _cfg_int(cp, section, key, fallback):
     raw = _cfg_get(cp, section, key, fallback)
     try:
@@ -315,8 +323,9 @@ def build_parser(cp):
     pr = sub.add_parser("region", help="exact DoF region report")
     pr.add_argument("--T", type=_positive_int, required=True)
     pr.add_argument("--N", type=_positive_int, required=True)
-    pr.add_argument("--format", choices=("json", "csv"),
-                    default=_cfg_get(cp, "region", "format", "json"))
+    formats = ("json", "csv")
+    pr.add_argument("--format", choices=formats,
+                    default=_cfg_choice(cp, "region", "format", formats, "json"))
     pr.set_defaults(func=cmd_region)
 
     pb = sub.add_parser("bounds", help="Monte-Carlo bound experiments")
@@ -328,7 +337,8 @@ def build_parser(cp):
                     default=_cfg_int(cp, "bounds", "trials", 100_000))
     pb.add_argument("--seed", type=int, default=_cfg_int(cp, "bounds", "seed", 0))
     pb.add_argument("--fading", choices=FADING_KINDS,
-                    default=_cfg_get(cp, "bounds", "fading", "iid_complex_gaussian"))
+                    default=_cfg_choice(cp, "bounds", "fading", FADING_KINDS,
+                                        "iid_complex_gaussian"))
     pb.add_argument("--regime", choices=("auto", REGIME_T_GE_N_PLUS_1, REGIME_T_LE_N),
                     default="auto")
     pb.set_defaults(func=cmd_bounds)

@@ -279,7 +279,9 @@ def duality_bound_single_user(input_dist, cfg, genie_slots=None):
     rhs = (n + t - 1) * np.log2(1.0 + xv2) + n * np.where(
         off, np.log2(1.0 + ratios), 0.0
     ).sum(axis=1)
-    return _bound_report(neg_q, rhs, h_given_x, np.log2(slots), cfg, fitted)
+    # h(Y|X) above is the Gaussian-fading value; flag it for other fading
+    return _bound_report(neg_q, rhs, h_given_x, np.log2(slots), cfg, fitted,
+                         {"h_order_one_flagged": cfg.fading_kind != "iid_complex_gaussian"})
 
 
 # ---------------------------------------------------------------------------

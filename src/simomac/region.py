@@ -10,6 +10,7 @@ in [0,1]^4 by enumerating the vertices of the kink-hyperplane
 arrangement; a float grid search serves as an independent oracle.
 """
 
+import functools
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -211,20 +212,22 @@ def _user_bracket_g(eb, eT, eta_other, T, N):
     return (T - 2) * _pos(eb) + _pos(eb - s)
 
 
+def _brackets(profile, T, N, objective):
+    """(user-1 bracket, user-2 bracket) at one exponent profile."""
+    eb1, e1t, eb2, e2t = profile
+    if objective == "f_exponent":
+        bracket = _user_bracket_f
+    elif objective == "g_exponent":
+        bracket = _user_bracket_g
+    else:
+        raise InvalidParam(f"unknown objective {objective!r}")
+    return bracket(eb1, e1t, max(eb2, e2t), T, N), bracket(eb2, e2t, max(eb1, e1t), T, N)
+
+
 def exponent_objective(profile, lambda1, lambda2, T, N, objective):
     """Weighted-sum-DoF upper bound at one exponent profile
     (eta_bar_1, eta_1T, eta_bar_2, eta_2T).  Works on Fractions or floats."""
-    eb1, e1t, eb2, e2t = profile
-    eta1 = max(eb1, e1t)
-    eta2 = max(eb2, e2t)
-    if objective == "f_exponent":
-        b1 = _user_bracket_f(eb1, e1t, eta2, T, N)
-        b2 = _user_bracket_f(eb2, e2t, eta1, T, N)
-    elif objective == "g_exponent":
-        b1 = _user_bracket_g(eb1, e1t, eta2, T, N)
-        b2 = _user_bracket_g(eb2, e2t, eta1, T, N)
-    else:
-        raise InvalidParam(f"unknown objective {objective!r}")
+    b1, b2 = _brackets(profile, T, N, objective)
     return (lambda1 * b1 + lambda2 * b2) / T
 
 
@@ -262,43 +265,40 @@ def _kink_hyperplanes():
     return planes
 
 
-def _solve4(rows):
-    """Exact solve of a 4x4 rational system; None if singular."""
-    m = [list(c) + [r] for c, r in rows]
-    n = 4
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            return None
-        m[col], m[piv] = m[piv], m[col]
-        pv = m[col][col]
-        m[col] = [v / pv for v in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                fac = m[r][col]
-                m[r] = [v - fac * w for v, w in zip(m[r], m[col])]
-    return tuple(m[r][4] for r in range(n))
-
-
-_CANDIDATES_CACHE = None
-
-
+@functools.lru_cache(maxsize=None)
 def _candidate_profiles():
-    """Vertices of the kink arrangement restricted to [0,1]^4 (cached;
-    the hyperplane set does not depend on T, N or the weights)."""
-    global _CANDIDATES_CACHE
-    if _CANDIDATES_CACHE is not None:
-        return _CANDIDATES_CACHE
-    planes = _kink_hyperplanes()
-    seen = set()
-    for combo in combinations(planes, 4):
-        sol = _solve4(combo)
-        if sol is None:
-            continue
-        if all(F(0) <= v <= F(1) for v in sol):
-            seen.add(sol)
-    _CANDIDATES_CACHE = sorted(seen)
-    return _CANDIDATES_CACHE
+    """Vertices of the kink arrangement restricted to [0,1]^4, sorted
+    (cached; the hyperplane set does not depend on T, N or the weights).
+
+    Each 4-plane subset is solved by Cramer's rule, all subsets at once.
+    Every coefficient is in {-1, 0, 1} and every right-hand side in
+    {0, 1}, so each row of a system matrix, and of the matrix with one
+    column replaced by the right-hand side, has four entries of magnitude
+    at most 1 and Euclidean norm at most 2.  By Hadamard's inequality every
+    determinant and every Cramer numerator is an integer of magnitude at
+    most 2^4 = 16.  The float LU determinant of such a 4x4 matrix is off by
+    a few ulps of 16, far less than 1/2, so rounding recovers each integer
+    exactly and the vertices are exact Fractions.
+    """
+    planes = np.array([list(c) + [r] for c, r in _kink_hyperplanes()], dtype=float)
+    subsets = np.array(list(combinations(range(len(planes)), 4)))
+    a, rhs = planes[subsets, :4], planes[subsets, 4]
+    systems = np.repeat(a[:, None], 5, axis=1)
+    for k in range(4):
+        systems[:, k + 1, :, k] = rhs
+    dets = np.rint(np.linalg.det(systems)).astype(np.int64)
+    det, num = dets[:, :1], dets[:, 1:]
+    # num / det in [0, 1]  <=>  0 <= num * det <= det^2
+    inside = (det[:, 0] != 0) & np.all((num * det >= 0) & (num * det <= det * det), axis=1)
+    return sorted({tuple(F(int(v), int(d)) for v in row)
+                   for row, (d,) in zip(num[inside], det[inside])})
+
+
+@functools.lru_cache(maxsize=1024, typed=True)
+def _candidate_brackets(T, N, objective):
+    """((profile, (bracket 1, bracket 2)), ...) over the candidate
+    profiles; the brackets do not depend on the weights."""
+    return tuple((x, _brackets(x, T, N, objective)) for x in _candidate_profiles())
 
 
 def weighted_sum_dof_sup(lambda1, lambda2, T, N, objective):
@@ -320,8 +320,8 @@ def weighted_sum_dof_sup(lambda1, lambda2, T, N, objective):
             stacklevel=2,
         )
     best, best_x = None, None
-    for x in _candidate_profiles():
-        val = exponent_objective(x, l1, l2, T, N, objective)
+    for x, (b1, b2) in _candidate_brackets(T, N, objective):
+        val = (l1 * b1 + l2 * b2) / T
         if best is None or val > best:
             best, best_x = val, x
     return best, best_x
@@ -331,47 +331,74 @@ def weighted_sum_dof_sup(lambda1, lambda2, T, N, objective):
 # Grid oracle (float)
 # ---------------------------------------------------------------------------
 
-def _objective_grid(grids, lambda1, lambda2, T, N, objective):
-    """Vectorized float evaluation on a meshgrid of the four exponents."""
-    eb1, e1t, eb2, e2t = np.meshgrid(*grids, indexing="ij", sparse=True)
-    eta1 = np.maximum(eb1, e1t)
-    eta2 = np.maximum(eb2, e2t)
+def _pos_grid(a):
+    return np.maximum(a, 0.0)
 
-    def pos(a):
-        return np.maximum(a, 0.0)
 
-    def bracket_f(eb, et, other):
-        pb = pos(eb)
-        return (
-            (N + T - 2) * pb
-            + pos(eb - pos(other))
-            + N * pos(et - np.maximum(pb, pos(other)))
-            - N * np.maximum(np.maximum(pb, et - pos(other)), 0.0)
-        )
+def _grid_bracket_f(eb, et, other, T, N):
+    """Float-array copy of _user_bracket_f."""
+    pb = _pos_grid(eb)
+    return (
+        (N + T - 2) * pb
+        + _pos_grid(eb - _pos_grid(other))
+        + N * _pos_grid(et - np.maximum(pb, _pos_grid(other)))
+        - N * np.maximum(np.maximum(pb, et - _pos_grid(other)), 0.0)
+    )
 
-    def bracket_g(eb, et, other):
-        s = pos(other)
-        pb = pos(eb)
-        case_c = et - s > pb
-        case_b = (et - s < pb) & (et > np.maximum(pb, s))
-        val_c = (T - 1) * pos(et - s)
-        val_b = (T - 2) * pb + N * (np.maximum(np.maximum(s, et), 0.0) - np.maximum(s, 1.0)) + pos(1.0 - s)
-        val_a = (T - 2) * pb + pos(eb - s)
-        return np.where(case_c, val_c, np.where(case_b, val_b, val_a))
 
-    bracket = bracket_f if objective == "f_exponent" else bracket_g
-    return (lambda1 * bracket(eb1, e1t, eta2) + lambda2 * bracket(eb2, e2t, eta1)) / T
+def _grid_bracket_g(eb, et, other, T, N):
+    """Float-array copy of _user_bracket_g (same tie rule)."""
+    s = _pos_grid(other)
+    pb = _pos_grid(eb)
+    case_c = et - s > pb
+    case_b = (et - s < pb) & (et > np.maximum(pb, s))
+    val_c = (T - 1) * _pos_grid(et - s)
+    val_b = (T - 2) * pb + N * (np.maximum(np.maximum(s, et), 0.0) - np.maximum(s, 1.0)) + _pos_grid(1.0 - s)
+    val_a = (T - 2) * pb + _pos_grid(eb - s)
+    return np.where(case_c, val_c, np.where(case_b, val_b, val_a))
+
+
+_GRID_BRACKETS = {"f_exponent": _grid_bracket_f, "g_exponent": _grid_bracket_g}
+
+
+def _grid_max(axes, lambda1, lambda2, T, N, objective):
+    """(value, index) of the first C-order maximum of the objective on the
+    product grid of the four axes (eb1, e1t, eb2, e2t).
+
+    User 1's bracket sees user 2 only through eta_2 = max(eb2, e2t), and
+    user 2's only through eta_1, so each bracket is tabulated over the
+    distinct eta values of the other user, and the objective is gathered
+    from the two 3-D tables one eb1 slice at a time.  Every grid point
+    gets the same float expression as a dense 4-D evaluation would give
+    it, without any 4-D temporary.
+    """
+    g0, g1, g2, g3 = axes
+    bracket = _GRID_BRACKETS[objective]
+    eta1, inv1 = np.unique(np.maximum.outer(g0, g1).ravel(), return_inverse=True)
+    eta2, inv2 = np.unique(np.maximum.outer(g2, g3).ravel(), return_inverse=True)
+    inv1, inv2 = inv1.reshape(len(g0), len(g1)), inv2.reshape(len(g2), len(g3))
+    w1 = lambda1 * bracket(g0[:, None, None], g1[None, :, None], eta2, T, N)  # (n0, n1, |eta2|)
+    w2 = lambda2 * bracket(g2[:, None, None], g3[None, :, None], eta1, T, N)  # (n2, n3, |eta1|)
+    w2 = np.ascontiguousarray(np.moveaxis(w2, 2, 0))  # (|eta1|, n2, n3)
+    best, best_idx = None, None
+    for i in range(len(g0)):
+        vals = (w1[i][:, inv2] + w2[inv1[i]]) / T
+        j = int(np.argmax(vals))
+        # strict: an equal maximum in a later slice is later in C order
+        if best is None or vals.flat[j] > best:
+            best, best_idx = float(vals.flat[j]), (i,) + np.unravel_index(j, vals.shape)
+    return best, best_idx
 
 
 def grid_oracle_sup(lambda1, lambda2, T, N, objective, coarse_step=64, fine_step=512):
     """Two-stage brute-force grid maximum: full 1/coarse_step grid, then a
     1/fine_step refinement around the coarse argmax.  Returns (value,
     argmax tuple) as floats."""
+    if objective not in _GRID_BRACKETS:
+        raise InvalidParam(f"unknown objective {objective!r}")
     l1, l2 = float(lambda1), float(lambda2)
     axis = np.linspace(0.0, 1.0, coarse_step + 1)
-    vals = _objective_grid([axis] * 4, l1, l2, T, N, objective)
-    idx = np.unravel_index(np.argmax(vals), vals.shape)
-    best = float(vals[idx])
+    best, idx = _grid_max([axis] * 4, l1, l2, T, N, objective)
     center = [axis[i] for i in idx]
     fine_axes = []
     for c in center:
@@ -379,9 +406,7 @@ def grid_oracle_sup(lambda1, lambda2, T, N, objective, coarse_step=64, fine_step
         hi = min(1.0, c + 1.0 / coarse_step)
         n_pts = int(round((hi - lo) * fine_step)) + 1
         fine_axes.append(np.linspace(lo, hi, n_pts))
-    fvals = _objective_grid(fine_axes, l1, l2, T, N, objective)
-    fidx = np.unravel_index(np.argmax(fvals), fvals.shape)
-    fbest = float(fvals[fidx])
+    fbest, fidx = _grid_max(fine_axes, l1, l2, T, N, objective)
     if fbest >= best:
         best = fbest
         center = [fine_axes[k][fidx[k]] for k in range(4)]

@@ -165,3 +165,22 @@ class TestConfigFile:
         err = capsys.readouterr().err
         _assert_one_error_line(err)
         assert "trials" in err
+
+    @pytest.mark.parametrize("ini,argv,allowed", [
+        ("[region]\nformat = xml\n", ["region", "--T", "4", "--N", "2"], ("json", "csv")),
+        ("[bounds]\nfading = rayleigh\n",
+         ["bounds", "--T", "4", "--N", "2", "--P-dB", "20"],
+         ("iid_complex_gaussian", "iid_uniform_annulus")),
+    ])
+    def test_value_outside_choices_exit_2(self, capsys, tmp_path, ini, argv, allowed):
+        cfg = tmp_path / "simomac.ini"
+        cfg.write_text(ini)
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(cfg)] + argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        _assert_one_error_line(captured.err)
+        key = ini.split("\n")[1].split(" = ")[0]
+        assert key in captured.err
+        assert all(choice in captured.err for choice in allowed)

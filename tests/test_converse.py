@@ -184,6 +184,15 @@ class TestSingleUserBound:
         slack = rep.remainder_terms["log_log_slack_bits"]
         assert rep.value <= rep.components["analytic_rhs_value"] + slack + 3 * rep.std_error
 
+    @pytest.mark.parametrize("fading,flagged", [("iid_complex_gaussian", False),
+                                                ("iid_uniform_annulus", True)])
+    def test_h_given_x_flagged_off_gaussian_fading(self, fading, flagged):
+        # h(Y|X) is the Gaussian-fading value, exact only for Gaussian fading
+        cfg = _cfg(trials=2_000, fading=fading)
+        iso = InputDistribution(kind="isotropic_peak", T=4, P=100.0)
+        rep = duality_bound_single_user(iso, cfg)
+        assert rep.remainder_terms["h_order_one_flagged"] is flagged
+
     def test_low_snr_raises(self):
         cfg = _cfg(t=2, n=1, p=0.01, trials=5_000)
         zero = InputDistribution(kind="deterministic_point", T=2, P=0.01,

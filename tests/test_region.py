@@ -1,10 +1,16 @@
+import itertools
+import tracemalloc
 import warnings
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from simomac.errors import InvalidParam, RegimeWarning
 from simomac.region import (
+    _candidate_profiles,
+    _grid_max,
+    _kink_hyperplanes,
     dof_corner_points,
     exponent_objective,
     grid_oracle_sup,
@@ -153,6 +159,75 @@ class TestGridOracle:
         grid, _ = grid_oracle_sup(F(1), F(1), t, n, objective)
         tol = float(objective_lipschitz_bound(t, n)) / 512.0
         assert 0.0 <= float(sup) - float(grid) <= tol
+
+
+class TestGridOracleAgainstPlainEvaluation:
+    COARSE, FINE = 4, 16
+
+    @staticmethod
+    def _product_max(axes, lam, t, n, objective):
+        """First maximum, in itertools.product order, of the float objective."""
+        best, best_x = None, None
+        for x in itertools.product(*axes):
+            val = exponent_objective(x, *lam, t, n, objective)
+            if best is None or val > best:
+                best, best_x = val, x
+        return best, best_x
+
+    def _plain_two_stage(self, lam, t, n, objective):
+        axis = np.linspace(0.0, 1.0, self.COARSE + 1)
+        best, center = self._product_max([axis] * 4, lam, t, n, objective)
+        fine_axes = []
+        for c in center:
+            lo, hi = max(0.0, c - 1.0 / self.COARSE), min(1.0, c + 1.0 / self.COARSE)
+            fine_axes.append(np.linspace(lo, hi, int(round((hi - lo) * self.FINE)) + 1))
+        fine_best, _ = self._product_max(fine_axes, lam, t, n, objective)
+        return max(best, fine_best)
+
+    @pytest.mark.parametrize("objective", ["f_exponent", "g_exponent"])
+    @pytest.mark.parametrize("t,n", [(2, 1), (4, 2), (3, 4), (7, 3)])
+    @pytest.mark.parametrize("lam", [(1.0, 1.0), (1.0, 0.25), (0.0, 1.0)])
+    def test_matches_product_loop(self, objective, t, n, lam):
+        value, argmax = grid_oracle_sup(*lam, t, n, objective,
+                                        coarse_step=self.COARSE, fine_step=self.FINE)
+        assert value == pytest.approx(self._plain_two_stage(lam, t, n, objective),
+                                      rel=0, abs=1e-12)
+        assert exponent_objective(argmax, *lam, t, n, objective) == pytest.approx(
+            value, rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("objective", ["f_exponent", "g_exponent"])
+    @pytest.mark.parametrize("t,n", [(4, 2), (3, 4)])
+    def test_every_point_matches_scalar_brackets(self, objective, t, n):
+        # a one-point grid evaluates the numpy brackets at exactly that point
+        for x in itertools.product(np.linspace(0.0, 1.0, self.COARSE + 1), repeat=4):
+            value, _ = _grid_max([np.array([v]) for v in x], 1.0, 0.5, t, n, objective)
+            assert value == pytest.approx(exponent_objective(x, 1.0, 0.5, t, n, objective),
+                                          rel=0, abs=1e-12)
+
+    def test_unknown_objective(self):
+        with pytest.raises(InvalidParam):
+            grid_oracle_sup(1, 1, 4, 2, "h_exponent", coarse_step=4, fine_step=16)
+
+    def test_peak_memory(self):
+        tracemalloc.start()
+        try:
+            grid_oracle_sup(1, 1, 4, 2, "f_exponent")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+
+
+class TestCandidateProfiles:
+    def test_vertices_of_the_kink_arrangement(self):
+        cands = _candidate_profiles()
+        assert len(cands) == 27
+        assert cands == sorted(set(cands))
+        planes = _kink_hyperplanes()
+        for x in cands:
+            assert all(isinstance(v, F) and 0 <= v <= 1 for v in x)
+            tight = [c for c, r in planes if sum(ci * xi for ci, xi in zip(c, x)) == r]
+            assert np.linalg.matrix_rank(np.array(tight, dtype=float)) == 4
 
 
 class TestClamping:
