@@ -1,6 +1,10 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
+from simomac import converse
 from simomac.channel import ChannelConfig, InputDistribution
 from simomac.converse import (
     REGIME_T_GE_N_PLUS_1,
@@ -274,3 +278,34 @@ class TestMiEstimates:
         mi_exact, se = isotropic_mixture_mi_estimate(cfg, trials=4_000)
         assert mi_knn == pytest.approx(mi_exact, abs=0.3)
         assert mi_knn >= mi_exact - 3 * se
+
+    def test_mixture_rejects_nonpositive_trials(self):
+        for trials in (0, -5):
+            with pytest.raises(InvalidParam):
+                isotropic_mixture_mi_estimate(_cfg(), trials=trials)
+
+    def test_mixture_memory_is_blocked(self):
+        # y alone is 10 MiB here; unblocked (B, T, T) temporaries reach ~210 MiB
+        cfg = ChannelConfig(T=16, N=4, P=1000.0, trials=10_000, seed=0)
+        tracemalloc.start()
+        try:
+            isotropic_mixture_mi_estimate(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * 2**20
+
+    def test_mixture_independent_of_block_size(self, monkeypatch):
+        cfg = _cfg(p=100.0, seed=3)
+        results = []
+        for block in (1, 2048):
+            monkeypatch.setattr(converse, "_MIXTURE_BLOCK", block)
+            results.append(isotropic_mixture_mi_estimate(cfg, trials=1_025))
+        assert results[0] == results[1]
+
+    @pytest.mark.parametrize("t,n", [(1, 2), (4, 1)])
+    def test_mixture_single_slot_or_antenna_is_quiet(self, t, n):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mi, se = isotropic_mixture_mi_estimate(_cfg(t=t, n=n), trials=2_000)
+        assert np.isfinite(mi) and np.isfinite(se) and se > 0

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 
+from simomac.channel import ChannelConfig, InputDistribution
+from simomac.converse import mutual_information_lower_estimate
+from simomac.errors import InvalidParam
 from simomac.knn_entropy import complex_to_real, knn_entropy_bits
 from simomac.linalg import sample_complex_gaussian
 
@@ -31,3 +34,23 @@ class TestEstimator:
         h1 = knn_entropy_bits(x)
         h2 = knn_entropy_bits(4.0 * x)
         assert h2 - h1 == pytest.approx(2.0, abs=0.05)
+
+
+class TestTooFewPoints:
+    def test_at_most_k_points_rejected(self):
+        x = np.random.default_rng(3).normal(size=(4, 2))
+        with pytest.raises(InvalidParam):
+            knn_entropy_bits(x, k=4)
+        assert np.isfinite(knn_entropy_bits(x, k=3))
+
+    def test_nonpositive_k_rejected(self):
+        x = np.random.default_rng(4).normal(size=(100, 2))
+        for k in (0, -1):
+            with pytest.raises(InvalidParam):
+                knn_entropy_bits(x, k=k)
+
+    def test_estimator_with_too_few_trials_raises(self):
+        cfg = ChannelConfig(T=4, N=2, P=100.0, trials=3)
+        iso = InputDistribution(kind="isotropic_peak", T=4, P=100.0)
+        with pytest.raises(InvalidParam):
+            mutual_information_lower_estimate(iso, cfg)

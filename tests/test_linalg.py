@@ -1,3 +1,5 @@
+from math import factorial
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from simomac.linalg import (
     TOL_ALGEBRAIC,
     TOL_STRUCTURAL,
     apply_rotation,
+    divided_difference_exp,
     log_det_hermitian_psd,
     rotation_unitary_from,
     sample_complex_gaussian,
@@ -140,3 +143,46 @@ class TestSamplers:
         a = sample_complex_gaussian(5, np.random.default_rng(23), size=10)
         b = sample_complex_gaussian(5, np.random.default_rng(23), size=10)
         assert np.array_equal(a, b)
+
+
+class TestDividedDifferenceExp:
+    def test_single_node_is_exp(self):
+        a = np.array([[-30.0], [-1.5], [0.0], [2.0]])
+        assert np.allclose(divided_difference_exp(a), np.exp(a[:, 0]), rtol=1e-14, atol=0)
+
+    def test_two_distinct_nodes(self):
+        # one batch mixing rows that need 0, 4 and 11 squarings
+        a = np.array([-3.25, -60.0, -9000.0, 0.5])
+        b = np.array([0.5, 0.0, -1.0, -3.25])
+        dd = divided_difference_exp(np.stack([a, b], axis=1))
+        assert np.allclose(dd, (np.exp(a) - np.exp(b)) / (a - b), rtol=1e-14, atol=0)
+
+    def test_all_nodes_equal(self):
+        for t in range(2, 7):
+            for a in (-40.0, -2.0, 0.0, 1.0):
+                dd = divided_difference_exp(np.full((1, t), a))[0]
+                assert dd == pytest.approx(np.exp(a) / factorial(t - 1), rel=1e-13)
+
+    def test_repeated_nodes_against_multiprecision(self):
+        # exactly repeated nodes, as a rank-N mixture matrix produces them
+        mpmath = pytest.importorskip("mpmath")
+        nodes = [-7.90548452, -7.90548452, -4.67070486, 0.0]
+        with mpmath.workdps(60):
+            j = mpmath.zeros(4, 4)
+            for i, x in enumerate(nodes):
+                j[i, i] = mpmath.mpf(x)
+                if i < 3:
+                    j[i, i + 1] = 1
+            ref = float(mpmath.expm(j)[0, 3])
+        assert divided_difference_exp(np.array([nodes]))[0] == pytest.approx(ref, rel=1e-12)
+
+    def test_haar_average_of_exponential_quadratic_form(self):
+        # E_u[exp(u^H M u)] = (T-1)! exp[eig M] for u uniform on the sphere
+        rng = np.random.default_rng(29)
+        q, _ = np.linalg.qr(sample_complex_gaussian(3, rng, size=3))
+        m = q @ np.diag([-1.0, 0.5, 1.5]) @ q.conj().T
+        u = sample_uniform_complex_sphere(3, rng, size=200_000)
+        vals = np.exp(np.einsum("bi,ij,bj->b", u.conj(), m, u).real)
+        se = vals.std() / np.sqrt(vals.size)
+        expected = 2.0 * divided_difference_exp(np.linalg.eigvalsh(m)[None])[0]
+        assert abs(vals.mean() - expected) <= 4 * se
