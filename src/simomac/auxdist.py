@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import gammaln
 
+from . import linalg
 from .errors import InvalidParam, InvalidRegime, SingularPoint
 from .linalg import sample_gamma, sample_uniform_complex_sphere
 
@@ -137,7 +138,7 @@ def cross_entropy_expansion(samples, params):
     population.  Leading terms: -log|det A|^2 + N E[log ||A Y||^2].
     """
     samples = np.asarray(samples, dtype=complex)
-    norm_sq = np.linalg.norm(samples @ params.a.T, axis=-1) ** 2
+    norm_sq = linalg.norm_sq(samples @ params.a.T)
     neg_logs = -log_density_from_norm_sq(norm_sq, params) / LN2
     ce = float(np.mean(neg_logs))
     se = float(np.std(neg_logs) / np.sqrt(neg_logs.size))

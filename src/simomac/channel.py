@@ -10,7 +10,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import InvalidParam
-from .linalg import sample_complex_gaussian, sample_uniform_complex_sphere
+from .linalg import norm_sq, sample_complex_gaussian, sample_uniform_complex_sphere
 
 FADING_KINDS = ("iid_complex_gaussian", "iid_uniform_annulus")
 
@@ -80,8 +80,17 @@ def sample_outputs(inputs, cfg, rng, size=None):
     b = cfg.trials if size is None else size
     xs = [d.sample(rng, size=b) for d in inputs]
     hs = [sample_fading(cfg.fading_kind, cfg.N, rng, size=b) for _ in inputs]
-    y = sum(h[:, :, None] * x[:, None, :] for h, x in zip(hs, xs))
-    return xs, y + sample_complex_gaussian(cfg.T, rng, size=(b, cfg.N))
+    y = None  # accumulated in place: user 1, user 2, ..., then the noise
+    for h, x in zip(hs, xs):
+        if y is None:
+            y = h[:, :, None] * x[:, None, :]
+        else:
+            y += h[:, :, None] * x[:, None, :]
+    z = sample_complex_gaussian(cfg.T, rng, size=(b, cfg.N))
+    if y is None:
+        return xs, z
+    y += z
+    return xs, y
 
 
 INPUT_KINDS = (
@@ -157,7 +166,7 @@ class InputDistribution:
         x = self._raw_sample(rng, size)
         if self.truncate_above is not None:
             for _ in range(1000):
-                bad = np.linalg.norm(x, axis=1) ** 2 >= self.truncate_above
+                bad = norm_sq(x) >= self.truncate_above
                 n_bad = int(bad.sum())
                 if n_bad == 0:
                     break
@@ -189,7 +198,7 @@ def truncate_to_peak(dist, P, beta, rng, trials=100_000):
         raise InvalidParam("beta must exceed 1")
     threshold = float(P**beta)
     x = dist.sample(rng, size=trials)
-    tail = (np.linalg.norm(x, axis=1) ** 2 >= threshold).astype(float)
+    tail = (norm_sq(x) >= threshold).astype(float)
     p_hat = float(tail.mean())
     se = float(tail.std() / np.sqrt(trials))
     truncated = replace(dist, constraint="peak", truncate_above=threshold)

@@ -132,6 +132,7 @@ def _bound_to_dict(rep):
         "fitted": {k: list(v) for k, v in rep.components.get("fitted", {}).items()},
         "analytic_rhs_value": rep.components.get("analytic_rhs_value"),
         "branch_counts": rep.components.get("branch_counts"),
+        "pooled_fit": rep.components.get("pooled_fit"),
     }
 
 

@@ -1,15 +1,17 @@
 """Genie-aided duality upper bounds for the single-user SIMO channel and
 the two-user MAC, plus the exponent penalty functions f and g.
 
-All rate quantities are bits per channel use.  Monte-Carlo evaluation is
-vectorized over trials; the auxiliary-output parameters (alpha, beta per
-slot category) are fitted on a held-out half of the samples to avoid
-fitting bias, and all double-log remainder terms are carried explicitly
-in the returned reports with the calibrated constants from
-:mod:`simomac.auxdist`.
+All rate quantities are bits per channel use.  The duality bounds draw
+and whiten their Monte-Carlo trials in fixed-size chunks, each from its
+own seeded stream, and keep only per-trial (B, T) arrays over all
+trials; the auxiliary-output parameters (alpha, beta per slot category)
+are fitted on a held-out half of the samples to avoid fitting bias, and
+all double-log remainder terms are carried explicitly in the returned
+reports with the calibrated constants from :mod:`simomac.auxdist`.
 """
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -17,7 +19,7 @@ from .auxdist import fit_params, log_density_from_norm_sq, remainder_slack_bits
 from .channel import InputDistribution, sample_outputs
 from .errors import InvalidParam, InvalidRegime, RegimeUnsupported
 from .knn_entropy import knn_entropy_bits
-from .linalg import apply_rotation, divided_difference_exp
+from .linalg import abs_sq, apply_rotation, divided_difference_exp, norm_sq
 
 LN2 = np.log(2.0)
 LOG2_PI_E = np.log2(np.pi * np.e)
@@ -27,6 +29,10 @@ REGIME_T_LE_N = "T_le_N"
 
 # Samples per batched eigendecomposition in the mixture MI estimate.
 _MIXTURE_BLOCK = 512
+
+# Complex entries (trials x N x T) per chunk of the duality bounds: the
+# (chunk, N, T) arrays stay at 4 MiB whatever the trial count.
+_CHUNK_ENTRIES = 2**18
 
 
 @dataclass
@@ -91,10 +97,8 @@ class EntropyReport:
 
 def _exact_log2_det(x1, x2):
     """log2 det(I_T + x1 x1^H + x2 x2^H), batched over leading axis."""
-    n1 = np.linalg.norm(x1, axis=-1) ** 2
-    n2 = np.linalg.norm(x2, axis=-1) ** 2
-    ip = np.abs(np.sum(np.conj(x2) * x1, axis=-1)) ** 2
-    return np.log2((1.0 + n1) * (1.0 + n2) - ip)
+    ip = abs_sq(np.einsum("...t,...t->...", np.conj(x2), x1))
+    return np.log2((1.0 + norm_sq(x1)) * (1.0 + norm_sq(x2)) - ip)
 
 
 def conditional_entropy_given_inputs(x1, x2, cfg, branch="exact"):
@@ -169,53 +173,106 @@ def eval_g(x1t, x2, p, n):
 # Duality-bound core shared by the three bounds
 # ---------------------------------------------------------------------------
 
-def _duality_core(yt, v, s, c, names, branch=None):
-    """Per-trial -log2 q(Y) for the genie-aided auxiliary output density.
+def _trial_chunks(cfg):
+    """(start, stop, rng) for each chunk of the cfg.trials trials, in order.
+
+    A chunk holds max(2, even part of ``_CHUNK_ENTRIES // (N T)``) trials,
+    the last one possibly fewer, so a trial's parity is the same in its
+    chunk as over all trials.  Chunk i draws from the i-th generator
+    spawned from SeedSequence((seed, 0)).
+    """
+    step = max(2, _CHUNK_ENTRIES // (cfg.N * cfg.T) // 2 * 2)
+    starts = range(0, cfg.trials, step)
+    seeds = np.random.SeedSequence((cfg.seed, 0)).spawn(len(starts))
+    for lo, seed in zip(starts, seeds):
+        yield lo, min(lo + step, cfg.trials), np.random.default_rng(seed)
+
+
+def _whiten(yt, v, s, c):
+    """Squared whitened norms ||A y_i||^2 and ln |det A|^2, each (B, T).
 
     yt: (B, N, T) outputs (rotated for the MAC); v: (B,) pilot slot; s, c:
     (B, T) whitening scales, non-pilot slot i being whitened by
     A = (s_i I + c_i y_v y_v^H)^{-1/2} and the pilot slot left as is.
-    ``names`` labels the categories (pilot, other slots[, last slot]);
-    with three names the last slot, when not the pilot, is its own
-    category.  One canonical radial member is fitted per (branch,
-    category) on the even trials, falling back to the fit pooled over
-    branches for a sparse branch.  Returns (-log2 q per trial,
-    {label: (alpha, beta)}).
+    Each row depends on its own trial only, so chunks whiten independently.
     """
-    b, n, t = yt.shape
+    b, n, _ = yt.shape
     rows = np.arange(b)
     y_v = yt[rows, :, v]
-    nv2 = np.linalg.norm(y_v, axis=1) ** 2
-    ip = np.abs(np.einsum("bnt,bn->bt", yt, np.conj(y_v))) ** 2
+    nv2 = norm_sq(y_v)
+    ip = abs_sq(np.einsum("bnt,bn->bt", yt, np.conj(y_v)))
     denom = s + c * nv2[:, None]
-    norm_sq = np.linalg.norm(yt, axis=1) ** 2 / s - (c / s) * ip / denom
+    white = norm_sq(yt, axis=1) / s - (c / s) * ip / denom
     log_det = -((n - 1) * np.log(s) + np.log(denom))  # ln |det A|^2
-    norm_sq[rows, v] = nv2
+    white[rows, v] = nv2
     log_det[rows, v] = 0.0
+    return white, log_det
 
+
+def _fit_and_evaluate(white, log_det, v, n, names, branch=None):
+    """Per-trial -log2 q(Y) for the genie-aided auxiliary output density.
+
+    white, log_det: (B, T) from :func:`_whiten`; v: (B,) pilot slot; n:
+    the receive dimension.  ``names`` labels the categories (pilot, other
+    slots[, last slot]); with three names the last slot, when not the
+    pilot, is its own category.  One canonical radial member is fitted
+    per (branch, category) on the even trials; a branch with fewer than
+    100 fit samples, or mean <= 1, is fitted on the samples pooled over
+    branches.  Returns (-log2 q per trial, {label: (alpha, beta)},
+    [labels fitted on pooled samples]).
+    """
+    b, t = white.shape
     slot = np.arange(t)
     category = np.where(slot == v[:, None], 0, np.where(slot == t - 1, len(names) - 1, 1))
     fit_rows = np.zeros((b, 1), dtype=bool)
     fit_rows[0::2] = True
     branches = np.zeros(b, dtype=int) if branch is None else branch
     ln_q = np.zeros((b, t))
-    fitted = {}
+    fitted, pooled = {}, []
     for br in np.unique(branches):
         for cat, name in enumerate(names):
             sel = (category == cat) & (branches == br)[:, None]
             if not sel.any():
                 continue
             label = name if branch is None else f"branch{br}/{name}"
-            pop = norm_sq[sel & fit_rows]
-            if pop.size < 100 or np.mean(pop) <= 1.0:
-                pop = norm_sq[(category == cat) & fit_rows]  # sparse branch: pooled fit
+            pop = white[sel & fit_rows]
+            if branch is not None and (pop.size < 100 or np.mean(pop) <= 1.0):
+                pop = white[(category == cat) & fit_rows]
+                pooled.append(label)
             try:
                 params = fit_params(pop, n, np.eye(n))
             except InvalidRegime as exc:
                 raise InvalidRegime(f"category {label!r}: {exc}") from None
             fitted[label] = (params.alpha, params.beta)
-            ln_q[sel] = log_density_from_norm_sq(norm_sq[sel], params) + log_det[sel]
-    return -ln_q.sum(axis=1) / LN2, fitted
+            ln_q[sel] = log_density_from_norm_sq(white[sel], params) + log_det[sel]
+    return -ln_q.sum(axis=1) / LN2, fitted, pooled
+
+
+def _streamed_bound(inputs, cfg, genie, names, genie_cost, flags, branched=False):
+    """Draw and process the trials chunk by chunk, then fit and report.
+
+    ``genie(xs, y, cfg)`` maps one chunk's inputs and outputs to
+    (yt, v, s, c, rhs, h_given_x, branch): the outputs to whiten, the
+    pilot slot and whitening scales of :func:`_whiten`, the analytic
+    right-hand side, h(Y | X) and the aux branch (None when unbranched).
+    Only (B, T) and (B,) arrays are kept for all trials; every (B, N, T)
+    array lives for one chunk.
+    """
+    b, t = cfg.trials, cfg.T
+    white, log_det = np.empty((b, t)), np.empty((b, t))
+    v, rhs, h_given_x = np.empty(b, dtype=np.intp), np.empty(b), np.empty(b)
+    branch = np.empty(b, dtype=np.intp) if branched else None
+    for lo, hi, rng in _trial_chunks(cfg):
+        xs, y = sample_outputs(inputs, cfg, rng, size=hi - lo)
+        yt, v[lo:hi], s, c, rhs[lo:hi], h_given_x[lo:hi], br = genie(xs, y, cfg)
+        white[lo:hi], log_det[lo:hi] = _whiten(yt, v[lo:hi], s, c)
+        if branched:
+            branch[lo:hi] = br
+        del xs, y, yt  # free this chunk's (B, N, T) arrays before the next draw
+    neg_q, fitted, pooled = _fit_and_evaluate(white, log_det, v, cfg.N, names, branch)
+    rep = _bound_report(neg_q, rhs, h_given_x, genie_cost, cfg, fitted, flags, branch)
+    rep.components["pooled_fit"] = pooled
+    return rep
 
 
 def _bound_report(neg_q, rhs, h_given_x, genie_cost, cfg, fitted, flags=None, branch=None):
@@ -258,33 +315,41 @@ def _bound_report(neg_q, rhs, h_given_x, genie_cost, cfg, fitted, flags=None, br
 # Single-user duality bound
 # ---------------------------------------------------------------------------
 
+def _single_user_genie(xs, y, cfg, slots):
+    """Strongest of the first ``slots`` slots as the pilot, no whitening
+    scales; the Proposition right-hand side and the Gaussian-fading
+    h(Y | X) on the same trials."""
+    n, t = cfg.N, cfg.T
+    (x,) = xs
+    mag = abs_sq(x)
+    v = np.argmax(mag[:, :slots], axis=1)
+    xv2 = mag[np.arange(v.size), v]
+    off = np.arange(t) != v[:, None]
+    ratios = mag / (1.0 + xv2)[:, None]
+    rhs = (n + t - 1) * np.log2(1.0 + xv2) + n * np.where(
+        off, np.log2(1.0 + ratios), 0.0
+    ).sum(axis=1)
+    h_given_x = n * np.log2(1.0 + norm_sq(x)) + n * t * LOG2_PI_E
+    ones = np.ones(mag.shape)
+    return y, v, ones, ones, rhs, h_given_x, None
+
+
 def duality_bound_single_user(input_dist, cfg, genie_slots=None):
     """Duality upper bound on the single-user rate (bits/channel use).
 
     Returns a BoundReport whose components include the analytic
     Proposition-style right-hand side evaluated on the same samples.
     ``genie_slots`` restricts the argmax to the first slots (testing hook
-    for the MAC reduction); default all T slots.
+    for the MAC reduction); default all T slots.  Raises InvalidParam
+    unless 1 <= genie_slots <= T.
     """
-    n, t = cfg.N, cfg.T
-    (x,), y = sample_outputs([input_dist], cfg, cfg.rng())
-    slots = t if genie_slots is None else genie_slots
-    mag = np.abs(x) ** 2
-    v = np.argmax(mag[:, :slots], axis=1)
-    ones = np.ones(mag.shape)
-    neg_q, fitted = _duality_core(y, v, ones, ones, ("pilot", "offpilot"))
-    h_given_x = n * np.log2(1.0 + np.linalg.norm(x, axis=1) ** 2) + n * t * LOG2_PI_E
-
-    # analytic Proposition right-hand side, same composition, same samples
-    xv2 = mag[np.arange(mag.shape[0]), v]
-    off = np.arange(t) != v[:, None]
-    ratios = mag / (1.0 + xv2)[:, None]
-    rhs = (n + t - 1) * np.log2(1.0 + xv2) + n * np.where(
-        off, np.log2(1.0 + ratios), 0.0
-    ).sum(axis=1)
-    # h(Y|X) above is the Gaussian-fading value; flag it for other fading
-    return _bound_report(neg_q, rhs, h_given_x, np.log2(slots), cfg, fitted,
-                         {"h_order_one_flagged": cfg.fading_kind != "iid_complex_gaussian"})
+    slots = cfg.T if genie_slots is None else genie_slots
+    if not 1 <= slots <= cfg.T:
+        raise InvalidParam(f"genie_slots must lie in [1, T={cfg.T}], got {slots}")
+    # h(Y|X) is the Gaussian-fading value; flag it for other fading
+    return _streamed_bound([input_dist], cfg, partial(_single_user_genie, slots=slots),
+                           ("pilot", "offpilot"), np.log2(slots),
+                           {"h_order_one_flagged": cfg.fading_kind != "iid_complex_gaussian"})
 
 
 # ---------------------------------------------------------------------------
@@ -294,16 +359,14 @@ def duality_bound_single_user(input_dist, cfg, genie_slots=None):
 MAC_CATEGORIES = ("pilot", "middle", "last")
 
 
-def _mac_bound_high_t(x1t, s2, yt, cfg):
+def _mac_high_t(mag, s2, yt, cfg):
     """(T-1)-slot genie for the T >= N+1 regime; the last slot is whitened
-    against the interference power.  Returns (-log2 q, analytic rhs,
-    fitted, branch=None) per trial."""
+    against the interference power.  mag: |x1t|^2 of the rotated input;
+    s2: ||x2||^2.  Returns (v, s, c, analytic rhs, branch=None)."""
     b, n, t = yt.shape
-    mag = np.abs(x1t) ** 2
     v = np.argmax(mag[:, : t - 1], axis=1)
     s = np.ones((b, t))
     s[:, -1] = 1.0 + s2
-    neg_q, fitted = _duality_core(yt, v, s, np.ones((b, t)), MAC_CATEGORIES)
 
     # analytic right-hand side evaluated on the same samples
     mv = mag[np.arange(b), v]
@@ -316,16 +379,15 @@ def _mac_bound_high_t(x1t, s2, yt, cfg):
         + np.log2(1.0 + mv / (1.0 + s2))
         + n * np.log2(1.0 + mag[:, -1] / (1.0 + s2 + mv))
     )
-    return neg_q, rhs, fitted, None
+    return v, s, np.ones((b, t)), rhs, None
 
 
-def _mac_bound_low_t(x1t, s2, yt, cfg):
+def _mac_low_t(mag, s2, yt, cfg):
     """(V, U)-genie for the T <= N regime with the three aux branches:
     0 when the pilot is the last slot, 1 otherwise, 2 when moreover the
     last entry dominates everything."""
     b, n, t = yt.shape
     p = cfg.P
-    mag = np.abs(x1t) ** 2
     sigma = np.ones((b, t))
     sigma[:, -1] = 1.0 + s2
     v = np.argmax(mag / sigma, axis=1)
@@ -336,9 +398,8 @@ def _mac_bound_low_t(x1t, s2, yt, cfg):
     rows = np.arange(b)
     c = np.repeat(1.0 / sigma[rows, v][:, None], t, axis=1)
     # branch 2 rescales the pilot direction by P / ||Y_v||^2
-    nv2 = np.linalg.norm(yt[rows, :, v], axis=1) ** 2
+    nv2 = norm_sq(yt[rows, :, v])
     c[:, -1] = np.where(branch == 2, p / np.maximum(nv2, 1e-300), c[:, -1])
-    neg_q, fitted = _duality_core(yt, v, sigma, c, MAC_CATEGORIES, branch)
 
     # analytic per-branch right-hand sides (shared samples)
     mv = mag[rows, v]
@@ -360,7 +421,26 @@ def _mac_bound_low_t(x1t, s2, yt, cfg):
         + n * np.log2(1.0 + s2[b2])
         + np.log2(1.0 + p / (1.0 + s2[b2]))
     )
-    return neg_q, rhs, fitted, branch
+    return v, sigma, c, rhs, branch
+
+
+def _mac_genie(xs, y, cfg, engine):
+    """One chunk of the MAC bound: rotate user 1's input and the outputs
+    by U(x2), run the regime's ``engine`` and add h(Y | X1, X2) (its
+    dominant term only, flagged, off Gaussian fading)."""
+    n, t = cfg.N, cfg.T
+    x1, x2 = xs
+    x1t = apply_rotation(x1[:, None, :], x2)[:, 0]
+    yt = apply_rotation(y, x2)
+    s2 = norm_sq(x2)
+    mag = abs_sq(x1t)
+    v, s, c, rhs, branch = engine(mag, s2, yt, cfg)
+    if cfg.fading_kind == "iid_complex_gaussian":
+        h_given_x = n * _exact_log2_det(x1, x2) + n * t * LOG2_PI_E
+    else:
+        head = mag[:, :-1].sum(axis=1)
+        h_given_x = n * np.log2((1.0 + s2) * (1.0 + head) + mag[:, -1])
+    return yt, v, s, c, rhs, h_given_x, branch
 
 
 def duality_bound_mac_user1(input1, input2, cfg, regime):
@@ -376,30 +456,18 @@ def duality_bound_mac_user1(input1, input2, cfg, regime):
         if t < n + 1:
             raise RegimeUnsupported(f"regime {regime} needs T >= N+1")
         genie_cost = np.log2(t - 1)
-        engine = _mac_bound_high_t
+        engine = _mac_high_t
     elif regime == REGIME_T_LE_N:
         if not 2 <= t <= n:
             raise RegimeUnsupported(f"regime {regime} needs 2 <= T <= N")
         genie_cost = np.log2(2 * t)
-        engine = _mac_bound_low_t
+        engine = _mac_low_t
     else:
         raise InvalidParam(f"unknown regime {regime!r}")
 
-    (x1, x2), y = sample_outputs([input1, input2], cfg, cfg.rng())
-    x1t = apply_rotation(x1[:, None, :], x2)[:, 0]
-    yt = apply_rotation(y, x2)
-    s2 = np.linalg.norm(x2, axis=1) ** 2
-
-    neg_q, rhs, fitted, branch = engine(x1t, s2, yt, cfg)
-
-    h_given_x = n * _exact_log2_det(x1, x2) + n * t * LOG2_PI_E
-    flagged = cfg.fading_kind != "iid_complex_gaussian"
-    if flagged:
-        # dominant term only; the O(1) stays flagged in the report
-        head = np.sum(np.abs(x1t[:, :-1]) ** 2, axis=1)
-        h_given_x = n * np.log2((1.0 + s2) * (1.0 + head) + np.abs(x1t[:, -1]) ** 2)
-    return _bound_report(neg_q, rhs, h_given_x, genie_cost, cfg, fitted,
-                         {"h_order_one_flagged": flagged}, branch)
+    flags = {"h_order_one_flagged": cfg.fading_kind != "iid_complex_gaussian"}
+    return _streamed_bound([input1, input2], cfg, partial(_mac_genie, engine=engine),
+                           MAC_CATEGORIES, genie_cost, flags, branched=engine is _mac_low_t)
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +508,7 @@ def isotropic_mixture_mi_estimate(cfg, trials=None):
         mu_max = mu[:, -1]
         dd = divided_difference_exp(mu - mu_max[:, None])
         ln_p[i:i + _MIXTURE_BLOCK] = (
-            mu_max + np.log(np.maximum(dd, 1e-300)) - np.sum(np.abs(yb) ** 2, axis=(1, 2))
+            mu_max + np.log(np.maximum(dd, 1e-300)) - norm_sq(yb.reshape(len(yb), -1))
         )
     ln_p += lgamma(t) - n * t * np.log(np.pi) - n * np.log(1.0 + p)
     neg_log_p = -ln_p / LN2
@@ -466,5 +534,5 @@ def mutual_information_lower_estimate(input_dist, cfg, k=4, max_knn_samples=20_0
     (x,), y = sample_outputs([input_dist], cfg, cfg.rng(stream=1))
     m = min(cfg.trials, max_knn_samples)
     h_y = knn_entropy_bits(y[:m].reshape(m, -1), k=k)
-    h_cond = n * np.log2(1.0 + np.linalg.norm(x, axis=1) ** 2) + n * t * LOG2_PI_E
+    h_cond = n * np.log2(1.0 + norm_sq(x)) + n * t * LOG2_PI_E
     return float((h_y - h_cond.mean()) / t)

@@ -50,7 +50,8 @@ def apply_rotation(a, x):
     ph = np.where(last > 0, v[:, -1] / np.where(last > 0, last, 1.0), 1.0)
     v[:, -1] += ph  # no cancellation: |v[-1]| grows by 1, so ||v||^2 >= 1
     coef = 2.0 * np.einsum("bmt,bt->bm", a, v) / np.sum(np.abs(v) ** 2, axis=1)[:, None]
-    out = a - coef[:, :, None] * np.conj(v)[:, None, :]
+    out = coef[:, :, None] * np.conj(v)[:, None, :]
+    np.subtract(a, out, out=out)
     # H e_T = -conj(ph) u; rescale the last column so U e_T = u exactly
     out[:, :, -1] *= -ph[:, None]
     return out
@@ -128,6 +129,25 @@ def log_det_hermitian_psd(m):
     return 2.0 * np.sum(np.log2(np.diag(chol).real))
 
 
+def norm_sq(a, axis=-1):
+    """Squared Euclidean norm along ``axis``: sum of |a|^2 over it.
+
+    Sums the real and imaginary views with ``einsum``, so no complex or
+    |a| temporary of a's size is formed.
+    """
+    a = np.moveaxis(np.asarray(a, dtype=complex), axis, -1)
+    re, im = a.real, a.imag
+    return np.einsum("...i,...i->...", re, re) + np.einsum("...i,...i->...", im, im)
+
+
+def abs_sq(a):
+    """Elementwise |a|^2 from the real and imaginary views."""
+    a = np.asarray(a, dtype=complex)
+    out = a.real * a.real
+    out += a.imag * a.imag
+    return out
+
+
 def sample_gamma(shape, scale, rng, size=None):
     """Gamma(shape, scale) draws.
 
@@ -149,8 +169,15 @@ def sample_complex_gaussian(n, rng, size=None):
     if n < 1:
         raise InvalidParam("dimension must be >= 1")
     shp = (n,) if size is None else tuple(np.atleast_1d(size)) + (n,)
-    z = rng.standard_normal(shp) + 1j * rng.standard_normal(shp)
-    return z / np.sqrt(2.0)
+    # real parts first, then imaginary parts, each scaled by 1/sqrt(2) into
+    # one preallocated array through one reused float buffer
+    scale = 1.0 / np.sqrt(2.0)
+    draw = rng.standard_normal(shp)
+    z = np.empty(shp, dtype=complex)
+    np.multiply(draw, scale, out=z.real)
+    rng.standard_normal(out=draw)
+    np.multiply(draw, scale, out=z.imag)
+    return z
 
 
 def sample_uniform_complex_sphere(n, rng, size=None):

@@ -15,9 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParam, RegimeUnsupported
-from .linalg import sample_complex_gaussian
-
-LN2 = np.log(2.0)
+from .linalg import abs_sq, norm_sq, sample_complex_gaussian
 
 
 @dataclass
@@ -46,7 +44,7 @@ def single_user_training_rate(cfg):
     est_var, err_var = _mmse_stats(p)
     rng = cfg.rng()
     hhat = np.sqrt(est_var) * sample_complex_gaussian(n, rng, size=cfg.trials)
-    sinr = p * np.linalg.norm(hhat, axis=1) ** 2 / (1.0 + p * err_var)
+    sinr = p * norm_sq(hhat) / (1.0 + p * err_var)
     per_trial = (t - 1) / t * np.log2(1.0 + sinr)
     return RateEstimate(float(per_trial.mean()), float(per_trial.std() / np.sqrt(cfg.trials)))
 
@@ -59,6 +57,14 @@ def tdma_rates(cfg, tau=0.5):
     r1 = RateEstimate(tau * single.rate, tau * single.std_error)
     r2 = RateEstimate((1.0 - tau) * single.rate, (1.0 - tau) * single.std_error)
     return r1, r2
+
+
+def _log2_det_gram(h, rho):
+    """log2 det(I_2 + rho H^H H) per trial for H = [h_1 h_2], h: (B, 2, N),
+    in closed form: (1 + rho |h_1|^2)(1 + rho |h_2|^2) - rho^2 |h_1^H h_2|^2."""
+    gains = 1.0 + rho * norm_sq(h)
+    cross = abs_sq(np.einsum("bn,bn->b", h[:, 0].conj(), h[:, 1]))
+    return np.log2(gains[:, 0] * gains[:, 1] - rho**2 * cross)
 
 
 def mac_training_rates(cfg):
@@ -77,12 +83,9 @@ def mac_training_rates(cfg):
     est_var, err_var = _mmse_stats(p)
     rng = cfg.rng()
     hhat = np.sqrt(est_var) * sample_complex_gaussian(n, rng, size=(cfg.trials, 2))
-    hhat = np.swapaxes(hhat, 1, 2)  # (trials, N, 2)
     rho = p / (1.0 + 2.0 * p * err_var)
-    gram = np.eye(2) + rho * np.einsum("bnk,bnl->bkl", hhat.conj(), hhat)
-    sign, logdet = np.linalg.slogdet(gram)
-    sum_rate = logdet.real / LN2
-    indiv = np.log2(1.0 + rho * np.linalg.norm(hhat, axis=1) ** 2)  # (trials, 2)
+    sum_rate = _log2_det_gram(hhat, rho)
+    indiv = np.log2(1.0 + rho * norm_sq(hhat))  # (trials, 2)
     pre = (t - 2) / t
     per_trial = pre * np.minimum(0.5 * sum_rate[:, None], indiv)
     r = per_trial.mean(axis=0)

@@ -11,6 +11,7 @@ from simomac.channel import (
 )
 from simomac.errors import InvalidParam
 from simomac.knn_entropy import knn_entropy_bits
+from simomac.linalg import sample_complex_gaussian
 
 
 class TestFading:
@@ -146,3 +147,25 @@ class TestTruncation:
         d = InputDistribution(kind="exponential_norm", T=2, P=10.0)
         with pytest.raises(InvalidParam):
             truncate_to_peak(d, 10.0, 1.0, np.random.default_rng(0))
+
+
+class TestSampleOutputsDraws:
+    def test_no_users_is_pure_noise(self):
+        cfg = ChannelConfig(T=3, N=2, P=1.0, trials=40)
+        _, y = sample_outputs([], cfg, np.random.default_rng(8))
+        z = sample_complex_gaussian(3, np.random.default_rng(8), size=(40, 2))
+        assert np.array_equal(y, z)
+
+    def test_matches_sum_of_user_terms_plus_noise(self):
+        # inputs, then fading, then noise, summed user by user
+        cfg = ChannelConfig(T=4, N=3, P=10.0, trials=50)
+        iso = InputDistribution(kind="isotropic_peak", T=4, P=10.0)
+        (x1, x2), y = sample_outputs([iso, iso], cfg, np.random.default_rng(9))
+        rng = np.random.default_rng(9)
+        r1, r2 = iso.sample(rng, size=50), iso.sample(rng, size=50)
+        h1 = sample_complex_gaussian(3, rng, size=50)
+        h2 = sample_complex_gaussian(3, rng, size=50)
+        z = sample_complex_gaussian(4, rng, size=(50, 3))
+        ref = h1[:, :, None] * r1[:, None, :] + h2[:, :, None] * r2[:, None, :] + z
+        assert np.array_equal(x1, r1) and np.array_equal(x2, r2)
+        assert np.array_equal(y, ref)

@@ -184,3 +184,13 @@ class TestConfigFile:
         key = ini.split("\n")[1].split(" = ")[0]
         assert key in captured.err
         assert all(choice in captured.err for choice in allowed)
+
+
+class TestBoundsPooledFit:
+    def test_pooled_fit_in_json(self, capsys):
+        code, out = _run(capsys, ["bounds", "--T", "3", "--N", "4", "--P-dB", "20",
+                                  "--trials", "20000", "--seed", "1"])
+        assert code == 0
+        pt = json.loads(out)["points"][0]
+        assert "branch0/pilot" in pt["mac_user1_upper"]["pooled_fit"]
+        assert pt["single_user_upper"]["pooled_fit"] == []

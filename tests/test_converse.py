@@ -309,3 +309,97 @@ class TestMiEstimates:
             warnings.simplefilter("error")
             mi, se = isotropic_mixture_mi_estimate(_cfg(t=t, n=n), trials=2_000)
         assert np.isfinite(mi) and np.isfinite(se) and se > 0
+
+
+class TestGenieSlots:
+    @pytest.mark.parametrize("slots", [0, 5])
+    def test_out_of_range_raises(self, slots):
+        cfg = _cfg(t=4, n=2, trials=1_000)
+        iso = InputDistribution(kind="isotropic_peak", T=4, P=100.0)
+        with pytest.raises(InvalidParam, match="genie_slots"):
+            duality_bound_single_user(iso, cfg, genie_slots=slots)
+
+
+class TestPooledFit:
+    def test_sparse_branch_is_reported(self):
+        # at T=3, N=4, 20 dB the pilot lands on the last slot (branch 0)
+        # in well under 1 % of the trials: too few to fit on their own
+        cfg = _cfg(t=3, n=4, p=100.0, trials=20_000, seed=1)
+        iso = InputDistribution(kind="isotropic_peak", T=3, P=100.0)
+        rep = duality_bound_mac_user1(iso, iso, cfg, REGIME_T_LE_N)
+        pooled = rep.components["pooled_fit"]
+        assert rep.components["branch_counts"][0] < 100
+        assert "branch0/pilot" in pooled
+        assert set(pooled) <= set(rep.components["fitted"])
+        assert "branch1/pilot" not in pooled
+
+    def test_unbranched_bounds_never_pool(self):
+        cfg = _cfg(t=4, n=2, trials=300)
+        iso = InputDistribution(kind="isotropic_peak", T=4, P=100.0)
+        assert duality_bound_single_user(iso, cfg).components["pooled_fit"] == []
+        mac = duality_bound_mac_user1(iso, iso, cfg, REGIME_T_GE_N_PLUS_1)
+        assert mac.components["pooled_fit"] == []
+
+
+class TestStreamingEngine:
+    @pytest.mark.parametrize("bound", ["mac", "single_user"])
+    def test_memory_is_chunked(self, bound):
+        # one (B, N, T) complex array alone is 40 MiB here
+        cfg = ChannelConfig(T=32, N=8, P=100.0, trials=10_000, seed=0)
+        iso = InputDistribution(kind="isotropic_peak", T=32, P=100.0)
+        tracemalloc.start()
+        try:
+            if bound == "mac":
+                duality_bound_mac_user1(iso, iso, cfg, REGIME_T_GE_N_PLUS_1)
+            else:
+                duality_bound_single_user(iso, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * 2**20
+
+    @pytest.mark.parametrize("t,n,trials,step", [(32, 8, 2_500, 1024), (3, 4, 50_000, 21844),
+                                                  (1024, 1024, 5, 2)])
+    def test_chunk_length_rule(self, t, n, trials, step):
+        cfg = _cfg(t=t, n=n, trials=trials)
+        bounds = [(lo, hi) for lo, hi, _ in converse._trial_chunks(cfg)]
+        assert bounds == [(lo, min(lo + step, trials)) for lo in range(0, trials, step)]
+
+    def test_three_chunks_and_an_odd_remainder(self, monkeypatch):
+        # T = N = 2: 4 entries per trial, so 100 trials per chunk
+        monkeypatch.setattr(converse, "_CHUNK_ENTRIES", 400)
+        cfg = _cfg(t=2, n=2, p=10.0, trials=301, seed=2)
+        bounds = [(lo, hi) for lo, hi, _ in converse._trial_chunks(cfg)]
+        assert bounds == [(0, 100), (100, 200), (200, 300), (300, 301)]
+        iso = InputDistribution(kind="isotropic_peak", T=2, P=10.0)
+        rep = duality_bound_mac_user1(iso, iso, cfg, REGIME_T_LE_N)
+        assert sum(rep.components["branch_counts"].values()) == 301 // 2
+        again = duality_bound_mac_user1(iso, iso, cfg, REGIME_T_LE_N)
+        assert (rep.value, rep.std_error) == (again.value, again.std_error)
+
+    def test_whitening_by_chunks_is_bit_identical(self):
+        rng = np.random.default_rng(7)
+        b, n, t = 301, 3, 5
+        yt = sample_complex_gaussian(t, rng, size=(b, n))
+        v = rng.integers(0, t, size=b)
+        s = 1.0 + rng.uniform(size=(b, t))
+        c = rng.uniform(size=(b, t))
+        whole = converse._whiten(yt, v, s, c)
+        parts = [converse._whiten(yt[i:i + 100], v[i:i + 100], s[i:i + 100], c[i:i + 100])
+                 for i in range(0, b, 100)]
+        for k in range(2):
+            assert np.array_equal(whole[k], np.concatenate([p[k] for p in parts]))
+
+    def test_single_user_shares_user1_draws_with_mac(self, monkeypatch):
+        # user 1's inputs come first in every chunk's stream, so with a
+        # silent interferer both analytic sides see the same inputs
+        monkeypatch.setattr(converse, "_CHUNK_ENTRIES", 8 * 250)
+        p = 1000.0
+        cfg = _cfg(p=p, trials=1_001, seed=29)
+        i1 = InputDistribution(kind="isotropic_peak", T=4, P=p)
+        zero2 = InputDistribution(kind="deterministic_point", T=4, P=p,
+                                  params={"x": np.zeros(4)})
+        mac = duality_bound_mac_user1(i1, zero2, cfg, REGIME_T_GE_N_PLUS_1)
+        su = duality_bound_single_user(i1, cfg, genie_slots=3)
+        assert mac.components["analytic_rhs_value"] == pytest.approx(
+            su.components["analytic_rhs_value"], rel=1e-12)

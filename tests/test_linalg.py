@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from simomac.errors import DegenerateInput, InvalidParam, NumericalDomain
+from simomac.linalg import abs_sq, norm_sq
 from simomac.linalg import (
     TOL_ALGEBRAIC,
     TOL_STRUCTURAL,
@@ -186,3 +187,29 @@ class TestDividedDifferenceExp:
         se = vals.std() / np.sqrt(vals.size)
         expected = 2.0 * divided_difference_exp(np.linalg.eigvalsh(m)[None])[0]
         assert abs(vals.mean() - expected) <= 4 * se
+
+
+class TestSamplerAndNorms:
+    @pytest.mark.parametrize("n,size", [(3, None), (4, 7), (3, (5, 2))])
+    def test_complex_gaussian_matches_two_draw_formula(self, n, size):
+        # the real parts are drawn first, then the imaginary parts
+        got = sample_complex_gaussian(n, np.random.default_rng(11), size=size)
+        rng = np.random.default_rng(11)
+        shp = (n,) if size is None else tuple(np.atleast_1d(size)) + (n,)
+        ref = (rng.standard_normal(shp) + 1j * rng.standard_normal(shp)) / np.sqrt(2)
+        assert got.shape == ref.shape
+        assert np.array_equal(got.view(float), ref.view(float))
+
+    @pytest.mark.parametrize("shape,axis", [((50, 4, 3), 1), ((50, 4, 3), -1),
+                                            ((7,), -1), ((0, 3), -1), ((4, 0), -1),
+                                            ((0, 2, 3), 1)])
+    def test_norm_sq_and_abs_sq_match_numpy(self, shape, axis):
+        rng = np.random.default_rng(12)
+        a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        for arr in (a, a.real.copy()):
+            got = norm_sq(arr, axis=axis)
+            ref = np.linalg.norm(arr, axis=axis) ** 2
+            assert got.shape == ref.shape
+            np.testing.assert_allclose(got, ref, rtol=1e-13, atol=0)
+            np.testing.assert_allclose(abs_sq(arr), np.abs(arr) ** 2, rtol=1e-13, atol=0)
+            assert abs_sq(arr).dtype == np.float64

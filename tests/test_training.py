@@ -3,6 +3,8 @@ import pytest
 
 from simomac.channel import ChannelConfig
 from simomac.errors import InvalidParam, RegimeUnsupported
+from simomac.linalg import sample_complex_gaussian
+from simomac.training import _log2_det_gram
 from simomac.training import (
     mac_training_rates,
     rate_slope,
@@ -64,3 +66,13 @@ class TestMac:
     def test_slope_prelog(self):
         slope = rate_slope(lambda p: mac_training_rates(_cfg(8, 2, p)), [30, 40, 50])
         assert slope == pytest.approx(3 / 4, abs=0.05)
+
+
+class TestGramDeterminant:
+    @pytest.mark.parametrize("rho", [0.5, 1e3, 1e6])
+    def test_closed_form_matches_slogdet(self, rho):
+        h = sample_complex_gaussian(3, np.random.default_rng(2), size=(20_000, 2))
+        hm = np.swapaxes(h, 1, 2)  # (B, N, 2): columns h_1, h_2
+        gram = np.eye(2) + rho * np.einsum("bnk,bnl->bkl", hm.conj(), hm)
+        ref = np.linalg.slogdet(gram)[1] / np.log(2.0)
+        np.testing.assert_allclose(_log2_det_gram(h, rho), ref, rtol=1e-12, atol=0)
