@@ -12,6 +12,7 @@ fits beta = E||A Y||^2 and alpha = 1/log(beta) from a sample population.
 """
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import gammaln
@@ -68,15 +69,21 @@ def log_normalizer(p):
     )
 
 
+def check_not_singular(norm_sq, p):
+    """Raise SingularPoint when alpha < N and some of the norms ||A y||^2
+    (an array, or the least of a population) underflows to the origin,
+    where the density is singular."""
+    if p.alpha < p.n and np.any(np.asarray(norm_sq) < _NORM_SQ_FLOOR):
+        raise SingularPoint("density is singular at the origin for alpha < N")
+
+
 def log_density_from_norm_sq(norm_sq, p):
     """Natural-log density given precomputed ||A y||^2 (vectorized).
 
-    Raises SingularPoint when alpha < N and some norm underflows to the
-    origin, where the density is singular.
+    Raises SingularPoint as :func:`check_not_singular` does.
     """
     norm_sq = np.asarray(norm_sq, dtype=float)
-    if p.alpha < p.n and np.any(norm_sq < _NORM_SQ_FLOOR):
-        raise SingularPoint("density is singular at the origin for alpha < N")
+    check_not_singular(norm_sq, p)
     safe = np.maximum(norm_sq, _NORM_SQ_FLOOR)
     return log_normalizer(p) + (p.alpha - p.n) * np.log(safe) - norm_sq / p.beta
 
@@ -100,15 +107,27 @@ def sample(p, rng, size=None):
     return w @ a_inv.T
 
 
+class NormSqSums(NamedTuple):
+    """Count and sum of a population of ||A Y||^2: all the canonical fit
+    needs, so a streamed caller can accumulate them chunk by chunk."""
+
+    count: int
+    total: float
+
+
 def fit_params(norm_sq_samples, n, a):
     """Canonical fit: beta = mean(||A Y||^2), alpha = 1/ln(beta).
 
+    ``norm_sq_samples`` holds the samples, or their :class:`NormSqSums`.
     Raises InvalidRegime when there are no samples or their mean is <= 1
     (alpha would be nonpositive).
     """
-    if np.size(norm_sq_samples) == 0:
+    sums = norm_sq_samples
+    if not isinstance(sums, NormSqSums):
+        sums = NormSqSums(np.size(sums), np.sum(sums))
+    if sums.count == 0:
         raise InvalidRegime("no samples to fit")
-    beta = float(np.mean(norm_sq_samples))
+    beta = float(sums.total / sums.count)
     if beta <= 1.0:
         raise InvalidRegime(f"mean ||A Y||^2 = {beta:.4g} <= 1; alpha undefined")
     return AuxDistParams(n=n, a=a, alpha=1.0 / np.log(beta), beta=beta)

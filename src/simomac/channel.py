@@ -20,6 +20,10 @@ FADING_KINDS = ("iid_complex_gaussian", "iid_uniform_annulus")
 ANNULUS_R_LO = 0.5
 ANNULUS_R_HI = (3.0 * np.sqrt(5.0) - 1.0) / 4.0
 
+# Powers from here on (150 dB) are rejected: the duality bounds' whitened
+# norms are then a difference of two O(P) terms with no correct digit left.
+P_MAX = 1e15
+
 
 @dataclass
 class ChannelConfig:
@@ -37,6 +41,10 @@ class ChannelConfig:
             raise InvalidParam("T and N must be >= 1")
         if self.P <= 0:
             raise InvalidParam("P must be positive")
+        if not self.P < P_MAX:
+            raise InvalidParam(f"P = {self.P:.4g} is out of range: from {P_MAX:g} (150 dB) "
+                               "on, the whitened norms of the duality bounds keep no "
+                               "correct digit (cancellation)")
         if self.trials < 1:
             raise InvalidParam("trials must be >= 1")
         if self.fading_kind not in FADING_KINDS:
@@ -45,6 +53,17 @@ class ChannelConfig:
     def rng(self, stream=0):
         """Independent deterministic stream per worker index."""
         return np.random.default_rng(np.random.SeedSequence((self.seed, stream)))
+
+
+def at_powers(inputs, cfg, powers):
+    """One (inputs, cfg) pair per power, each a copy with P replaced; the
+    call's own [(inputs, cfg)] when ``powers`` is None.  Raises
+    InvalidParam on an empty or invalid power."""
+    if powers is None:
+        return [(inputs, cfg)]
+    if len(powers) == 0:
+        raise InvalidParam("powers must hold at least one power")
+    return [([replace(d, P=p) for d in inputs], replace(cfg, P=p)) for p in powers]
 
 
 def sample_fading(kind, n, rng, size=None):
@@ -68,6 +87,42 @@ def annulus_second_moment(r_lo=ANNULUS_R_LO, r_hi=ANNULUS_R_HI):
     return (r_lo**2 + r_lo * r_hi + r_hi**2) / 3.0
 
 
+def sample_inputs(inputs, cfg, rng, size=None):
+    """Every user's (B, T) input draws from ``rng``, in user order; B is
+    ``size`` or ``cfg.trials``."""
+    if any(d.T != cfg.T for d in inputs):
+        raise InvalidParam("every input must have T = cfg.T slots")
+    b = cfg.trials if size is None else size
+    return [d.sample(rng, size=b) for d in inputs]
+
+
+def sample_channel(users, cfg, rng, size=None):
+    """Every user's (B, N) fading, then the (B, N, T) noise, from ``rng``.
+
+    Returns (list of fading draws, noise).  Given the generator state, the
+    draws depend on (users, N, T, fading kind, B) only, not on P.
+    """
+    b = cfg.trials if size is None else size
+    hs = [sample_fading(cfg.fading_kind, cfg.N, rng, size=b) for _ in range(users)]
+    return hs, sample_complex_gaussian(cfg.T, rng, size=(b, cfg.N))
+
+
+def superpose(xs, channel):
+    """Y = sum_k h_k x_k^T + Z, shape (B, N, T), from the inputs and a
+    :func:`sample_channel` draw; Z itself (not a copy) when there is no
+    user.  Each user's term is added one slot at a time, so the only
+    (B, N, T) array formed is Y."""
+    hs, z = channel
+    if not xs:
+        return z
+    y = hs[0][:, :, None] * xs[0][:, None, :]
+    for h, x in zip(hs[1:], xs[1:]):
+        for i in range(x.shape[1]):
+            y[:, :, i] += h * x[:, i, None]
+    y += z
+    return y
+
+
 def sample_outputs(inputs, cfg, rng, size=None):
     """One block per trial: Y = sum_k h_k x_k^T + Z, shape (B, N, T).
 
@@ -75,22 +130,8 @@ def sample_outputs(inputs, cfg, rng, size=None):
     inputs, then every user's fading, then the noise, all from ``rng``;
     B is ``size`` or ``cfg.trials``.  Returns (list of (B, T) inputs, Y).
     """
-    if any(d.T != cfg.T for d in inputs):
-        raise InvalidParam("every input must have T = cfg.T slots")
-    b = cfg.trials if size is None else size
-    xs = [d.sample(rng, size=b) for d in inputs]
-    hs = [sample_fading(cfg.fading_kind, cfg.N, rng, size=b) for _ in inputs]
-    y = None  # accumulated in place: user 1, user 2, ..., then the noise
-    for h, x in zip(hs, xs):
-        if y is None:
-            y = h[:, :, None] * x[:, None, :]
-        else:
-            y += h[:, :, None] * x[:, None, :]
-    z = sample_complex_gaussian(cfg.T, rng, size=(b, cfg.N))
-    if y is None:
-        return xs, z
-    y += z
-    return xs, y
+    xs = sample_inputs(inputs, cfg, rng, size)
+    return xs, superpose(xs, sample_channel(len(inputs), cfg, rng, size))
 
 
 INPUT_KINDS = (

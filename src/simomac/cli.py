@@ -136,6 +136,31 @@ def _bound_to_dict(rep):
     }
 
 
+def _power(p_db):
+    """Linear power of a dB value; inf beyond the float range, which
+    ChannelConfig then rejects like any other power it cannot handle."""
+    try:
+        return 10.0 ** (p_db / 10.0)
+    except OverflowError:
+        return float("inf")
+
+
+def _per_power(bound, *args, powers):
+    """``bound(*args, powers=powers)``; an error raised for the whole call
+    stands for every point, so it surfaces where a call per point would
+    have raised it."""
+    try:
+        return bound(*args, powers=powers)
+    except SimomacError as exc:
+        return [exc] * len(powers)
+
+
+def _raise_if_error(result):
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
 def cmd_bounds(args, cp):
     p_dbs = args.P_dB
     regime = args.regime
@@ -151,27 +176,32 @@ def cmd_bounds(args, cp):
         "regime": regime,
     }
     report = _base_report("bounds", cfg_dict)
+    cfgs = [ChannelConfig(T=args.T, N=args.N, P=_power(p_db), fading_kind=args.fading,
+                          trials=args.trials, seed=args.seed) for p_db in p_dbs]
+    cfg, powers = cfgs[0], [c.P for c in cfgs]
+    # each call draws every trial chunk once for the whole power grid
+    iso = InputDistribution(kind="isotropic_peak", T=args.T, P=cfg.P)
+    single = _per_power(duality_bound_single_user, iso, cfg, powers=powers)
+    mac = _per_power(duality_bound_mac_user1, iso, iso, cfg, regime, powers=powers)
+    gaussian = cfg.fading_kind == "iid_complex_gaussian"
+    if gaussian:
+        su_training = single_user_training_rate(cfg, powers=powers)
+        if args.T >= 3:
+            mac_training = mac_training_rates(cfg, powers=powers)
     per_p = []
     warnings = []
-    for p_db in p_dbs:
-        p_lin = 10.0 ** (p_db / 10.0)
-        cfg = ChannelConfig(T=args.T, N=args.N, P=p_lin, fading_kind=args.fading,
-                            trials=args.trials, seed=args.seed)
-        iso1 = InputDistribution(kind="isotropic_peak", T=args.T, P=p_lin)
-        iso2 = InputDistribution(kind="isotropic_peak", T=args.T, P=p_lin)
-        entry = {"P_dB": p_db, "slack_bits": remainder_slack_bits(p_lin)}
+    for k, p_db in enumerate(p_dbs):
+        entry = {"P_dB": p_db, "slack_bits": remainder_slack_bits(powers[k])}
         try:
-            entry["single_user_upper"] = _bound_to_dict(duality_bound_single_user(iso1, cfg))
-            entry["mac_user1_upper"] = _bound_to_dict(
-                duality_bound_mac_user1(iso1, iso2, cfg, regime)
-            )
+            entry["single_user_upper"] = _bound_to_dict(_raise_if_error(single[k]))
+            entry["mac_user1_upper"] = _bound_to_dict(_raise_if_error(mac[k]))
         except InvalidRegime as exc:
             warnings.append(f"P={p_db} dB: {exc}")
-        if cfg.fading_kind == "iid_complex_gaussian":
-            su = single_user_training_rate(cfg)
+        if gaussian:
+            su = su_training[k]
             entry["single_user_training"] = {"rate": su.rate, "std_error": su.std_error}
             if args.T >= 3:
-                r1, r2 = mac_training_rates(cfg)
+                r1, r2 = mac_training[k]
                 entry["mac_training"] = {
                     "rate1": r1.rate, "rate2": r2.rate,
                     "std_error1": r1.std_error, "std_error2": r2.std_error,
@@ -313,6 +343,9 @@ def _db_list(s):
     vals = [float(v) for v in s.split(",")]
     if not np.all(np.isfinite(vals)):
         raise ValueError(s)
+    if len(set(vals)) < len(vals):
+        # a zero-width step would make the slope between them 0/0
+        raise argparse.ArgumentTypeError(f"repeated power in {s!r}")
     return vals
 
 

@@ -3,9 +3,10 @@ the two-user MAC, plus the exponent penalty functions f and g.
 
 All rate quantities are bits per channel use.  The duality bounds draw
 and whiten their Monte-Carlo trials in fixed-size chunks, each from its
-own seeded stream, and keep only per-trial (B, T) arrays over all
-trials; the auxiliary-output parameters (alpha, beta per slot category)
-are fitted on a held-out half of the samples to avoid fitting bias, and
+own seeded stream, once for a whole grid of powers; the
+auxiliary-output parameters (alpha, beta per slot category) are fitted
+on the even half of the trials, kept only as per-category sums, and the
+bound is evaluated on the odd half, to avoid fitting bias; and
 all double-log remainder terms are carried explicitly in the returned
 reports with the calibrated constants from :mod:`simomac.auxdist`.
 """
@@ -15,9 +16,22 @@ from functools import partial
 
 import numpy as np
 
-from .auxdist import fit_params, log_density_from_norm_sq, remainder_slack_bits
-from .channel import InputDistribution, sample_outputs
-from .errors import InvalidParam, InvalidRegime, RegimeUnsupported
+from .auxdist import (
+    NormSqSums,
+    check_not_singular,
+    fit_params,
+    log_density_from_norm_sq,
+    remainder_slack_bits,
+)
+from .channel import (
+    InputDistribution,
+    at_powers,
+    sample_channel,
+    sample_inputs,
+    sample_outputs,
+    superpose,
+)
+from .errors import InvalidParam, InvalidRegime, RegimeUnsupported, SimomacError
 from .knn_entropy import knn_entropy_bits
 from .linalg import abs_sq, apply_rotation, divided_difference_exp, norm_sq
 
@@ -174,18 +188,18 @@ def eval_g(x1t, x2, p, n):
 # ---------------------------------------------------------------------------
 
 def _trial_chunks(cfg):
-    """(start, stop, rng) for each chunk of the cfg.trials trials, in order.
+    """(start, stop, seed) for each chunk of the cfg.trials trials, in order.
 
     A chunk holds max(2, even part of ``_CHUNK_ENTRIES // (N T)``) trials,
     the last one possibly fewer, so a trial's parity is the same in its
-    chunk as over all trials.  Chunk i draws from the i-th generator
-    spawned from SeedSequence((seed, 0)).
+    chunk as over all trials.  Chunk i draws from a generator on the i-th
+    SeedSequence spawned from SeedSequence((seed, 0)).
     """
     step = max(2, _CHUNK_ENTRIES // (cfg.N * cfg.T) // 2 * 2)
     starts = range(0, cfg.trials, step)
     seeds = np.random.SeedSequence((cfg.seed, 0)).spawn(len(starts))
     for lo, seed in zip(starts, seeds):
-        yield lo, min(lo + step, cfg.trials), np.random.default_rng(seed)
+        yield lo, min(lo + step, cfg.trials), seed
 
 
 def _whiten(yt, v, s, c):
@@ -209,80 +223,169 @@ def _whiten(yt, v, s, c):
     return white, log_det
 
 
-def _fit_and_evaluate(white, log_det, v, n, names, branch=None):
-    """Per-trial -log2 q(Y) for the genie-aided auxiliary output density.
-
-    white, log_det: (B, T) from :func:`_whiten`; v: (B,) pilot slot; n:
-    the receive dimension.  ``names`` labels the categories (pilot, other
-    slots[, last slot]); with three names the last slot, when not the
-    pilot, is its own category.  One canonical radial member is fitted
-    per (branch, category) on the even trials; a branch with fewer than
-    100 fit samples, or mean <= 1, is fitted on the samples pooled over
-    branches.  Returns (-log2 q per trial, {label: (alpha, beta)},
-    [labels fitted on pooled samples]).
-    """
-    b, t = white.shape
+def _categories(v, t, n_names):
+    """(B, T) aux category per slot: 0 for the pilot slot v, n_names - 1
+    for the last slot when it is not the pilot, 1 otherwise."""
     slot = np.arange(t)
-    category = np.where(slot == v[:, None], 0, np.where(slot == t - 1, len(names) - 1, 1))
-    fit_rows = np.zeros((b, 1), dtype=bool)
-    fit_rows[0::2] = True
-    branches = np.zeros(b, dtype=int) if branch is None else branch
-    ln_q = np.zeros((b, t))
-    fitted, pooled = {}, []
-    for br in np.unique(branches):
-        for cat, name in enumerate(names):
-            sel = (category == cat) & (branches == br)[:, None]
-            if not sel.any():
-                continue
-            label = name if branch is None else f"branch{br}/{name}"
-            pop = white[sel & fit_rows]
-            if branch is not None and (pop.size < 100 or np.mean(pop) <= 1.0):
-                pop = white[(category == cat) & fit_rows]
-                pooled.append(label)
-            try:
-                params = fit_params(pop, n, np.eye(n))
-            except InvalidRegime as exc:
-                raise InvalidRegime(f"category {label!r}: {exc}") from None
-            fitted[label] = (params.alpha, params.beta)
-            ln_q[sel] = log_density_from_norm_sq(white[sel], params) + log_det[sel]
-    return -ln_q.sum(axis=1) / LN2, fitted, pooled
+    return np.where(slot == v[:, None], 0, np.where(slot == t - 1, n_names - 1, 1))
 
 
-def _streamed_bound(inputs, cfg, genie, names, genie_cost, flags, branched=False):
-    """Draw and process the trials chunk by chunk, then fit and report.
+@dataclass
+class _PointSums:
+    """What one power point of a streamed bound keeps over all chunks.
 
+    The fit (even) trials leave only the count, sum and least value of
+    their whitened norms per (branch, category); the evaluation (odd)
+    trials keep their whitened norms, the row sum of ln |det A|^2, the
+    analytic right-hand side, h(Y | X), the pilot slot and the branch.
+    """
+
+    count: np.ndarray  # (branches, categories)
+    total: np.ndarray
+    least: np.ndarray
+    white: np.ndarray  # (B // 2, T)
+    log_det: np.ndarray  # (B // 2,)
+    rhs: np.ndarray
+    h_given_x: np.ndarray
+    v: np.ndarray
+    branch: np.ndarray
+
+    @classmethod
+    def empty(cls, cfg, n_branches, n_names):
+        half, groups = cfg.trials // 2, (n_branches, n_names)
+        return cls(np.zeros(groups, dtype=np.int64), np.zeros(groups), np.full(groups, np.inf),
+                   np.empty((half, cfg.T)), np.empty(half), np.empty(half), np.empty(half),
+                   np.empty(half, dtype=np.min_scalar_type(cfg.T)),
+                   np.zeros(half, dtype=np.int8))
+
+    def add_chunk(self, lo, white, log_det, v, rhs, h_given_x, branch):
+        """Fold one chunk's trials [lo, lo + len(white)) in; lo is even."""
+        fit, ev = slice(0, None, 2), slice(1, None, 2)
+        n_names = self.count.shape[1]
+        group = _categories(v[fit], white.shape[1], n_names)
+        if branch is not None:
+            group += n_names * branch[fit, None]
+        for g in range(self.count.size):
+            pop = white[fit][group == g]
+            if pop.size:
+                idx = divmod(g, n_names)
+                self.count[idx] += pop.size
+                self.total[idx] += pop.sum()
+                self.least[idx] = min(self.least[idx], pop.min())
+        rows = slice(lo // 2, lo // 2 + len(white) // 2)
+        self.white[rows] = white[ev]
+        self.log_det[rows] = log_det[ev].sum(axis=1)
+        self.rhs[rows], self.h_given_x[rows], self.v[rows] = rhs[ev], h_given_x[ev], v[ev]
+        if branch is not None:
+            self.branch[rows] = branch[ev]
+
+    def fit_and_evaluate(self, n, names, branched):
+        """Per evaluation trial -log2 q(Y) for the genie-aided auxiliary
+        output density, {label: (alpha, beta)} and [labels fitted on
+        pooled samples].
+
+        ``names`` labels the categories of :func:`_categories`.  One
+        canonical radial member is fitted per (branch, category) on the
+        fit trials' sums; when branched, a branch with fewer than 100 fit
+        samples, or mean <= 1, is fitted on the sums pooled over branches.
+        Groups are visited in (branch, category) order, those seen in
+        either half only.
+        """
+        cat = _categories(self.v, self.white.shape[1], len(names))
+        ln_q = np.zeros(self.white.shape)
+        fitted, pooled = {}, []
+        seen = np.flatnonzero(self.count.sum(axis=1))
+        for br in np.union1d(seen, np.unique(self.branch)):
+            in_branch = (self.branch == br)[:, None]
+            for c, name in enumerate(names):
+                sel = (cat == c) & in_branch
+                if not (self.count[br, c] or sel.any()):
+                    continue
+                label = f"branch{br}/{name}" if branched else name
+                sums = NormSqSums(self.count[br, c], self.total[br, c])
+                if branched and (sums.count < 100 or sums.total / sums.count <= 1.0):
+                    sums = NormSqSums(self.count[:, c].sum(), self.total[:, c].sum())
+                    pooled.append(label)
+                try:
+                    params = fit_params(sums, n, np.eye(n))
+                except InvalidRegime as exc:
+                    raise InvalidRegime(f"category {label!r}: {exc}") from None
+                fitted[label] = (params.alpha, params.beta)
+                check_not_singular(self.least[br, c], params)
+                ln_q[sel] = log_density_from_norm_sq(self.white[sel], params)
+        return -(ln_q.sum(axis=1) + self.log_det) / LN2, fitted, pooled
+
+
+def _streamed_bounds(points, genie, names, genie_cost, flags, branched=False):
+    """One BoundReport per (inputs, cfg) point of :func:`at_powers`, or the
+    SimomacError its fit or evaluation raised.
+
+    The trials are drawn chunk by chunk (:func:`_trial_chunks`).  In each
+    chunk every point draws its inputs from a fresh generator on the
+    chunk's seed; when the generator is then in the first point's state,
+    the first point's fading and noise are reused, otherwise they are
+    drawn, so every point sees the draws of a call of its own.
     ``genie(xs, y, cfg)`` maps one chunk's inputs and outputs to
     (yt, v, s, c, rhs, h_given_x, branch): the outputs to whiten, the
     pilot slot and whitening scales of :func:`_whiten`, the analytic
     right-hand side, h(Y | X) and the aux branch (None when unbranched).
-    Only (B, T) and (B,) arrays are kept for all trials; every (B, N, T)
-    array lives for one chunk.
+    Every (B, N, T) array lives for one chunk, and only the first point's
+    noise outlives a point.
     """
-    b, t = cfg.trials, cfg.T
-    white, log_det = np.empty((b, t)), np.empty((b, t))
-    v, rhs, h_given_x = np.empty(b, dtype=np.intp), np.empty(b), np.empty(b)
-    branch = np.empty(b, dtype=np.intp) if branched else None
-    for lo, hi, rng in _trial_chunks(cfg):
-        xs, y = sample_outputs(inputs, cfg, rng, size=hi - lo)
-        yt, v[lo:hi], s, c, rhs[lo:hi], h_given_x[lo:hi], br = genie(xs, y, cfg)
-        white[lo:hi], log_det[lo:hi] = _whiten(yt, v[lo:hi], s, c)
-        if branched:
-            branch[lo:hi] = br
-        del xs, y, yt  # free this chunk's (B, N, T) arrays before the next draw
-    neg_q, fitted, pooled = _fit_and_evaluate(white, log_det, v, cfg.N, names, branch)
-    rep = _bound_report(neg_q, rhs, h_given_x, genie_cost, cfg, fitted, flags, branch)
-    rep.components["pooled_fit"] = pooled
+    cfg0 = points[0][1]
+    if cfg0.trials < 2:
+        raise InvalidParam("the bound needs trials >= 2: even trials fit, odd trials evaluate")
+    sums = [_PointSums.empty(cfg, 3 if branched else 1, len(names)) for _, cfg in points]
+    last = len(points) - 1
+    for lo, hi, seed in _trial_chunks(cfg0):
+        held = None  # the first point's generator state after its inputs, and its channel
+        for k, ((inputs, cfg), acc) in enumerate(zip(points, sums)):
+            rng = np.random.default_rng(seed)
+            xs = sample_inputs(inputs, cfg, rng, size=hi - lo)
+            state = rng.bit_generator.state
+            if k > 0 and state == held[0]:
+                channel = held[1]
+            else:
+                channel = sample_channel(len(inputs), cfg, rng, size=hi - lo)
+            if k == 0 < last:
+                held = (state, channel)
+            y = superpose(xs, channel)
+            del channel
+            if k == last:
+                held = None  # free the noise before this point's genie runs
+            yt, v, s, c, rhs, h_given_x, br = genie(xs, y, cfg)
+            del xs, y
+            acc.add_chunk(lo, *_whiten(yt, v, s, c), v, rhs, h_given_x, br)
+            del yt
+    reports = []
+    for (_, cfg), acc in zip(points, sums):
+        try:
+            neg_q, fitted, pooled = acc.fit_and_evaluate(cfg.N, names, branched)
+        except SimomacError as exc:
+            reports.append(exc)
+            continue
+        rep = _bound_report(neg_q, acc.rhs, acc.h_given_x, genie_cost, cfg, fitted, flags,
+                            acc.branch if branched else None)
+        rep.components["pooled_fit"] = pooled
+        reports.append(rep)
+    return reports
+
+
+def _one_or_all(reports, powers):
+    """The list for a ``powers=`` call; otherwise its one report, raising
+    the error it holds."""
+    if powers is not None:
+        return reports
+    (rep,) = reports
+    if isinstance(rep, Exception):
+        raise rep
     return rep
 
 
 def _bound_report(neg_q, rhs, h_given_x, genie_cost, cfg, fitted, flags=None, branch=None):
-    """BoundReport from per-trial -log2 q(Y), analytic right-hand side and
-    h(Y | X), averaged over the odd trials (the core fits on the even ones)."""
+    """BoundReport from the evaluation trials' -log2 q(Y), analytic
+    right-hand side, h(Y | X) and branch."""
     t = cfg.T
-    ev = slice(1, None, 2)
-    neg_q, rhs, h_given_x = neg_q[ev], rhs[ev], h_given_x[ev]
-    if neg_q.size == 0:
-        raise InvalidParam("the bound needs trials >= 2: even trials fit, odd trials evaluate")
     stat = (neg_q - h_given_x + genie_cost) / t
     components = {
         "neg_log_q_per_cu": float((neg_q / t).mean()),
@@ -291,7 +394,7 @@ def _bound_report(neg_q, rhs, h_given_x, genie_cost, cfg, fitted, flags=None, br
         "fitted": fitted,
     }
     if branch is not None:
-        per_branch = {k: branch[ev] == k for k in (0, 1, 2)}
+        per_branch = {k: branch == k for k in (0, 1, 2)}
         components["branch_counts"] = {k: int(m.sum()) for k, m in per_branch.items()}
         components["branch_neg_log_q_per_cu"] = {
             k: float((neg_q[m] / t).mean()) if m.any() else None for k, m in per_branch.items()
@@ -334,7 +437,7 @@ def _single_user_genie(xs, y, cfg, slots):
     return y, v, ones, ones, rhs, h_given_x, None
 
 
-def duality_bound_single_user(input_dist, cfg, genie_slots=None):
+def duality_bound_single_user(input_dist, cfg, genie_slots=None, *, powers=None):
     """Duality upper bound on the single-user rate (bits/channel use).
 
     Returns a BoundReport whose components include the analytic
@@ -342,14 +445,21 @@ def duality_bound_single_user(input_dist, cfg, genie_slots=None):
     ``genie_slots`` restricts the argmax to the first slots (testing hook
     for the MAC reduction); default all T slots.  Raises InvalidParam
     unless 1 <= genie_slots <= T.
+
+    With ``powers``, returns one entry per power, equal to the call with
+    the input and cfg at that P: its BoundReport, or the SimomacError its
+    fit or evaluation raised.  Every trial chunk is drawn once for the
+    whole grid when the input law lets it (see :func:`_streamed_bounds`).
     """
     slots = cfg.T if genie_slots is None else genie_slots
     if not 1 <= slots <= cfg.T:
         raise InvalidParam(f"genie_slots must lie in [1, T={cfg.T}], got {slots}")
     # h(Y|X) is the Gaussian-fading value; flag it for other fading
-    return _streamed_bound([input_dist], cfg, partial(_single_user_genie, slots=slots),
-                           ("pilot", "offpilot"), np.log2(slots),
-                           {"h_order_one_flagged": cfg.fading_kind != "iid_complex_gaussian"})
+    reports = _streamed_bounds(at_powers([input_dist], cfg, powers),
+                               partial(_single_user_genie, slots=slots),
+                               ("pilot", "offpilot"), np.log2(slots),
+                               {"h_order_one_flagged": cfg.fading_kind != "iid_complex_gaussian"})
+    return _one_or_all(reports, powers)
 
 
 # ---------------------------------------------------------------------------
@@ -427,11 +537,12 @@ def _mac_low_t(mag, s2, yt, cfg):
 def _mac_genie(xs, y, cfg, engine):
     """One chunk of the MAC bound: rotate user 1's input and the outputs
     by U(x2), run the regime's ``engine`` and add h(Y | X1, X2) (its
-    dominant term only, flagged, off Gaussian fading)."""
+    dominant term only, flagged, off Gaussian fading).  y is rotated in
+    place."""
     n, t = cfg.N, cfg.T
     x1, x2 = xs
     x1t = apply_rotation(x1[:, None, :], x2)[:, 0]
-    yt = apply_rotation(y, x2)
+    yt = apply_rotation(y, x2, out=y)
     s2 = norm_sq(x2)
     mag = abs_sq(x1t)
     v, s, c, rhs, branch = engine(mag, s2, yt, cfg)
@@ -443,13 +554,14 @@ def _mac_genie(xs, y, cfg, engine):
     return yt, v, s, c, rhs, h_given_x, branch
 
 
-def duality_bound_mac_user1(input1, input2, cfg, regime):
+def duality_bound_mac_user1(input1, input2, cfg, regime, *, powers=None):
     """Duality upper bound on R1 for the two-user MAC (bits/channel use).
 
     T >= N+1 regime uses the (T-1)-slot genie; T <= N uses the (V, U)
     genie with the three conditional aux branches and genie cost
     log2(2T).  Components carry the per-branch contributions and the
-    analytic right-hand side on the shared samples.
+    analytic right-hand side on the shared samples.  ``powers`` works as
+    in :func:`duality_bound_single_user`.
     """
     n, t = cfg.N, cfg.T
     if regime == REGIME_T_GE_N_PLUS_1:
@@ -466,8 +578,10 @@ def duality_bound_mac_user1(input1, input2, cfg, regime):
         raise InvalidParam(f"unknown regime {regime!r}")
 
     flags = {"h_order_one_flagged": cfg.fading_kind != "iid_complex_gaussian"}
-    return _streamed_bound([input1, input2], cfg, partial(_mac_genie, engine=engine),
-                           MAC_CATEGORIES, genie_cost, flags, branched=engine is _mac_low_t)
+    reports = _streamed_bounds(at_powers([input1, input2], cfg, powers),
+                               partial(_mac_genie, engine=engine), MAC_CATEGORIES, genie_cost,
+                               flags, branched=engine is _mac_low_t)
+    return _one_or_all(reports, powers)
 
 
 # ---------------------------------------------------------------------------

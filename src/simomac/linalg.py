@@ -32,14 +32,16 @@ def rotation_unitary_from(x):
     return apply_rotation(np.eye(x.size, dtype=complex)[None], x[None])[0]
 
 
-def apply_rotation(a, x):
+def apply_rotation(a, x, out=None):
     """Batched a[b] @ U(x[b]) for the unitary of :func:`rotation_unitary_from`.
 
     a: (B, M, T), x: (B, T); returns (B, M, T), unchanged where x[b] = 0.
     The reflector H = I - 2 v v^H / ||v||^2 is applied implicitly,
-    a -> a - 2 (a v) v^H / ||v||^2, followed by the phase fix of the last
-    column, so the cost is O(B M T) and no (B, T, T) array is formed
-    (Golub & Van Loan, Matrix Computations, sec. 5.1).
+    a -> a - 2 (a v) v^H / ||v||^2, one column at a time, followed by the
+    phase fix of the last column, so the cost is O(B M T) and no (B, T, T)
+    array is formed (Golub & Van Loan, Matrix Computations, sec. 5.1).
+    ``out`` (complex, a's shape) receives the result and may be ``a``
+    itself, so a chunk can be rotated with no second (B, M, T) array.
     """
     a = np.asarray(a, dtype=complex)
     x = np.asarray(x, dtype=complex)
@@ -50,8 +52,11 @@ def apply_rotation(a, x):
     ph = np.where(last > 0, v[:, -1] / np.where(last > 0, last, 1.0), 1.0)
     v[:, -1] += ph  # no cancellation: |v[-1]| grows by 1, so ||v||^2 >= 1
     coef = 2.0 * np.einsum("bmt,bt->bm", a, v) / np.sum(np.abs(v) ** 2, axis=1)[:, None]
-    out = coef[:, :, None] * np.conj(v)[:, None, :]
-    np.subtract(a, out, out=out)
+    if out is None:
+        out = np.empty_like(a)
+    v_conj = np.conj(v)
+    for i in range(a.shape[-1]):  # coef is formed, so out may alias a
+        np.subtract(a[:, :, i], coef * v_conj[:, i, None], out=out[:, :, i])
     # H e_T = -conj(ph) u; rescale the last column so U e_T = u exactly
     out[:, :, -1] *= -ph[:, None]
     return out

@@ -194,3 +194,41 @@ class TestBoundsPooledFit:
         pt = json.loads(out)["points"][0]
         assert "branch0/pilot" in pt["mac_user1_upper"]["pooled_fit"]
         assert pt["single_user_upper"]["pooled_fit"] == []
+
+
+class TestBoundsPowerGrid:
+    def test_repeated_power_exit_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bounds", "--T", "4", "--N", "2", "--P-dB", "20,20"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "repeated power" in captured.err and "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("p_db", ["150", "1600", "3000", "20,3100"])
+    def test_power_beyond_150_db_exit_2(self, capsys, p_db):
+        code = main(["bounds", "--T", "4", "--N", "2", "--P-dB", p_db, "--trials", "200"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        _assert_one_error_line(captured.err)
+        assert "150 dB" in captured.err
+
+    def test_145_db_still_reports(self, capsys):
+        code, out = _run(capsys, ["bounds", "--T", "4", "--N", "2", "--P-dB", "145",
+                                  "--trials", "2000"])
+        assert code == 0
+        pt = json.loads(out, parse_constant=pytest.fail)["points"][0]
+        assert "single_user_upper" in pt and "mac_user1_upper" in pt
+
+    def test_one_failed_point_keeps_the_others(self, capsys):
+        # T=2, seed 6, 100 trials: at 20 dB branch 0 has evaluation trials
+        # but no fit trial, so only that point's MAC bound is lost
+        code, out = _run(capsys, ["bounds", "--T", "2", "--N", "2", "--P-dB", "20,30",
+                                  "--trials", "100", "--seed", "6"])
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["warnings"] == ["P=20.0 dB: category 'branch0/middle': no samples to fit"]
+        low, high = rep["points"]
+        assert "single_user_upper" in low and "mac_user1_upper" not in low
+        assert "single_user_upper" in high and "mac_user1_upper" in high
