@@ -3,14 +3,20 @@ the two-user MAC, plus the exponent penalty functions f and g.
 
 All rate quantities are bits per channel use.  The duality bounds draw
 and whiten their Monte-Carlo trials in fixed-size chunks, each from its
-own seeded stream, once for a whole grid of powers; the
-auxiliary-output parameters (alpha, beta per slot category) are fitted
-on the even half of the trials, kept only as per-category sums, and the
-bound is evaluated on the odd half, to avoid fitting bias; and
-all double-log remainder terms are carried explicitly in the returned
-reports with the calibrated constants from :mod:`simomac.auxdist`.
+own seeded stream, once for a whole grid of powers, and run the chunks
+on every CPU the process may use; each chunk writes its own rows, which
+are folded in chunk order, so the results do not depend on the CPU
+count.  The auxiliary-output parameters (alpha, beta per slot category)
+are fitted on the even half of the trials, kept only as per-chunk
+sums, and the bound is evaluated on the odd half, to avoid fitting
+bias; and all double-log remainder terms are carried explicitly in the
+returned reports with the calibrated constants from
+:mod:`simomac.auxdist`.
 """
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -45,8 +51,9 @@ REGIME_T_LE_N = "T_le_N"
 _MIXTURE_BLOCK = 512
 
 # Complex entries (trials x N x T) per chunk of the duality bounds: the
-# (chunk, N, T) arrays stay at 4 MiB whatever the trial count.
-_CHUNK_ENTRIES = 2**18
+# (chunk, N, T) arrays stay at 1 MiB whatever the trial count, so one
+# chunk in flight per CPU holds little memory.
+_CHUNK_ENTRIES = 2**16
 
 
 @dataclass
@@ -235,12 +242,14 @@ class _PointSums:
     """What one power point of a streamed bound keeps over all chunks.
 
     The fit (even) trials leave only the count, sum and least value of
-    their whitened norms per (branch, category); the evaluation (odd)
-    trials keep their whitened norms, the row sum of ln |det A|^2, the
-    analytic right-hand side, h(Y | X), the pilot slot and the branch.
+    their whitened norms per (chunk, branch, category); the evaluation
+    (odd) trials keep their whitened norms, the row sum of ln |det A|^2,
+    the analytic right-hand side, h(Y | X), the pilot slot and the branch.
+    Every chunk writes rows of its own only, so chunks may be folded in
+    concurrently.
     """
 
-    count: np.ndarray  # (branches, categories)
+    count: np.ndarray  # (chunks, branches, categories)
     total: np.ndarray
     least: np.ndarray
     white: np.ndarray  # (B // 2, T)
@@ -251,27 +260,27 @@ class _PointSums:
     branch: np.ndarray
 
     @classmethod
-    def empty(cls, cfg, n_branches, n_names):
-        half, groups = cfg.trials // 2, (n_branches, n_names)
+    def empty(cls, cfg, n_chunks, n_branches, n_names):
+        half, groups = cfg.trials // 2, (n_chunks, n_branches, n_names)
         return cls(np.zeros(groups, dtype=np.int64), np.zeros(groups), np.full(groups, np.inf),
                    np.empty((half, cfg.T)), np.empty(half), np.empty(half), np.empty(half),
                    np.empty(half, dtype=np.min_scalar_type(cfg.T)),
                    np.zeros(half, dtype=np.int8))
 
-    def add_chunk(self, lo, white, log_det, v, rhs, h_given_x, branch):
-        """Fold one chunk's trials [lo, lo + len(white)) in; lo is even."""
+    def add_chunk(self, i, lo, white, log_det, v, rhs, h_given_x, branch):
+        """Fold chunk i's trials [lo, lo + len(white)) in; lo is even."""
         fit, ev = slice(0, None, 2), slice(1, None, 2)
-        n_names = self.count.shape[1]
+        n_names = self.count.shape[2]
         group = _categories(v[fit], white.shape[1], n_names)
         if branch is not None:
             group += n_names * branch[fit, None]
-        for g in range(self.count.size):
+        for g in range(self.count[i].size):
             pop = white[fit][group == g]
             if pop.size:
-                idx = divmod(g, n_names)
-                self.count[idx] += pop.size
-                self.total[idx] += pop.sum()
-                self.least[idx] = min(self.least[idx], pop.min())
+                idx = (i, *divmod(g, n_names))
+                self.count[idx] = pop.size
+                self.total[idx] = pop.sum()
+                self.least[idx] = pop.min()
         rows = slice(lo // 2, lo // 2 + len(white) // 2)
         self.white[rows] = white[ev]
         self.log_det[rows] = log_det[ev].sum(axis=1)
@@ -284,47 +293,94 @@ class _PointSums:
         output density, {label: (alpha, beta)} and [labels fitted on
         pooled samples].
 
-        ``names`` labels the categories of :func:`_categories`.  One
-        canonical radial member is fitted per (branch, category) on the
-        fit trials' sums; when branched, a branch with fewer than 100 fit
-        samples, or mean <= 1, is fitted on the sums pooled over branches.
-        Groups are visited in (branch, category) order, those seen in
-        either half only.
+        ``names`` labels the categories of :func:`_categories`.  The
+        per-chunk rows are reduced by chunk index, whatever order the
+        chunks finished in; then one canonical radial member is fitted per
+        (branch, category) on the fit trials' sums; when branched, a
+        branch with fewer than 100 fit samples, or mean <= 1, is fitted on
+        the sums pooled over branches.  Groups are visited in (branch,
+        category) order, those seen in either half only.
         """
+        count, total = self.count.sum(axis=0), self.total.sum(axis=0)
+        least = self.least.min(axis=0)
         cat = _categories(self.v, self.white.shape[1], len(names))
         ln_q = np.zeros(self.white.shape)
         fitted, pooled = {}, []
-        seen = np.flatnonzero(self.count.sum(axis=1))
+        seen = np.flatnonzero(count.sum(axis=1))
         for br in np.union1d(seen, np.unique(self.branch)):
             in_branch = (self.branch == br)[:, None]
             for c, name in enumerate(names):
                 sel = (cat == c) & in_branch
-                if not (self.count[br, c] or sel.any()):
+                if not (count[br, c] or sel.any()):
                     continue
                 label = f"branch{br}/{name}" if branched else name
-                sums = NormSqSums(self.count[br, c], self.total[br, c])
+                sums = NormSqSums(count[br, c], total[br, c])
                 if branched and (sums.count < 100 or sums.total / sums.count <= 1.0):
-                    sums = NormSqSums(self.count[:, c].sum(), self.total[:, c].sum())
+                    sums = NormSqSums(count[:, c].sum(), total[:, c].sum())
                     pooled.append(label)
                 try:
                     params = fit_params(sums, n, np.eye(n))
                 except InvalidRegime as exc:
                     raise InvalidRegime(f"category {label!r}: {exc}") from None
                 fitted[label] = (params.alpha, params.beta)
-                check_not_singular(self.least[br, c], params)
+                check_not_singular(least[br, c], params)
                 ln_q[sel] = log_density_from_norm_sq(self.white[sel], params)
         return -(ln_q.sum(axis=1) + self.log_det) / LN2, fitted, pooled
+
+
+def _cpu_count():
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _run_chunks(run, chunks):
+    """Call ``run(i, *chunks[i])`` for every chunk i.
+
+    The calling thread and min(CPUs, chunks) - 1 helper threads take the
+    chunk indices in order from one shared iterator.  Once a chunk raises,
+    no further chunk is started; after the started ones have finished,
+    the error of the lowest failed chunk is raised.  Every chunk below it
+    was started before it, so that is the error a one-thread run raises.
+    """
+    lock = threading.Lock()
+    todo = iter(range(len(chunks)))
+    errors = {}
+
+    def work():
+        while True:
+            with lock:
+                i = None if errors else next(todo, None)
+            if i is None:
+                return
+            try:
+                run(i, *chunks[i])
+            except BaseException as exc:  # re-raised below, on the calling thread
+                with lock:
+                    errors[i] = exc
+
+    helpers = min(_cpu_count(), len(chunks)) - 1
+    with ThreadPoolExecutor(max(helpers, 1)) as pool:  # threads start on submit only
+        futures = [pool.submit(work) for _ in range(helpers)]
+        work()
+        for future in futures:
+            future.result()
+    if errors:
+        raise errors[min(errors)]
 
 
 def _streamed_bounds(points, genie, names, genie_cost, flags, branched=False):
     """One BoundReport per (inputs, cfg) point of :func:`at_powers`, or the
     SimomacError its fit or evaluation raised.
 
-    The trials are drawn chunk by chunk (:func:`_trial_chunks`).  In each
-    chunk every point draws its inputs from a fresh generator on the
-    chunk's seed; when the generator is then in the first point's state,
-    the first point's fading and noise are reused, otherwise they are
-    drawn, so every point sees the draws of a call of its own.
+    The trials are drawn chunk by chunk (:func:`_trial_chunks`), the
+    chunks spread over the CPUs by :func:`_run_chunks`.  In each chunk
+    every point draws its inputs from a fresh generator on the chunk's
+    seed; when the generator is then in the first point's state, the
+    first point's fading and noise are reused, otherwise they are drawn,
+    so every point sees the draws of a call of its own.
     ``genie(xs, y, cfg)`` maps one chunk's inputs and outputs to
     (yt, v, s, c, rhs, h_given_x, branch): the outputs to whiten, the
     pilot slot and whitening scales of :func:`_whiten`, the analytic
@@ -335,9 +391,12 @@ def _streamed_bounds(points, genie, names, genie_cost, flags, branched=False):
     cfg0 = points[0][1]
     if cfg0.trials < 2:
         raise InvalidParam("the bound needs trials >= 2: even trials fit, odd trials evaluate")
-    sums = [_PointSums.empty(cfg, 3 if branched else 1, len(names)) for _, cfg in points]
+    chunks = list(_trial_chunks(cfg0))
+    sums = [_PointSums.empty(cfg, len(chunks), 3 if branched else 1, len(names))
+            for _, cfg in points]
     last = len(points) - 1
-    for lo, hi, seed in _trial_chunks(cfg0):
+
+    def run_chunk(i, lo, hi, seed):
         held = None  # the first point's generator state after its inputs, and its channel
         for k, ((inputs, cfg), acc) in enumerate(zip(points, sums)):
             rng = np.random.default_rng(seed)
@@ -355,8 +414,10 @@ def _streamed_bounds(points, genie, names, genie_cost, flags, branched=False):
                 held = None  # free the noise before this point's genie runs
             yt, v, s, c, rhs, h_given_x, br = genie(xs, y, cfg)
             del xs, y
-            acc.add_chunk(lo, *_whiten(yt, v, s, c), v, rhs, h_given_x, br)
+            acc.add_chunk(i, lo, *_whiten(yt, v, s, c), v, rhs, h_given_x, br)
             del yt
+
+    _run_chunks(run_chunk, chunks)
     reports = []
     for (_, cfg), acc in zip(points, sums):
         try:
@@ -637,16 +698,20 @@ def mutual_information_lower_estimate(input_dist, cfg, k=4, max_knn_samples=20_0
 
     Dimension is capped (T <= 8, N <= 4) for estimator sanity.  The k-NN
     query is the cost bottleneck (near-quadratic in 2NT dimensions), so
-    h(Y) uses at most ``max_knn_samples`` draws; the exact conditional
-    part averages over all of them.
+    h(Y) uses the outputs of the first m = min(trials, ``max_knn_samples``)
+    inputs only: all ``cfg.trials`` inputs are drawn, then the fading and
+    noise of those m, so no output beyond them is formed.  The exact
+    conditional part averages over all the inputs.
     """
     if cfg.T > 8 or cfg.N > 4:
         raise InvalidParam("k-NN estimate capped at T <= 8, N <= 4")
     if cfg.fading_kind != "iid_complex_gaussian":
         raise RegimeUnsupported("plug-in estimate needs the exact Gaussian branch")
     n, t = cfg.N, cfg.T
-    (x,), y = sample_outputs([input_dist], cfg, cfg.rng(stream=1))
+    rng = cfg.rng(stream=1)
+    (x,) = sample_inputs([input_dist], cfg, rng)
     m = min(cfg.trials, max_knn_samples)
-    h_y = knn_entropy_bits(y[:m].reshape(m, -1), k=k)
+    y = superpose([x[:m]], sample_channel(1, cfg, rng, size=m))
+    h_y = knn_entropy_bits(y.reshape(m, -1), k=k)
     h_cond = n * np.log2(1.0 + norm_sq(x)) + n * t * LOG2_PI_E
     return float((h_y - h_cond.mean()) / t)

@@ -1,3 +1,5 @@
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -279,6 +281,20 @@ class TestMiEstimates:
         assert mi_knn == pytest.approx(mi_exact, abs=0.3)
         assert mi_knn >= mi_exact - 3 * se
 
+    def test_knn_estimate_draws_outputs_for_its_samples_only(self):
+        # all 50k inputs are drawn, but fading, noise and outputs only for
+        # the 10k k-NN samples; outputs for every trial peaked at 17 MiB
+        cfg = _cfg(t=4, n=2, p=100.0, trials=50_000, seed=0)
+        iso = InputDistribution(kind="isotropic_peak", T=4, P=100.0)
+        tracemalloc.start()
+        try:
+            mi = mutual_information_lower_estimate(iso, cfg, max_knn_samples=10_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(mi)
+        assert peak < 12 * 2**20
+
     def test_mixture_rejects_nonpositive_trials(self):
         for trials in (0, -5):
             with pytest.raises(InvalidParam):
@@ -358,7 +374,7 @@ class TestStreamingEngine:
             tracemalloc.stop()
         assert peak < 48 * 2**20
 
-    @pytest.mark.parametrize("t,n,trials,step", [(32, 8, 2_500, 1024), (3, 4, 50_000, 21844),
+    @pytest.mark.parametrize("t,n,trials,step", [(32, 8, 2_500, 256), (3, 4, 50_000, 5460),
                                                   (1024, 1024, 5, 2)])
     def test_chunk_length_rule(self, t, n, trials, step):
         cfg = _cfg(t=t, n=n, trials=trials)
@@ -376,6 +392,50 @@ class TestStreamingEngine:
         assert sum(rep.components["branch_counts"].values()) == 301 // 2
         again = duality_bound_mac_user1(iso, iso, cfg, REGIME_T_LE_N)
         assert (rep.value, rep.std_error) == (again.value, again.std_error)
+
+    def test_many_threads_fold_every_chunk(self, monkeypatch):
+        # 201 chunks on more threads than CPUs, switching threads every
+        # microsecond: a lost or misplaced row would change the report
+        monkeypatch.setattr(converse, "_CHUNK_ENTRIES", 40)
+        cfg = _cfg(t=2, n=2, p=100.0, trials=2_001, seed=8)
+        iso = InputDistribution(kind="isotropic_peak", T=2, P=100.0)
+        monkeypatch.setattr(converse, "_cpu_count", lambda: 1)
+        one = duality_bound_mac_user1(iso, iso, cfg, REGIME_T_LE_N)
+        monkeypatch.setattr(converse, "_cpu_count", lambda: 6)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            many = duality_bound_mac_user1(iso, iso, cfg, REGIME_T_LE_N)
+        finally:
+            sys.setswitchinterval(interval)
+        assert many == one
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_chunk_error_stops_the_run(self, monkeypatch, workers):
+        # 20 chunks; every chunk from chunk 1 on raises when it draws
+        monkeypatch.setattr(converse, "_CHUNK_ENTRIES", 400)
+        monkeypatch.setattr(converse, "_cpu_count", lambda: workers)
+        started = []
+        real = converse.sample_inputs
+
+        def sample_inputs(inputs, cfg, rng, size=None):
+            chunk = rng.bit_generator.seed_seq.spawn_key[-1]
+            started.append(chunk)
+            if chunk >= 1:
+                raise InvalidParam(f"chunk {chunk} failed")
+            return real(inputs, cfg, rng, size)
+
+        monkeypatch.setattr(converse, "sample_inputs", sample_inputs)
+        cfg = _cfg(t=2, n=2, p=10.0, trials=2_000, seed=4)
+        iso = InputDistribution(kind="isotropic_peak", T=2, P=10.0)
+        threads = threading.active_count()
+        with pytest.raises(InvalidParam, match="^chunk 1 failed$"):
+            duality_bound_single_user(iso, cfg)
+        assert threading.active_count() == threads
+        # chunk 0 is the only one that succeeds, and each thread stops
+        # after its first failure
+        assert {0, 1} <= set(started)
+        assert len(started) <= 1 + workers
 
     def test_whitening_by_chunks_is_bit_identical(self):
         rng = np.random.default_rng(7)

@@ -4,7 +4,8 @@ The duality bounds draw every trial chunk once for the whole grid and
 reuse the first point's fading and noise only where a call of its own
 would have drawn the same; the training rates draw their channel
 statistics once.  Every entry of a grid call must therefore equal the call
-at that power alone, errors included.
+at that power alone, errors included, and the bounds must not depend on
+how many threads ran their chunks.
 """
 
 import tracemalloc
@@ -53,24 +54,34 @@ def _input(kind, t, p, exponents, max_p):
     return InputDistribution(kind="isotropic_peak", T=t, P=p)
 
 
-def _check_grid(kind, t, n, trials, fading, p_dbs, seed, exponents):
+def _on_threads(workers, fn, *args, **kwargs):
+    """_call(fn, ...) with the bounds' trial chunks run on ``workers``
+    threads."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(converse, "_cpu_count", lambda: workers)
+        return _call(fn, *args, **kwargs)
+
+
+def _check_grid(kind, t, n, trials, fading, p_dbs, seed, exponents, workers=1):
+    """The grid calls, with the bounds on ``workers`` threads, against the
+    per-power calls on one thread."""
     powers = [10.0 ** (db / 10.0) for db in p_dbs]
     cfg = ChannelConfig(T=t, N=n, P=powers[0], fading_kind=fading, trials=trials, seed=seed)
     dist = _input(kind, t, powers[0], exponents, max(powers))
     at = [(replace(dist, P=p), replace(cfg, P=p)) for p in powers]
 
-    grid = duality_bound_single_user(dist, cfg, powers=powers)
+    grid = _on_threads(workers, duality_bound_single_user, dist, cfg, powers=powers)
     assert len(grid) == len(powers)
     for got, (d, c) in zip(grid, at):
-        assert _same(got, _call(duality_bound_single_user, d, c))
+        assert _same(got, _on_threads(1, duality_bound_single_user, d, c))
 
     regime = REGIME_T_GE_N_PLUS_1 if t >= n + 1 else REGIME_T_LE_N
-    grid = _call(duality_bound_mac_user1, dist, dist, cfg, regime, powers=powers)
+    grid = _on_threads(workers, duality_bound_mac_user1, dist, dist, cfg, regime, powers=powers)
     if t == 1:  # neither MAC regime exists
         assert isinstance(grid, SimomacError)
     else:
         for got, (d, c) in zip(grid, at):
-            assert _same(got, _call(duality_bound_mac_user1, d, d, c, regime))
+            assert _same(got, _on_threads(1, duality_bound_mac_user1, d, d, c, regime))
 
     for rates in (single_user_training_rate, mac_training_rates):
         grid = _call(rates, cfg, powers=powers)
@@ -91,9 +102,14 @@ def _check_grid(kind, t, n, trials, fading, p_dbs, seed, exponents):
     p_dbs=st.lists(st.integers(-10, 60), min_size=1, max_size=4, unique=True),
     seed=st.integers(0, 2**16),
     exponent_grid=st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]), min_size=6, max_size=6),
+    workers=st.integers(1, 3),
 )
-def test_grid_equals_per_power_calls(kind, t, n, trials, fading, p_dbs, seed, exponent_grid):
-    _check_grid(kind, t, n, trials, fading, p_dbs, seed, exponent_grid[:t])
+def test_grid_equals_per_power_calls(kind, t, n, trials, fading, p_dbs, seed, exponent_grid,
+                                     workers):
+    # 192 entries per chunk: up to 4 chunks at N = T = 1, up to 75 at N T = 24
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(converse, "_CHUNK_ENTRIES", 192)
+        _check_grid(kind, t, n, trials, fading, p_dbs, seed, exponent_grid[:t], workers)
 
 
 @pytest.mark.parametrize("kind", ["isotropic", "truncated"])
