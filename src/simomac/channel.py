@@ -10,7 +10,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import InvalidParam
-from .linalg import norm_sq, sample_complex_gaussian, sample_uniform_complex_sphere
+from .linalg import (column_blocks, norm_sq, sample_complex_gaussian,
+                     sample_uniform_complex_sphere)
 
 FADING_KINDS = ("iid_complex_gaussian", "iid_uniform_annulus")
 
@@ -96,29 +97,32 @@ def sample_inputs(inputs, cfg, rng, size=None):
     return [d.sample(rng, size=b) for d in inputs]
 
 
-def sample_channel(users, cfg, rng, size=None):
+def sample_channel(users, cfg, rng, size=None, out=None, scratch=None):
     """Every user's (B, N) fading, then the (B, N, T) noise, from ``rng``.
 
     Returns (list of fading draws, noise).  Given the generator state, the
-    draws depend on (users, N, T, fading kind, B) only, not on P.
+    draws depend on (users, N, T, fading kind, B) only, not on P.  ``out``
+    and ``scratch`` go to :func:`sample_complex_gaussian` for the noise.
     """
     b = cfg.trials if size is None else size
     hs = [sample_fading(cfg.fading_kind, cfg.N, rng, size=b) for _ in range(users)]
-    return hs, sample_complex_gaussian(cfg.T, rng, size=(b, cfg.N))
+    return hs, sample_complex_gaussian(cfg.T, rng, size=(b, cfg.N), out=out, scratch=scratch)
 
 
-def superpose(xs, channel):
+def superpose(xs, channel, out=None):
     """Y = sum_k h_k x_k^T + Z, shape (B, N, T), from the inputs and a
     :func:`sample_channel` draw; Z itself (not a copy) when there is no
-    user.  Each user's term is added one slot at a time, so the only
-    (B, N, T) array formed is Y."""
+    user.  Each later user's term is added in the slot blocks of
+    :func:`~simomac.linalg.column_blocks`, so the only (B, N, T) array
+    formed is Y, written into ``out`` (complex, Y's shape, not Z) when
+    given."""
     hs, z = channel
     if not xs:
         return z
-    y = hs[0][:, :, None] * xs[0][:, None, :]
+    y = np.multiply(hs[0][:, :, None], xs[0][:, None, :], out=out)
     for h, x in zip(hs[1:], xs[1:]):
-        for i in range(x.shape[1]):
-            y[:, :, i] += h * x[:, i, None]
+        for blk in column_blocks(h.size, x.shape[1]):
+            y[:, :, blk] += h[:, :, None] * x[:, None, blk]
     y += z
     return y
 

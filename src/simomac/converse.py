@@ -337,10 +337,12 @@ def _cpu_count():
 
 
 def _run_chunks(run, chunks):
-    """Call ``run(i, *chunks[i])`` for every chunk i.
+    """Call ``run(i, *chunks[i], scratch)`` for every chunk i.
 
     The calling thread and min(CPUs, chunks) - 1 helper threads take the
-    chunk indices in order from one shared iterator.  Once a chunk raises,
+    chunk indices in order from one shared iterator.  Each thread passes
+    a dict of its own as ``scratch``, in which ``run`` may keep buffers
+    for that thread's later chunks.  Once a chunk raises,
     no further chunk is started; after the started ones have finished,
     the error of the lowest failed chunk is raised.  Every chunk below it
     was started before it, so that is the error a one-thread run raises.
@@ -350,13 +352,14 @@ def _run_chunks(run, chunks):
     errors = {}
 
     def work():
+        scratch = {}
         while True:
             with lock:
                 i = None if errors else next(todo, None)
             if i is None:
                 return
             try:
-                run(i, *chunks[i])
+                run(i, *chunks[i], scratch)
             except BaseException as exc:  # re-raised below, on the calling thread
                 with lock:
                     errors[i] = exc
@@ -380,7 +383,10 @@ def _streamed_bounds(points, genie, names, genie_cost, flags, branched=False):
     every point draws its inputs from a fresh generator on the chunk's
     seed; when the generator is then in the first point's state, the
     first point's fading and noise are reused, otherwise they are drawn,
-    so every point sees the draws of a call of its own.
+    so every point sees the draws of a call of its own.  Each thread
+    draws the first point's noise and superposes every point's outputs in
+    (chunk, N, T) buffers of its own, reused from chunk to chunk, so their
+    memory is not faulted in afresh for every chunk.
     ``genie(xs, y, cfg)`` maps one chunk's inputs and outputs to
     (yt, v, s, c, rhs, h_given_x, branch): the outputs to whiten, the
     pilot slot and whitening scales of :func:`_whiten`, the analytic
@@ -395,8 +401,14 @@ def _streamed_bounds(points, genie, names, genie_cost, flags, branched=False):
     sums = [_PointSums.empty(cfg, len(chunks), 3 if branched else 1, len(names))
             for _, cfg in points]
     last = len(points) - 1
+    step = chunks[0][1] - chunks[0][0]  # the longest chunk
 
-    def run_chunk(i, lo, hi, seed):
+    def run_chunk(i, lo, hi, seed, scratch):
+        if not scratch:
+            shape = (step, cfg0.N, cfg0.T)
+            scratch.update(noise=np.empty(shape, dtype=complex), draw=np.empty(shape),
+                           y=np.empty(shape, dtype=complex))
+        noise, draw, y_buf = (scratch[key][:hi - lo] for key in ("noise", "draw", "y"))
         held = None  # the first point's generator state after its inputs, and its channel
         for k, ((inputs, cfg), acc) in enumerate(zip(points, sums)):
             rng = np.random.default_rng(seed)
@@ -404,14 +416,17 @@ def _streamed_bounds(points, genie, names, genie_cost, flags, branched=False):
             state = rng.bit_generator.state
             if k > 0 and state == held[0]:
                 channel = held[1]
-            else:
+            elif k == 0:
+                channel = sample_channel(len(inputs), cfg, rng, size=hi - lo, out=noise,
+                                         scratch=draw)
+            else:  # the first point's noise stays in the buffer for later points
                 channel = sample_channel(len(inputs), cfg, rng, size=hi - lo)
             if k == 0 < last:
                 held = (state, channel)
-            y = superpose(xs, channel)
+            y = superpose(xs, channel, out=y_buf)
             del channel
             if k == last:
-                held = None  # free the noise before this point's genie runs
+                held = None  # drop the first point's draws before this point's genie runs
             yt, v, s, c, rhs, h_given_x, br = genie(xs, y, cfg)
             del xs, y
             acc.add_chunk(i, lo, *_whiten(yt, v, s, c), v, rhs, h_given_x, br)

@@ -14,6 +14,18 @@ from .errors import DegenerateInput, InvalidParam, NumericalDomain
 TOL_STRUCTURAL = 1e-10
 TOL_ALGEBRAIC = 1e-9
 
+# Entries of the temporary a column-blocked rank-one update forms (512 KiB
+# complex): a (B, M, T) update takes a few numpy calls instead of T.
+_BLOCK_ENTRIES = 2**15
+
+
+def column_blocks(rows, t):
+    """Slices covering columns 0..t-1, each at most max(1, _BLOCK_ENTRIES
+    // rows) wide, for updating a (B, M, T) array whose column holds
+    ``rows`` = B M entries."""
+    w = max(1, _BLOCK_ENTRIES // rows)
+    return [slice(i, i + w) for i in range(0, t, w)]
+
 
 def rotation_unitary_from(x):
     """T x T unitary U whose last column is conj(x)/||x||.
@@ -37,9 +49,10 @@ def apply_rotation(a, x, out=None):
 
     a: (B, M, T), x: (B, T); returns (B, M, T), unchanged where x[b] = 0.
     The reflector H = I - 2 v v^H / ||v||^2 is applied implicitly,
-    a -> a - 2 (a v) v^H / ||v||^2, one column at a time, followed by the
-    phase fix of the last column, so the cost is O(B M T) and no (B, T, T)
-    array is formed (Golub & Van Loan, Matrix Computations, sec. 5.1).
+    a -> a - 2 (a v) v^H / ||v||^2, in the column blocks of
+    :func:`column_blocks`, followed by the phase fix of the last column,
+    so the cost is O(B M T) and no (B, T, T) array is formed (Golub & Van
+    Loan, Matrix Computations, sec. 5.1).
     ``out`` (complex, a's shape) receives the result and may be ``a``
     itself, so a chunk can be rotated with no second (B, M, T) array.
     """
@@ -55,8 +68,8 @@ def apply_rotation(a, x, out=None):
     if out is None:
         out = np.empty_like(a)
     v_conj = np.conj(v)
-    for i in range(a.shape[-1]):  # coef is formed, so out may alias a
-        np.subtract(a[:, :, i], coef * v_conj[:, i, None], out=out[:, :, i])
+    for blk in column_blocks(coef.size, a.shape[-1]):  # coef is formed, so out may alias a
+        np.subtract(a[:, :, blk], coef[:, :, None] * v_conj[:, None, blk], out=out[:, :, blk])
     # H e_T = -conj(ph) u; rescale the last column so U e_T = u exactly
     out[:, :, -1] *= -ph[:, None]
     return out
@@ -169,16 +182,21 @@ def sample_gamma(shape, scale, rng, size=None):
     return scale * rng.gamma(shape, size=size)
 
 
-def sample_complex_gaussian(n, rng, size=None):
-    """CN(0,1) i.i.d. entries; shape (n,) or size + (n,)."""
+def sample_complex_gaussian(n, rng, size=None, out=None, scratch=None):
+    """CN(0,1) i.i.d. entries; shape (n,) or size + (n,).
+
+    ``out`` (complex) receives the draw and ``scratch`` (float, C-contiguous)
+    holds the normal deviates, each of the draw's shape; a caller drawing
+    repeatedly passes the same arrays, so their memory is not faulted in anew.
+    """
     if n < 1:
         raise InvalidParam("dimension must be >= 1")
     shp = (n,) if size is None else tuple(np.atleast_1d(size)) + (n,)
     # real parts first, then imaginary parts, each scaled by 1/sqrt(2) into
-    # one preallocated array through one reused float buffer
+    # one array through one reused float buffer
     scale = 1.0 / np.sqrt(2.0)
-    draw = rng.standard_normal(shp)
-    z = np.empty(shp, dtype=complex)
+    draw = rng.standard_normal(shp, out=scratch)
+    z = np.empty(shp, dtype=complex) if out is None else out
     np.multiply(draw, scale, out=z.real)
     rng.standard_normal(out=draw)
     np.multiply(draw, scale, out=z.imag)

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
+from simomac import linalg
 from simomac.channel import (
     ChannelConfig,
     InputDistribution,
     annulus_second_moment,
+    sample_channel,
     sample_fading,
     sample_outputs,
+    superpose,
     truncate_to_peak,
 )
 from simomac.errors import InvalidParam
@@ -168,4 +171,22 @@ class TestSampleOutputsDraws:
         z = sample_complex_gaussian(4, rng, size=(50, 3))
         ref = h1[:, :, None] * r1[:, None, :] + h2[:, :, None] * r2[:, None, :] + z
         assert np.array_equal(x1, r1) and np.array_equal(x2, r2)
+        assert np.array_equal(y, ref)
+
+    @pytest.mark.parametrize("entries", [1, 2**15])
+    def test_into_buffers(self, monkeypatch, entries):
+        # the noise and Y written into the caller's arrays, the second
+        # user's term added one slot or all slots at a time
+        monkeypatch.setattr(linalg, "_BLOCK_ENTRIES", entries)
+        cfg = ChannelConfig(T=4, N=3, P=10.0, trials=50)
+        iso = InputDistribution(kind="isotropic_peak", T=4, P=10.0)
+        xs, ref = sample_outputs([iso, iso], cfg, np.random.default_rng(9))
+        rng = np.random.default_rng(9)
+        iso.sample(rng, size=50), iso.sample(rng, size=50)
+        noise = np.empty((50, 3, 4), dtype=complex)
+        draw = np.empty((50, 3, 4))
+        y = np.empty((50, 3, 4), dtype=complex)
+        channel = sample_channel(2, cfg, rng, out=noise, scratch=draw)
+        assert channel[1] is noise
+        assert superpose(xs, channel, out=y) is y
         assert np.array_equal(y, ref)

@@ -411,6 +411,20 @@ class TestStreamingEngine:
         assert many == one
 
     @pytest.mark.parametrize("workers", [1, 3])
+    def test_each_thread_keeps_one_scratch(self, monkeypatch, workers):
+        # every chunk a thread runs sees that thread's dict, and only it
+        monkeypatch.setattr(converse, "_cpu_count", lambda: workers)
+        seen = {}
+
+        def run(i, lo, hi, seed, scratch):
+            seen[i] = (threading.get_ident(), id(scratch))
+
+        converse._run_chunks(run, [(0, 1, None)] * 40)
+        assert sorted(seen) == list(range(40))
+        assert len(set(seen.values())) == len({thread for thread, _ in seen.values()})
+        assert len(set(seen.values())) <= workers
+
+    @pytest.mark.parametrize("workers", [1, 3])
     def test_chunk_error_stops_the_run(self, monkeypatch, workers):
         # 20 chunks; every chunk from chunk 1 on raises when it draws
         monkeypatch.setattr(converse, "_CHUNK_ENTRIES", 400)
