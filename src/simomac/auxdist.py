@@ -19,7 +19,6 @@ from scipy.special import gammaln
 
 from . import linalg
 from .errors import InvalidParam, InvalidRegime, SingularPoint
-from .linalg import sample_gamma, sample_uniform_complex_sphere
 
 LN2 = np.log(2.0)
 
@@ -86,25 +85,6 @@ def log_density_from_norm_sq(norm_sq, p):
     check_not_singular(norm_sq, p)
     safe = np.maximum(norm_sq, _NORM_SQ_FLOOR)
     return log_normalizer(p) + (p.alpha - p.n) * np.log(safe) - norm_sq / p.beta
-
-
-def log_density(y, p):
-    """Natural log of r(y) for a single vector y in C^N."""
-    y = np.asarray(y, dtype=complex).ravel()
-    if y.size != p.n:
-        raise InvalidParam("y must have length N")
-    norm_sq = float(np.linalg.norm(p.a @ y) ** 2)
-    return float(log_density_from_norm_sq(norm_sq, p))
-
-
-def sample(p, rng, size=None):
-    """Draws from the family: A^{-1}(sqrt(s) u) with s ~ Gamma(alpha, beta),
-    u uniform on the complex unit sphere."""
-    s = sample_gamma(p.alpha, p.beta, rng, size=size)
-    u = sample_uniform_complex_sphere(p.n, rng, size=size)
-    w = np.sqrt(np.asarray(s))[..., None] * u
-    a_inv = np.linalg.inv(p.a)
-    return w @ a_inv.T
 
 
 class NormSqSums(NamedTuple):

@@ -48,6 +48,8 @@ class ChannelConfig:
                                "correct digit (cancellation)")
         if self.trials < 1:
             raise InvalidParam("trials must be >= 1")
+        if self.seed < 0:
+            raise InvalidParam("seed must be >= 0")
         if self.fading_kind not in FADING_KINDS:
             raise InvalidParam(f"unknown fading kind {self.fading_kind!r}")
 

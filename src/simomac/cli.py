@@ -9,9 +9,9 @@ seed, and the package version, and is byte-identical across reruns with
 the same seed.
 
 Exit codes: 0 success, 1 property failure, 2 usage error: bad flags
-(argparse's usage message), or a missing or malformed config file or a
-typed SimomacError from the library (one ``error:`` line on stderr).
-Neither prints a traceback.
+(argparse's usage message), or a missing or malformed config file, a
+negative seed or a typed SimomacError from the library (one ``error:``
+line on stderr).  Neither prints a traceback.
 """
 
 import argparse
@@ -36,14 +36,11 @@ from .errors import InvalidRegime, SimomacError
 from .training import mac_training_rates, single_user_training_rate
 
 
-def _frac_str(x):
-    return f"{x.numerator}/{x.denominator}"
-
-
 def _region_payload(reg):
+    frac = region.frac_str
     return {
-        "halfspaces": [[_frac_str(a1), _frac_str(a2), _frac_str(b)] for a1, a2, b in reg.halfspaces],
-        "vertices": [[_frac_str(d1), _frac_str(d2)] for d1, d2 in reg.vertices],
+        "halfspaces": [[frac(a1), frac(a2), frac(b)] for a1, a2, b in reg.halfspaces],
+        "vertices": [[frac(d1), frac(d2)] for d1, d2 in reg.vertices],
     }
 
 
@@ -407,6 +404,8 @@ def main(argv=None):
     cp = _load_config(known.config)
     parser = build_parser(cp)
     args = parser.parse_args(argv)
+    if getattr(args, "seed", 0) < 0:  # from the flag or the config file
+        _usage_error(f"seed must be >= 0, got {args.seed}")
     try:
         return args.func(args, cp)
     except SimomacError as exc:

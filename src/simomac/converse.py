@@ -1,5 +1,5 @@
 """Genie-aided duality upper bounds for the single-user SIMO channel and
-the two-user MAC, plus the exponent penalty functions f and g.
+the two-user MAC.
 
 All rate quantities are bits per channel use.  The duality bounds draw
 and whiten their Monte-Carlo trials in fixed-size chunks, each from its
@@ -57,15 +57,6 @@ _CHUNK_ENTRIES = 2**16
 
 
 @dataclass
-class GenieIndex:
-    """Index of the strongest input component (0-based slot), plus the
-    binary configuration flag used in the T <= N regime."""
-
-    v: int
-    u: int | None = None
-
-
-@dataclass
 class BoundReport:
     """A Monte-Carlo bound value with its provenance."""
 
@@ -76,45 +67,8 @@ class BoundReport:
 
 
 # ---------------------------------------------------------------------------
-# Genie indices
-# ---------------------------------------------------------------------------
-
-def genie_index_single(x):
-    """argmax_i |x_i|^2, ties broken to the smallest index."""
-    x = np.asarray(x, dtype=complex).ravel()
-    return GenieIndex(v=int(np.argmax(np.abs(x) ** 2)))
-
-
-def genie_index_mac(x1t, x2_norm_sq, regime):
-    """Genie for the MAC bound on user 1, from the rotated input x1t.
-
-    T >= N+1 regime: strongest among the first T-1 rotated entries.
-    T <= N regime: strongest instantaneous SNR |x1t_i|^2 / sigma_i^2 with
-    sigma_T^2 = 1 + ||x2||^2, plus the flag u marking the configuration
-    where the last entry dominates everything.
-    """
-    x1t = np.asarray(x1t, dtype=complex).ravel()
-    mag = np.abs(x1t) ** 2
-    if regime == REGIME_T_GE_N_PLUS_1:
-        return GenieIndex(v=int(np.argmax(mag[:-1])))
-    if regime == REGIME_T_LE_N:
-        sigma = np.ones(mag.size)
-        sigma[-1] = 1.0 + x2_norm_sq
-        v = int(np.argmax(mag / sigma))
-        u = int(mag[-1] >= max(mag[:-1].max(), 1.0 + x2_norm_sq))
-        return GenieIndex(v=v, u=u)
-    raise InvalidParam(f"unknown regime {regime!r}")
-
-
-# ---------------------------------------------------------------------------
 # Conditional entropy h(Y | X1, X2)
 # ---------------------------------------------------------------------------
-
-@dataclass
-class EntropyReport:
-    bits: float
-    order_one_flagged: bool = False
-
 
 def _exact_log2_det(x1, x2):
     """log2 det(I_T + x1 x1^H + x2 x2^H), batched over leading axis."""
@@ -122,72 +76,10 @@ def _exact_log2_det(x1, x2):
     return np.log2((1.0 + norm_sq(x1)) * (1.0 + norm_sq(x2)) - ip)
 
 
-def conditional_entropy_given_inputs(x1, x2, cfg, branch="exact"):
-    """h(Y | X1 = x1, X2 = x2) in bits.
-
-    'exact' (Gaussian fading): N log2 det(I_T + x1 x1^H + x2 x2^H)
-    + N T log2(pi e).  'dominant' (any fading): the rotated-determinant
-    term only, with the O(1) flagged.
-    """
-    x1 = np.asarray(x1, dtype=complex).ravel()
-    x2 = np.asarray(x2, dtype=complex).ravel()
-    if x1.size != x2.size:
-        raise InvalidParam("x1 and x2 must have the same length")
-    n, t = cfg.N, cfg.T
-    if branch == "exact":
-        if cfg.fading_kind != "iid_complex_gaussian":
-            raise RegimeUnsupported("exact conditional entropy needs Gaussian fading")
-        bits = float(n * _exact_log2_det(x1[None], x2[None])[0] + n * t * LOG2_PI_E)
-        return EntropyReport(bits=bits, order_one_flagged=False)
-    if branch == "dominant":
-        x1t = apply_rotation(x1[None, None], x2[None])[0, 0]
-        s2 = float(np.linalg.norm(x2) ** 2)
-        head = float(np.sum(np.abs(x1t[:-1]) ** 2))
-        bits = float(n * np.log2((1.0 + s2) * (1.0 + head) + np.abs(x1t[-1]) ** 2))
-        return EntropyReport(bits=bits, order_one_flagged=True)
-    raise InvalidParam(f"unknown branch {branch!r}")
-
-
-# ---------------------------------------------------------------------------
-# Penalty functions f and g
-# ---------------------------------------------------------------------------
-
-def eval_f(x1t, x2, n):
-    """Four-term MAC penalty for user 1 (base-2 logs), from the rotated
-    input x1t and the interferer x2; n is the receive dimension."""
-    x1t = np.asarray(x1t, dtype=complex).ravel()
-    mag = np.abs(x1t) ** 2
-    m = float(mag[:-1].max()) if mag.size > 1 else 0.0
-    xt = float(mag[-1])
-    t = x1t.size
-    s2 = float(np.linalg.norm(x2) ** 2)
-    head = float(mag[:-1].sum())
-    return float(
-        (n + t - 2) * np.log2(1.0 + m)
-        + np.log2(1.0 + m / (1.0 + s2))
-        + n * np.log2(1.0 + xt / (1.0 + s2 + m))
-        - n * np.log2(1.0 + head + xt / (1.0 + s2))
-    )
-
-
-def eval_g(x1t, x2, p, n):
-    """Three-case MAC penalty for user 1 (base-2 logs); boundary ties
-    resolve to the first case."""
-    x1t = np.asarray(x1t, dtype=complex).ravel()
-    mag = np.abs(x1t) ** 2
-    m = float(mag[:-1].max()) if mag.size > 1 else 0.0
-    xt = float(mag[-1])
-    t = x1t.size
-    s2 = float(np.linalg.norm(x2) ** 2)
-    if xt / (1.0 + s2) > m:
-        return float((t - 1) * np.log2(1.0 + xt / (1.0 + s2)))
-    if xt / (1.0 + s2) < m and xt > max(m, 1.0 + s2):
-        return float(
-            (t - 2) * np.log2(1.0 + m)
-            + n * np.log2((1.0 + s2 + xt) / (1.0 + s2 + p))
-            + np.log2(1.0 + p / (1.0 + s2))
-        )
-    return float((t - 2) * np.log2(1.0 + m) + np.log2(1.0 + m / (1.0 + s2)))
+def _gaussian_h_given_x(log2_det, cfg):
+    """h(Y | X) in bits under Gaussian fading, N log2_det + N T log2(pi e),
+    from log2_det = log2 det(I_T + sum_k x_k x_k^H)."""
+    return cfg.N * log2_det + cfg.N * cfg.T * LOG2_PI_E
 
 
 # ---------------------------------------------------------------------------
@@ -508,7 +400,7 @@ def _single_user_genie(xs, y, cfg, slots):
     rhs = (n + t - 1) * np.log2(1.0 + xv2) + n * np.where(
         off, np.log2(1.0 + ratios), 0.0
     ).sum(axis=1)
-    h_given_x = n * np.log2(1.0 + norm_sq(x)) + n * t * LOG2_PI_E
+    h_given_x = _gaussian_h_given_x(np.log2(1.0 + norm_sq(x)), cfg)
     ones = np.ones(mag.shape)
     return y, v, ones, ones, rhs, h_given_x, None
 
@@ -615,7 +507,6 @@ def _mac_genie(xs, y, cfg, engine):
     by U(x2), run the regime's ``engine`` and add h(Y | X1, X2) (its
     dominant term only, flagged, off Gaussian fading).  y is rotated in
     place."""
-    n, t = cfg.N, cfg.T
     x1, x2 = xs
     x1t = apply_rotation(x1[:, None, :], x2)[:, 0]
     yt = apply_rotation(y, x2, out=y)
@@ -623,10 +514,10 @@ def _mac_genie(xs, y, cfg, engine):
     mag = abs_sq(x1t)
     v, s, c, rhs, branch = engine(mag, s2, yt, cfg)
     if cfg.fading_kind == "iid_complex_gaussian":
-        h_given_x = n * _exact_log2_det(x1, x2) + n * t * LOG2_PI_E
+        h_given_x = _gaussian_h_given_x(_exact_log2_det(x1, x2), cfg)
     else:
         head = mag[:, :-1].sum(axis=1)
-        h_given_x = n * np.log2((1.0 + s2) * (1.0 + head) + mag[:, -1])
+        h_given_x = cfg.N * np.log2((1.0 + s2) * (1.0 + head) + mag[:, -1])
     return yt, v, s, c, rhs, h_given_x, branch
 
 
@@ -702,7 +593,7 @@ def isotropic_mixture_mi_estimate(cfg, trials=None):
         )
     ln_p += lgamma(t) - n * t * np.log(np.pi) - n * np.log(1.0 + p)
     neg_log_p = -ln_p / LN2
-    h_cond = n * np.log2(1.0 + p) + n * t * LOG2_PI_E  # ||x||^2 = P surely
+    h_cond = _gaussian_h_given_x(np.log2(1.0 + p), cfg)  # ||x||^2 = P surely
     mi = (neg_log_p.mean() - h_cond) / t
     se = float(neg_log_p.std() / np.sqrt(b) / t)
     return mi, se
@@ -722,11 +613,10 @@ def mutual_information_lower_estimate(input_dist, cfg, k=4, max_knn_samples=20_0
         raise InvalidParam("k-NN estimate capped at T <= 8, N <= 4")
     if cfg.fading_kind != "iid_complex_gaussian":
         raise RegimeUnsupported("plug-in estimate needs the exact Gaussian branch")
-    n, t = cfg.N, cfg.T
     rng = cfg.rng(stream=1)
     (x,) = sample_inputs([input_dist], cfg, rng)
     m = min(cfg.trials, max_knn_samples)
     y = superpose([x[:m]], sample_channel(1, cfg, rng, size=m))
     h_y = knn_entropy_bits(y.reshape(m, -1), k=k)
-    h_cond = n * np.log2(1.0 + norm_sq(x)) + n * t * LOG2_PI_E
-    return float((h_y - h_cond.mean()) / t)
+    h_cond = _gaussian_h_given_x(np.log2(1.0 + norm_sq(x)), cfg)
+    return float((h_y - h_cond.mean()) / cfg.T)

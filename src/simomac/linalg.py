@@ -166,22 +166,6 @@ def abs_sq(a):
     return out
 
 
-def sample_gamma(shape, scale, rng, size=None):
-    """Gamma(shape, scale) draws.
-
-    For shape < 1 uses the boost trick on a shape+1 draw:
-    G = Gamma(shape+1) * U^(1/shape), needed because the auxiliary family
-    uses shape = 1/log(scale) << 1 at high SNR.
-    """
-    if shape <= 0 or scale <= 0:
-        raise InvalidParam("gamma shape and scale must be positive")
-    if shape < 1.0:
-        g = rng.gamma(shape + 1.0, size=size)
-        u = rng.uniform(size=size)
-        return scale * g * np.exp(np.log(u) / shape)
-    return scale * rng.gamma(shape, size=size)
-
-
 def sample_complex_gaussian(n, rng, size=None, out=None, scratch=None):
     """CN(0,1) i.i.d. entries; shape (n,) or size + (n,).
 

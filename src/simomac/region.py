@@ -161,14 +161,15 @@ def membership(region, d1, d2):
     return all(a1 * d1 + a2 * d2 <= b for a1, a2, b in region.halfspaces)
 
 
+def frac_str(x):
+    """A Fraction as 'p/q' (also '0/1' and 'n/1')."""
+    return f"{x.numerator}/{x.denominator}"
+
+
 def polygon_export(region):
     """CSV rows 'p/q,p/q', counterclockwise, first row the origin."""
     verts = _start_at_origin(list(region.vertices))
-
-    def frac(x):
-        return f"{x.numerator}/{x.denominator}"
-
-    return "\n".join(f"{frac(d1)},{frac(d2)}" for d1, d2 in verts) + "\n"
+    return "\n".join(f"{frac_str(d1)},{frac_str(d2)}" for d1, d2 in verts) + "\n"
 
 
 def max_weighted_dof(region, lambda1, lambda2):
@@ -187,47 +188,54 @@ def max_weighted_dof(region, lambda1, lambda2):
 
 
 def _pos(a):
-    return a if a > 0 else a * 0
+    return np.maximum(a, a - a)  # a - a: a zero of a's own type, so Fractions stay exact
 
 
-def _user_bracket_f(eb, eT, eta_other, T, N):
+def _bracket_f(eb, eT, eta_other, T, N):
     """Per-user f-penalty exponent (times T)."""
     s = _pos(eta_other)  # exponent of 1 + ||x_other||^2
-    term1 = (N + T - 2) * _pos(eb)
-    term2 = _pos(eb - s)
-    term3 = N * _pos(eT - max(_pos(eb), s))
-    term4 = -N * max(_pos(eb), eT - s, 0 * eb)
-    return term1 + term2 + term3 + term4
+    pb = _pos(eb)
+    return (
+        (N + T - 2) * pb
+        + _pos(eb - s)
+        + N * _pos(eT - np.maximum(pb, s))
+        - N * _pos(np.maximum(pb, eT - s))
+    )
 
 
-def _user_bracket_g(eb, eT, eta_other, T, N):
+def _bracket_g(eb, eT, eta_other, T, N):
     """Per-user g-penalty exponent (times T); three cases, ties resolve
     to the first case."""
     s = _pos(eta_other)
-    one = eb * 0 + 1
-    if eT - s > _pos(eb):
-        return (T - 1) * _pos(eT - s)
-    if eT - s < _pos(eb) and eT > max(_pos(eb), s):
-        return (T - 2) * _pos(eb) + N * (max(s, eT, 0 * eb) - max(s, one)) + _pos(one - s)
-    return (T - 2) * _pos(eb) + _pos(eb - s)
+    pb = _pos(eb)
+    case_c = eT - s > pb
+    case_b = (eT - s < pb) & (eT > np.maximum(pb, s))
+    val_c = (T - 1) * _pos(eT - s)
+    val_b = (T - 2) * pb + N * (_pos(np.maximum(s, eT)) - np.maximum(s, 1)) + _pos(1 - s)
+    val_a = (T - 2) * pb + _pos(eb - s)
+    return np.where(case_c, val_c, np.where(case_b, val_b, val_a))
+
+
+# Each bracket is one numpy expression, so it takes Fraction scalars,
+# object arrays of Fractions (exact) and float arrays alike.
+_BRACKETS = {"f_exponent": _bracket_f, "g_exponent": _bracket_g}
 
 
 def _brackets(profile, T, N, objective):
-    """(user-1 bracket, user-2 bracket) at one exponent profile."""
-    eb1, e1t, eb2, e2t = profile
-    if objective == "f_exponent":
-        bracket = _user_bracket_f
-    elif objective == "g_exponent":
-        bracket = _user_bracket_g
-    else:
+    """(user-1 bracket, user-2 bracket) at the exponent profile(s)
+    (eb1, e1t, eb2, e2t)."""
+    if objective not in _BRACKETS:
         raise InvalidParam(f"unknown objective {objective!r}")
-    return bracket(eb1, e1t, max(eb2, e2t), T, N), bracket(eb2, e2t, max(eb1, e1t), T, N)
+    bracket = _BRACKETS[objective]
+    eb1, e1t, eb2, e2t = profile
+    return (bracket(eb1, e1t, np.maximum(eb2, e2t), T, N),
+            bracket(eb2, e2t, np.maximum(eb1, e1t), T, N))
 
 
 def exponent_objective(profile, lambda1, lambda2, T, N, objective):
     """Weighted-sum-DoF upper bound at one exponent profile
     (eta_bar_1, eta_1T, eta_bar_2, eta_2T).  Works on Fractions or floats."""
-    b1, b2 = _brackets(profile, T, N, objective)
+    b1, b2 = (np.asarray(b)[()] for b in _brackets(profile, T, N, objective))
     return (lambda1 * b1 + lambda2 * b2) / T
 
 
@@ -297,8 +305,11 @@ def _candidate_profiles():
 @functools.lru_cache(maxsize=1024, typed=True)
 def _candidate_brackets(T, N, objective):
     """((profile, (bracket 1, bracket 2)), ...) over the candidate
-    profiles; the brackets do not depend on the weights."""
-    return tuple((x, _brackets(x, T, N, objective)) for x in _candidate_profiles())
+    profiles, evaluated exactly on one object array of their Fractions;
+    the brackets do not depend on the weights."""
+    cands = _candidate_profiles()
+    b1, b2 = _brackets(np.array(cands, dtype=object).T, T, N, objective)
+    return tuple(zip(cands, zip(b1, b2)))
 
 
 def weighted_sum_dof_sup(lambda1, lambda2, T, N, objective):
@@ -331,36 +342,6 @@ def weighted_sum_dof_sup(lambda1, lambda2, T, N, objective):
 # Grid oracle (float)
 # ---------------------------------------------------------------------------
 
-def _pos_grid(a):
-    return np.maximum(a, 0.0)
-
-
-def _grid_bracket_f(eb, et, other, T, N):
-    """Float-array copy of _user_bracket_f."""
-    pb = _pos_grid(eb)
-    return (
-        (N + T - 2) * pb
-        + _pos_grid(eb - _pos_grid(other))
-        + N * _pos_grid(et - np.maximum(pb, _pos_grid(other)))
-        - N * np.maximum(np.maximum(pb, et - _pos_grid(other)), 0.0)
-    )
-
-
-def _grid_bracket_g(eb, et, other, T, N):
-    """Float-array copy of _user_bracket_g (same tie rule)."""
-    s = _pos_grid(other)
-    pb = _pos_grid(eb)
-    case_c = et - s > pb
-    case_b = (et - s < pb) & (et > np.maximum(pb, s))
-    val_c = (T - 1) * _pos_grid(et - s)
-    val_b = (T - 2) * pb + N * (np.maximum(np.maximum(s, et), 0.0) - np.maximum(s, 1.0)) + _pos_grid(1.0 - s)
-    val_a = (T - 2) * pb + _pos_grid(eb - s)
-    return np.where(case_c, val_c, np.where(case_b, val_b, val_a))
-
-
-_GRID_BRACKETS = {"f_exponent": _grid_bracket_f, "g_exponent": _grid_bracket_g}
-
-
 def _grid_max(axes, lambda1, lambda2, T, N, objective):
     """(value, index) of the first C-order maximum of the objective on the
     product grid of the four axes (eb1, e1t, eb2, e2t).
@@ -373,7 +354,7 @@ def _grid_max(axes, lambda1, lambda2, T, N, objective):
     it, without any 4-D temporary.
     """
     g0, g1, g2, g3 = axes
-    bracket = _GRID_BRACKETS[objective]
+    bracket = _BRACKETS[objective]
     eta1, inv1 = np.unique(np.maximum.outer(g0, g1).ravel(), return_inverse=True)
     eta2, inv2 = np.unique(np.maximum.outer(g2, g3).ravel(), return_inverse=True)
     inv1, inv2 = inv1.reshape(len(g0), len(g1)), inv2.reshape(len(g2), len(g3))
@@ -394,7 +375,7 @@ def grid_oracle_sup(lambda1, lambda2, T, N, objective, coarse_step=64, fine_step
     """Two-stage brute-force grid maximum: full 1/coarse_step grid, then a
     1/fine_step refinement around the coarse argmax.  Returns (value,
     argmax tuple) as floats."""
-    if objective not in _GRID_BRACKETS:
+    if objective not in _BRACKETS:
         raise InvalidParam(f"unknown objective {objective!r}")
     l1, l2 = float(lambda1), float(lambda2)
     axis = np.linspace(0.0, 1.0, coarse_step + 1)

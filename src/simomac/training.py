@@ -81,18 +81,13 @@ def _gram_log2_det(gains_sq, cross, rho):
     return np.log2(gains[:, 0] * gains[:, 1] - rho * rho * cross)
 
 
-def _log2_det_gram(h, rho):
-    """:func:`_gram_log2_det` for H given as h: (B, 2, N)."""
-    return _gram_log2_det(*_gram_stats(h), rho)
-
-
 def mac_training_rates(cfg, *, powers=None):
     """Two orthogonal pilot slots, T-2 joint data slots.
 
     Each user's rate is the symmetric point of the estimated coherent
     2-user MAC (half the sum rate, capped by the single-user constraint),
     with the combined estimation error of both users treated as Gaussian
-    noise.  Requires T >= 3; falls back conceptually to tdma_rates below.
+    noise.  Requires T >= 3; falls back conceptually to tdma_rates above.
     With ``powers``, returns one (R1, R2) pair per power, equal to the
     call with cfg at that P; as in :func:`single_user_training_rate`,
     the channel statistics are drawn once for the whole grid.

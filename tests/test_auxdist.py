@@ -5,10 +5,8 @@ from simomac.auxdist import (
     AuxDistParams,
     cross_entropy_expansion,
     fit_params,
-    log_density,
     log_density_from_norm_sq,
     remainder_slack_bits,
-    sample,
 )
 from simomac.errors import InvalidParam, InvalidRegime, SingularPoint
 from simomac.linalg import sample_complex_gaussian
@@ -40,7 +38,8 @@ class TestDensity:
         p = AuxDistParams(n=2, a=np.eye(2), alpha=2.0, beta=1.0)
         y = np.array([0.3 + 0.1j, -0.2j])
         expected = -2 * np.log(np.pi) - np.linalg.norm(y) ** 2
-        assert log_density(y, p) == pytest.approx(expected, abs=1e-12)
+        assert log_density_from_norm_sq(np.linalg.norm(y) ** 2, p) == pytest.approx(
+            expected, abs=1e-12)
 
     def test_singular_at_origin_when_alpha_below_n(self):
         p = AuxDistParams(n=2, a=np.eye(2), alpha=0.2, beta=10.0)
@@ -48,12 +47,16 @@ class TestDensity:
             log_density_from_norm_sq(np.array([0.0, 1.0]), p)
 
     def test_sampled_radius_follows_gamma_moments(self):
+        # ||A Y||^2 is Gamma(alpha, beta) under the density, so its mean is
+        # alpha beta; checked as E_q[(r/q) ||A Y||^2] under a Gaussian proposal
         rng = np.random.default_rng(1)
         p = AuxDistParams(n=3, a=np.diag([1.0, 2.0, 0.5]), alpha=0.7, beta=5.0)
-        draws = sample(p, rng, size=200_000)
-        norm_sq = np.linalg.norm(draws @ p.a.T, axis=-1) ** 2
-        se = norm_sq.std() / np.sqrt(norm_sq.size)
-        assert norm_sq.mean() == pytest.approx(0.7 * 5.0, abs=3 * se)
+        sigma_sq = 20.0
+        y = np.sqrt(sigma_sq) * sample_complex_gaussian(3, rng, size=400_000)
+        s = np.linalg.norm(y @ p.a.T, axis=-1) ** 2
+        log_q = -3 * np.log(np.pi * sigma_sq) - np.linalg.norm(y, axis=-1) ** 2 / sigma_sq
+        ws = np.exp(log_density_from_norm_sq(s, p) - log_q) * s
+        assert ws.mean() == pytest.approx(0.7 * 5.0, abs=3 * ws.std() / np.sqrt(ws.size))
 
     def test_density_integrates_via_importance_sampling(self):
         # E_r[1] = 1 checked as E_q[r/q] under a Gaussian proposal

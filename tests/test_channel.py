@@ -94,6 +94,8 @@ class TestConfig:
             ChannelConfig(T=1, N=1, P=-1.0)
         with pytest.raises(InvalidParam):
             ChannelConfig(T=1, N=1, P=1.0, fading_kind="nope")
+        with pytest.raises(InvalidParam, match="seed"):
+            ChannelConfig(T=1, N=1, P=1.0, seed=-1)
 
     def test_independent_streams(self):
         cfg = ChannelConfig(T=2, N=2, P=1.0, seed=5)

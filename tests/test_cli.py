@@ -186,6 +186,28 @@ class TestConfigFile:
         assert all(choice in captured.err for choice in allowed)
 
 
+class TestNegativeSeed:
+    @pytest.mark.parametrize("ini,argv", [
+        (None, ["bounds", "--T", "4", "--N", "2", "--P-dB", "20", "--trials", "100",
+                "--seed", "-1"]),
+        (None, ["verify", "--suite", "lemmas", "--seed", "-1"]),
+        ("[bounds]\nseed = -3\n", ["bounds", "--T", "4", "--N", "2", "--P-dB", "20",
+                                    "--trials", "100"]),
+    ])
+    def test_exit_2_with_one_error_line(self, capsys, tmp_path, ini, argv):
+        if ini is not None:
+            cfg = tmp_path / "simomac.ini"
+            cfg.write_text(ini)
+            argv = ["--config", str(cfg)] + argv
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        _assert_one_error_line(captured.err)
+        assert "seed" in captured.err
+
+
 class TestBoundsPooledFit:
     def test_pooled_fit_in_json(self, capsys):
         code, out = _run(capsys, ["bounds", "--T", "3", "--N", "4", "--P-dB", "20",

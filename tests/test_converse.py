@@ -11,19 +11,19 @@ from simomac.channel import ChannelConfig, InputDistribution
 from simomac.converse import (
     REGIME_T_GE_N_PLUS_1,
     REGIME_T_LE_N,
-    conditional_entropy_given_inputs,
+    _exact_log2_det,
+    _mac_genie,
+    _mac_high_t,
+    _mac_low_t,
+    _single_user_genie,
     duality_bound_mac_user1,
     duality_bound_single_user,
-    eval_f,
-    eval_g,
-    genie_index_mac,
-    genie_index_single,
     isotropic_mixture_mi_estimate,
     mutual_information_lower_estimate,
 )
 from simomac.errors import InvalidParam, InvalidRegime, RegimeUnsupported
 from simomac.knn_entropy import knn_entropy_bits
-from simomac.linalg import sample_complex_gaussian
+from simomac.linalg import abs_sq, sample_complex_gaussian
 
 LOG2_PI_E = np.log2(np.pi * np.e)
 
@@ -32,66 +32,93 @@ def _cfg(t=4, n=2, p=100.0, trials=30_000, seed=0, fading="iid_complex_gaussian"
     return ChannelConfig(T=t, N=n, P=p, trials=trials, seed=seed, fading_kind=fading)
 
 
+def _pilot(x, slots=None):
+    """The pilot slot that _single_user_genie picks for each row of x."""
+    x = np.atleast_2d(np.asarray(x, dtype=complex))
+    y = np.zeros((len(x), 2, x.shape[1]), dtype=complex)
+    return _single_user_genie([x], y, _cfg(t=x.shape[1]), slots=slots or x.shape[1])[1]
+
+
+def _mac_engine(engine, mag, s2, t, n=2, p=100.0):
+    """(v, s, c, rhs, branch) of a MAC genie engine for one trial, from
+    |x1t|^2 of the rotated input and s2 = ||x2||^2."""
+    yt = np.zeros((1, n, t), dtype=complex)
+    return engine(np.array([mag], dtype=float), np.array([s2]), yt, _cfg(t=t, n=n, p=p))
+
+
+def _mac_chunk(x1, x2, fading="iid_complex_gaussian", n=2):
+    """_mac_genie's (rhs, h(Y | X1, X2)) for one trial of the T >= N+1 regime."""
+    x1, x2 = (np.asarray(x, dtype=complex)[None] for x in (x1, x2))
+    y = np.zeros((1, n, x1.shape[1]), dtype=complex)
+    out = _mac_genie([x1, x2], y, _cfg(t=x1.shape[1], n=n, fading=fading), engine=_mac_high_t)
+    return out[4][0], out[5][0]
+
+
 class TestGenieIndices:
     def test_single_strongest(self):
-        assert genie_index_single([1.0, 3.0, 2.0]).v == 1
+        assert _pilot([1.0, 3.0, 2.0]) == [1]
 
     def test_single_tie_to_smallest(self):
-        assert genie_index_single([2.0, 2.0]).v == 0
+        assert _pilot([2.0, 2.0]) == [0]
 
     def test_single_dominates_all(self):
-        rng = np.random.default_rng(0)
-        for _ in range(50):
-            x = sample_complex_gaussian(5, rng)
-            v = genie_index_single(x).v
-            assert (np.abs(x[v]) >= np.abs(x)).all()
+        x = sample_complex_gaussian(5, np.random.default_rng(0), size=50)
+        v = _pilot(x)
+        assert (np.abs(x[np.arange(50), v])[:, None] >= np.abs(x)).all()
+        # restricted to the first slots, the pilot is the strongest of those
+        assert (_pilot(x, slots=3) == np.argmax(np.abs(x[:, :3]), axis=1)).all()
 
     def test_mac_high_t_skips_last_slot(self):
-        g = genie_index_mac([1.0, 5.0, 2.0], 0.0, REGIME_T_GE_N_PLUS_1)
-        assert g.v == 1 and g.u is None
+        v, *_, branch = _mac_engine(_mac_high_t, [1.0, 25.0, 100.0], 0.0, t=3)
+        assert v == [1] and branch is None
 
     def test_mac_low_t_sigma_weights(self):
-        g = genie_index_mac([1.0, 1.0, np.sqrt(10.0)], 3.0, REGIME_T_LE_N)
-        # sigma^2 = (1, 1, 4): ratios (1, 1, 2.5) -> last slot; 10 >= max{1, 4}
-        assert g.v == 2 and g.u == 1
+        # sigma^2 = (1, 1, 4): ratios (1, 1, 2.5) -> last slot, branch 0
+        v, *_, branch = _mac_engine(_mac_low_t, [1.0, 1.0, 10.0], 3.0, t=3)
+        assert v == [2] and branch == [0]
+        # ratios (6, 1, 2) -> slot 0; 8 >= max{6, 4}: the last entry dominates
+        v, *_, branch = _mac_engine(_mac_low_t, [6.0, 1.0, 8.0], 3.0, t=3)
+        assert v == [0] and branch == [2]
 
     def test_mac_all_zero_tie_rule(self):
-        g = genie_index_mac([0.0, 0.0, 0.0], 0.0, REGIME_T_LE_N)
-        assert g.v == 0 and g.u == 0
+        v, *_, branch = _mac_engine(_mac_low_t, [0.0, 0.0, 0.0], 0.0, t=3)
+        assert v == [0] and branch == [1]
 
     def test_unknown_regime(self):
+        iso = InputDistribution(kind="isotropic_peak", T=4, P=100.0)
         with pytest.raises(InvalidParam):
-            genie_index_mac([1.0], 0.0, "bogus")
+            duality_bound_mac_user1(iso, iso, _cfg(trials=100), "bogus")
 
 
 class TestConditionalEntropy:
     def test_pure_noise(self):
         cfg = _cfg()
-        rep = conditional_entropy_given_inputs(np.zeros(4), np.zeros(4), cfg)
-        assert rep.bits == pytest.approx(cfg.N * cfg.T * LOG2_PI_E)
-        assert not rep.order_one_flagged
+        _, h = _mac_chunk(np.zeros(4), np.zeros(4))
+        assert h == pytest.approx(cfg.N * cfg.T * LOG2_PI_E)
+        assert _exact_log2_det(np.zeros(4), np.zeros(4)) == 0.0
 
     def test_dominant_branch_single_user_case(self):
-        cfg = _cfg()
+        # off Gaussian fading only the dominant term is kept, and flagged
+        cfg = _cfg(fading="iid_uniform_annulus")
         x1 = np.array([1.0, 2.0, 0.0, 1.0])
-        rep = conditional_entropy_given_inputs(x1, np.zeros(4), cfg, branch="dominant")
-        assert rep.bits == pytest.approx(
-            cfg.N * np.log2(1 + np.linalg.norm(x1) ** 2), abs=1e-9
-        )
-        assert rep.order_one_flagged
+        _, h = _mac_chunk(x1, np.zeros(4), fading=cfg.fading_kind)
+        assert h == pytest.approx(cfg.N * np.log2(1 + np.linalg.norm(x1) ** 2), abs=1e-9)
+        iso = InputDistribution(kind="isotropic_peak", T=4, P=100.0)
+        rep = duality_bound_mac_user1(iso, iso, _cfg(trials=2_000, fading=cfg.fading_kind),
+                                      REGIME_T_GE_N_PLUS_1)
+        assert rep.remainder_terms["h_order_one_flagged"] is True
 
     def test_exact_needs_gaussian_fading(self):
-        cfg = _cfg(fading="iid_uniform_annulus")
+        iso = InputDistribution(kind="isotropic_peak", T=4, P=100.0)
         with pytest.raises(RegimeUnsupported):
-            conditional_entropy_given_inputs(np.zeros(4), np.zeros(4), cfg)
+            mutual_information_lower_estimate(iso, _cfg(fading="iid_uniform_annulus"))
 
     def test_exact_matches_knn_oracle(self):
         rng = np.random.default_rng(0)
         t, n, trials = 4, 2, 50_000
         x1 = sample_complex_gaussian(t, rng)
         x2 = sample_complex_gaussian(t, rng)
-        cfg = _cfg(t, n)
-        exact = conditional_entropy_given_inputs(x1, x2, cfg).bits
+        _, exact = _mac_chunk(x1, x2, n=n)
         h1 = sample_complex_gaussian(n, rng, size=trials)
         h2 = sample_complex_gaussian(n, rng, size=trials)
         z = sample_complex_gaussian(t, rng, size=(trials, n))
@@ -100,20 +127,29 @@ class TestConditionalEntropy:
         assert abs(est - exact) / (n * t) <= 0.15  # bits per complex dimension
 
 
+def _f_penalty(x1t, x2_norm, t, n=2):
+    """User 1's f penalty: the T >= N+1 right-hand side minus the dominant
+    h(Y | X) term, with x2 along the last slot, where U(x2) = I."""
+    x2 = np.zeros(t)
+    x2[-1] = x2_norm
+    rhs, h = _mac_chunk(x1t, x2, fading="iid_uniform_annulus", n=n)
+    return rhs - h
+
+
 class TestEvalF:
     def test_zero_inputs(self):
-        assert eval_f(np.zeros(4), np.zeros(4), 2) == 0.0
+        assert _f_penalty(np.zeros(4), 0.0, 4) == 0.0
 
     def test_single_nonzero_entry(self):
         p, t, n = 50.0, 4, 2
         x1t = np.zeros(t)
         x1t[0] = np.sqrt(p)
-        assert eval_f(x1t, np.zeros(t), n) == pytest.approx((t - 1) * np.log2(1 + p))
+        assert _f_penalty(x1t, 0.0, t, n) == pytest.approx((t - 1) * np.log2(1 + p))
 
     def test_exponent_slopes_match_bracket(self):
         from fractions import Fraction
 
-        from simomac.region import _user_bracket_f
+        from simomac.region import _bracket_f
 
         rng = np.random.default_rng(1)
         t, n = 4, 2
@@ -121,52 +157,58 @@ class TestEvalF:
         for _ in range(20):
             eb1, e1t, e2 = (grid[i] for i in rng.integers(0, 3, size=3))
 
-            def build(p):
+            def f_at(p):
                 x1t = np.zeros(t, dtype=complex)
                 x1t[0] = p ** (float(eb1) / 2)
                 x1t[-1] = p ** (float(e1t) / 2)
-                x2 = np.zeros(t, dtype=complex)
-                x2[0] = p ** (float(e2) / 2)
-                return x1t, x2
+                return _f_penalty(x1t, p ** (float(e2) / 2), t, n)
 
-            slope = (eval_f(*build(1e8), n) - eval_f(*build(1e6), n)) / (
-                np.log2(1e8) - np.log2(1e6)
-            )
-            assert slope == pytest.approx(float(_user_bracket_f(eb1, e1t, e2, t, n)),
-                                          abs=0.02)
+            slope = (f_at(1e8) - f_at(1e6)) / (np.log2(1e8) - np.log2(1e6))
+            assert slope == pytest.approx(float(_bracket_f(eb1, e1t, e2, t, n)), abs=0.02)
 
 
 class TestEvalG:
+    """The T <= N right-hand side per branch (T = 3, N = 2, P = 10):
+    branch 0 N log2(1+s2+xT) + (T-1) log2(1 + xT/(1+s2)); branch 1
+    (N+T-2) log2(1+m) + N log2(1+s2) + log2(1 + m/(1+s2)); branch 2
+    (N+T-2) log2(1+m) + N log2((1+s2+xT)/(1+s2+P)) + N log2(1+s2)
+    + log2(1 + P/(1+s2)), where m = |x_v|^2, xT = |x_T|^2, s2 = ||x2||^2."""
+
+    @staticmethod
+    def _rhs(x1t, s2):
+        *_, rhs, branch = _mac_engine(_mac_low_t, abs_sq(np.asarray(x1t, dtype=complex)), s2,
+                                      t=3, p=10.0)
+        return rhs[0], branch[0]
+
     def test_zero_inputs_first_case(self):
-        assert eval_g(np.zeros(3), np.zeros(3), 10.0, 2) == 0.0
+        assert self._rhs(np.zeros(3), 0.0) == (0.0, 1)
 
     def test_dominant_last_entry_third_case(self):
-        x1t = np.array([1.0, 0.0, np.sqrt(10.0)])
-        x2 = np.array([1.0, 0.0, 0.0])  # 1 + ||x2||^2 = 2
-        expected = 2 * np.log2(1 + 5.0)
-        assert eval_g(x1t, x2, 10.0, 2) == pytest.approx(expected)
+        # m = 1, xT = 10, 1 + s2 = 2: ratio 5 > 1 -> branch 0
+        rhs, branch = self._rhs([1.0, 0.0, np.sqrt(10.0)], 1.0)
+        assert branch == 0
+        assert rhs == pytest.approx(2 * np.log2(12.0) + 2 * np.log2(6.0))
 
     def test_middle_case_hand_value(self):
-        # m = 3, xT = 4, 1+||x2||^2 = 2, P = 10:
-        # ratio 2 < 3 and 4 > max(3, 2) -> middle branch
-        # (T-2)log2(4) + N log2(6/12) + log2(6) = 2 - 2 + log2(6)
-        x1t = np.array([np.sqrt(3.0), 0.0, 2.0])
-        x2 = np.array([1.0, 0.0, 0.0])
-        assert eval_g(x1t, x2, 10.0, 2) == pytest.approx(np.log2(6.0))
+        # m = 3, xT = 4, 1 + s2 = 2, P = 10: ratio 2 < 3 and 4 >= max(3, 2)
+        # -> branch 2: 3 log2(4) + 2 log2(6/12) + 2 log2(2) + log2(6)
+        rhs, branch = self._rhs([np.sqrt(3.0), 0.0, 2.0], 1.0)
+        assert branch == 2
+        assert rhs == pytest.approx(6.0 + np.log2(6.0))
 
-    def test_boundary_tie_resolves_to_base_case(self):
+    def test_boundary_tie_resolves_to_branch_2(self):
         # all squared magnitudes chosen exactly representable:
-        # m = 1, |x_T|^2 = 1.5625, 1 + ||x2||^2 = 1.5625, so the ratio
-        # ties with m exactly and the base-case formula applies
-        x1t = np.array([1.0, 0.0, 1.25])
-        x2 = np.array([0.75, 0.0, 0.0])
-        tie = eval_g(x1t, x2, 10.0, 2)
-        assert np.isfinite(tie)
-        base = (3 - 2) * np.log2(2.0) + np.log2(1.0 + 1.0 / 1.5625)
-        assert tie == pytest.approx(base)
-        # the competing branch value at the tie point is finite too
-        dominant = (3 - 1) * np.log2(2.0)
-        assert np.isfinite(dominant) and tie != pytest.approx(dominant)
+        # m = 1, xT = 1.5625, 1 + s2 = 1.5625, so the ratio ties with m
+        # exactly: the pilot stays on slot 0 (first maximum), and
+        # xT >= max(m, 1 + s2) holds with equality, so branch 2 applies
+        rhs, branch = self._rhs([1.0, 0.0, 1.25], 0.5625)
+        assert np.isfinite(rhs) and branch == 2
+        tie = 3 * np.log2(2.0) + 2 * np.log2(3.125 / 11.5625) + 2 * np.log2(1.5625) \
+            + np.log2(1.0 + 10.0 / 1.5625)
+        assert rhs == pytest.approx(tie)
+        # the branch-1 value at the tie point is finite and different
+        base = 3 * np.log2(2.0) + 2 * np.log2(1.5625) + np.log2(1.0 + 1.0 / 1.5625)
+        assert np.isfinite(base) and rhs != pytest.approx(base)
 
 
 class TestSingleUserBound:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from simomac import linalg
-from simomac.errors import DegenerateInput, InvalidParam, NumericalDomain
+from simomac.errors import DegenerateInput, NumericalDomain
 from simomac.linalg import abs_sq, norm_sq
 from simomac.linalg import (
     TOL_ALGEBRAIC,
@@ -15,7 +15,6 @@ from simomac.linalg import (
     log_det_hermitian_psd,
     rotation_unitary_from,
     sample_complex_gaussian,
-    sample_gamma,
     sample_uniform_complex_sphere,
 )
 
@@ -131,26 +130,6 @@ class TestLogDet:
 
 
 class TestSamplers:
-    def test_gamma_mean(self):
-        rng = np.random.default_rng(11)
-        draws = sample_gamma(2.0, 3.0, rng, size=1_000_000)
-        se = draws.std() / 1000.0
-        assert draws.mean() == pytest.approx(6.0, abs=3 * se)
-
-    def test_gamma_small_shape_mean(self):
-        rng = np.random.default_rng(13)
-        alpha = 0.12  # the regime the boost trick exists for
-        draws = sample_gamma(alpha, 2.0, rng, size=1_000_000)
-        se = draws.std() / 1000.0
-        assert draws.mean() == pytest.approx(2.0 * alpha, abs=3 * se)
-
-    def test_gamma_invalid_params(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(InvalidParam):
-            sample_gamma(-1.0, 1.0, rng)
-        with pytest.raises(InvalidParam):
-            sample_gamma(1.0, 0.0, rng)
-
     def test_sphere_unit_norm(self):
         rng = np.random.default_rng(17)
         u = sample_uniform_complex_sphere(4, rng, size=1000)

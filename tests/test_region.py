@@ -230,6 +230,28 @@ class TestCandidateProfiles:
             assert np.linalg.matrix_rank(np.array(tight, dtype=float)) == 4
 
 
+class TestReturnTypes:
+    """The brackets are numpy expressions; what they return must still be a
+    Fraction (exact) or a float scalar, never a 0-d array."""
+
+    @pytest.mark.parametrize("objective", ["f_exponent", "g_exponent"])
+    def test_fraction_in_fraction_out(self, objective):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RegimeWarning)
+            sup, argmax = weighted_sum_dof_sup(F(1), F(1, 2), 4, 2, objective)
+        assert type(sup) is F and all(type(v) is F for v in argmax)
+        value = exponent_objective((F(1, 2), F(1, 3), F(1, 4), F(1)), F(1), F(1, 2), 4, 2,
+                                   objective)
+        assert type(value) is F
+        # every term clamped to zero, integer weights: still exact
+        assert type(exponent_objective((F(-1, 2),) * 4, 1, 1, 4, 2, objective)) is F
+
+    @pytest.mark.parametrize("objective", ["f_exponent", "g_exponent"])
+    def test_float_in_float_out(self, objective):
+        value = exponent_objective((0.5, 0.25, 0.25, 1.0), 1.0, 0.5, 4, 2, objective)
+        assert isinstance(value, float) and not isinstance(value, np.ndarray)
+
+
 class TestClamping:
     def test_negative_exponents_never_beat_clamped(self):
         t, n = 4, 2

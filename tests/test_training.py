@@ -4,8 +4,9 @@ import pytest
 from simomac.channel import ChannelConfig
 from simomac.errors import InvalidParam, RegimeUnsupported
 from simomac.linalg import sample_complex_gaussian
-from simomac.training import _log2_det_gram
 from simomac.training import (
+    _gram_log2_det,
+    _gram_stats,
     mac_training_rates,
     rate_slope,
     single_user_training_rate,
@@ -75,4 +76,4 @@ class TestGramDeterminant:
         hm = np.swapaxes(h, 1, 2)  # (B, N, 2): columns h_1, h_2
         gram = np.eye(2) + rho * np.einsum("bnk,bnl->bkl", hm.conj(), hm)
         ref = np.linalg.slogdet(gram)[1] / np.log(2.0)
-        np.testing.assert_allclose(_log2_det_gram(h, rho), ref, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(_gram_log2_det(*_gram_stats(h), rho), ref, rtol=1e-12, atol=0)
