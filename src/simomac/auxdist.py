@@ -19,8 +19,7 @@ from scipy.special import gammaln
 
 from . import linalg
 from .errors import InvalidParam, InvalidRegime, SingularPoint
-
-LN2 = np.log(2.0)
+from .linalg import LN2
 
 # Calibration constants for the double-log remainder bound: remainder (bits)
 # <= REMAINDER_SLOPE * log2(log2(beta)) + REMAINDER_OFFSET.  Fixed by the

@@ -69,6 +69,17 @@ def at_powers(inputs, cfg, powers):
     return [([replace(d, P=p) for d in inputs], replace(cfg, P=p)) for p in powers]
 
 
+def one_or_all(results, powers):
+    """The list of per-power results for a ``powers=`` call; otherwise
+    its one result, raising it when it is an error."""
+    if powers is not None:
+        return results
+    (result,) = results
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
 def sample_fading(kind, n, rng, size=None):
     """Fading vector draws with unit per-entry average power.
 
@@ -85,11 +96,6 @@ def sample_fading(kind, n, rng, size=None):
     raise InvalidParam(f"unknown fading kind {kind!r}")
 
 
-def annulus_second_moment(r_lo=ANNULUS_R_LO, r_hi=ANNULUS_R_HI):
-    """Closed-form E|h|^2 for a uniform amplitude on [r_lo, r_hi]."""
-    return (r_lo**2 + r_lo * r_hi + r_hi**2) / 3.0
-
-
 def sample_inputs(inputs, cfg, rng, size=None):
     """Every user's (B, T) input draws from ``rng``, in user order; B is
     ``size`` or ``cfg.trials``."""
@@ -102,9 +108,10 @@ def sample_inputs(inputs, cfg, rng, size=None):
 def sample_channel(users, cfg, rng, size=None, out=None, scratch=None):
     """Every user's (B, N) fading, then the (B, N, T) noise, from ``rng``.
 
-    Returns (list of fading draws, noise).  Given the generator state, the
-    draws depend on (users, N, T, fading kind, B) only, not on P.  ``out``
-    and ``scratch`` go to :func:`sample_complex_gaussian` for the noise.
+    Returns (list of fading draws, noise), a function of the generator
+    state and (users, N, T, fading kind, B), not of P: the duality bounds
+    draw it once per trial chunk for every power.  ``out`` and ``scratch``
+    go to :func:`sample_complex_gaussian` for the noise.
     """
     b = cfg.trials if size is None else size
     hs = [sample_fading(cfg.fading_kind, cfg.N, rng, size=b) for _ in range(users)]

@@ -44,7 +44,7 @@ def _region_payload(reg):
     }
 
 
-def _emit(report, args):
+def _emit(report):
     print(json.dumps(report, sort_keys=True, indent=2))
 
 
@@ -97,7 +97,7 @@ def _cfg_int(cp, section, key, fallback):
 # region
 # ---------------------------------------------------------------------------
 
-def cmd_region(args, cp):
+def cmd_region(args):
     outer = region.outer_region(args.T, args.N)
     inner = region.inner_region(args.T, args.N)
     equal = region.regions_equal(outer, inner)
@@ -113,7 +113,7 @@ def cmd_region(args, cp):
             "polygon_csv": region.polygon_export(outer),
         }
     )
-    _emit(report, args)
+    _emit(report)
     return 0
 
 
@@ -158,7 +158,7 @@ def _raise_if_error(result):
     return result
 
 
-def cmd_bounds(args, cp):
+def cmd_bounds(args):
     p_dbs = args.P_dB
     regime = args.regime
     if regime == "auto":
@@ -220,7 +220,7 @@ def cmd_bounds(args, cp):
                 }
             )
     report.update({"points": per_p, "slopes": slopes, "warnings": warnings})
-    _emit(report, args)
+    _emit(report)
     return 0
 
 
@@ -295,7 +295,7 @@ def _verify_props(seed):
     return checks
 
 
-def cmd_verify(args, cp):
+def cmd_verify(args):
     suites = {
         "lemmas": lambda: lemmas.run_all(seed=args.seed),
         "region": _verify_region,
@@ -306,7 +306,7 @@ def cmd_verify(args, cp):
     report = _base_report("verify", {"suite": args.suite, "seed": args.seed})
     report["checks"] = checks
     report["all_passed"] = all(c["passed"] for c in checks)
-    _emit(report, args)
+    _emit(report)
     return 0 if report["all_passed"] else 1
 
 
@@ -314,7 +314,7 @@ def cmd_verify(args, cp):
 # export-plot
 # ---------------------------------------------------------------------------
 
-def cmd_export_plot(args, cp):
+def cmd_export_plot(args):
     outer = region.outer_region(args.T, args.N)
     inner = region.inner_region(args.T, args.N)
     for name, reg in (("outer", outer), ("inner", inner)):
@@ -407,7 +407,7 @@ def main(argv=None):
     if getattr(args, "seed", 0) < 0:  # from the flag or the config file
         _usage_error(f"seed must be >= 0, got {args.seed}")
     try:
-        return args.func(args, cp)
+        return args.func(args)
     except SimomacError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

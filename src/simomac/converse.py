@@ -2,10 +2,10 @@
 the two-user MAC.
 
 All rate quantities are bits per channel use.  The duality bounds draw
-and whiten their Monte-Carlo trials in fixed-size chunks, each from its
-own seeded stream, once for a whole grid of powers, and run the chunks
-on every CPU the process may use; each chunk writes its own rows, which
-are folded in chunk order, so the results do not depend on the CPU
+and whiten their Monte-Carlo trials in fixed-size chunks from streams
+of their own, the fading and noise once for every power, and run the
+chunks on every CPU the process may use; each chunk writes its own rows,
+which are folded in chunk order, so the results do not depend on the CPU
 count.  The auxiliary-output parameters (alpha, beta per slot category)
 are fitted on the even half of the trials, kept only as per-chunk
 sums, and the bound is evaluated on the odd half, to avoid fitting
@@ -32,6 +32,7 @@ from .auxdist import (
 from .channel import (
     InputDistribution,
     at_powers,
+    one_or_all,
     sample_channel,
     sample_inputs,
     sample_outputs,
@@ -39,10 +40,7 @@ from .channel import (
 )
 from .errors import InvalidParam, InvalidRegime, RegimeUnsupported, SimomacError
 from .knn_entropy import knn_entropy_bits
-from .linalg import abs_sq, apply_rotation, divided_difference_exp, norm_sq
-
-LN2 = np.log(2.0)
-LOG2_PI_E = np.log2(np.pi * np.e)
+from .linalg import LN2, LOG2_PI_E, abs_sq, apply_rotation, divided_difference_exp, norm_sq
 
 REGIME_T_GE_N_PLUS_1 = "T_ge_N_plus_1"
 REGIME_T_LE_N = "T_le_N"
@@ -91,8 +89,8 @@ def _trial_chunks(cfg):
 
     A chunk holds max(2, even part of ``_CHUNK_ENTRIES // (N T)``) trials,
     the last one possibly fewer, so a trial's parity is the same in its
-    chunk as over all trials.  Chunk i draws from a generator on the i-th
-    SeedSequence spawned from SeedSequence((seed, 0)).
+    chunk as over all trials.  Chunk i's seed is the i-th SeedSequence
+    spawned from SeedSequence((seed, 0)).
     """
     step = max(2, _CHUNK_ENTRIES // (cfg.N * cfg.T) // 2 * 2)
     starts = range(0, cfg.trials, step)
@@ -166,13 +164,12 @@ class _PointSums:
         group = _categories(v[fit], white.shape[1], n_names)
         if branch is not None:
             group += n_names * branch[fit, None]
-        for g in range(self.count[i].size):
-            pop = white[fit][group == g]
-            if pop.size:
-                idx = (i, *divmod(g, n_names))
-                self.count[idx] = pop.size
-                self.total[idx] = pop.sum()
-                self.least[idx] = pop.min()
+        group, pop = group.ravel(), white[fit].ravel()
+        # chunk i's rows, flattened in (branch, category) order, as views
+        count, total, least = (a[i].reshape(-1) for a in (self.count, self.total, self.least))
+        count[:] = np.bincount(group, minlength=count.size)
+        total[:] = np.bincount(group, pop, count.size)
+        np.minimum.at(least, group, pop)
         rows = slice(lo // 2, lo // 2 + len(white) // 2)
         self.white[rows] = white[ev]
         self.log_det[rows] = log_det[ev].sum(axis=1)
@@ -271,28 +268,26 @@ def _streamed_bounds(points, genie, names, genie_cost, flags, branched=False):
     SimomacError its fit or evaluation raised.
 
     The trials are drawn chunk by chunk (:func:`_trial_chunks`), the
-    chunks spread over the CPUs by :func:`_run_chunks`.  In each chunk
-    every point draws its inputs from a fresh generator on the chunk's
-    seed; when the generator is then in the first point's state, the
-    first point's fading and noise are reused, otherwise they are drawn,
-    so every point sees the draws of a call of its own.  Each thread
-    draws the first point's noise and superposes every point's outputs in
-    (chunk, N, T) buffers of its own, reused from chunk to chunk, so their
-    memory is not faulted in afresh for every chunk.
+    chunks spread over the CPUs by :func:`_run_chunks`.  Each chunk draws
+    its fading and noise once, for every point, from a generator on the
+    first child of the chunk's seed; each point then draws its inputs
+    from a fresh generator on the chunk's seed and superposes them onto
+    that channel, so every point sees the draws of a call of its own.
+    Each thread draws the noise and superposes the outputs in (chunk, N,
+    T) buffers of its own, reused from chunk to chunk, so their memory is
+    not faulted in afresh for every chunk.
     ``genie(xs, y, cfg)`` maps one chunk's inputs and outputs to
     (yt, v, s, c, rhs, h_given_x, branch): the outputs to whiten, the
     pilot slot and whitening scales of :func:`_whiten`, the analytic
     right-hand side, h(Y | X) and the aux branch (None when unbranched).
-    Every (B, N, T) array lives for one chunk, and only the first point's
-    noise outlives a point.
+    Every (B, N, T) array but the noise lives for one point of one chunk.
     """
-    cfg0 = points[0][1]
+    inputs0, cfg0 = points[0]
     if cfg0.trials < 2:
         raise InvalidParam("the bound needs trials >= 2: even trials fit, odd trials evaluate")
     chunks = list(_trial_chunks(cfg0))
     sums = [_PointSums.empty(cfg, len(chunks), 3 if branched else 1, len(names))
             for _, cfg in points]
-    last = len(points) - 1
     step = chunks[0][1] - chunks[0][0]  # the longest chunk
 
     def run_chunk(i, lo, hi, seed, scratch):
@@ -301,28 +296,15 @@ def _streamed_bounds(points, genie, names, genie_cost, flags, branched=False):
             scratch.update(noise=np.empty(shape, dtype=complex), draw=np.empty(shape),
                            y=np.empty(shape, dtype=complex))
         noise, draw, y_buf = (scratch[key][:hi - lo] for key in ("noise", "draw", "y"))
-        held = None  # the first point's generator state after its inputs, and its channel
-        for k, ((inputs, cfg), acc) in enumerate(zip(points, sums)):
-            rng = np.random.default_rng(seed)
-            xs = sample_inputs(inputs, cfg, rng, size=hi - lo)
-            state = rng.bit_generator.state
-            if k > 0 and state == held[0]:
-                channel = held[1]
-            elif k == 0:
-                channel = sample_channel(len(inputs), cfg, rng, size=hi - lo, out=noise,
-                                         scratch=draw)
-            else:  # the first point's noise stays in the buffer for later points
-                channel = sample_channel(len(inputs), cfg, rng, size=hi - lo)
-            if k == 0 < last:
-                held = (state, channel)
+        channel_seed = np.random.SeedSequence(seed.entropy, spawn_key=seed.spawn_key + (0,))
+        channel = sample_channel(len(inputs0), cfg0, np.random.default_rng(channel_seed),
+                                 size=hi - lo, out=noise, scratch=draw)
+        for (inputs, cfg), acc in zip(points, sums):
+            xs = sample_inputs(inputs, cfg, np.random.default_rng(seed), size=hi - lo)
             y = superpose(xs, channel, out=y_buf)
-            del channel
-            if k == last:
-                held = None  # drop the first point's draws before this point's genie runs
             yt, v, s, c, rhs, h_given_x, br = genie(xs, y, cfg)
             del xs, y
             acc.add_chunk(i, lo, *_whiten(yt, v, s, c), v, rhs, h_given_x, br)
-            del yt
 
     _run_chunks(run_chunk, chunks)
     reports = []
@@ -337,17 +319,6 @@ def _streamed_bounds(points, genie, names, genie_cost, flags, branched=False):
         rep.components["pooled_fit"] = pooled
         reports.append(rep)
     return reports
-
-
-def _one_or_all(reports, powers):
-    """The list for a ``powers=`` call; otherwise its one report, raising
-    the error it holds."""
-    if powers is not None:
-        return reports
-    (rep,) = reports
-    if isinstance(rep, Exception):
-        raise rep
-    return rep
 
 
 def _bound_report(neg_q, rhs, h_given_x, genie_cost, cfg, fitted, flags=None, branch=None):
@@ -416,8 +387,8 @@ def duality_bound_single_user(input_dist, cfg, genie_slots=None, *, powers=None)
 
     With ``powers``, returns one entry per power, equal to the call with
     the input and cfg at that P: its BoundReport, or the SimomacError its
-    fit or evaluation raised.  Every trial chunk is drawn once for the
-    whole grid when the input law lets it (see :func:`_streamed_bounds`).
+    fit or evaluation raised.  Every trial chunk's fading and noise are
+    drawn once for the whole grid (see :func:`_streamed_bounds`).
     """
     slots = cfg.T if genie_slots is None else genie_slots
     if not 1 <= slots <= cfg.T:
@@ -427,7 +398,7 @@ def duality_bound_single_user(input_dist, cfg, genie_slots=None, *, powers=None)
                                partial(_single_user_genie, slots=slots),
                                ("pilot", "offpilot"), np.log2(slots),
                                {"h_order_one_flagged": cfg.fading_kind != "iid_complex_gaussian"})
-    return _one_or_all(reports, powers)
+    return one_or_all(reports, powers)
 
 
 # ---------------------------------------------------------------------------
@@ -548,7 +519,7 @@ def duality_bound_mac_user1(input1, input2, cfg, regime, *, powers=None):
     reports = _streamed_bounds(at_powers([input1, input2], cfg, powers),
                                partial(_mac_genie, engine=engine), MAC_CATEGORIES, genie_cost,
                                flags, branched=engine is _mac_low_t)
-    return _one_or_all(reports, powers)
+    return one_or_all(reports, powers)
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,7 @@ from scipy.spatial import cKDTree
 from scipy.special import digamma, gammaln
 
 from .errors import InvalidParam
-
-LN2 = np.log(2.0)
+from .linalg import LN2
 
 
 def complex_to_real(samples):

@@ -9,10 +9,15 @@ import numpy as np
 
 from .auxdist import cross_entropy_expansion, fit_params
 from .channel import InputDistribution, truncate_to_peak
-from .linalg import log_det_hermitian_psd, sample_complex_gaussian
+from .errors import InvalidParam
+from .linalg import LOG2_PI_E, log_det_hermitian_psd, sample_complex_gaussian
 
-LN2 = np.log(2.0)
-LOG2_PI_E = np.log2(np.pi * np.e)
+
+def _rng(seed):
+    """Generator on ``seed``; raises InvalidParam for a negative seed."""
+    if seed < 0:
+        raise InvalidParam(f"seed must be >= 0, got {seed}")
+    return np.random.default_rng(seed)
 
 
 def entropy_shift_invariance(n=2, dim=4, count=20, seed=0):
@@ -23,7 +28,7 @@ def entropy_shift_invariance(n=2, dim=4, count=20, seed=0):
     so the residual must be n*dim*log2(pi e) for every full-rank A.
     Returns the max-min spread of the residual over random A.
     """
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     residuals = []
     for _ in range(count):
         a = sample_complex_gaussian(dim, rng, size=dim)  # (dim, dim), full rank a.s.
@@ -44,7 +49,7 @@ def log_moment_lower_bound(alpha=0.9, seed=0, trials=200_000):
     below uniformly and nondecreasing once the mean exceeds 1 (so the
     constant depends on alpha only, not on the scale).
     """
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     margins = []
     for mean in [10.0**k for k in range(0, 9)]:
         for draw in (
@@ -66,7 +71,7 @@ def log_moment_lower_bound(alpha=0.9, seed=0, trials=200_000):
 
 def truncation_markov_bound(T=4, P=100.0, beta=1.5, seed=0, trials=200_000):
     """Empirical Pr(||X||^2 >= P^beta) <= T*P^(1-beta), one-sided + 3*SE."""
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     dist = InputDistribution(kind="exponential_norm", T=T, P=P)
     _, rep = truncate_to_peak(dist, P, beta, rng, trials=trials)
     margin = rep.markov_bound + 3 * rep.truncation_prob_se - rep.truncation_prob
@@ -77,7 +82,7 @@ def truncation_markov_bound(T=4, P=100.0, beta=1.5, seed=0, trials=200_000):
 def aux_remainder_bound(beta_targets=(1e3, 1e6), n=2, seed=0, trials=200_000):
     """Fitted radial-family cross entropy stays within the calibrated
     double-log remainder for Gaussian populations of the given scale."""
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     results = []
     for target in beta_targets:
         sigma_sq = target / n

@@ -14,6 +14,10 @@ from .errors import DegenerateInput, InvalidParam, NumericalDomain
 TOL_STRUCTURAL = 1e-10
 TOL_ALGEBRAIC = 1e-9
 
+# Nats to bits, and log2(pi e), the per-entry entropy of CN(0, 1) in bits.
+LN2 = np.log(2.0)
+LOG2_PI_E = np.log2(np.pi * np.e)
+
 # Entries of the temporary a column-blocked rank-one update forms (512 KiB
 # complex): a (B, M, T) update takes a few numpy calls instead of T.
 _BLOCK_ENTRIES = 2**15

@@ -322,7 +322,7 @@ def weighted_sum_dof_sup(lambda1, lambda2, T, N, objective):
     l1, l2 = F(lambda1), F(lambda2)
     if l1 < 0 or l2 < 0 or (l1 == 0 and l2 == 0):
         raise InvalidParam("weights must be nonnegative and not both zero")
-    if objective not in ("f_exponent", "g_exponent"):
+    if objective not in _BRACKETS:
         raise InvalidParam(f"unknown objective {objective!r}")
     if objective != regime_objective(T, N) and T >= 3 and N >= 2:
         warnings.warn(

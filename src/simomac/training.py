@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import at_powers
+from .channel import at_powers, one_or_all
 from .errors import InvalidParam, RegimeUnsupported
 from .linalg import abs_sq, norm_sq, sample_complex_gaussian
 
@@ -54,7 +54,7 @@ def single_user_training_rate(cfg, *, powers=None):
             per_trial = (t - 1) / t * np.log2(1.0 + c.P * est_var / (1.0 + c.P * err_var) * g2)
             rates.append(RateEstimate(float(per_trial.mean()),
                                       float(per_trial.std() / np.sqrt(cfg.trials))))
-    return rates if powers is not None else rates[0]
+    return one_or_all(rates, powers)
 
 
 def tdma_rates(cfg, tau=0.5):
@@ -111,7 +111,7 @@ def mac_training_rates(cfg, *, powers=None):
         se = per_trial.std(axis=0) / np.sqrt(cfg.trials)
         pairs.append((RateEstimate(float(r[0]), float(se[0])),
                       RateEstimate(float(r[1]), float(se[1]))))
-    return pairs if powers is not None else pairs[0]
+    return one_or_all(pairs, powers)
 
 
 def rate_slope(cfg_factory, p_db_points):

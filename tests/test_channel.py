@@ -3,9 +3,10 @@ import pytest
 
 from simomac import linalg
 from simomac.channel import (
+    ANNULUS_R_HI,
+    ANNULUS_R_LO,
     ChannelConfig,
     InputDistribution,
-    annulus_second_moment,
     sample_channel,
     sample_fading,
     sample_outputs,
@@ -24,7 +25,8 @@ class TestFading:
         assert np.mean(np.linalg.norm(h, axis=1) ** 2) == pytest.approx(2.0, rel=0.01)
 
     def test_annulus_power_and_oracle(self):
-        assert annulus_second_moment() == pytest.approx(1.0, abs=1e-12)
+        r_lo, r_hi = ANNULUS_R_LO, ANNULUS_R_HI
+        assert (r_lo**2 + r_lo * r_hi + r_hi**2) / 3.0 == pytest.approx(1.0, abs=1e-12)
         rng = np.random.default_rng(1)
         h = sample_fading("iid_uniform_annulus", 1, rng, size=1_000_000)
         assert np.mean(np.abs(h) ** 2) == pytest.approx(1.0, rel=0.01)

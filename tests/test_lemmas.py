@@ -1,6 +1,7 @@
 import pytest
 
 from simomac import lemmas
+from simomac.errors import InvalidParam
 
 
 class TestIndividualChecks:
@@ -25,6 +26,10 @@ class TestIndividualChecks:
         assert res["passed"]
         assert res["margin"] > 0.0
 
+    def test_negative_seed_raises(self):
+        with pytest.raises(InvalidParam, match="seed"):
+            lemmas.truncation_markov_bound(seed=-1)
+
 
 class TestRunAll:
     def test_all_pass_default_seed(self):
@@ -42,3 +47,7 @@ class TestRunAll:
     @pytest.mark.parametrize("seed", [1, 7])
     def test_seed_robust(self, seed):
         assert all(r["passed"] for r in lemmas.run_all(seed=seed))
+
+    def test_negative_seed_raises(self):
+        with pytest.raises(InvalidParam, match="seed"):
+            lemmas.run_all(seed=-1)

@@ -1,9 +1,9 @@
 """A ``powers=`` call is the per-power calls, bit for bit.
 
-The duality bounds draw every trial chunk once for the whole grid and
-reuse the first point's fading and noise only where a call of its own
-would have drawn the same; the training rates draw their channel
-statistics once.  Every entry of a grid call must therefore equal the call
+The duality bounds draw every trial chunk's fading and noise once for
+the whole grid, from a stream of their own, and each point's inputs from
+the chunk's stream, as a call of its own would; the training rates draw
+their channel statistics once.  Every entry of a grid call must therefore equal the call
 at that power alone, errors included, and the bounds must not depend on
 how many threads ran their chunks.
 """
@@ -120,16 +120,17 @@ def test_grid_over_several_chunks(monkeypatch, kind):
     _check_grid(kind, 3, 2, 451, "iid_complex_gaussian", [0, 20, 40], 5, [1.0, 0.5, 0.0])
 
 
-def test_shared_draws_are_counted_once(monkeypatch):
-    # two isotropic points share the fading and noise of every chunk:
-    # only the inputs are drawn again
+@pytest.mark.parametrize("kind", ["isotropic", "truncated"])
+def test_shared_draws_are_counted_once(monkeypatch, kind):
+    # the points share the fading and noise of every chunk, whatever the
+    # input law: only the inputs are drawn again
     calls = []
     real = converse.sample_channel
     monkeypatch.setattr(converse, "sample_channel",
                         lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
     cfg = ChannelConfig(T=2, N=2, P=10.0, trials=1_000, seed=1)
-    iso = InputDistribution(kind="isotropic_peak", T=2, P=10.0)
-    duality_bound_single_user(iso, cfg, powers=[10.0, 100.0, 1000.0])
+    dist = _input(kind, 2, 10.0, None, 1000.0)
+    duality_bound_single_user(dist, cfg, powers=[10.0, 100.0, 1000.0])
     assert len(calls) == len(list(converse._trial_chunks(cfg)))
 
 
