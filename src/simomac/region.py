@@ -1,6 +1,7 @@
 """Exact DoF-region polytopes and the exponent-space converse optimizer.
 
-Everything here is exact rational arithmetic (fractions.Fraction); the
+The polytopes and the converse optimizer are exact (fractions.Fraction,
+and Python integers inside the optimizer); the grid oracle and the
 Monte-Carlo modules use floats.  The region of interest lives in the
 first quadrant of the (d1, d2) plane and always contains the origin.
 
@@ -11,6 +12,8 @@ arrangement; a float grid search serves as an independent oracle.
 """
 
 import functools
+import math
+import operator
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -191,8 +194,9 @@ def _pos(a):
     return np.maximum(a, a - a)  # a - a: a zero of a's own type, so Fractions stay exact
 
 
-def _bracket_f(eb, eT, eta_other, T, N):
-    """Per-user f-penalty exponent (times T)."""
+def _bracket_f(eb, eT, eta_other, T, N, one=1):
+    """Per-user f-penalty exponent (times T).  ``one`` is unused: f has no
+    constant term, so it is homogeneous of degree 1 in the profile."""
     s = _pos(eta_other)  # exponent of 1 + ||x_other||^2
     pb = _pos(eb)
     return (
@@ -203,33 +207,61 @@ def _bracket_f(eb, eT, eta_other, T, N):
     )
 
 
-def _bracket_g(eb, eT, eta_other, T, N):
+def _bracket_g(eb, eT, eta_other, T, N, one=1):
     """Per-user g-penalty exponent (times T); three cases, ties resolve
-    to the first case."""
+    to the first case.  Scaling the profile and ``one`` by D > 0 scales
+    the value by D."""
     s = _pos(eta_other)
     pb = _pos(eb)
     case_c = eT - s > pb
     case_b = (eT - s < pb) & (eT > np.maximum(pb, s))
     val_c = (T - 1) * _pos(eT - s)
-    val_b = (T - 2) * pb + N * (_pos(np.maximum(s, eT)) - np.maximum(s, 1)) + _pos(1 - s)
+    val_b = (T - 2) * pb + N * (_pos(np.maximum(s, eT)) - np.maximum(s, one)) + _pos(one - s)
     val_a = (T - 2) * pb + _pos(eb - s)
     return np.where(case_c, val_c, np.where(case_b, val_b, val_a))
 
 
 # Each bracket is one numpy expression, so it takes Fraction scalars,
-# object arrays of Fractions (exact) and float arrays alike.
+# integer arrays (exact, see _candidate_brackets) and float arrays alike.
 _BRACKETS = {"f_exponent": _bracket_f, "g_exponent": _bracket_g}
 
 
-def _brackets(profile, T, N, objective):
+def _brackets(profile, T, N, objective, one=1):
     """(user-1 bracket, user-2 bracket) at the exponent profile(s)
-    (eb1, e1t, eb2, e2t)."""
+    (eb1, e1t, eb2, e2t); with ``one`` = D, at profile/D and times D."""
     if objective not in _BRACKETS:
         raise InvalidParam(f"unknown objective {objective!r}")
     bracket = _BRACKETS[objective]
     eb1, e1t, eb2, e2t = profile
-    return (bracket(eb1, e1t, np.maximum(eb2, e2t), T, N),
-            bracket(eb2, e2t, np.maximum(eb1, e1t), T, N))
+    return (bracket(eb1, e1t, np.maximum(eb2, e2t), T, N, one),
+            bracket(eb2, e2t, np.maximum(eb1, e1t), T, N, one))
+
+
+def _optimizer_args(lambda1, lambda2, T, N, objective, steps=()):
+    """(lambda1, lambda2, T, N) as Fractions and ints, or InvalidParam.
+
+    Both optimizers need integers T, N >= 1, finite nonnegative weights
+    that are not both zero, a known objective and positive integer grid
+    step counts.
+    """
+    try:
+        T, N = operator.index(T), operator.index(N)
+        steps = [operator.index(s) for s in steps]
+    except TypeError:
+        raise InvalidParam("T, N and the grid steps must be integers") from None
+    if T < 1 or N < 1:
+        raise InvalidParam("T and N must be >= 1")
+    if any(s < 1 for s in steps):
+        raise InvalidParam("grid steps must be >= 1")
+    try:
+        l1, l2 = F(lambda1), F(lambda2)  # NaN and infinities raise here
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidParam("weights must be finite numbers") from None
+    if l1 < 0 or l2 < 0 or (l1 == 0 and l2 == 0):
+        raise InvalidParam("weights must be nonnegative and not both zero")
+    if objective not in _BRACKETS:
+        raise InvalidParam(f"unknown objective {objective!r}")
+    return l1, l2, T, N
 
 
 def exponent_objective(profile, lambda1, lambda2, T, N, objective):
@@ -302,40 +334,52 @@ def _candidate_profiles():
                    for row, (d,) in zip(num[inside], det[inside])})
 
 
-@functools.lru_cache(maxsize=1024, typed=True)
-def _candidate_brackets(T, N, objective):
-    """((profile, (bracket 1, bracket 2)), ...) over the candidate
-    profiles, evaluated exactly on one object array of their Fractions;
-    the brackets do not depend on the weights."""
+@functools.lru_cache(maxsize=None)
+def _scaled_candidates():
+    """(D, X): the common denominator D of the candidate profiles and the
+    (4, candidates) object array X of D * profile, as Python ints."""
     cands = _candidate_profiles()
-    b1, b2 = _brackets(np.array(cands, dtype=object).T, T, N, objective)
-    return tuple(zip(cands, zip(b1, b2)))
+    D = math.lcm(*(v.denominator for x in cands for v in x))
+    return D, np.array([[v.numerator * (D // v.denominator) for v in x] for x in cands],
+                       dtype=object).T
+
+
+@functools.lru_cache(maxsize=1024)
+def _candidate_brackets(T, N, objective):
+    """(D, B1, B2): per candidate profile, D times each user's bracket, as
+    Python ints (lists in candidate order).
+
+    Both brackets are homogeneous of degree 1 in (profile, 1), so one
+    evaluation on the integers D * profile with ``one`` = D gives them
+    exactly, with no Fraction arithmetic.  They do not depend on the
+    weights.
+    """
+    D, scaled = _scaled_candidates()
+    b1, b2 = _brackets(scaled, T, N, objective, one=D)
+    return D, b1.tolist(), b2.tolist()
 
 
 def weighted_sum_dof_sup(lambda1, lambda2, T, N, objective):
     """Exact supremum of the exponent-space objective over [0,1]^4.
 
-    Returns (sup, argmax_profile) with Fractions.  Warns (RegimeWarning)
-    when the objective is known not to be tight for the given regime but
-    computes the value anyway.
+    Returns (sup, argmax_profile) with Fractions: the first maximum over
+    the candidate profiles.  With lambda_i = p_i/q_i, candidate k scores
+    the integer p1*q2*B1[k] + p2*q1*B2[k], which is the objective times
+    q1*q2*D*T.  Warns (RegimeWarning) when the objective is known not to
+    be tight for the given regime but computes the value anyway.
     """
-    l1, l2 = F(lambda1), F(lambda2)
-    if l1 < 0 or l2 < 0 or (l1 == 0 and l2 == 0):
-        raise InvalidParam("weights must be nonnegative and not both zero")
-    if objective not in _BRACKETS:
-        raise InvalidParam(f"unknown objective {objective!r}")
+    l1, l2, T, N = _optimizer_args(lambda1, lambda2, T, N, objective)
     if objective != regime_objective(T, N) and T >= 3 and N >= 2:
         warnings.warn(
             f"objective {objective} is not tight for T={T}, N={N}",
             RegimeWarning,
             stacklevel=2,
         )
-    best, best_x = None, None
-    for x, (b1, b2) in _candidate_brackets(T, N, objective):
-        val = (l1 * b1 + l2 * b2) / T
-        if best is None or val > best:
-            best, best_x = val, x
-    return best, best_x
+    (p1, q1), (p2, q2) = l1.as_integer_ratio(), l2.as_integer_ratio()
+    D, b1, b2 = _candidate_brackets(T, N, objective)
+    scores = [p1 * q2 * x + p2 * q1 * y for x, y in zip(b1, b2)]
+    k = scores.index(max(scores))
+    return F(scores[k], q1 * q2 * D * T), _candidate_profiles()[k]
 
 
 # ---------------------------------------------------------------------------
@@ -348,10 +392,14 @@ def _grid_max(axes, lambda1, lambda2, T, N, objective):
 
     User 1's bracket sees user 2 only through eta_2 = max(eb2, e2t), and
     user 2's only through eta_1, so each bracket is tabulated over the
-    distinct eta values of the other user, and the objective is gathered
-    from the two 3-D tables one eb1 slice at a time.  Every grid point
-    gets the same float expression as a dense 4-D evaluation would give
-    it, without any 4-D temporary.
+    distinct eta values of the other user: the objective at (i, j, k, l)
+    is (w1[i, j, eta_2(k, l)] + w2[k, l, eta_1(i, j)]) / T.  Float ``+``
+    and ``/ T`` are monotone non-decreasing, so over the (k, l) sharing
+    one eta_2 the largest value comes from the largest w2 among them.
+    Folding w2 into a (|eta_2|, |eta_1|) table of those maxima gives each
+    (i, j)'s maximum from a 3-D array; only the first maximal (i, j)'s
+    (k, l) slice is then evaluated densely, for the first maximal (k, l).
+    Value and index equal a dense 4-D evaluation's, bit for bit.
     """
     g0, g1, g2, g3 = axes
     bracket = _BRACKETS[objective]
@@ -360,24 +408,22 @@ def _grid_max(axes, lambda1, lambda2, T, N, objective):
     inv1, inv2 = inv1.reshape(len(g0), len(g1)), inv2.reshape(len(g2), len(g3))
     w1 = lambda1 * bracket(g0[:, None, None], g1[None, :, None], eta2, T, N)  # (n0, n1, |eta2|)
     w2 = lambda2 * bracket(g2[:, None, None], g3[None, :, None], eta1, T, N)  # (n2, n3, |eta1|)
-    w2 = np.ascontiguousarray(np.moveaxis(w2, 2, 0))  # (|eta1|, n2, n3)
-    best, best_idx = None, None
-    for i in range(len(g0)):
-        vals = (w1[i][:, inv2] + w2[inv1[i]]) / T
-        j = int(np.argmax(vals))
-        # strict: an equal maximum in a later slice is later in C order
-        if best is None or vals.flat[j] > best:
-            best, best_idx = float(vals.flat[j]), (i,) + np.unravel_index(j, vals.shape)
-    return best, best_idx
+    table = np.full((len(eta2), len(eta1)), -np.inf)
+    np.maximum.at(table, inv2.ravel(), w2.reshape(-1, len(eta1)))
+    per_ij = ((w1 + table.T[inv1]) / T).max(axis=2)
+    i, j = np.unravel_index(int(np.argmax(per_ij)), per_ij.shape)
+    vals = (w1[i, j][inv2] + w2[:, :, inv1[i, j]]) / T
+    kl = int(np.argmax(vals))
+    return float(vals.flat[kl]), (i, j) + np.unravel_index(kl, vals.shape)
 
 
 def grid_oracle_sup(lambda1, lambda2, T, N, objective, coarse_step=64, fine_step=512):
     """Two-stage brute-force grid maximum: full 1/coarse_step grid, then a
     1/fine_step refinement around the coarse argmax.  Returns (value,
     argmax tuple) as floats."""
-    if objective not in _BRACKETS:
-        raise InvalidParam(f"unknown objective {objective!r}")
-    l1, l2 = float(lambda1), float(lambda2)
+    l1, l2, T, N = _optimizer_args(lambda1, lambda2, T, N, objective,
+                                   steps=(coarse_step, fine_step))
+    l1, l2 = float(l1), float(l2)
     axis = np.linspace(0.0, 1.0, coarse_step + 1)
     best, idx = _grid_max([axis] * 4, l1, l2, T, N, objective)
     center = [axis[i] for i in idx]

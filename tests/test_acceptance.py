@@ -13,7 +13,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from simomac import lemmas, region
+from simomac import cli, lemmas, region
 from simomac.auxdist import remainder_slack_bits
 from simomac.channel import FADING_KINDS, ChannelConfig, InputDistribution
 from simomac.converse import (
@@ -58,24 +58,19 @@ def test_02_corner_values():
 
 def test_03_optimizer_tightness():
     start = time.perf_counter()
-    for t in range(3, 17):
-        for n in range(2, 9):
-            objective = region.regime_objective(t, n)
-            outer = region.outer_region(t, n)
-            for lam in [(F(1), F(1, t - 2)), (F(1, t - 2), F(1)),
-                        (F(1), F(0)), (F(0), F(1)), (F(1), F(1))]:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore")
-                    sup, _ = region.weighted_sum_dof_sup(*lam, t, n, objective)
-                assert sup == region.max_weighted_dof(outer, *lam), (t, n, lam)
-    # breakpoint enumeration vs refined grid oracle on a representative set
-    for t, n in [(4, 2), (5, 3), (3, 4), (8, 5)]:
+    # the CLI suite: exact optimizer = polytope for T <= 16, N <= 8 at five
+    # weight pairs, and the grid oracle at (4,2), (5,3), (3,4) with lambda = (1,1)
+    checks = cli._verify_optimizer()
+    failed = [c["check"] for c in checks if not c["passed"]]
+    assert len(checks) == 101 and not failed, failed
+    # breakpoint enumeration vs refined grid oracle on the cases the suite leaves out
+    for t, n, lam in [(8, 5, (F(1), F(1))), (4, 2, (F(1), F(0))), (5, 3, (F(1), F(0))),
+                      (3, 4, (F(1), F(0))), (8, 5, (F(1), F(0)))]:
         objective = region.regime_objective(t, n)
-        for lam in [(F(1), F(1)), (F(1), F(0))]:
-            sup, _ = region.weighted_sum_dof_sup(*lam, t, n, objective)
-            grid, _ = region.grid_oracle_sup(*lam, t, n, objective)
-            tol = float(region.objective_lipschitz_bound(t, n)) / 512.0
-            assert 0.0 <= float(sup) - float(grid) <= tol, (t, n, lam)
+        sup, _ = region.weighted_sum_dof_sup(*lam, t, n, objective)
+        grid, _ = region.grid_oracle_sup(*lam, t, n, objective)
+        tol = float(region.objective_lipschitz_bound(t, n)) / 512.0
+        assert 0.0 <= float(sup) - float(grid) <= tol, (t, n, lam)
     elapsed = time.perf_counter() - start
     _verdict("optimizer_tightness", True, f"({elapsed:.1f}s)")
     assert elapsed < 30.0

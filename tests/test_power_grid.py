@@ -142,7 +142,7 @@ def test_empty_grid_raises():
 
 
 def test_grid_memory():
-    # three points keep their evaluation halves plus one held noise chunk
+    # three points keep their evaluation halves; each thread reuses its own noise buffer
     cfg = ChannelConfig(T=3, N=4, P=100.0, trials=100_000, seed=0)
     iso = InputDistribution(kind="isotropic_peak", T=3, P=100.0)
     tracemalloc.start()

@@ -8,6 +8,8 @@ import pytest
 
 from simomac.errors import InvalidParam, RegimeWarning
 from simomac.region import (
+    _brackets,
+    _candidate_brackets,
     _candidate_profiles,
     _grid_max,
     _kink_hyperplanes,
@@ -216,6 +218,112 @@ class TestGridOracleAgainstPlainEvaluation:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2**20
+
+
+class TestGridMaxAgainstDense:
+    """_grid_max against the production brackets broadcast over the whole
+    4-D product: the same float expression at every point, so the value
+    and the first C-order argmax must match exactly."""
+
+    AXES = [
+        [np.array([0.0, 0.13, 0.5, 0.77, 1.0]), np.array([-0.2, 0.4, 0.9]),
+         np.array([0.0, 0.25, 0.5, 1.0]), np.array([0.1, 0.6])],
+        [np.array([0.3]), np.array([0.0, 1.0]), np.array([0.7]),
+         np.array([-0.5, 0.2, 0.45, 1.1])],
+        [np.array([0.5])] * 4,
+        [np.linspace(0.0, 1.0, 5)] * 4,
+        [np.array([-0.3, 0.0, 0.35]), np.array([0.35, 0.8]),
+         np.array([-1.0, 0.35, 0.8]), np.array([0.0, 0.35, 0.6])],
+    ]
+
+    @pytest.mark.parametrize("objective", ["f_exponent", "g_exponent"])
+    @pytest.mark.parametrize("t,n", [(2, 1), (4, 2), (3, 4), (7, 3)])
+    def test_equals_dense_evaluation(self, objective, t, n):
+        for axes in self.AXES:
+            b1, b2 = _brackets(np.ix_(*axes), t, n, objective)
+            for lam in [(0.0, 1.0), (1.0, 0.0), (0.3, 0.7), (1.0, 1.0)]:
+                dense = (lam[0] * b1 + lam[1] * b2) / t
+                value, idx = _grid_max(axes, *lam, t, n, objective)
+                assert value == dense.max()
+                assert tuple(map(int, idx)) == np.unravel_index(np.argmax(dense), dense.shape)
+
+
+class TestExactAgainstObjective:
+    WEIGHTS = [(F(1), F(1)), (F(0), F(1)), (F(1), F(0)), (F(1, 3), F(2, 7)),
+               (F(10**20 + 1, 3), F(2, 7)), (F(2, 7), F(10**20 + 1, 3))]
+
+    @pytest.mark.parametrize("objective", ["f_exponent", "g_exponent"])
+    def test_first_maximum_over_candidates(self, objective):
+        cands = _candidate_profiles()
+        profiles = np.array(cands, dtype=object).T
+        # one weight pair per row: exponent_objective evaluates every pair at once
+        lam1, lam2 = (np.array(col, dtype=object)[:, None] for col in zip(*self.WEIGHTS))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RegimeWarning)
+            for t in range(1, 20):
+                for n in range(1, 12):
+                    values = exponent_objective(profiles, lam1, lam2, t, n, objective)
+                    # every candidate's integer brackets, not only the maximal
+                    # ones: rows 2 and 1 weigh user 1 and user 2 alone
+                    D, b1, b2 = _candidate_brackets(t, n, objective)
+                    assert [F(b, D * t) for b in b1] == values[2].tolist()
+                    assert [F(b, D * t) for b in b2] == values[1].tolist()
+                    for lam, row in zip(self.WEIGHTS, values.tolist()):
+                        k = row.index(max(row))
+                        sup, argmax = weighted_sum_dof_sup(*lam, t, n, objective)
+                        assert (sup, argmax) == (row[k], cands[k]), (t, n, lam)
+                        assert type(sup) is F and all(type(v) is F for v in argmax)
+                    # the last weight pair again, with numpy-integer T and N
+                    sup, argmax = weighted_sum_dof_sup(*lam, np.int64(t), np.int32(n), objective)
+                    assert (sup, argmax) == (row[k], cands[k]), (t, n, lam)
+                    assert type(sup) is F and all(type(v) is F for v in argmax)
+
+    @pytest.mark.parametrize("objective", ["f_exponent", "g_exponent"])
+    def test_brackets_are_homogeneous(self, objective):
+        # the brackets on integer twelfths with one = 12 are 12 times the
+        # brackets on the Fractions; this grid reaches every case of g,
+        # including the middle one that no candidate profile reaches
+        twelfths = np.array(list(itertools.product([-2, 0, 3, 4, 6, 9, 12], repeat=4))).T
+        profiles = twelfths.astype(object) * F(1, 12)
+        for t, n in [(3, 4), (5, 2), (9, 7)]:
+            scaled = _brackets(twelfths, t, n, objective, one=12)
+            plain = _brackets(profiles, t, n, objective)
+            assert all((s == 12 * p).all() for s, p in zip(scaled, plain))
+
+
+class TestOptimizerInputs:
+    """Both optimizers share one input check; every bad call is typed."""
+
+    @pytest.mark.parametrize("args,kwargs", [
+        ((1, 1, 4, 2, "f_exponent"), {"coarse_step": 0}),
+        ((1, 1, 4, 2, "f_exponent"), {"coarse_step": -2}),
+        ((1, 1, 4, 2, "f_exponent"), {"fine_step": 0}),
+        ((1, 1, 4, 2, "f_exponent"), {"coarse_step": 4.0}),
+        ((0, 0, 4, 2, "f_exponent"), {}),
+        ((-1, 1, 4, 2, "f_exponent"), {}),
+        ((float("nan"), 1, 4, 2, "f_exponent"), {}),
+        ((1, float("inf"), 4, 2, "f_exponent"), {}),
+        ((1, 1, 0, 2, "f_exponent"), {}),
+        ((1, 1, 4, 0, "f_exponent"), {}),
+        ((1, 1, 4.5, 2, "f_exponent"), {}),
+    ])
+    def test_grid_oracle_rejects(self, args, kwargs):
+        with pytest.raises(InvalidParam):
+            grid_oracle_sup(*args, **kwargs)
+
+    @pytest.mark.parametrize("args", [
+        (0, 0, 4, 2, "f_exponent"),
+        (-1, 1, 4, 2, "f_exponent"),
+        (float("nan"), 1, 4, 2, "f_exponent"),
+        (1, float("inf"), 4, 2, "f_exponent"),
+        (1, 1, 0, 2, "f_exponent"),
+        (1, 1, 4, 0, "f_exponent"),
+        (1, 1, 4.5, 2, "f_exponent"),
+        (1, 1, 4, 2, "h_exponent"),
+    ])
+    def test_exact_optimizer_rejects(self, args):
+        with pytest.raises(InvalidParam):
+            weighted_sum_dof_sup(*args)
 
 
 class TestCandidateProfiles:
