@@ -10,8 +10,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import InvalidParam
-from .linalg import (column_blocks, norm_sq, sample_complex_gaussian,
-                     sample_uniform_complex_sphere)
+from .linalg import norm_sq, sample_complex_gaussian, sample_uniform_complex_sphere
 
 FADING_KINDS = ("iid_complex_gaussian", "iid_uniform_annulus")
 
@@ -106,32 +105,35 @@ def sample_inputs(inputs, cfg, rng, size=None):
 
 
 def sample_channel(users, cfg, rng, size=None, out=None, scratch=None):
-    """Every user's (B, N) fading, then the (B, N, T) noise, from ``rng``.
+    """User 1's (B, N) fading, the (B, N, T) noise, then every later
+    user's fading, from ``rng``.
 
     Returns (list of fading draws, noise), a function of the generator
     state and (users, N, T, fading kind, B), not of P: the duality bounds
-    draw it once per trial chunk for every power.  ``out`` and ``scratch``
-    go to :func:`sample_complex_gaussian` for the noise.
+    draw it once per trial chunk for every power.  With h1 and Z drawn
+    first, a draw for one user is the start of a draw for two, so the
+    single-user bound sees the same h1 and Z alone as beside the MAC
+    bound.  ``out`` and ``scratch`` go to :func:`sample_complex_gaussian`
+    for the noise.
     """
     b = cfg.trials if size is None else size
-    hs = [sample_fading(cfg.fading_kind, cfg.N, rng, size=b) for _ in range(users)]
-    return hs, sample_complex_gaussian(cfg.T, rng, size=(b, cfg.N), out=out, scratch=scratch)
+    hs = [sample_fading(cfg.fading_kind, cfg.N, rng, size=b)] if users else []
+    z = sample_complex_gaussian(cfg.T, rng, size=(b, cfg.N), out=out, scratch=scratch)
+    hs += [sample_fading(cfg.fading_kind, cfg.N, rng, size=b) for _ in range(1, users)]
+    return hs, z
 
 
 def superpose(xs, channel, out=None):
     """Y = sum_k h_k x_k^T + Z, shape (B, N, T), from the inputs and a
-    :func:`sample_channel` draw; Z itself (not a copy) when there is no
-    user.  Each later user's term is added in the slot blocks of
-    :func:`~simomac.linalg.column_blocks`, so the only (B, N, T) array
-    formed is Y, written into ``out`` (complex, Y's shape, not Z) when
-    given."""
+    :func:`sample_channel` draw, the fading of users past len(xs) left
+    out; Z itself (not a copy) when there is no input.  Y is written into
+    ``out`` (complex, Y's shape, not Z) when given."""
     hs, z = channel
     if not xs:
         return z
     y = np.multiply(hs[0][:, :, None], xs[0][:, None, :], out=out)
     for h, x in zip(hs[1:], xs[1:]):
-        for blk in column_blocks(h.size, x.shape[1]):
-            y[:, :, blk] += h[:, :, None] * x[:, None, blk]
+        y += h[:, :, None] * x[:, None, :]
     y += z
     return y
 
@@ -140,7 +142,7 @@ def sample_outputs(inputs, cfg, rng, size=None):
     """One block per trial: Y = sum_k h_k x_k^T + Z, shape (B, N, T).
 
     ``inputs`` holds one InputDistribution per user.  Draws every user's
-    inputs, then every user's fading, then the noise, all from ``rng``;
+    inputs, then the channel of :func:`sample_channel`, all from ``rng``;
     B is ``size`` or ``cfg.trials``.  Returns (list of (B, T) inputs, Y).
     """
     xs = sample_inputs(inputs, cfg, rng, size)

@@ -31,6 +31,7 @@ from .converse import (
     REGIME_T_LE_N,
     duality_bound_mac_user1,
     duality_bound_single_user,
+    duality_bounds,
 )
 from .errors import InvalidRegime, SimomacError
 from .training import mac_training_rates, single_user_training_rate
@@ -176,10 +177,16 @@ def cmd_bounds(args):
     cfgs = [ChannelConfig(T=args.T, N=args.N, P=_power(p_db), fading_kind=args.fading,
                           trials=args.trials, seed=args.seed) for p_db in p_dbs]
     cfg, powers = cfgs[0], [c.P for c in cfgs]
-    # each call draws every trial chunk once for the whole power grid
+    # one pass draws every trial chunk once for both bounds and the whole power grid
     iso = InputDistribution(kind="isotropic_peak", T=args.T, P=cfg.P)
-    single = _per_power(duality_bound_single_user, iso, cfg, powers=powers)
-    mac = _per_power(duality_bound_mac_user1, iso, iso, cfg, regime, powers=powers)
+    try:
+        single, mac = duality_bounds(iso, iso, cfg, regime, powers=powers)
+    except SimomacError as exc:
+        # an error of the whole call (a regime outside (T, N), say) stands for
+        # every MAC point; the single-user points come first, as they did
+        # when each bound had a call of its own
+        single = _per_power(duality_bound_single_user, iso, cfg, powers=powers)
+        mac = [exc] * len(powers)
     gaussian = cfg.fading_kind == "iid_complex_gaussian"
     if gaussian:
         su_training = single_user_training_rate(cfg, powers=powers)
@@ -273,12 +280,11 @@ def _verify_props(seed):
     for kind in FADING_KINDS:
         cfg = ChannelConfig(T=4, N=2, P=p_lin, fading_kind=kind, trials=30_000, seed=seed)
         iso = InputDistribution(kind="isotropic_peak", T=4, P=p_lin)
-        su = duality_bound_single_user(iso, cfg)
+        su, mac = duality_bounds(iso, iso, cfg, REGIME_T_GE_N_PLUS_1)
         gap = su.value - su.components["analytic_rhs_value"]
         checks.append({"check": f"prop_single_user_{kind}", "margin": float(slack - gap),
                        "slack": slack + 3 * su.std_error,
                        "passed": bool(gap <= slack + 3 * su.std_error)})
-        mac = duality_bound_mac_user1(iso, iso, cfg, REGIME_T_GE_N_PLUS_1)
         gap = mac.value - mac.components["analytic_rhs_value"]
         checks.append({"check": f"prop_mac_high_t_{kind}", "margin": float(slack - gap),
                        "slack": slack + 3 * mac.std_error,

@@ -3,10 +3,10 @@ the two-user MAC.
 
 All rate quantities are bits per channel use.  The duality bounds draw
 and whiten their Monte-Carlo trials in fixed-size chunks from streams
-of their own, the fading and noise once for every power, and run the
-chunks on every CPU the process may use; each chunk writes its own rows,
-which are folded in chunk order, so the results do not depend on the CPU
-count.  The auxiliary-output parameters (alpha, beta per slot category)
+of their own, the fading and noise once for every power and both
+bounds, and run the chunks on every CPU the process may use; each chunk
+writes its own rows, which are folded in chunk order, so the results do
+not depend on the CPU count.  The auxiliary-output parameters (alpha, beta per slot category)
 are fitted on the even half of the trials, kept only as per-chunk
 sums, and the bound is evaluated on the odd half, to avoid fitting
 bias; and all double-log remainder terms are carried explicitly in the
@@ -16,6 +16,7 @@ returned reports with the calibrated constants from
 
 import os
 import threading
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
@@ -263,31 +264,49 @@ def _run_chunks(run, chunks):
         raise errors[min(errors)]
 
 
-def _streamed_bounds(points, genie, names, genie_cost, flags, branched=False):
-    """One BoundReport per (inputs, cfg) point of :func:`at_powers`, or the
-    SimomacError its fit or evaluation raised.
+@dataclass(frozen=True)
+class _Bound:
+    """One duality bound of a streamed pass.
+
+    ``genie(xs, channel, cfg, out)`` maps one chunk's inputs and
+    :func:`sample_channel` draw to (yt, v, s, c, rhs, h_given_x, branch):
+    the outputs to whiten, built in the thread's (chunk, N, T) buffer
+    ``out``, the pilot slot and whitening scales of :func:`_whiten`, the
+    analytic right-hand side, h(Y | X) and the aux branch (None when
+    unbranched).  ``names`` labels the aux categories.
+    """
+
+    genie: Callable
+    names: tuple
+    genie_cost: float
+    flags: dict
+    branched: bool = False
+
+
+def _streamed_bounds(points, bounds):
+    """For each of ``bounds``, one BoundReport per (inputs, cfg) point of
+    :func:`at_powers`, or the SimomacError its fit or evaluation raised.
 
     The trials are drawn chunk by chunk (:func:`_trial_chunks`), the
     chunks spread over the CPUs by :func:`_run_chunks`.  Each chunk draws
-    its fading and noise once, for every point, from a generator on the
-    first child of the chunk's seed; each point then draws its inputs
-    from a fresh generator on the chunk's seed and superposes them onto
-    that channel, so every point sees the draws of a call of its own.
-    Each thread draws the noise and superposes the outputs in (chunk, N,
-    T) buffers of its own, reused from chunk to chunk, so their memory is
-    not faulted in afresh for every chunk.
-    ``genie(xs, y, cfg)`` maps one chunk's inputs and outputs to
-    (yt, v, s, c, rhs, h_given_x, branch): the outputs to whiten, the
-    pilot slot and whitening scales of :func:`_whiten`, the analytic
-    right-hand side, h(Y | X) and the aux branch (None when unbranched).
-    Every (B, N, T) array but the noise lives for one point of one chunk.
+    its channel once, for every point and every bound, from a generator
+    on the first child of the chunk's seed, in the order h1, Z, h2 of
+    :func:`sample_channel`: a pass with one user draws exactly the first
+    two.  Each point then draws its inputs (x1 first) from a fresh
+    generator on the chunk's seed, so every point sees the draws of a
+    call of its own, and every bound of a point sees the same draws as a
+    pass for that bound alone.  Each thread draws the noise and builds
+    each bound's outputs in turn in (chunk, N, T) buffers of its own,
+    reused from chunk to chunk and bound to bound, so their memory is not
+    faulted in afresh.  Every (B, N, T) array but the noise lives for one
+    bound of one point of one chunk.
     """
     inputs0, cfg0 = points[0]
     if cfg0.trials < 2:
         raise InvalidParam("the bound needs trials >= 2: even trials fit, odd trials evaluate")
     chunks = list(_trial_chunks(cfg0))
-    sums = [_PointSums.empty(cfg, len(chunks), 3 if branched else 1, len(names))
-            for _, cfg in points]
+    sums = [[_PointSums.empty(cfg, len(chunks), 3 if bound.branched else 1, len(bound.names))
+             for bound in bounds] for _, cfg in points]
     step = chunks[0][1] - chunks[0][0]  # the longest chunk
 
     def run_chunk(i, lo, hi, seed, scratch):
@@ -299,25 +318,27 @@ def _streamed_bounds(points, genie, names, genie_cost, flags, branched=False):
         channel_seed = np.random.SeedSequence(seed.entropy, spawn_key=seed.spawn_key + (0,))
         channel = sample_channel(len(inputs0), cfg0, np.random.default_rng(channel_seed),
                                  size=hi - lo, out=noise, scratch=draw)
-        for (inputs, cfg), acc in zip(points, sums):
+        for (inputs, cfg), point_sums in zip(points, sums):
             xs = sample_inputs(inputs, cfg, np.random.default_rng(seed), size=hi - lo)
-            y = superpose(xs, channel, out=y_buf)
-            yt, v, s, c, rhs, h_given_x, br = genie(xs, y, cfg)
-            del xs, y
-            acc.add_chunk(i, lo, *_whiten(yt, v, s, c), v, rhs, h_given_x, br)
+            for k, (bound, acc) in enumerate(zip(bounds, point_sums), 1):
+                yt, v, s, c, rhs, h_given_x, br = bound.genie(xs, channel, cfg, y_buf)
+                if k == len(bounds):
+                    del xs  # no later bound needs the inputs: free them before whitening
+                acc.add_chunk(i, lo, *_whiten(yt, v, s, c), v, rhs, h_given_x, br)
 
     _run_chunks(run_chunk, chunks)
-    reports = []
-    for (_, cfg), acc in zip(points, sums):
-        try:
-            neg_q, fitted, pooled = acc.fit_and_evaluate(cfg.N, names, branched)
-        except SimomacError as exc:
-            reports.append(exc)
-            continue
-        rep = _bound_report(neg_q, acc.rhs, acc.h_given_x, genie_cost, cfg, fitted, flags,
-                            acc.branch if branched else None)
-        rep.components["pooled_fit"] = pooled
-        reports.append(rep)
+    reports = [[] for _ in bounds]
+    for (_, cfg), point_sums in zip(points, sums):
+        for bound, acc, out in zip(bounds, point_sums, reports):
+            try:
+                neg_q, fitted, pooled = acc.fit_and_evaluate(cfg.N, bound.names, bound.branched)
+            except SimomacError as exc:
+                out.append(exc)
+                continue
+            rep = _bound_report(neg_q, acc.rhs, acc.h_given_x, bound.genie_cost, cfg, fitted,
+                                bound.flags, acc.branch if bound.branched else None)
+            rep.components["pooled_fit"] = pooled
+            out.append(rep)
     return reports
 
 
@@ -357,12 +378,12 @@ def _bound_report(neg_q, rhs, h_given_x, genie_cost, cfg, fitted, flags=None, br
 # Single-user duality bound
 # ---------------------------------------------------------------------------
 
-def _single_user_genie(xs, y, cfg, slots):
-    """Strongest of the first ``slots`` slots as the pilot, no whitening
-    scales; the Proposition right-hand side and the Gaussian-fading
-    h(Y | X) on the same trials."""
+def _single_user_genie(xs, channel, cfg, out, slots):
+    """Outputs y = h1 x1^T + Z of user 1 alone; the strongest of the first
+    ``slots`` slots as the pilot, no whitening scales; the Proposition
+    right-hand side and the Gaussian-fading h(Y | X) on the same trials."""
     n, t = cfg.N, cfg.T
-    (x,) = xs
+    x = xs[0]
     mag = abs_sq(x)
     v = np.argmax(mag[:, :slots], axis=1)
     xv2 = mag[np.arange(v.size), v]
@@ -373,7 +394,19 @@ def _single_user_genie(xs, y, cfg, slots):
     ).sum(axis=1)
     h_given_x = _gaussian_h_given_x(np.log2(1.0 + norm_sq(x)), cfg)
     ones = np.ones(mag.shape)
-    return y, v, ones, ones, rhs, h_given_x, None
+    return superpose(xs[:1], channel, out=out), v, ones, ones, rhs, h_given_x, None
+
+
+def _single_user_bound(cfg, genie_slots=None):
+    """The single-user bound of :func:`_streamed_bounds`; raises
+    InvalidParam unless 1 <= genie_slots <= T."""
+    slots = cfg.T if genie_slots is None else genie_slots
+    if not 1 <= slots <= cfg.T:
+        raise InvalidParam(f"genie_slots must lie in [1, T={cfg.T}], got {slots}")
+    # h(Y|X) is the Gaussian-fading value; flag it for other fading
+    flags = {"h_order_one_flagged": cfg.fading_kind != "iid_complex_gaussian"}
+    return _Bound(partial(_single_user_genie, slots=slots), ("pilot", "offpilot"),
+                  np.log2(slots), flags)
 
 
 def duality_bound_single_user(input_dist, cfg, genie_slots=None, *, powers=None):
@@ -390,14 +423,8 @@ def duality_bound_single_user(input_dist, cfg, genie_slots=None, *, powers=None)
     fit or evaluation raised.  Every trial chunk's fading and noise are
     drawn once for the whole grid (see :func:`_streamed_bounds`).
     """
-    slots = cfg.T if genie_slots is None else genie_slots
-    if not 1 <= slots <= cfg.T:
-        raise InvalidParam(f"genie_slots must lie in [1, T={cfg.T}], got {slots}")
-    # h(Y|X) is the Gaussian-fading value; flag it for other fading
-    reports = _streamed_bounds(at_powers([input_dist], cfg, powers),
-                               partial(_single_user_genie, slots=slots),
-                               ("pilot", "offpilot"), np.log2(slots),
-                               {"h_order_one_flagged": cfg.fading_kind != "iid_complex_gaussian"})
+    bound = _single_user_bound(cfg, genie_slots)
+    (reports,) = _streamed_bounds(at_powers([input_dist], cfg, powers), [bound])
     return one_or_all(reports, powers)
 
 
@@ -473,15 +500,25 @@ def _mac_low_t(mag, s2, yt, cfg):
     return v, sigma, c, rhs, branch
 
 
-def _mac_genie(xs, y, cfg, engine):
-    """One chunk of the MAC bound: rotate user 1's input and the outputs
-    by U(x2), run the regime's ``engine`` and add h(Y | X1, X2) (its
-    dominant term only, flagged, off Gaussian fading).  y is rotated in
-    place."""
+def _mac_genie(xs, channel, cfg, out, engine):
+    """One chunk of the MAC bound: the outputs rotated by U(x2), built in
+    ``out``; the regime's ``engine`` on them; h(Y | X1, X2) (its dominant
+    term only, flagged, off Gaussian fading).
+
+    Since x2^T U(x2) = ||x2|| e_T^T, the rotated outputs are
+    (h1 x1^T + h2 x2^T + Z) U = h1 (x1^T U) + ||x2|| h2 e_T^T + Z U.  Given
+    x2, U is a fixed unitary, and i.i.d. CN(0, 1) noise is unitarily
+    invariant (Marzetta & Hochwald, IEEE Trans. IT 1999), so Z U has the
+    law of Z whatever x1, x2, h1 and h2 are: the outputs are drawn
+    already rotated, with Z in place of Z U, and only user 1's (B, T)
+    input is rotated.
+    """
     x1, x2 = xs
+    hs, _ = channel
     x1t = apply_rotation(x1[:, None, :], x2)[:, 0]
-    yt = apply_rotation(y, x2, out=y)
     s2 = norm_sq(x2)
+    yt = superpose([x1t], channel, out=out)
+    yt[:, :, -1] += np.sqrt(s2)[:, None] * hs[1]
     mag = abs_sq(x1t)
     v, s, c, rhs, branch = engine(mag, s2, yt, cfg)
     if cfg.fading_kind == "iid_complex_gaussian":
@@ -492,15 +529,10 @@ def _mac_genie(xs, y, cfg, engine):
     return yt, v, s, c, rhs, h_given_x, branch
 
 
-def duality_bound_mac_user1(input1, input2, cfg, regime, *, powers=None):
-    """Duality upper bound on R1 for the two-user MAC (bits/channel use).
-
-    T >= N+1 regime uses the (T-1)-slot genie; T <= N uses the (V, U)
-    genie with the three conditional aux branches and genie cost
-    log2(2T).  Components carry the per-branch contributions and the
-    analytic right-hand side on the shared samples.  ``powers`` works as
-    in :func:`duality_bound_single_user`.
-    """
+def _mac_bound(cfg, regime):
+    """The MAC user-1 bound of :func:`_streamed_bounds`; raises
+    RegimeUnsupported when (T, N) lies outside ``regime`` and
+    InvalidParam on an unknown regime."""
     n, t = cfg.N, cfg.T
     if regime == REGIME_T_GE_N_PLUS_1:
         if t < n + 1:
@@ -514,12 +546,38 @@ def duality_bound_mac_user1(input1, input2, cfg, regime, *, powers=None):
         engine = _mac_low_t
     else:
         raise InvalidParam(f"unknown regime {regime!r}")
-
     flags = {"h_order_one_flagged": cfg.fading_kind != "iid_complex_gaussian"}
-    reports = _streamed_bounds(at_powers([input1, input2], cfg, powers),
-                               partial(_mac_genie, engine=engine), MAC_CATEGORIES, genie_cost,
-                               flags, branched=engine is _mac_low_t)
+    return _Bound(partial(_mac_genie, engine=engine), MAC_CATEGORIES, genie_cost, flags,
+                  branched=engine is _mac_low_t)
+
+
+def duality_bound_mac_user1(input1, input2, cfg, regime, *, powers=None):
+    """Duality upper bound on R1 for the two-user MAC (bits/channel use).
+
+    T >= N+1 regime uses the (T-1)-slot genie; T <= N uses the (V, U)
+    genie with the three conditional aux branches and genie cost
+    log2(2T).  Components carry the per-branch contributions and the
+    analytic right-hand side on the shared samples.  ``powers`` works as
+    in :func:`duality_bound_single_user`.
+    """
+    bound = _mac_bound(cfg, regime)
+    (reports,) = _streamed_bounds(at_powers([input1, input2], cfg, powers), [bound])
     return one_or_all(reports, powers)
+
+
+def duality_bounds(input1, input2, cfg, regime, *, powers=None):
+    """(:func:`duality_bound_single_user` of input1, :func:`duality_bound_mac_user1`)
+    from one pass over the trials.
+
+    Both bounds see the same chunks, h1, Z and x1, and each equals its
+    own call bit for bit (see :func:`_streamed_bounds`).  Raises the
+    regime's error as :func:`duality_bound_mac_user1` does.  ``powers``
+    works as in :func:`duality_bound_single_user`; without it, the
+    single-user error is raised before the MAC one.
+    """
+    bounds = [_single_user_bound(cfg), _mac_bound(cfg, regime)]
+    single, mac = _streamed_bounds(at_powers([input1, input2], cfg, powers), bounds)
+    return one_or_all(single, powers), one_or_all(mac, powers)
 
 
 # ---------------------------------------------------------------------------

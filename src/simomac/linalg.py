@@ -18,19 +18,6 @@ TOL_ALGEBRAIC = 1e-9
 LN2 = np.log(2.0)
 LOG2_PI_E = np.log2(np.pi * np.e)
 
-# Entries of the temporary a column-blocked rank-one update forms (512 KiB
-# complex): a (B, M, T) update takes a few numpy calls instead of T.
-_BLOCK_ENTRIES = 2**15
-
-
-def column_blocks(rows, t):
-    """Slices covering columns 0..t-1, each at most max(1, _BLOCK_ENTRIES
-    // rows) wide, for updating a (B, M, T) array whose column holds
-    ``rows`` = B M entries."""
-    w = max(1, _BLOCK_ENTRIES // rows)
-    return [slice(i, i + w) for i in range(0, t, w)]
-
-
 def rotation_unitary_from(x):
     """T x T unitary U whose last column is conj(x)/||x||.
 
@@ -48,17 +35,14 @@ def rotation_unitary_from(x):
     return apply_rotation(np.eye(x.size, dtype=complex)[None], x[None])[0]
 
 
-def apply_rotation(a, x, out=None):
+def apply_rotation(a, x):
     """Batched a[b] @ U(x[b]) for the unitary of :func:`rotation_unitary_from`.
 
     a: (B, M, T), x: (B, T); returns (B, M, T), unchanged where x[b] = 0.
     The reflector H = I - 2 v v^H / ||v||^2 is applied implicitly,
-    a -> a - 2 (a v) v^H / ||v||^2, in the column blocks of
-    :func:`column_blocks`, followed by the phase fix of the last column,
-    so the cost is O(B M T) and no (B, T, T) array is formed (Golub & Van
-    Loan, Matrix Computations, sec. 5.1).
-    ``out`` (complex, a's shape) receives the result and may be ``a``
-    itself, so a chunk can be rotated with no second (B, M, T) array.
+    a -> a - 2 (a v) v^H / ||v||^2, followed by the phase fix of the last
+    column, so the cost is O(B M T) and no (B, T, T) array is formed
+    (Golub & Van Loan, Matrix Computations, sec. 5.1).
     """
     a = np.asarray(a, dtype=complex)
     x = np.asarray(x, dtype=complex)
@@ -69,11 +53,7 @@ def apply_rotation(a, x, out=None):
     ph = np.where(last > 0, v[:, -1] / np.where(last > 0, last, 1.0), 1.0)
     v[:, -1] += ph  # no cancellation: |v[-1]| grows by 1, so ||v||^2 >= 1
     coef = 2.0 * np.einsum("bmt,bt->bm", a, v) / np.sum(np.abs(v) ** 2, axis=1)[:, None]
-    if out is None:
-        out = np.empty_like(a)
-    v_conj = np.conj(v)
-    for blk in column_blocks(coef.size, a.shape[-1]):  # coef is formed, so out may alias a
-        np.subtract(a[:, :, blk], coef[:, :, None] * v_conj[:, None, blk], out=out[:, :, blk])
+    out = a - coef[:, :, None] * np.conj(v)[:, None, :]
     # H e_T = -conj(ph) u; rescale the last column so U e_T = u exactly
     out[:, :, -1] *= -ph[:, None]
     return out

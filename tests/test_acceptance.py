@@ -36,10 +36,12 @@ def _verdict(name, passed, detail=""):
 
 def test_01_region_exactness():
     start = time.perf_counter()
-    for t in T_RANGE:
-        for n in N_RANGE:
-            assert region.regions_equal(region.inner_region(t, n),
-                                        region.outer_region(t, n)), (t, n)
+    # the CLI suite: inner region = outer region for every T <= 16, N <= 8
+    checks = cli._verify_region()
+    failed = [c["check"] for c in checks if not c["passed"]]
+    assert [c["check"] for c in checks] == [f"region_equal_T{t}_N{n}"
+                                            for t in T_RANGE for n in N_RANGE]
+    assert not failed, failed
     elapsed = time.perf_counter() - start
     _verdict("region_exactness", True, f"({elapsed:.2f}s, 128 pairs)")
     assert elapsed < 1.0

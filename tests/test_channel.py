@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from simomac import linalg
 from simomac.channel import (
     ANNULUS_R_HI,
     ANNULUS_R_LO,
@@ -164,24 +163,31 @@ class TestSampleOutputsDraws:
         assert np.array_equal(y, z)
 
     def test_matches_sum_of_user_terms_plus_noise(self):
-        # inputs, then fading, then noise, summed user by user
+        # inputs, then user 1's fading, the noise and user 2's fading,
+        # summed user by user
         cfg = ChannelConfig(T=4, N=3, P=10.0, trials=50)
         iso = InputDistribution(kind="isotropic_peak", T=4, P=10.0)
         (x1, x2), y = sample_outputs([iso, iso], cfg, np.random.default_rng(9))
         rng = np.random.default_rng(9)
         r1, r2 = iso.sample(rng, size=50), iso.sample(rng, size=50)
         h1 = sample_complex_gaussian(3, rng, size=50)
-        h2 = sample_complex_gaussian(3, rng, size=50)
         z = sample_complex_gaussian(4, rng, size=(50, 3))
+        h2 = sample_complex_gaussian(3, rng, size=50)
         ref = h1[:, :, None] * r1[:, None, :] + h2[:, :, None] * r2[:, None, :] + z
         assert np.array_equal(x1, r1) and np.array_equal(x2, r2)
         assert np.array_equal(y, ref)
 
-    @pytest.mark.parametrize("entries", [1, 2**15])
-    def test_into_buffers(self, monkeypatch, entries):
-        # the noise and Y written into the caller's arrays, the second
-        # user's term added one slot or all slots at a time
-        monkeypatch.setattr(linalg, "_BLOCK_ENTRIES", entries)
+    def test_one_user_draw_starts_a_two_user_draw(self):
+        # h1 and Z come first, so the single-user bound sees the same h1
+        # and Z alone as beside the MAC bound
+        cfg = ChannelConfig(T=4, N=3, P=10.0, trials=50)
+        (h1,), z = sample_channel(1, cfg, np.random.default_rng(10))
+        (g1, g2), w = sample_channel(2, cfg, np.random.default_rng(10))
+        assert np.array_equal(h1, g1) and np.array_equal(z, w)
+        assert g2.shape == g1.shape and not np.array_equal(g2, g1)
+
+    def test_into_buffers(self):
+        # the noise and Y written into the caller's arrays
         cfg = ChannelConfig(T=4, N=3, P=10.0, trials=50)
         iso = InputDistribution(kind="isotropic_peak", T=4, P=10.0)
         xs, ref = sample_outputs([iso, iso], cfg, np.random.default_rng(9))

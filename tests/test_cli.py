@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from simomac import __version__, cli
+from simomac import __version__, cli, converse
 from simomac.cli import main
 from simomac.errors import InvalidRegime
 
@@ -85,10 +85,13 @@ class TestBounds:
         _assert_one_error_line(captured.err)
 
     def test_slopes_need_both_bounds(self, capsys, monkeypatch):
-        def no_mac_bound(*args, **kwargs):
-            raise InvalidRegime("category 'last': mean ||A Y||^2 <= 1")
+        real = cli.duality_bounds
 
-        monkeypatch.setattr(cli, "duality_bound_mac_user1", no_mac_bound)
+        def no_mac_bound(*args, powers, **kwargs):
+            single, _ = real(*args, powers=powers, **kwargs)
+            return single, [InvalidRegime("category 'last': mean ||A Y||^2 <= 1")] * len(powers)
+
+        monkeypatch.setattr(cli, "duality_bounds", no_mac_bound)
         code, out = _run(capsys, ["bounds", "--T", "4", "--N", "2",
                                   "--P-dB", "20,30", "--trials", "2000"])
         assert code == 0
@@ -97,6 +100,18 @@ class TestBounds:
         assert len(rep["warnings"]) == 2
         assert all("single_user_upper" in pt and "mac_user1_upper" not in pt
                    for pt in rep["points"])
+
+    def test_one_pass_for_both_bounds(self, capsys, monkeypatch):
+        # both bounds of the whole power grid come from one chunk pass
+        passes = []
+        real = converse._run_chunks
+        monkeypatch.setattr(converse, "_run_chunks",
+                            lambda *args: passes.append(1) or real(*args))
+        code, out = _run(capsys, ["bounds", "--T", "4", "--N", "2",
+                                  "--P-dB", "20,30", "--trials", "2000"])
+        assert code == 0 and len(passes) == 1
+        assert all("single_user_upper" in pt and "mac_user1_upper" in pt
+                   for pt in json.loads(out)["points"])
 
     def test_low_snr_warning(self, capsys):
         code, out = _run(capsys, ["bounds", "--T", "2", "--N", "1",

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from simomac import converse
-from simomac.channel import ChannelConfig, InputDistribution
+from simomac.channel import ChannelConfig, InputDistribution, superpose
 from simomac.converse import (
     REGIME_T_GE_N_PLUS_1,
     REGIME_T_LE_N,
@@ -18,12 +18,13 @@ from simomac.converse import (
     _single_user_genie,
     duality_bound_mac_user1,
     duality_bound_single_user,
+    duality_bounds,
     isotropic_mixture_mi_estimate,
     mutual_information_lower_estimate,
 )
 from simomac.errors import InvalidParam, InvalidRegime, RegimeUnsupported
 from simomac.knn_entropy import knn_entropy_bits
-from simomac.linalg import abs_sq, sample_complex_gaussian
+from simomac.linalg import abs_sq, apply_rotation, sample_complex_gaussian
 
 LOG2_PI_E = np.log2(np.pi * np.e)
 
@@ -32,11 +33,17 @@ def _cfg(t=4, n=2, p=100.0, trials=30_000, seed=0, fading="iid_complex_gaussian"
     return ChannelConfig(T=t, N=n, P=p, trials=trials, seed=seed, fading_kind=fading)
 
 
+def _silent_channel(b, n, t, users):
+    """A sample_channel draw with zero fading and noise."""
+    return [np.zeros((b, n), dtype=complex)] * users, np.zeros((b, n, t), dtype=complex)
+
+
 def _pilot(x, slots=None):
     """The pilot slot that _single_user_genie picks for each row of x."""
     x = np.atleast_2d(np.asarray(x, dtype=complex))
-    y = np.zeros((len(x), 2, x.shape[1]), dtype=complex)
-    return _single_user_genie([x], y, _cfg(t=x.shape[1]), slots=slots or x.shape[1])[1]
+    channel = _silent_channel(len(x), 2, x.shape[1], 1)
+    return _single_user_genie([x], channel, _cfg(t=x.shape[1]), None,
+                              slots=slots or x.shape[1])[1]
 
 
 def _mac_engine(engine, mag, s2, t, n=2, p=100.0):
@@ -49,8 +56,9 @@ def _mac_engine(engine, mag, s2, t, n=2, p=100.0):
 def _mac_chunk(x1, x2, fading="iid_complex_gaussian", n=2):
     """_mac_genie's (rhs, h(Y | X1, X2)) for one trial of the T >= N+1 regime."""
     x1, x2 = (np.asarray(x, dtype=complex)[None] for x in (x1, x2))
-    y = np.zeros((1, n, x1.shape[1]), dtype=complex)
-    out = _mac_genie([x1, x2], y, _cfg(t=x1.shape[1], n=n, fading=fading), engine=_mac_high_t)
+    channel = _silent_channel(1, n, x1.shape[1], 2)
+    out = _mac_genie([x1, x2], channel, _cfg(t=x1.shape[1], n=n, fading=fading), None,
+                     engine=_mac_high_t)
     return out[4][0], out[5][0]
 
 
@@ -88,6 +96,21 @@ class TestGenieIndices:
         iso = InputDistribution(kind="isotropic_peak", T=4, P=100.0)
         with pytest.raises(InvalidParam):
             duality_bound_mac_user1(iso, iso, _cfg(trials=100), "bogus")
+
+
+class TestRotatedOutputs:
+    def test_drawn_rotated_equal_rotated_outputs(self):
+        # (h1 x1^T + h2 x2^T + Z) U = h1 (x1^T U) + ||x2|| h2 e_T^T + Z U, U = U(x2):
+        # given the noise Z U, _mac_genie's outputs are the rotated outputs
+        rng = np.random.default_rng(21)
+        t, n = 5, 3
+        x1, x2 = (sample_complex_gaussian(t, rng, size=1) for _ in range(2))
+        hs = [sample_complex_gaussian(n, rng, size=1) for _ in range(2)]
+        z = sample_complex_gaussian(t, rng, size=(1, n))
+        ref = apply_rotation(superpose([x1, x2], (hs, z)), x2)
+        yt = _mac_genie([x1, x2], (hs, apply_rotation(z, x2)), _cfg(t=t, n=n), None,
+                        engine=_mac_high_t)[0]
+        assert np.abs(yt - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 class TestConditionalEntropy:
@@ -400,7 +423,7 @@ class TestPooledFit:
 
 
 class TestStreamingEngine:
-    @pytest.mark.parametrize("bound", ["mac", "single_user"])
+    @pytest.mark.parametrize("bound", ["mac", "single_user", "both"])
     def test_memory_is_chunked(self, bound):
         # one (B, N, T) complex array alone is 40 MiB here
         cfg = ChannelConfig(T=32, N=8, P=100.0, trials=10_000, seed=0)
@@ -409,6 +432,8 @@ class TestStreamingEngine:
         try:
             if bound == "mac":
                 duality_bound_mac_user1(iso, iso, cfg, REGIME_T_GE_N_PLUS_1)
+            elif bound == "both":
+                duality_bounds(iso, iso, cfg, REGIME_T_GE_N_PLUS_1)
             else:
                 duality_bound_single_user(iso, cfg)
             peak = tracemalloc.get_traced_memory()[1]

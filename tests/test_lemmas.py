@@ -1,6 +1,7 @@
+import numpy as np
 import pytest
 
-from simomac import lemmas
+from simomac import converse, lemmas
 from simomac.errors import InvalidParam
 
 
@@ -9,6 +10,18 @@ class TestIndividualChecks:
         res = lemmas.entropy_shift_invariance(seed=3)
         assert res["passed"]
         assert res["margin"] < res["slack"]
+
+    def test_entropy_shift_detects_a_wrong_whitening(self, monkeypatch):
+        # ln |det A|^2 of the (n - 1) scaled directions only: off by ln det
+        # of the pilot direction's scale
+        def whiten_without_pilot_direction(yt, v, s, c):
+            white, log_det = converse._whiten(yt, v, s, c)
+            return white, np.where(log_det == 0.0, 0.0, -(yt.shape[1] - 1) * np.log(s))
+
+        monkeypatch.setattr(lemmas, "_whiten", whiten_without_pilot_direction)
+        res = lemmas.entropy_shift_invariance(seed=3)
+        assert not res["passed"]
+        assert res["margin"] > 1e3 * res["slack"]
 
     def test_log_moment_lower_bound(self):
         res = lemmas.log_moment_lower_bound(seed=3)

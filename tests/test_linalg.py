@@ -3,14 +3,12 @@ from math import factorial
 import numpy as np
 import pytest
 
-from simomac import linalg
 from simomac.errors import DegenerateInput, NumericalDomain
 from simomac.linalg import abs_sq, norm_sq
 from simomac.linalg import (
     TOL_ALGEBRAIC,
     TOL_STRUCTURAL,
     apply_rotation,
-    column_blocks,
     divided_difference_exp,
     log_det_hermitian_psd,
     rotation_unitary_from,
@@ -70,26 +68,6 @@ class TestApplyRotation:
         x[1] = 0.0
         a = sample_complex_gaussian(4, rng, size=(3, 2))
         assert np.array_equal(apply_rotation(a, x)[1], a[1])
-
-    @pytest.mark.parametrize("entries", [1, 7, 2**15])
-    def test_column_blocks_do_not_change_the_result(self, monkeypatch, entries):
-        # 1: one column per block; 7: blocks of 2 columns; default: one block
-        rng = np.random.default_rng(13)
-        x = sample_complex_gaussian(5, rng, size=3)
-        a = sample_complex_gaussian(5, rng, size=(3, 1))
-        whole = apply_rotation(a, x)
-        monkeypatch.setattr(linalg, "_BLOCK_ENTRIES", entries)
-        assert np.array_equal(apply_rotation(a, x), whole)
-        in_place = a.copy()
-        assert apply_rotation(in_place, x, out=in_place) is in_place
-        assert np.array_equal(in_place, whole)
-
-
-@pytest.mark.parametrize("rows,t", [(1, 5), (3, 7), (2**15, 4), (2**16, 3), (100, 1)])
-def test_column_blocks_cover_every_column_once(rows, t):
-    blocks = column_blocks(rows, t)
-    assert [i for blk in blocks for i in range(t)[blk]] == list(range(t))
-    assert all(len(range(t)[blk]) * rows <= max(rows, 2**15) for blk in blocks)
 
 
 class TestLogDet:

@@ -5,7 +5,9 @@ the whole grid, from a stream of their own, and each point's inputs from
 the chunk's stream, as a call of its own would; the training rates draw
 their channel statistics once.  Every entry of a grid call must therefore equal the call
 at that power alone, errors included, and the bounds must not depend on
-how many threads ran their chunks.
+how many threads ran their chunks.  ``duality_bounds`` runs both bounds
+in one pass over the same draws, so each of its entries must equal the
+call of that bound alone.
 """
 
 import tracemalloc
@@ -23,6 +25,7 @@ from simomac.converse import (
     REGIME_T_LE_N,
     duality_bound_mac_user1,
     duality_bound_single_user,
+    duality_bounds,
 )
 from simomac.errors import InvalidParam, SimomacError
 from simomac.training import mac_training_rates, single_user_training_rate
@@ -77,11 +80,17 @@ def _check_grid(kind, t, n, trials, fading, p_dbs, seed, exponents, workers=1):
 
     regime = REGIME_T_GE_N_PLUS_1 if t >= n + 1 else REGIME_T_LE_N
     grid = _on_threads(workers, duality_bound_mac_user1, dist, dist, cfg, regime, powers=powers)
+    both = _on_threads(workers, duality_bounds, dist, dist, cfg, regime, powers=powers)
     if t == 1:  # neither MAC regime exists
         assert isinstance(grid, SimomacError)
+        assert _same(both, grid)
     else:
-        for got, (d, c) in zip(grid, at):
-            assert _same(got, _on_threads(1, duality_bound_mac_user1, d, d, c, regime))
+        single, mac = both
+        assert len(single) == len(mac) == len(powers)
+        for got, got_single, got_mac, (d, c) in zip(grid, single, mac, at):
+            alone = _on_threads(1, duality_bound_mac_user1, d, d, c, regime)
+            assert _same(got, alone) and _same(got_mac, alone)
+            assert _same(got_single, _on_threads(1, duality_bound_single_user, d, c))
 
     for rates in (single_user_training_rate, mac_training_rates):
         grid = _call(rates, cfg, powers=powers)
@@ -122,16 +131,21 @@ def test_grid_over_several_chunks(monkeypatch, kind):
 
 @pytest.mark.parametrize("kind", ["isotropic", "truncated"])
 def test_shared_draws_are_counted_once(monkeypatch, kind):
-    # the points share the fading and noise of every chunk, whatever the
-    # input law: only the inputs are drawn again
+    # the points, and both bounds of duality_bounds, share the fading and
+    # noise of every chunk, whatever the input law: only the inputs are
+    # drawn again
     calls = []
     real = converse.sample_channel
     monkeypatch.setattr(converse, "sample_channel",
                         lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
     cfg = ChannelConfig(T=2, N=2, P=10.0, trials=1_000, seed=1)
     dist = _input(kind, 2, 10.0, None, 1000.0)
+    chunks = len(list(converse._trial_chunks(cfg)))
     duality_bound_single_user(dist, cfg, powers=[10.0, 100.0, 1000.0])
-    assert len(calls) == len(list(converse._trial_chunks(cfg)))
+    assert len(calls) == chunks
+    calls.clear()
+    duality_bounds(dist, dist, cfg, REGIME_T_LE_N, powers=[10.0, 100.0, 1000.0])
+    assert len(calls) == chunks
 
 
 def test_empty_grid_raises():
