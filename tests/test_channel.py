@@ -186,16 +186,18 @@ class TestSampleOutputsDraws:
         assert np.array_equal(h1, g1) and np.array_equal(z, w)
         assert g2.shape == g1.shape and not np.array_equal(g2, g1)
 
-    def test_into_buffers(self):
-        # the noise and Y written into the caller's arrays
-        cfg = ChannelConfig(T=4, N=3, P=10.0, trials=50)
+    @pytest.mark.parametrize("trials", [1, 2**15])
+    def test_into_buffers(self, trials):
+        # the noise and Y written into the caller's arrays, for a
+        # single-trial block and a large one
+        cfg = ChannelConfig(T=4, N=3, P=10.0, trials=trials)
         iso = InputDistribution(kind="isotropic_peak", T=4, P=10.0)
         xs, ref = sample_outputs([iso, iso], cfg, np.random.default_rng(9))
         rng = np.random.default_rng(9)
-        iso.sample(rng, size=50), iso.sample(rng, size=50)
-        noise = np.empty((50, 3, 4), dtype=complex)
-        draw = np.empty((50, 3, 4))
-        y = np.empty((50, 3, 4), dtype=complex)
+        iso.sample(rng, size=trials), iso.sample(rng, size=trials)
+        noise = np.empty((trials, 3, 4), dtype=complex)
+        draw = np.empty((trials, 3, 4))
+        y = np.empty((trials, 3, 4), dtype=complex)
         channel = sample_channel(2, cfg, rng, out=noise, scratch=draw)
         assert channel[1] is noise
         assert superpose(xs, channel, out=y) is y
