@@ -12,10 +12,10 @@ fits beta = E||A Y||^2 and alpha = 1/log(beta) from a sample population.
 """
 
 from dataclasses import dataclass, field
+from math import lgamma
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import gammaln
 
 from . import linalg
 from .errors import InvalidParam, InvalidRegime, SingularPoint
@@ -59,11 +59,11 @@ class AuxDistParams:
 def log_normalizer(p):
     """Natural log of the density normalization constant."""
     return (
-        gammaln(p.n)
+        lgamma(p.n)
         + p.log_abs_det_a_sq
         - p.n * np.log(np.pi)
         - p.alpha * np.log(p.beta)
-        - gammaln(p.alpha)
+        - lgamma(p.alpha)
     )
 
 

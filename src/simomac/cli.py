@@ -5,8 +5,8 @@ export.
 Configuration: sectioned key=value file (INI), path from --config or the
 SIMOMAC_CONFIG environment variable; command-line flags override file
 values.  Every JSON report embeds the fully resolved configuration, the
-seed, and the package version, and is byte-identical across reruns with
-the same seed.
+seed, the package version and the numpy and scipy versions, and is
+byte-identical across reruns with the same seed.
 
 Exit codes: 0 success, 1 property failure, 2 usage error: bad flags
 (argparse's usage message), or a missing or malformed config file, a
@@ -22,6 +22,7 @@ import sys
 from fractions import Fraction
 
 import numpy as np
+import scipy  # the top-level package only, for its version
 
 from . import __version__, lemmas, region
 from .auxdist import remainder_slack_bits
@@ -50,7 +51,8 @@ def _emit(report):
 
 
 def _base_report(cmd, cfg_dict):
-    return {"version": __version__, "command": cmd, "config": cfg_dict}
+    return {"version": __version__, "command": cmd, "config": cfg_dict,
+            "libraries": {"numpy": np.__version__, "scipy": scipy.__version__}}
 
 
 def _usage_error(msg):

@@ -14,10 +14,7 @@ returned reports with the calibrated constants from
 :mod:`simomac.auxdist`.
 """
 
-import os
-import threading
 from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -41,7 +38,15 @@ from .channel import (
 )
 from .errors import InvalidParam, InvalidRegime, RegimeUnsupported, SimomacError
 from .knn_entropy import knn_entropy_bits
-from .linalg import LN2, LOG2_PI_E, abs_sq, apply_rotation, divided_difference_exp, norm_sq
+from .linalg import (
+    LN2,
+    LOG2_PI_E,
+    abs_sq,
+    apply_rotation,
+    divided_difference_exp,
+    norm_sq,
+    run_chunks,
+)
 
 REGIME_T_GE_N_PLUS_1 = "T_ge_N_plus_1"
 REGIME_T_LE_N = "T_le_N"
@@ -196,8 +201,10 @@ class _PointSums:
         cat = _categories(self.v, self.white.shape[1], len(names))
         ln_q = np.zeros(self.white.shape)
         fitted, pooled = {}, []
-        seen = np.flatnonzero(count.sum(axis=1))
-        for br in np.union1d(seen, np.unique(self.branch)):
+        # a mask, not np.unique, which imports numpy.ma on its first call
+        seen = count.sum(axis=1) > 0
+        seen[self.branch] = True
+        for br in np.flatnonzero(seen):
             in_branch = (self.branch == br)[:, None]
             for c, name in enumerate(names):
                 sel = (cat == c) & in_branch
@@ -216,52 +223,6 @@ class _PointSums:
                 check_not_singular(least[br, c], params)
                 ln_q[sel] = log_density_from_norm_sq(self.white[sel], params)
         return -(ln_q.sum(axis=1) + self.log_det) / LN2, fitted, pooled
-
-
-def _cpu_count():
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _run_chunks(run, chunks):
-    """Call ``run(i, *chunks[i], scratch)`` for every chunk i.
-
-    The calling thread and min(CPUs, chunks) - 1 helper threads take the
-    chunk indices in order from one shared iterator.  Each thread passes
-    a dict of its own as ``scratch``, in which ``run`` may keep buffers
-    for that thread's later chunks.  Once a chunk raises,
-    no further chunk is started; after the started ones have finished,
-    the error of the lowest failed chunk is raised.  Every chunk below it
-    was started before it, so that is the error a one-thread run raises.
-    """
-    lock = threading.Lock()
-    todo = iter(range(len(chunks)))
-    errors = {}
-
-    def work():
-        scratch = {}
-        while True:
-            with lock:
-                i = None if errors else next(todo, None)
-            if i is None:
-                return
-            try:
-                run(i, *chunks[i], scratch)
-            except BaseException as exc:  # re-raised below, on the calling thread
-                with lock:
-                    errors[i] = exc
-
-    helpers = min(_cpu_count(), len(chunks)) - 1
-    with ThreadPoolExecutor(max(helpers, 1)) as pool:  # threads start on submit only
-        futures = [pool.submit(work) for _ in range(helpers)]
-        work()
-        for future in futures:
-            future.result()
-    if errors:
-        raise errors[min(errors)]
 
 
 @dataclass(frozen=True)
@@ -288,7 +249,7 @@ def _streamed_bounds(points, bounds):
     :func:`at_powers`, or the SimomacError its fit or evaluation raised.
 
     The trials are drawn chunk by chunk (:func:`_trial_chunks`), the
-    chunks spread over the CPUs by :func:`_run_chunks`.  Each chunk draws
+    chunks spread over the CPUs by :func:`~simomac.linalg.run_chunks`.  Each chunk draws
     its channel once, for every point and every bound, from a generator
     on the first child of the chunk's seed, in the order h1, Z, h2 of
     :func:`sample_channel`: a pass with one user draws exactly the first
@@ -326,7 +287,7 @@ def _streamed_bounds(points, bounds):
                     del xs  # no later bound needs the inputs: free them before whitening
                 acc.add_chunk(i, lo, *_whiten(yt, v, s, c), v, rhs, h_given_x, br)
 
-    _run_chunks(run_chunk, chunks)
+    run_chunks(run_chunk, chunks)
     reports = [[] for _ in bounds]
     for (_, cfg), point_sums in zip(points, sums):
         for bound, acc, out in zip(bounds, point_sums, reports):
@@ -581,7 +542,7 @@ def duality_bounds(input1, input2, cfg, regime, *, powers=None):
 
 
 # ---------------------------------------------------------------------------
-# Plug-in mutual-information lower estimate (k-NN oracle side)
+# Plug-in mutual-information estimates (oracles for the bounds)
 # ---------------------------------------------------------------------------
 
 def isotropic_mixture_mi_estimate(cfg, trials=None):
@@ -631,12 +592,15 @@ def isotropic_mixture_mi_estimate(cfg, trials=None):
 def mutual_information_lower_estimate(input_dist, cfg, k=4, max_knn_samples=20_000):
     """(1/T) * [kNN-hat h(Y) - exact h(Y|X)] for the single-user channel.
 
-    Dimension is capped (T <= 8, N <= 4) for estimator sanity.  The k-NN
-    query is the cost bottleneck (near-quadratic in 2NT dimensions), so
-    h(Y) uses the outputs of the first m = min(trials, ``max_knn_samples``)
-    inputs only: all ``cfg.trials`` inputs are drawn, then the fading and
-    noise of those m, so no output beyond them is formed.  The exact
-    conditional part averages over all the inputs.
+    A plug-in estimate, not a lower bound: the k-NN entropy of Y is biased
+    high at high SNR in 2NT real dimensions, so the estimate can exceed
+    the mutual information by a factor of two or more.  Dimension is capped
+    (T <= 8, N <= 4) for estimator sanity.  The k-NN search is the cost
+    bottleneck (quadratic in the sample count), so h(Y) uses the outputs
+    of the first m = min(trials, ``max_knn_samples``) inputs only: all
+    ``cfg.trials`` inputs are drawn, then the fading and noise of those
+    m, so no output beyond them is formed.  The exact conditional part
+    averages over all the inputs, which are dropped before the search.
     """
     if cfg.T > 8 or cfg.N > 4:
         raise InvalidParam("k-NN estimate capped at T <= 8, N <= 4")
@@ -646,6 +610,7 @@ def mutual_information_lower_estimate(input_dist, cfg, k=4, max_knn_samples=20_0
     (x,) = sample_inputs([input_dist], cfg, rng)
     m = min(cfg.trials, max_knn_samples)
     y = superpose([x[:m]], sample_channel(1, cfg, rng, size=m))
+    h_cond = _gaussian_h_given_x(np.log2(1.0 + norm_sq(x)), cfg).mean()
+    del x
     h_y = knn_entropy_bits(y.reshape(m, -1), k=k)
-    h_cond = _gaussian_h_given_x(np.log2(1.0 + norm_sq(x)), cfg)
-    return float((h_y - h_cond.mean()) / cfg.T)
+    return float((h_y - h_cond) / cfg.T)

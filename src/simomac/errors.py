@@ -9,10 +9,6 @@ class DegenerateInput(SimomacError):
     """An input is structurally unusable (e.g. zero vector where a direction is needed)."""
 
 
-class NumericalDomain(SimomacError):
-    """A matrix argument violates the numerical domain (non-Hermitian, singular, ...)."""
-
-
 class InvalidParam(SimomacError):
     """A scalar or shape parameter is out of range."""
 

@@ -1,13 +1,19 @@
-"""Complex linear algebra and random sampling primitives.
+"""Complex linear algebra, random sampling primitives, and the runner
+that spreads independent chunks of work over the CPUs.
 
 All vectors/matrices are plain numpy complex arrays.  Samplers take an
 explicit ``numpy.random.Generator`` so that parallel callers can use
 independent seeded streams.
 """
 
-import numpy as np
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
-from .errors import DegenerateInput, InvalidParam, NumericalDomain
+import numpy as np
+import numpy.random  # numpy loads it on first use otherwise, inside the first draw
+
+from .errors import DegenerateInput, InvalidParam
 
 # Repo-wide numerical tolerances: structural (unitarity / Hermitian symmetry)
 # and algebraic identities.  Double precision leaves ample headroom at T <= 32.
@@ -112,23 +118,50 @@ def divided_difference_exp(nodes):
     return r[:, 0, -1]
 
 
-def log_det_hermitian_psd(m):
-    """log2 det(M) for a Hermitian positive-definite matrix.
-
-    Raises NumericalDomain if M is not Hermitian within tolerance or not
-    positive definite.
-    """
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise NumericalDomain("expected a square matrix")
-    scale = max(1.0, np.abs(m).max())
-    if np.abs(m - m.conj().T).max() > TOL_STRUCTURAL * scale:
-        raise NumericalDomain("matrix is not Hermitian within tolerance")
+def cpu_count():
+    """CPUs this process may run on."""
     try:
-        chol = np.linalg.cholesky(m)
-    except np.linalg.LinAlgError:
-        raise NumericalDomain("matrix is not positive definite") from None
-    return 2.0 * np.sum(np.log2(np.diag(chol).real))
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def run_chunks(run, chunks):
+    """Call ``run(i, *chunks[i], scratch)`` for every chunk i.
+
+    The calling thread and min(CPUs, chunks) - 1 helper threads take the
+    chunk indices in order from one shared iterator.  Each thread passes
+    a dict of its own as ``scratch``, in which ``run`` may keep buffers
+    for that thread's later chunks.  Once a chunk raises,
+    no further chunk is started; after the started ones have finished,
+    the error of the lowest failed chunk is raised.  Every chunk below it
+    was started before it, so that is the error a one-thread run raises.
+    """
+    lock = threading.Lock()
+    todo = iter(range(len(chunks)))
+    errors = {}
+
+    def work():
+        scratch = {}
+        while True:
+            with lock:
+                i = None if errors else next(todo, None)
+            if i is None:
+                return
+            try:
+                run(i, *chunks[i], scratch)
+            except BaseException as exc:  # re-raised below, on the calling thread
+                with lock:
+                    errors[i] = exc
+
+    helpers = min(cpu_count(), len(chunks)) - 1
+    with ThreadPoolExecutor(max(helpers, 1)) as pool:  # threads start on submit only
+        futures = [pool.submit(work) for _ in range(helpers)]
+        work()
+        for future in futures:
+            future.result()
+    if errors:
+        raise errors[min(errors)]
 
 
 def norm_sq(a, axis=-1):

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from simomac.auxdist import (
     AuxDistParams,
     cross_entropy_expansion,
     fit_params,
     log_density_from_norm_sq,
+    log_normalizer,
     remainder_slack_bits,
 )
 from simomac.errors import InvalidParam, InvalidRegime, SingularPoint
@@ -24,6 +26,15 @@ class TestParams:
     def test_singular_a_rejected(self):
         with pytest.raises(InvalidParam):
             AuxDistParams(n=2, a=np.zeros((2, 2)), alpha=1.0, beta=1.0)
+
+    @pytest.mark.parametrize("n", [1, 2, 8])
+    @pytest.mark.parametrize("alpha", [0.05, 0.3, 1.7, 12.5])
+    def test_normalizer_matches_gammaln_form(self, n, alpha):
+        a = np.eye(n) * 1.5 + 0.2j
+        p = AuxDistParams(n=n, a=a, alpha=alpha, beta=37.0)
+        ref = (gammaln(n) + p.log_abs_det_a_sq - n * np.log(np.pi)
+               - alpha * np.log(37.0) - gammaln(alpha))
+        assert abs(log_normalizer(p) - ref) <= 1e-13
 
     def test_fit_requires_scale_above_one(self):
         with pytest.raises(InvalidRegime):

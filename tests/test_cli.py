@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -60,7 +62,7 @@ class TestBounds:
     def test_schema(self, capsys):
         _, out = _run(capsys, self.ARGS + ["--P-dB", "20,30"])
         rep = json.loads(out)
-        assert set(rep) == {"version", "command", "config",
+        assert set(rep) == {"version", "libraries", "command", "config",
                             "points", "slopes", "warnings"}
         assert len(rep["points"]) == 2
         pt = rep["points"][0]
@@ -104,8 +106,8 @@ class TestBounds:
     def test_one_pass_for_both_bounds(self, capsys, monkeypatch):
         # both bounds of the whole power grid come from one chunk pass
         passes = []
-        real = converse._run_chunks
-        monkeypatch.setattr(converse, "_run_chunks",
+        real = converse.run_chunks
+        monkeypatch.setattr(converse, "run_chunks",
                             lambda *args: passes.append(1) or real(*args))
         code, out = _run(capsys, ["bounds", "--T", "4", "--N", "2",
                                   "--P-dB", "20,30", "--trials", "2000"])
@@ -269,3 +271,18 @@ class TestBoundsPowerGrid:
         low, high = rep["points"]
         assert "single_user_upper" in low and "mac_user1_upper" not in low
         assert "single_user_upper" in high and "mac_user1_upper" in high
+
+
+def test_cli_imports_no_scipy_submodule():
+    # scipy.special and scipy.spatial (with scipy.sparse behind it) were
+    # most of the start-up time; an estimate in the numpy search's
+    # dimensions must not load the k-d tree either
+    code = ("import sys, numpy as np, simomac.cli\n"
+            "from simomac.knn_entropy import _ENGINE_MIN_DIM, knn_entropy_bits\n"
+            "knn_entropy_bits(np.random.default_rng(0).normal(size=(50, _ENGINE_MIN_DIM)))\n"
+            "print(' '.join(sorted(sys.modules)))")
+    loaded = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            check=True).stdout.split()
+    assert "simomac.cli" in loaded
+    for name in ("scipy.special", "scipy.spatial", "scipy.sparse", "scipy.linalg"):
+        assert name not in loaded

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from simomac import converse
+from simomac import converse, linalg
 from simomac.channel import ChannelConfig, InputDistribution, superpose
 from simomac.converse import (
     REGIME_T_GE_N_PLUS_1,
@@ -466,9 +466,9 @@ class TestStreamingEngine:
         monkeypatch.setattr(converse, "_CHUNK_ENTRIES", 40)
         cfg = _cfg(t=2, n=2, p=100.0, trials=2_001, seed=8)
         iso = InputDistribution(kind="isotropic_peak", T=2, P=100.0)
-        monkeypatch.setattr(converse, "_cpu_count", lambda: 1)
+        monkeypatch.setattr(linalg, "cpu_count", lambda: 1)
         one = duality_bound_mac_user1(iso, iso, cfg, REGIME_T_LE_N)
-        monkeypatch.setattr(converse, "_cpu_count", lambda: 6)
+        monkeypatch.setattr(linalg, "cpu_count", lambda: 6)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -480,13 +480,13 @@ class TestStreamingEngine:
     @pytest.mark.parametrize("workers", [1, 3])
     def test_each_thread_keeps_one_scratch(self, monkeypatch, workers):
         # every chunk a thread runs sees that thread's dict, and only it
-        monkeypatch.setattr(converse, "_cpu_count", lambda: workers)
+        monkeypatch.setattr(linalg, "cpu_count", lambda: workers)
         seen = {}
 
         def run(i, lo, hi, seed, scratch):
             seen[i] = (threading.get_ident(), id(scratch))
 
-        converse._run_chunks(run, [(0, 1, None)] * 40)
+        linalg.run_chunks(run, [(0, 1, None)] * 40)
         assert sorted(seen) == list(range(40))
         assert len(set(seen.values())) == len({thread for thread, _ in seen.values()})
         assert len(set(seen.values())) <= workers
@@ -495,7 +495,7 @@ class TestStreamingEngine:
     def test_chunk_error_stops_the_run(self, monkeypatch, workers):
         # 20 chunks; every chunk from chunk 1 on raises when it draws
         monkeypatch.setattr(converse, "_CHUNK_ENTRIES", 400)
-        monkeypatch.setattr(converse, "_cpu_count", lambda: workers)
+        monkeypatch.setattr(linalg, "cpu_count", lambda: workers)
         started = []
         real = converse.sample_inputs
 

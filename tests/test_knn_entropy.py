@@ -1,11 +1,29 @@
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
+from scipy.special import digamma, gammaln
 
+from simomac import converse, knn_entropy
 from simomac.channel import ChannelConfig, InputDistribution
 from simomac.converse import mutual_information_lower_estimate
 from simomac.errors import InvalidParam
-from simomac.knn_entropy import complex_to_real, knn_entropy_bits
+from simomac.knn_entropy import complex_to_real, kth_neighbour_distance, knn_entropy_bits
 from simomac.linalg import sample_complex_gaussian
+
+MIN_DIM = knn_entropy._ENGINE_MIN_DIM
+
+
+def _tree_distance(x, k=4):
+    """The reference: the (k+1)-th neighbour distance from scipy's k-d tree."""
+    return cKDTree(x, leafsize=64).query(x, k=k + 1)[0][:, k]
+
+
+def _scipy_entropy_bits(x, k=4):
+    """The estimator as written with scipy's digamma and gammaln."""
+    n, d = x.shape
+    eps = np.maximum(_tree_distance(x, k), 1e-300)
+    log_ball = (d / 2.0) * np.log(np.pi) - gammaln(d / 2.0 + 1.0)
+    return (digamma(n) - digamma(k) + log_ball + d * np.mean(np.log(eps))) / np.log(2.0)
 
 
 class TestEmbedding:
@@ -54,3 +72,89 @@ class TestTooFewPoints:
         iso = InputDistribution(kind="isotropic_peak", T=4, P=100.0)
         with pytest.raises(InvalidParam):
             mutual_information_lower_estimate(iso, cfg)
+
+
+def _oracle_knn_set(p_db):
+    """The k-NN sample set of the benchmark's validity check (T=4, N=2,
+    exponent profile [1, 1/2, 1/4, 0], 50k trials, 10k k-NN samples,
+    seed 1), captured from ``mutual_information_lower_estimate``."""
+    p = 10.0 ** (p_db / 10.0)
+    cfg = ChannelConfig(T=4, N=2, P=p, trials=50_000, seed=1)
+    prof = InputDistribution(kind="exponent_profile_peak", T=4, P=p,
+                             params={"exponents": [1.0, 0.5, 0.25, 0.0]})
+    seen = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(converse, "knn_entropy_bits", lambda y, k: seen.append(y) or 0.0)
+        mutual_information_lower_estimate(prof, cfg, max_knn_samples=10_000)
+    return complex_to_real(seen[0])
+
+
+class TestExactSearch:
+    """The numpy search returns the k-d tree's distances bit for bit."""
+
+    @pytest.mark.parametrize("p_db", [10, 30])
+    def test_oracle_sets(self, p_db):
+        x = _oracle_knn_set(p_db)
+        assert x.shape == (10_000, 16)
+        assert np.array_equal(kth_neighbour_distance(x, 4), _tree_distance(x))
+
+    def test_summation_tail(self):
+        # d = 10: two blocks of four coordinates, then two added one by one
+        x = np.random.default_rng(10).normal(size=(3_000, 10))
+        assert np.array_equal(kth_neighbour_distance(x, 4), _tree_distance(x))
+
+    @pytest.fixture
+    def fallback_rows(self, monkeypatch):
+        """Rows the search hands to its exact fallback, as they arrive."""
+        rows = []
+        real = knn_entropy._exact_kth_sq_dist
+
+        def exact(x, idx, k):
+            rows.append(idx.size)
+            return real(x, idx, k)
+
+        monkeypatch.setattr(knn_entropy, "_exact_kth_sq_dist", exact)
+        return rows
+
+    def test_shifted_set_falls_back(self, fallback_rows):
+        # |x|^2 ~ 1.6e9 makes the float32 margin dwarf the neighbour distances
+        x = np.random.default_rng(11).normal(size=(1_500, 16)) + 1e4
+        assert np.array_equal(kth_neighbour_distance(x, 4), _tree_distance(x))
+        assert sum(fallback_rows) == len(x)
+
+    def test_offset_set_needs_the_margin(self, fallback_rows):
+        # an offset of 15 leaves every row on the candidate path, with
+        # float32 errors large enough that a search without the rounding
+        # margin returns wrong distances for some rows
+        x = np.random.default_rng(14).normal(size=(3_000, 16)) + 15.0
+        assert np.array_equal(kth_neighbour_distance(x, 4), _tree_distance(x))
+        assert sum(fallback_rows) == 0
+
+    def test_duplicate_points(self):
+        # points with 1, 2 and 7 copies: the last have k = 4 or more copies
+        # of themselves besides, so their distance is 0
+        rng = np.random.default_rng(12)
+        base = rng.normal(size=(600, 12))
+        x = np.concatenate([base, base[:200], *[base[:20]] * 5])
+        x = x[rng.permutation(len(x))]
+        eps = kth_neighbour_distance(x, 4)
+        assert np.array_equal(eps, _tree_distance(x))
+        assert np.count_nonzero(eps == 0.0) == 7 * 20
+
+    @pytest.mark.parametrize("k", [1, 4, 7])
+    def test_k_plus_one_points(self, k):
+        x = np.random.default_rng(13).normal(size=(k + 1, 16))
+        assert np.array_equal(kth_neighbour_distance(x, k), _tree_distance(x, k))
+
+    @pytest.mark.parametrize("d", [MIN_DIM - 1, MIN_DIM])
+    def test_either_side_of_the_switch(self, d):
+        x = np.random.default_rng(d).normal(size=(2_000, d)) * 3.0
+        assert np.array_equal(kth_neighbour_distance(x, 4), _tree_distance(x))
+
+
+class TestAgainstScipyFormula:
+    @pytest.mark.parametrize("n, d", [(5, 16), (3_000, 2), (3_000, MIN_DIM - 1),
+                                      (3_000, MIN_DIM), (5_000, 16)])
+    def test_within_1e_12(self, n, d):
+        x = np.random.default_rng(n + d).normal(size=(n, d))
+        assert abs(knn_entropy_bits(x) - _scipy_entropy_bits(x)) <= 1e-12

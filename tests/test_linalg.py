@@ -3,14 +3,13 @@ from math import factorial
 import numpy as np
 import pytest
 
-from simomac.errors import DegenerateInput, NumericalDomain
+from simomac.errors import DegenerateInput
 from simomac.linalg import abs_sq, norm_sq
 from simomac.linalg import (
     TOL_ALGEBRAIC,
     TOL_STRUCTURAL,
     apply_rotation,
     divided_difference_exp,
-    log_det_hermitian_psd,
     rotation_unitary_from,
     sample_complex_gaussian,
     sample_uniform_complex_sphere,
@@ -68,43 +67,6 @@ class TestApplyRotation:
         x[1] = 0.0
         a = sample_complex_gaussian(4, rng, size=(3, 2))
         assert np.array_equal(apply_rotation(a, x)[1], a[1])
-
-
-class TestLogDet:
-    def test_identity(self):
-        assert log_det_hermitian_psd(np.eye(3)) == pytest.approx(0.0)
-
-    def test_rank_one_update(self):
-        rng = np.random.default_rng(5)
-        x = sample_complex_gaussian(4, rng)
-        m = np.eye(4) + np.outer(x, np.conj(x))
-        expected = np.log2(1 + np.linalg.norm(x) ** 2)
-        assert log_det_hermitian_psd(m) == pytest.approx(expected, abs=TOL_ALGEBRAIC)
-
-    def test_matches_brute_force_determinant(self):
-        rng = np.random.default_rng(7)
-        a = sample_complex_gaussian(4, rng, size=4)
-        m = a.conj().T @ a + 0.1 * np.eye(4)
-        brute = np.log2(np.linalg.det(m).real)
-        assert log_det_hermitian_psd(m) == pytest.approx(brute, abs=1e-9)
-
-    def test_unitary_invariance(self):
-        rng = np.random.default_rng(9)
-        a = sample_complex_gaussian(3, rng, size=3)
-        m = a.conj().T @ a + 0.5 * np.eye(3)
-        u = rotation_unitary_from(sample_complex_gaussian(3, rng))
-        assert log_det_hermitian_psd(u @ m @ u.conj().T) == pytest.approx(
-            log_det_hermitian_psd(m), abs=1e-9
-        )
-
-    def test_non_hermitian_rejected(self):
-        m = np.array([[1.0, 1.0], [0.0, 1.0]])
-        with pytest.raises(NumericalDomain):
-            log_det_hermitian_psd(m)
-
-    def test_singular_rejected(self):
-        with pytest.raises(NumericalDomain):
-            log_det_hermitian_psd(np.zeros((2, 2)))
 
 
 class TestSamplers:

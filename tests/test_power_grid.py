@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from simomac import converse
+from simomac import converse, linalg
 from simomac.channel import FADING_KINDS, ChannelConfig, InputDistribution
 from simomac.converse import (
     REGIME_T_GE_N_PLUS_1,
@@ -61,7 +61,7 @@ def _on_threads(workers, fn, *args, **kwargs):
     """_call(fn, ...) with the bounds' trial chunks run on ``workers``
     threads."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(converse, "_cpu_count", lambda: workers)
+        mp.setattr(linalg, "cpu_count", lambda: workers)
         return _call(fn, *args, **kwargs)
 
 
