@@ -5,6 +5,7 @@ One coherence block: Y = h1 x1^T + h2 x2^T + Z with Z i.i.d. CN(0,1),
 Y of shape (N, T).  Monte-Carlo trials play the role of the block count B.
 """
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -162,37 +163,34 @@ INPUT_KINDS = (
 class InputDistribution:
     """A per-block input law for one user.
 
-    constraint 'average': (1/B) sum ||X[b]||^2 <= P*T over the trials.
-    constraint 'peak': ||X||^2 <= peak_bound surely.
-    ``truncate_above`` (norm^2 threshold) conditions the law on
-    ||X||^2 < threshold via rejection; set by :func:`truncate_to_peak`.
+    ``deterministic_point`` needs ``params["x"]`` and
+    ``exponent_profile_peak`` needs ``params["exponents"]``, each with T
+    finite entries.  ``truncate_above`` (norm^2 threshold) conditions the
+    law on ||X||^2 < threshold via rejection; set by
+    :func:`truncate_to_peak`.  Raises InvalidParam on an unknown kind,
+    T < 1, a P that is not finite and positive, or such a missing or
+    malformed parameter.
     """
 
     kind: str
     T: int
     P: float
-    constraint: str = "average"
     params: dict = field(default_factory=dict)
     truncate_above: float | None = None
 
     def __post_init__(self):
         if self.kind not in INPUT_KINDS:
             raise InvalidParam(f"unknown input kind {self.kind!r}")
-        if self.constraint not in ("average", "peak"):
-            raise InvalidParam("constraint must be 'average' or 'peak'")
-
-    @property
-    def peak_bound(self):
-        """Sure upper bound on ||X||^2, or None for average-only kinds."""
-        if self.truncate_above is not None:
-            return self.truncate_above
-        if self.kind == "deterministic_point":
-            return float(np.linalg.norm(self.params["x"]) ** 2)
-        if self.kind == "isotropic_peak":
-            return self.P
-        if self.kind == "exponent_profile_peak":
-            return float(np.sum(self.P ** np.asarray(self.params["exponents"])))
-        return None
+        if self.T < 1:
+            raise InvalidParam(f"T must be >= 1, got {self.T}")
+        if not (math.isfinite(self.P) and self.P > 0):
+            raise InvalidParam(f"P must be finite and positive, got {self.P}")
+        key = {"deterministic_point": "x", "exponent_profile_peak": "exponents"}.get(self.kind)
+        if key is not None:
+            entries = np.asarray(self.params.get(key, ()))
+            if entries.shape != (self.T,) or not np.isfinite(entries).all():
+                raise InvalidParam(f"{self.kind} needs params[{key!r}] of T = {self.T} "
+                                   "finite entries")
 
     def _raw_sample(self, rng, size):
         t = self.T
@@ -257,7 +255,7 @@ def truncate_to_peak(dist, P, beta, rng, trials=100_000):
     tail = (norm_sq(x) >= threshold).astype(float)
     p_hat = float(tail.mean())
     se = float(tail.std() / np.sqrt(trials))
-    truncated = replace(dist, constraint="peak", truncate_above=threshold)
+    truncated = replace(dist, truncate_above=threshold)
     report = TruncationReport(
         truncation_prob=p_hat,
         truncation_prob_se=se,

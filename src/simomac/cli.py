@@ -27,13 +27,7 @@ import scipy  # the top-level package only, for its version
 from . import __version__, lemmas, region
 from .auxdist import remainder_slack_bits
 from .channel import FADING_KINDS, ChannelConfig, InputDistribution
-from .converse import (
-    REGIME_T_GE_N_PLUS_1,
-    REGIME_T_LE_N,
-    duality_bound_mac_user1,
-    duality_bound_single_user,
-    duality_bounds,
-)
+from .converse import duality_bound_mac_user1, duality_bounds
 from .errors import InvalidRegime, SimomacError
 from .training import mac_training_rates, single_user_training_rate
 
@@ -145,16 +139,6 @@ def _power(p_db):
         return float("inf")
 
 
-def _per_power(bound, *args, powers):
-    """``bound(*args, powers=powers)``; an error raised for the whole call
-    stands for every point, so it surfaces where a call per point would
-    have raised it."""
-    try:
-        return bound(*args, powers=powers)
-    except SimomacError as exc:
-        return [exc] * len(powers)
-
-
 def _raise_if_error(result):
     if isinstance(result, Exception):
         raise result
@@ -163,9 +147,8 @@ def _raise_if_error(result):
 
 def cmd_bounds(args):
     p_dbs = args.P_dB
-    regime = args.regime
-    if regime == "auto":
-        regime = REGIME_T_GE_N_PLUS_1 if args.T >= args.N + 1 else REGIME_T_LE_N
+    # the genie regime of the MAC bound, which follows (T, N)
+    f_bracket = region.regime_objective(args.T, args.N) == "f_exponent"
     cfg_dict = {
         "T": args.T,
         "N": args.N,
@@ -173,7 +156,7 @@ def cmd_bounds(args):
         "trials": args.trials,
         "seed": args.seed,
         "fading": args.fading,
-        "regime": regime,
+        "regime": "T_ge_N_plus_1" if f_bracket else "T_le_N",
     }
     report = _base_report("bounds", cfg_dict)
     cfgs = [ChannelConfig(T=args.T, N=args.N, P=_power(p_db), fading_kind=args.fading,
@@ -181,14 +164,7 @@ def cmd_bounds(args):
     cfg, powers = cfgs[0], [c.P for c in cfgs]
     # one pass draws every trial chunk once for both bounds and the whole power grid
     iso = InputDistribution(kind="isotropic_peak", T=args.T, P=cfg.P)
-    try:
-        single, mac = duality_bounds(iso, iso, cfg, regime, powers=powers)
-    except SimomacError as exc:
-        # an error of the whole call (a regime outside (T, N), say) stands for
-        # every MAC point; the single-user points come first, as they did
-        # when each bound had a call of its own
-        single = _per_power(duality_bound_single_user, iso, cfg, powers=powers)
-        mac = [exc] * len(powers)
+    single, mac = duality_bounds(iso, iso, cfg, powers=powers)
     gaussian = cfg.fading_kind == "iid_complex_gaussian"
     if gaussian:
         su_training = single_user_training_rate(cfg, powers=powers)
@@ -282,7 +258,7 @@ def _verify_props(seed):
     for kind in FADING_KINDS:
         cfg = ChannelConfig(T=4, N=2, P=p_lin, fading_kind=kind, trials=30_000, seed=seed)
         iso = InputDistribution(kind="isotropic_peak", T=4, P=p_lin)
-        su, mac = duality_bounds(iso, iso, cfg, REGIME_T_GE_N_PLUS_1)
+        su, mac = duality_bounds(iso, iso, cfg)
         gap = su.value - su.components["analytic_rhs_value"]
         checks.append({"check": f"prop_single_user_{kind}", "margin": float(slack - gap),
                        "slack": slack + 3 * su.std_error,
@@ -295,7 +271,7 @@ def _verify_props(seed):
         i1 = InputDistribution(kind="isotropic_peak", T=2, P=p_lin)
         i2 = InputDistribution(kind="exponent_profile_peak", T=2, P=p_lin,
                                params={"exponents": [0.5, 0.0]})
-        low = duality_bound_mac_user1(i1, i2, cfg2, REGIME_T_LE_N)
+        low = duality_bound_mac_user1(i1, i2, cfg2)
         gap = low.value - low.components["analytic_rhs_value"]
         checks.append({"check": f"prop_mac_low_t_branches_{kind}", "margin": float(slack - gap),
                        "slack": slack + 3 * low.std_error,
@@ -378,8 +354,6 @@ def build_parser(cp):
     pb.add_argument("--fading", choices=FADING_KINDS,
                     default=_cfg_choice(cp, "bounds", "fading", FADING_KINDS,
                                         "iid_complex_gaussian"))
-    pb.add_argument("--regime", choices=("auto", REGIME_T_GE_N_PLUS_1, REGIME_T_LE_N),
-                    default="auto")
     pb.set_defaults(func=cmd_bounds)
 
     pv = sub.add_parser("verify", help="property suites")

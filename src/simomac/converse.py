@@ -47,9 +47,7 @@ from .linalg import (
     norm_sq,
     run_chunks,
 )
-
-REGIME_T_GE_N_PLUS_1 = "T_ge_N_plus_1"
-REGIME_T_LE_N = "T_le_N"
+from .region import regime_objective
 
 # Samples per batched eigendecomposition in the mixture MI estimate.
 _MIXTURE_BLOCK = 512
@@ -358,33 +356,27 @@ def _single_user_genie(xs, channel, cfg, out, slots):
     return superpose(xs[:1], channel, out=out), v, ones, ones, rhs, h_given_x, None
 
 
-def _single_user_bound(cfg, genie_slots=None):
-    """The single-user bound of :func:`_streamed_bounds`; raises
-    InvalidParam unless 1 <= genie_slots <= T."""
-    slots = cfg.T if genie_slots is None else genie_slots
-    if not 1 <= slots <= cfg.T:
-        raise InvalidParam(f"genie_slots must lie in [1, T={cfg.T}], got {slots}")
+def _single_user_bound(cfg, slots):
+    """The single-user bound of :func:`_streamed_bounds`, its pilot the
+    strongest of the first ``slots`` slots (1 <= slots <= T)."""
     # h(Y|X) is the Gaussian-fading value; flag it for other fading
     flags = {"h_order_one_flagged": cfg.fading_kind != "iid_complex_gaussian"}
     return _Bound(partial(_single_user_genie, slots=slots), ("pilot", "offpilot"),
                   np.log2(slots), flags)
 
 
-def duality_bound_single_user(input_dist, cfg, genie_slots=None, *, powers=None):
+def duality_bound_single_user(input_dist, cfg, *, powers=None):
     """Duality upper bound on the single-user rate (bits/channel use).
 
     Returns a BoundReport whose components include the analytic
     Proposition-style right-hand side evaluated on the same samples.
-    ``genie_slots`` restricts the argmax to the first slots (testing hook
-    for the MAC reduction); default all T slots.  Raises InvalidParam
-    unless 1 <= genie_slots <= T.
 
     With ``powers``, returns one entry per power, equal to the call with
     the input and cfg at that P: its BoundReport, or the SimomacError its
     fit or evaluation raised.  Every trial chunk's fading and noise are
     drawn once for the whole grid (see :func:`_streamed_bounds`).
     """
-    bound = _single_user_bound(cfg, genie_slots)
+    bound = _single_user_bound(cfg, cfg.T)
     (reports,) = _streamed_bounds(at_powers([input_dist], cfg, powers), [bound])
     return one_or_all(reports, powers)
 
@@ -490,53 +482,46 @@ def _mac_genie(xs, channel, cfg, out, engine):
     return yt, v, s, c, rhs, h_given_x, branch
 
 
-def _mac_bound(cfg, regime):
+def _mac_bound(cfg):
     """The MAC user-1 bound of :func:`_streamed_bounds`; raises
-    RegimeUnsupported when (T, N) lies outside ``regime`` and
-    InvalidParam on an unknown regime."""
-    n, t = cfg.N, cfg.T
-    if regime == REGIME_T_GE_N_PLUS_1:
-        if t < n + 1:
-            raise RegimeUnsupported(f"regime {regime} needs T >= N+1")
-        genie_cost = np.log2(t - 1)
-        engine = _mac_high_t
-    elif regime == REGIME_T_LE_N:
-        if not 2 <= t <= n:
-            raise RegimeUnsupported(f"regime {regime} needs 2 <= T <= N")
-        genie_cost = np.log2(2 * t)
-        engine = _mac_low_t
-    else:
-        raise InvalidParam(f"unknown regime {regime!r}")
+    RegimeUnsupported at T = 1, where neither genie exists."""
+    t = cfg.T
+    if t < 2:
+        raise RegimeUnsupported("the MAC bound needs T >= 2")
     flags = {"h_order_one_flagged": cfg.fading_kind != "iid_complex_gaussian"}
-    return _Bound(partial(_mac_genie, engine=engine), MAC_CATEGORIES, genie_cost, flags,
-                  branched=engine is _mac_low_t)
+    if regime_objective(t, cfg.N) == "f_exponent":
+        return _Bound(partial(_mac_genie, engine=_mac_high_t), MAC_CATEGORIES,
+                      np.log2(t - 1), flags)
+    return _Bound(partial(_mac_genie, engine=_mac_low_t), MAC_CATEGORIES, np.log2(2 * t),
+                  flags, branched=True)
 
 
-def duality_bound_mac_user1(input1, input2, cfg, regime, *, powers=None):
+def duality_bound_mac_user1(input1, input2, cfg, *, powers=None):
     """Duality upper bound on R1 for the two-user MAC (bits/channel use).
 
-    T >= N+1 regime uses the (T-1)-slot genie; T <= N uses the (V, U)
-    genie with the three conditional aux branches and genie cost
-    log2(2T).  Components carry the per-branch contributions and the
-    analytic right-hand side on the shared samples.  ``powers`` works as
-    in :func:`duality_bound_single_user`.
+    The genie follows :func:`~simomac.region.regime_objective`: with the
+    f bracket (T >= N+1) the (T-1)-slot genie, cost log2(T-1); with the g
+    bracket the (V, U) genie with three aux branches, cost log2(2T).
+    Raises RegimeUnsupported at T = 1.  Components carry the per-branch
+    contributions and the analytic right-hand side on the shared
+    samples.  ``powers`` works as in :func:`duality_bound_single_user`.
     """
-    bound = _mac_bound(cfg, regime)
+    bound = _mac_bound(cfg)
     (reports,) = _streamed_bounds(at_powers([input1, input2], cfg, powers), [bound])
     return one_or_all(reports, powers)
 
 
-def duality_bounds(input1, input2, cfg, regime, *, powers=None):
+def duality_bounds(input1, input2, cfg, *, powers=None):
     """(:func:`duality_bound_single_user` of input1, :func:`duality_bound_mac_user1`)
     from one pass over the trials.
 
     Both bounds see the same chunks, h1, Z and x1, and each equals its
-    own call bit for bit (see :func:`_streamed_bounds`).  Raises the
-    regime's error as :func:`duality_bound_mac_user1` does.  ``powers``
-    works as in :func:`duality_bound_single_user`; without it, the
-    single-user error is raised before the MAC one.
+    own call bit for bit (see :func:`_streamed_bounds`).  Raises
+    RegimeUnsupported at T = 1 before drawing anything.  ``powers`` works
+    as in :func:`duality_bound_single_user`; without it, the single-user
+    error is raised before the MAC one.
     """
-    bounds = [_single_user_bound(cfg), _mac_bound(cfg, regime)]
+    bounds = [_single_user_bound(cfg, cfg.T), _mac_bound(cfg)]
     single, mac = _streamed_bounds(at_powers([input1, input2], cfg, powers), bounds)
     return one_or_all(single, powers), one_or_all(mac, powers)
 

@@ -17,8 +17,6 @@ from simomac import cli, lemmas, region
 from simomac.auxdist import remainder_slack_bits
 from simomac.channel import FADING_KINDS, ChannelConfig, InputDistribution
 from simomac.converse import (
-    REGIME_T_GE_N_PLUS_1,
-    REGIME_T_LE_N,
     duality_bound_mac_user1,
     duality_bound_single_user,
     isotropic_mixture_mi_estimate,
@@ -165,7 +163,7 @@ def test_07_proposition_inequalities():
             su = duality_bound_single_user(iso, cfg)
             gap = su.value - su.components["analytic_rhs_value"]
             assert gap <= slack + 3 * su.std_error, ("single", kind, p_db, gap)
-            mac = duality_bound_mac_user1(iso, iso, cfg, REGIME_T_GE_N_PLUS_1)
+            mac = duality_bound_mac_user1(iso, iso, cfg)
             gap = mac.value - mac.components["analytic_rhs_value"]
             assert gap <= slack + 3 * mac.std_error, ("mac_high", kind, p_db, gap)
             # exercise all three genie branches in the short-block regime
@@ -174,7 +172,7 @@ def test_07_proposition_inequalities():
             i1 = InputDistribution(kind="isotropic_peak", T=2, P=p)
             i2 = InputDistribution(kind="exponent_profile_peak", T=2, P=p,
                                    params={"exponents": [0.5, 0.0]})
-            low = duality_bound_mac_user1(i1, i2, cfg2, REGIME_T_LE_N)
+            low = duality_bound_mac_user1(i1, i2, cfg2)
             assert min(low.components["branch_counts"].values()) > 0
             gap = low.value - low.components["analytic_rhs_value"]
             assert gap <= slack + 3 * low.std_error, ("mac_low", kind, p_db, gap)

@@ -122,7 +122,6 @@ class TestInputDistributions:
         d = InputDistribution(kind="isotropic_peak", T=4, P=9.0)
         x = d.sample(rng, size=10_000)
         assert np.linalg.norm(x, axis=1).max() ** 2 <= 9.0 + 1e-9
-        assert d.peak_bound == 9.0
 
     def test_exponent_profile_magnitudes(self):
         rng = np.random.default_rng(9)
@@ -136,6 +135,22 @@ class TestInputDistributions:
     def test_unknown_kind(self):
         with pytest.raises(InvalidParam):
             InputDistribution(kind="lattice", T=2, P=1.0)
+
+    @pytest.mark.parametrize("kind,t,p,params", [
+        ("isotropic_peak", 0, 1.0, {}),
+        ("isotropic_peak", 2, -5.0, {}),
+        ("isotropic_peak", 2, 0.0, {}),
+        ("isotropic_peak", 2, float("nan"), {}),
+        ("isotropic_peak", 2, float("inf"), {}),
+        ("exponent_profile_peak", 2, 10.0, {}),
+        ("exponent_profile_peak", 2, 10.0, {"exponents": [1.0]}),
+        ("exponent_profile_peak", 2, 10.0, {"exponents": [1.0, float("nan")]}),
+        ("deterministic_point", 2, 10.0, {"x": [1.0, 0.0, 0.0]}),
+        ("deterministic_point", 2, 10.0, {}),
+    ])
+    def test_invalid_law_raises_invalid_param(self, kind, t, p, params):
+        with pytest.raises(InvalidParam):
+            InputDistribution(kind=kind, T=t, P=p, params=params)
 
 
 class TestTruncation:

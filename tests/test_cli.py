@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from simomac import __version__, cli, converse
+from simomac.channel import FADING_KINDS
 from simomac.cli import main
 from simomac.errors import InvalidRegime
 
@@ -18,7 +23,6 @@ def _run(capsys, argv):
 def _assert_one_error_line(err):
     assert err.startswith("error: ")
     assert err.count("\n") == 1 and "Traceback" not in err
-
 
 class TestRegion:
     def test_json_report(self, capsys):
@@ -78,6 +82,15 @@ class TestBounds:
         assert code == 0
         assert json.loads(out)["config"]["P_dB"] == [-10.0, 30.0]
 
+    def test_single_slot_exit_2(self, capsys):
+        # the MAC bound's genie follows (T, N), and at T = 1 there is none
+        code = main(["bounds", "--T", "1", "--N", "2", "--P-dB", "20", "--trials", "100"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        _assert_one_error_line(captured.err)
+        assert "the MAC bound needs T >= 2" in captured.err
+
     def test_empty_evaluation_half_exit_2(self, capsys):
         code = main(["bounds", "--T", "4", "--N", "2", "--P-dB", "20",
                      "--trials", "1"])
@@ -125,7 +138,7 @@ class TestBounds:
 
 
 class TestVerify:
-    @pytest.mark.parametrize("suite", ["lemmas", "region", "optimizer"])
+    @pytest.mark.parametrize("suite", ["lemmas", "region", "optimizer", "props"])
     def test_suites_pass(self, capsys, suite):
         code, out = _run(capsys, ["verify", "--suite", suite, "--seed", "0"])
         rep = json.loads(out)
@@ -271,6 +284,32 @@ class TestBoundsPowerGrid:
         low, high = rep["points"]
         assert "single_user_upper" in low and "mac_user1_upper" not in low
         assert "single_user_upper" in high and "mac_user1_upper" in high
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    t=st.integers(1, 6),
+    n=st.integers(1, 4),
+    trials=st.integers(1, 300),
+    p_dbs=st.lists(st.integers(-20, 60), min_size=1, max_size=3, unique=True),
+    fading=st.sampled_from(FADING_KINDS),
+    seed=st.integers(min_value=0),
+)
+def test_bounds_exit_0_with_finite_json_or_exit_2_with_one_error_line(
+        t, n, trials, p_dbs, fading, seed):
+    # capsys is not reset between examples, so each example captures its own
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["bounds", "--T", str(t), "--N", str(n),
+                     "--P-dB", ",".join(map(str, p_dbs)), "--trials", str(trials),
+                     "--fading", fading, "--seed", str(seed)])
+    if code == 0:
+        rep = json.loads(out.getvalue(), parse_constant=pytest.fail)
+        assert [pt["P_dB"] for pt in rep["points"]] == p_dbs
+    else:
+        assert code == 2
+        assert out.getvalue() == ""
+        _assert_one_error_line(err.getvalue())
 
 
 def test_cli_imports_no_scipy_submodule():

@@ -9,8 +9,6 @@ import pytest
 from simomac import converse, linalg
 from simomac.channel import ChannelConfig, InputDistribution, superpose
 from simomac.converse import (
-    REGIME_T_GE_N_PLUS_1,
-    REGIME_T_LE_N,
     _exact_log2_det,
     _mac_genie,
     _mac_high_t,
@@ -25,6 +23,7 @@ from simomac.converse import (
 from simomac.errors import InvalidParam, InvalidRegime, RegimeUnsupported
 from simomac.knn_entropy import knn_entropy_bits
 from simomac.linalg import abs_sq, apply_rotation, sample_complex_gaussian
+from simomac.region import regime_objective
 
 LOG2_PI_E = np.log2(np.pi * np.e)
 
@@ -44,6 +43,14 @@ def _pilot(x, slots=None):
     channel = _silent_channel(len(x), 2, x.shape[1], 1)
     return _single_user_genie([x], channel, _cfg(t=x.shape[1]), None,
                               slots=slots or x.shape[1])[1]
+
+
+def _single_user_on_slots(input_dist, cfg, slots):
+    """The single-user bound with its pilot the strongest of the first
+    ``slots`` slots, as the MAC bound's (T-1)-slot genie picks it."""
+    ((rep,),) = converse._streamed_bounds([([input_dist], cfg)],
+                                          [converse._single_user_bound(cfg, slots)])
+    return rep
 
 
 def _mac_engine(engine, mag, s2, t, n=2, p=100.0):
@@ -92,11 +99,6 @@ class TestGenieIndices:
         v, *_, branch = _mac_engine(_mac_low_t, [0.0, 0.0, 0.0], 0.0, t=3)
         assert v == [0] and branch == [1]
 
-    def test_unknown_regime(self):
-        iso = InputDistribution(kind="isotropic_peak", T=4, P=100.0)
-        with pytest.raises(InvalidParam):
-            duality_bound_mac_user1(iso, iso, _cfg(trials=100), "bogus")
-
 
 class TestRotatedOutputs:
     def test_drawn_rotated_equal_rotated_outputs(self):
@@ -127,8 +129,7 @@ class TestConditionalEntropy:
         _, h = _mac_chunk(x1, np.zeros(4), fading=cfg.fading_kind)
         assert h == pytest.approx(cfg.N * np.log2(1 + np.linalg.norm(x1) ** 2), abs=1e-9)
         iso = InputDistribution(kind="isotropic_peak", T=4, P=100.0)
-        rep = duality_bound_mac_user1(iso, iso, _cfg(trials=2_000, fading=cfg.fading_kind),
-                                      REGIME_T_GE_N_PLUS_1)
+        rep = duality_bound_mac_user1(iso, iso, _cfg(trials=2_000, fading=cfg.fading_kind))
         assert rep.remainder_terms["h_order_one_flagged"] is True
 
     def test_exact_needs_gaussian_fading(self):
@@ -281,22 +282,34 @@ class TestSingleUserBound:
 
 class TestMacBound:
     def test_regime_mismatch(self):
-        cfg = _cfg(t=4, n=2)
-        iso = InputDistribution(kind="isotropic_peak", T=4, P=100.0)
-        with pytest.raises(RegimeUnsupported):
-            duality_bound_mac_user1(iso, iso, cfg, REGIME_T_LE_N)
+        # at T = 1 neither genie exists
         one = InputDistribution(kind="isotropic_peak", T=1, P=100.0)
-        with pytest.raises(RegimeUnsupported):
-            duality_bound_mac_user1(one, one, _cfg(t=1, n=2), REGIME_T_LE_N)
+        with pytest.raises(RegimeUnsupported, match="T >= 2"):
+            duality_bound_mac_user1(one, one, _cfg(t=1, n=2))
+
+    def test_genie_follows_regime_objective(self):
+        # the one place that picks the MAC genie is region.regime_objective
+        for t in range(1, 17):
+            for n in range(1, 9):
+                cfg = _cfg(t=t, n=n)
+                if t == 1:
+                    with pytest.raises(RegimeUnsupported):
+                        converse._mac_bound(cfg)
+                    continue
+                bound = converse._mac_bound(cfg)
+                if regime_objective(t, n) == "f_exponent":
+                    assert bound.genie_cost == np.log2(t - 1) and not bound.branched
+                else:
+                    assert bound.genie_cost == np.log2(2 * t) and bound.branched
 
     def test_genie_costs(self):
         cfg = _cfg(t=4, n=2, trials=20_000)
         iso = InputDistribution(kind="isotropic_peak", T=4, P=100.0)
-        rep = duality_bound_mac_user1(iso, iso, cfg, REGIME_T_GE_N_PLUS_1)
+        rep = duality_bound_mac_user1(iso, iso, cfg)
         assert rep.remainder_terms["genie_cost_bits"] == pytest.approx(np.log2(3))
         cfg2 = _cfg(t=2, n=2, trials=20_000)
         i1 = InputDistribution(kind="isotropic_peak", T=2, P=100.0)
-        rep2 = duality_bound_mac_user1(i1, i1, cfg2, REGIME_T_LE_N)
+        rep2 = duality_bound_mac_user1(i1, i1, cfg2)
         assert rep2.remainder_terms["genie_cost_bits"] == pytest.approx(np.log2(4))
         assert set(rep2.components["branch_counts"]) == {0, 1, 2}
 
@@ -310,8 +323,8 @@ class TestMacBound:
         i1 = InputDistribution(kind="isotropic_peak", T=4, P=p)
         zero2 = InputDistribution(kind="deterministic_point", T=4, P=p,
                                   params={"x": np.zeros(4)})
-        mac = duality_bound_mac_user1(i1, zero2, cfg, REGIME_T_GE_N_PLUS_1)
-        su = duality_bound_single_user(i1, cfg, genie_slots=3)
+        mac = duality_bound_mac_user1(i1, zero2, cfg)
+        su = _single_user_on_slots(i1, cfg, 3)
         assert mac.components["analytic_rhs_value"] == pytest.approx(
             su.components["analytic_rhs_value"], abs=0.01
         )
@@ -320,7 +333,7 @@ class TestMacBound:
     def test_proposition_inequality_shared_samples(self):
         cfg = _cfg(trials=40_000)
         iso = InputDistribution(kind="isotropic_peak", T=4, P=100.0)
-        rep = duality_bound_mac_user1(iso, iso, cfg, REGIME_T_GE_N_PLUS_1)
+        rep = duality_bound_mac_user1(iso, iso, cfg)
         slack = rep.remainder_terms["log_log_slack_bits"]
         assert rep.value <= rep.components["analytic_rhs_value"] + slack + 3 * rep.std_error
 
@@ -392,22 +405,13 @@ class TestMiEstimates:
         assert np.isfinite(mi) and np.isfinite(se) and se > 0
 
 
-class TestGenieSlots:
-    @pytest.mark.parametrize("slots", [0, 5])
-    def test_out_of_range_raises(self, slots):
-        cfg = _cfg(t=4, n=2, trials=1_000)
-        iso = InputDistribution(kind="isotropic_peak", T=4, P=100.0)
-        with pytest.raises(InvalidParam, match="genie_slots"):
-            duality_bound_single_user(iso, cfg, genie_slots=slots)
-
-
 class TestPooledFit:
     def test_sparse_branch_is_reported(self):
         # at T=3, N=4, 20 dB the pilot lands on the last slot (branch 0)
         # in well under 1 % of the trials: too few to fit on their own
         cfg = _cfg(t=3, n=4, p=100.0, trials=20_000, seed=1)
         iso = InputDistribution(kind="isotropic_peak", T=3, P=100.0)
-        rep = duality_bound_mac_user1(iso, iso, cfg, REGIME_T_LE_N)
+        rep = duality_bound_mac_user1(iso, iso, cfg)
         pooled = rep.components["pooled_fit"]
         assert rep.components["branch_counts"][0] < 100
         assert "branch0/pilot" in pooled
@@ -418,7 +422,7 @@ class TestPooledFit:
         cfg = _cfg(t=4, n=2, trials=300)
         iso = InputDistribution(kind="isotropic_peak", T=4, P=100.0)
         assert duality_bound_single_user(iso, cfg).components["pooled_fit"] == []
-        mac = duality_bound_mac_user1(iso, iso, cfg, REGIME_T_GE_N_PLUS_1)
+        mac = duality_bound_mac_user1(iso, iso, cfg)
         assert mac.components["pooled_fit"] == []
 
 
@@ -431,9 +435,9 @@ class TestStreamingEngine:
         tracemalloc.start()
         try:
             if bound == "mac":
-                duality_bound_mac_user1(iso, iso, cfg, REGIME_T_GE_N_PLUS_1)
+                duality_bound_mac_user1(iso, iso, cfg)
             elif bound == "both":
-                duality_bounds(iso, iso, cfg, REGIME_T_GE_N_PLUS_1)
+                duality_bounds(iso, iso, cfg)
             else:
                 duality_bound_single_user(iso, cfg)
             peak = tracemalloc.get_traced_memory()[1]
@@ -455,9 +459,9 @@ class TestStreamingEngine:
         bounds = [(lo, hi) for lo, hi, _ in converse._trial_chunks(cfg)]
         assert bounds == [(0, 100), (100, 200), (200, 300), (300, 301)]
         iso = InputDistribution(kind="isotropic_peak", T=2, P=10.0)
-        rep = duality_bound_mac_user1(iso, iso, cfg, REGIME_T_LE_N)
+        rep = duality_bound_mac_user1(iso, iso, cfg)
         assert sum(rep.components["branch_counts"].values()) == 301 // 2
-        again = duality_bound_mac_user1(iso, iso, cfg, REGIME_T_LE_N)
+        again = duality_bound_mac_user1(iso, iso, cfg)
         assert (rep.value, rep.std_error) == (again.value, again.std_error)
 
     def test_many_threads_fold_every_chunk(self, monkeypatch):
@@ -467,12 +471,12 @@ class TestStreamingEngine:
         cfg = _cfg(t=2, n=2, p=100.0, trials=2_001, seed=8)
         iso = InputDistribution(kind="isotropic_peak", T=2, P=100.0)
         monkeypatch.setattr(linalg, "cpu_count", lambda: 1)
-        one = duality_bound_mac_user1(iso, iso, cfg, REGIME_T_LE_N)
+        one = duality_bound_mac_user1(iso, iso, cfg)
         monkeypatch.setattr(linalg, "cpu_count", lambda: 6)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            many = duality_bound_mac_user1(iso, iso, cfg, REGIME_T_LE_N)
+            many = duality_bound_mac_user1(iso, iso, cfg)
         finally:
             sys.setswitchinterval(interval)
         assert many == one
@@ -540,7 +544,7 @@ class TestStreamingEngine:
         i1 = InputDistribution(kind="isotropic_peak", T=4, P=p)
         zero2 = InputDistribution(kind="deterministic_point", T=4, P=p,
                                   params={"x": np.zeros(4)})
-        mac = duality_bound_mac_user1(i1, zero2, cfg, REGIME_T_GE_N_PLUS_1)
-        su = duality_bound_single_user(i1, cfg, genie_slots=3)
+        mac = duality_bound_mac_user1(i1, zero2, cfg)
+        su = _single_user_on_slots(i1, cfg, 3)
         assert mac.components["analytic_rhs_value"] == pytest.approx(
             su.components["analytic_rhs_value"], rel=1e-12)

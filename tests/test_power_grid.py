@@ -20,13 +20,7 @@ from hypothesis import strategies as st
 
 from simomac import converse, linalg
 from simomac.channel import FADING_KINDS, ChannelConfig, InputDistribution
-from simomac.converse import (
-    REGIME_T_GE_N_PLUS_1,
-    REGIME_T_LE_N,
-    duality_bound_mac_user1,
-    duality_bound_single_user,
-    duality_bounds,
-)
+from simomac.converse import duality_bound_mac_user1, duality_bound_single_user, duality_bounds
 from simomac.errors import InvalidParam, SimomacError
 from simomac.training import mac_training_rates, single_user_training_rate
 
@@ -52,8 +46,7 @@ def _input(kind, t, p, exponents, max_p):
     if kind == "truncated":
         # the threshold stays put while P moves, so the rejection loop, and
         # with it the generator state, differs between the points
-        return InputDistribution(kind="exponential_norm", T=t, P=p, constraint="peak",
-                                 truncate_above=t * max_p)
+        return InputDistribution(kind="exponential_norm", T=t, P=p, truncate_above=t * max_p)
     return InputDistribution(kind="isotropic_peak", T=t, P=p)
 
 
@@ -78,17 +71,16 @@ def _check_grid(kind, t, n, trials, fading, p_dbs, seed, exponents, workers=1):
     for got, (d, c) in zip(grid, at):
         assert _same(got, _on_threads(1, duality_bound_single_user, d, c))
 
-    regime = REGIME_T_GE_N_PLUS_1 if t >= n + 1 else REGIME_T_LE_N
-    grid = _on_threads(workers, duality_bound_mac_user1, dist, dist, cfg, regime, powers=powers)
-    both = _on_threads(workers, duality_bounds, dist, dist, cfg, regime, powers=powers)
-    if t == 1:  # neither MAC regime exists
+    grid = _on_threads(workers, duality_bound_mac_user1, dist, dist, cfg, powers=powers)
+    both = _on_threads(workers, duality_bounds, dist, dist, cfg, powers=powers)
+    if t == 1:  # neither MAC genie exists
         assert isinstance(grid, SimomacError)
         assert _same(both, grid)
     else:
         single, mac = both
         assert len(single) == len(mac) == len(powers)
         for got, got_single, got_mac, (d, c) in zip(grid, single, mac, at):
-            alone = _on_threads(1, duality_bound_mac_user1, d, d, c, regime)
+            alone = _on_threads(1, duality_bound_mac_user1, d, d, c)
             assert _same(got, alone) and _same(got_mac, alone)
             assert _same(got_single, _on_threads(1, duality_bound_single_user, d, c))
 
@@ -144,7 +136,7 @@ def test_shared_draws_are_counted_once(monkeypatch, kind):
     duality_bound_single_user(dist, cfg, powers=[10.0, 100.0, 1000.0])
     assert len(calls) == chunks
     calls.clear()
-    duality_bounds(dist, dist, cfg, REGIME_T_LE_N, powers=[10.0, 100.0, 1000.0])
+    duality_bounds(dist, dist, cfg, powers=[10.0, 100.0, 1000.0])
     assert len(calls) == chunks
 
 
@@ -161,8 +153,7 @@ def test_grid_memory():
     iso = InputDistribution(kind="isotropic_peak", T=3, P=100.0)
     tracemalloc.start()
     try:
-        reports = duality_bound_mac_user1(iso, iso, cfg, REGIME_T_LE_N,
-                                          powers=[1e2, 1e3, 1e4])
+        reports = duality_bound_mac_user1(iso, iso, cfg, powers=[1e2, 1e3, 1e4])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
