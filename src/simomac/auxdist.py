@@ -82,8 +82,18 @@ def log_density_from_norm_sq(norm_sq, p):
     """
     norm_sq = np.asarray(norm_sq, dtype=float)
     check_not_singular(norm_sq, p)
+    return radial_log_density(norm_sq, log_normalizer(p), p.alpha - p.n, p.beta)
+
+
+def radial_log_density(norm_sq, log_norm, shape, beta):
+    """Natural-log density from ||A y||^2 and a member's
+    :func:`log_normalizer`, alpha - N and beta, with no singularity check.
+
+    The three may be arrays of norm_sq's shape, so that one call
+    evaluates each norm under a member of its own.
+    """
     safe = np.maximum(norm_sq, _NORM_SQ_FLOOR)
-    return log_normalizer(p) + (p.alpha - p.n) * np.log(safe) - norm_sq / p.beta
+    return log_norm + shape * np.log(safe) - norm_sq / beta
 
 
 class NormSqSums(NamedTuple):

@@ -165,8 +165,10 @@ class InputDistribution:
 
     ``deterministic_point`` needs ``params["x"]`` and
     ``exponent_profile_peak`` needs ``params["exponents"]``, each with T
-    finite entries.  ``truncate_above`` (norm^2 threshold) conditions the
-    law on ||X||^2 < threshold via rejection; set by
+    finite entries; ``pilot_data_product`` takes a finite, nonnegative
+    ``params["pilot_power"]`` and ``params["data_power"]`` (default P).
+    ``truncate_above`` (norm^2 threshold) conditions the law on
+    ||X||^2 < threshold via rejection; set by
     :func:`truncate_to_peak`.  Raises InvalidParam on an unknown kind,
     T < 1, a P that is not finite and positive, or such a missing or
     malformed parameter.
@@ -191,6 +193,11 @@ class InputDistribution:
             if entries.shape != (self.T,) or not np.isfinite(entries).all():
                 raise InvalidParam(f"{self.kind} needs params[{key!r}] of T = {self.T} "
                                    "finite entries")
+        if self.kind == "pilot_data_product":
+            for key in ("pilot_power", "data_power"):
+                power = self.params.get(key, self.P)
+                if not (math.isfinite(power) and power >= 0):
+                    raise InvalidParam(f"params[{key!r}] must be finite and >= 0, got {power}")
 
     def _raw_sample(self, rng, size):
         t = self.T

@@ -162,7 +162,8 @@ def cmd_bounds(args):
     cfgs = [ChannelConfig(T=args.T, N=args.N, P=_power(p_db), fading_kind=args.fading,
                           trials=args.trials, seed=args.seed) for p_db in p_dbs]
     cfg, powers = cfgs[0], [c.P for c in cfgs]
-    # one pass draws every trial chunk once for both bounds and the whole power grid
+    # the fit and evaluation passes draw each trial chunk once for both bounds and
+    # the whole power grid
     iso = InputDistribution(kind="isotropic_peak", T=args.T, P=cfg.P)
     single, mac = duality_bounds(iso, iso, cfg, powers=powers)
     gaussian = cfg.fading_kind == "iid_complex_gaussian"

@@ -4,19 +4,21 @@ the two-user MAC.
 All rate quantities are bits per channel use.  The duality bounds draw
 and whiten their Monte-Carlo trials in fixed-size chunks from streams
 of their own, the fading and noise once for every power and both
-bounds, and run the chunks on every CPU the process may use; each chunk
-writes its own rows, which are folded in chunk order, so the results do
-not depend on the CPU count.  The auxiliary-output parameters (alpha, beta per slot category)
-are fitted on the even half of the trials, kept only as per-chunk
-sums, and the bound is evaluated on the odd half, to avoid fitting
-bias; and all double-log remainder terms are carried explicitly in the
-returned reports with the calibrated constants from
-:mod:`simomac.auxdist`.
+bounds, and run the chunks on every CPU the process may use; each
+chunk's sums are folded in chunk order, so the results do not depend on
+the CPU count.  Half the trials fit the auxiliary-output parameters
+(alpha, beta per slot category) in a first pass that keeps only sums of
+the whitened norms; the other half, drawn from a stream of their own,
+evaluate the bound against those fixed parameters in a second pass that
+keeps only the moments of the bound statistic, so there is no fitting
+bias and memory does not grow with the trial count.  All
+double-log remainder terms are carried explicitly in the returned
+reports with the calibrated constants from :mod:`simomac.auxdist`.
 """
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import partial
+from functools import partial, reduce
 
 import numpy as np
 
@@ -24,7 +26,8 @@ from .auxdist import (
     NormSqSums,
     check_not_singular,
     fit_params,
-    log_density_from_norm_sq,
+    log_normalizer,
+    radial_log_density,
     remainder_slack_bits,
 )
 from .channel import (
@@ -44,6 +47,7 @@ from .linalg import (
     abs_sq,
     apply_rotation,
     divided_difference_exp,
+    merge_moments,
     norm_sq,
     run_chunks,
 )
@@ -88,19 +92,23 @@ def _gaussian_h_given_x(log2_det, cfg):
 # Duality-bound core shared by the three bounds
 # ---------------------------------------------------------------------------
 
-def _trial_chunks(cfg):
-    """(start, stop, seed) for each chunk of the cfg.trials trials, in order.
+def _trial_chunks(cfg, stream):
+    """Start of each chunk of one trial stream, as a range whose step is the
+    chunk length and whose stop is the stream's trial count.
 
-    A chunk holds max(2, even part of ``_CHUNK_ENTRIES // (N T)``) trials,
-    the last one possibly fewer, so a trial's parity is the same in its
-    chunk as over all trials.  Chunk i's seed is the i-th SeedSequence
-    spawned from SeedSequence((seed, 0)).
+    Stream 0 holds the ceil(trials / 2) fit trials, stream 1 the
+    floor(trials / 2) evaluation trials.  A chunk holds
+    max(2, even part of ``_CHUNK_ENTRIES // (N T)``) trials, the last one
+    possibly fewer, and draws from :func:`_chunk_seed`.
     """
     step = max(2, _CHUNK_ENTRIES // (cfg.N * cfg.T) // 2 * 2)
-    starts = range(0, cfg.trials, step)
-    seeds = np.random.SeedSequence((cfg.seed, 0)).spawn(len(starts))
-    for lo, seed in zip(starts, seeds):
-        yield lo, min(lo + step, cfg.trials), seed
+    return range(0, (cfg.trials + 1 - stream) // 2, step)
+
+
+def _chunk_seed(cfg, stream, i):
+    """Seed of chunk i of ``stream``: the i-th child of the stream-th child
+    of SeedSequence((seed, 0)), made without spawning its siblings."""
+    return np.random.SeedSequence((cfg.seed, 0), spawn_key=(stream, i))
 
 
 def _whiten(yt, v, s, c):
@@ -132,95 +140,168 @@ def _categories(v, t, n_names):
 
 
 @dataclass
-class _PointSums:
-    """What one power point of a streamed bound keeps over all chunks.
+class _GroupRows:
+    """Count, sum and least value of whitened norms per (branch, category)."""
 
-    The fit (even) trials leave only the count, sum and least value of
-    their whitened norms per (chunk, branch, category); the evaluation
-    (odd) trials keep their whitened norms, the row sum of ln |det A|^2,
-    the analytic right-hand side, h(Y | X), the pilot slot and the branch.
-    Every chunk writes rows of its own only, so chunks may be folded in
-    concurrently.
-    """
-
-    count: np.ndarray  # (chunks, branches, categories)
+    count: np.ndarray
     total: np.ndarray
     least: np.ndarray
-    white: np.ndarray  # (B // 2, T)
-    log_det: np.ndarray  # (B // 2,)
-    rhs: np.ndarray
-    h_given_x: np.ndarray
-    v: np.ndarray
-    branch: np.ndarray
 
     @classmethod
-    def empty(cls, cfg, n_chunks, n_branches, n_names):
-        half, groups = cfg.trials // 2, (n_chunks, n_branches, n_names)
-        return cls(np.zeros(groups, dtype=np.int64), np.zeros(groups), np.full(groups, np.inf),
-                   np.empty((half, cfg.T)), np.empty(half), np.empty(half), np.empty(half),
-                   np.empty(half, dtype=np.min_scalar_type(cfg.T)),
-                   np.zeros(half, dtype=np.int8))
+    def empty(cls, shape):
+        return cls(np.zeros(shape, dtype=np.int64), np.zeros(shape), np.full(shape, np.inf))
 
-    def add_chunk(self, i, lo, white, log_det, v, rhs, h_given_x, branch):
-        """Fold chunk i's trials [lo, lo + len(white)) in; lo is even."""
-        fit, ev = slice(0, None, 2), slice(1, None, 2)
-        n_names = self.count.shape[2]
-        group = _categories(v[fit], white.shape[1], n_names)
-        if branch is not None:
-            group += n_names * branch[fit, None]
-        group, pop = group.ravel(), white[fit].ravel()
-        # chunk i's rows, flattened in (branch, category) order, as views
-        count, total, least = (a[i].reshape(-1) for a in (self.count, self.total, self.least))
-        count[:] = np.bincount(group, minlength=count.size)
-        total[:] = np.bincount(group, pop, count.size)
+    @classmethod
+    def of(cls, group, white, shape):
+        """The rows of norms ``white``, each of aux group ``group`` (its flat
+        index into ``shape``)."""
+        group, pop = group.ravel(), white.ravel()
+        size = int(np.prod(shape))
+        least = np.full(size, np.inf)
         np.minimum.at(least, group, pop)
-        rows = slice(lo // 2, lo // 2 + len(white) // 2)
-        self.white[rows] = white[ev]
-        self.log_det[rows] = log_det[ev].sum(axis=1)
-        self.rhs[rows], self.h_given_x[rows], self.v[rows] = rhs[ev], h_given_x[ev], v[ev]
+        return cls(np.bincount(group, minlength=size).reshape(shape),
+                   np.bincount(group, pop, size).reshape(shape), least.reshape(shape))
+
+    def fold(self, rows):
+        """Add another set of norms' rows to these."""
+        self.count += rows.count
+        self.total += rows.total
+        np.minimum(self.least, rows.least, out=self.least)
+
+
+@dataclass
+class _PointSums:
+    """What one power point of one streamed bound keeps over all chunks.
+
+    ``fit_rows`` and ``eval_rows`` are the :class:`_GroupRows` of the fit
+    and the evaluation stream; ``members`` holds one (label, fitted member
+    or fit error, pooled) per (branch, category), set by :meth:`fit`
+    between the passes; ``moments`` holds per branch the count, mean and
+    M2 of the bound statistic, and ``sums`` per branch the sums of
+    -log2 q(Y), h(Y | X) and the analytic right-hand side.  Chunks are
+    folded in in chunk order, so nothing grows with the trial count.
+    """
+
+    bound: "_Bound"
+    cfg: object  # the point's ChannelConfig
+    fit_rows: _GroupRows
+    eval_rows: _GroupRows
+    moments: tuple
+    sums: np.ndarray
+    members: list = field(default_factory=list)
+    table: np.ndarray | None = None  # (3, groups): log normalizer, alpha - N, beta
+
+    @classmethod
+    def empty(cls, bound, cfg):
+        branches = 3 if bound.branched else 1
+        shape = (branches, len(bound.names))
+        return cls(bound, cfg, _GroupRows.empty(shape), _GroupRows.empty(shape),
+                   (np.zeros(branches),) * 3, np.zeros((3, branches)))
+
+    def _groups(self, white, v, branch):
+        """(B, T) aux group per slot, branch * categories + category."""
+        n_names = len(self.bound.names)
+        group = _categories(v, white.shape[1], n_names)
         if branch is not None:
-            self.branch[rows] = branch[ev]
+            group += n_names * branch[:, None]
+        return group
 
-    def fit_and_evaluate(self, n, names, branched):
-        """Per evaluation trial -log2 q(Y) for the genie-aided auxiliary
-        output density, {label: (alpha, beta)} and [labels fitted on
-        pooled samples].
+    def fit_chunk(self, white, v, branch):
+        """A fit chunk's rows, to fold into ``fit_rows``."""
+        return _GroupRows.of(self._groups(white, v, branch), white, self.fit_rows.count.shape)
 
-        ``names`` labels the categories of :func:`_categories`.  The
-        per-chunk rows are reduced by chunk index, whatever order the
-        chunks finished in; then one canonical radial member is fitted per
-        (branch, category) on the fit trials' sums; when branched, a
-        branch with fewer than 100 fit samples, or mean <= 1, is fitted on
-        the sums pooled over branches.  Groups are visited in (branch,
-        category) order, those seen in either half only.
-        """
-        count, total = self.count.sum(axis=0), self.total.sum(axis=0)
-        least = self.least.min(axis=0)
-        cat = _categories(self.v, self.white.shape[1], len(names))
-        ln_q = np.zeros(self.white.shape)
+    def fit(self):
+        """Fit one canonical radial member per (branch, category) on the
+        fit stream's sums.  When branched, a branch with fewer than 100 fit
+        samples, or mean <= 1, is fitted on the sums pooled over branches.
+        A failed fit is kept, to be raised if the group is seen at all."""
+        n, names = self.cfg.N, self.bound.names
+        count, total = self.fit_rows.count, self.fit_rows.total
+        table = []
+        for br, c in np.ndindex(count.shape):
+            label = f"branch{br}/{names[c]}" if self.bound.branched else names[c]
+            sums = NormSqSums(count[br, c], total[br, c])
+            pooled = self.bound.branched and (sums.count < 100 or sums.total / sums.count <= 1.0)
+            if pooled:
+                sums = NormSqSums(count[:, c].sum(), total[:, c].sum())
+            try:
+                member = fit_params(sums, n, np.eye(n))
+                table.append((log_normalizer(member), member.alpha - n, member.beta))
+            except InvalidRegime as exc:
+                member = InvalidRegime(f"category {label!r}: {exc}")
+                table.append((0.0, 0.0, 1.0))  # a stand-in: the point fails if it is seen
+            self.members.append((label, member, pooled))
+        self.table = np.array(table).T
+
+    def eval_chunk(self, white, log_det, v, rhs, h_given_x, branch):
+        """An evaluation chunk's rows, moments and sums, for
+        :meth:`fold_eval`: each trial's -log2 q(Y) under the fitted
+        members, then per branch."""
+        group = self._groups(white, v, branch)
+        rows = _GroupRows.of(group, white, self.eval_rows.count.shape)
+        ln_q = radial_log_density(white, *self.table[:, group])
+        neg_q = -(ln_q.sum(axis=1) + log_det.sum(axis=1)) / LN2
+        stat = (neg_q - h_given_x + self.bound.genie_cost) / self.cfg.T
+        br = np.zeros(len(stat), dtype=np.intp) if branch is None else branch
+        nb = self.sums.shape[1]
+        count = np.bincount(br, minlength=nb)
+        mean = np.bincount(br, stat, nb) / np.maximum(count, 1)
+        dev = stat - mean[br]
+        sums = np.array([np.bincount(br, x, nb) for x in (neg_q, h_given_x, rhs)])
+        return rows, (count, mean, np.bincount(br, dev * dev, nb)), sums
+
+    def fold_eval(self, chunk):
+        """Fold an :meth:`eval_chunk` result in; chunks come in chunk order."""
+        rows, moments, sums = chunk
+        self.eval_rows.fold(rows)
+        self.moments = merge_moments(self.moments, moments)
+        self.sums += sums
+
+    def report(self):
+        """The point's BoundReport; raises the error of the first
+        (branch, category) group seen in either stream whose fit failed or
+        whose least norm is singular under its member.  ``fitted`` and
+        ``pooled_fit`` list the groups seen, in that order."""
+        rows = (self.fit_rows, self.eval_rows)
+        seen = sum(r.count for r in rows).ravel() > 0
+        least = np.minimum(*(r.least for r in rows)).ravel()
         fitted, pooled = {}, []
-        # a mask, not np.unique, which imports numpy.ma on its first call
-        seen = count.sum(axis=1) > 0
-        seen[self.branch] = True
-        for br in np.flatnonzero(seen):
-            in_branch = (self.branch == br)[:, None]
-            for c, name in enumerate(names):
-                sel = (cat == c) & in_branch
-                if not (count[br, c] or sel.any()):
-                    continue
-                label = f"branch{br}/{name}" if branched else name
-                sums = NormSqSums(count[br, c], total[br, c])
-                if branched and (sums.count < 100 or sums.total / sums.count <= 1.0):
-                    sums = NormSqSums(count[:, c].sum(), total[:, c].sum())
-                    pooled.append(label)
-                try:
-                    params = fit_params(sums, n, np.eye(n))
-                except InvalidRegime as exc:
-                    raise InvalidRegime(f"category {label!r}: {exc}") from None
-                fitted[label] = (params.alpha, params.beta)
-                check_not_singular(least[br, c], params)
-                ln_q[sel] = log_density_from_norm_sq(self.white[sel], params)
-        return -(ln_q.sum(axis=1) + self.log_det) / LN2, fitted, pooled
+        for (label, member, pooled_fit), group_seen, low in zip(self.members, seen, least):
+            if not group_seen:
+                continue
+            if isinstance(member, SimomacError):
+                raise member
+            check_not_singular(low, member)
+            fitted[label] = (member.alpha, member.beta)
+            if pooled_fit:
+                pooled.append(label)
+
+        t, cost = self.cfg.T, self.bound.genie_cost
+        n, value, m2 = reduce(merge_moments, zip(*self.moments))  # over branches
+        count = self.moments[0]
+        neg_q, h_given_x, rhs = self.sums
+        components = {
+            "neg_log_q_per_cu": float(neg_q.sum() / n / t),
+            "h_y_given_x_per_cu": float(h_given_x.sum() / n / t),
+            "analytic_rhs_value": float((rhs.sum() - h_given_x.sum() + n * cost) / n / t),
+            "fitted": fitted,
+        }
+        if self.bound.branched:
+            components["branch_counts"] = {k: int(m) for k, m in enumerate(count)}
+            for key, sums in (("branch_neg_log_q_per_cu", neg_q), ("branch_rhs_per_cu", rhs)):
+                components[key] = {k: float(x / m / t) if m else None
+                                   for k, (x, m) in enumerate(zip(sums, count))}
+        components["pooled_fit"] = pooled
+        return BoundReport(
+            value=float(value),
+            std_error=float(np.sqrt(m2 / n) / np.sqrt(n)),
+            remainder_terms={
+                "log_log_slack_bits": remainder_slack_bits(self.cfg.P),
+                "genie_cost_bits": float(cost),
+                **self.bound.flags,
+            },
+            components=components,
+        )
 
 
 @dataclass(frozen=True)
@@ -246,10 +327,19 @@ def _streamed_bounds(points, bounds):
     """For each of ``bounds``, one BoundReport per (inputs, cfg) point of
     :func:`at_powers`, or the SimomacError its fit or evaluation raised.
 
-    The trials are drawn chunk by chunk (:func:`_trial_chunks`), the
-    chunks spread over the CPUs by :func:`~simomac.linalg.run_chunks`.  Each chunk draws
-    its channel once, for every point and every bound, from a generator
-    on the first child of the chunk's seed, in the order h1, Z, h2 of
+    The trials form two streams (:func:`_trial_chunks`): ceil(trials / 2)
+    fit the aux members, the other floor(trials / 2) evaluate the bound.
+    Each stream is drawn chunk by chunk, the chunks spread over the CPUs
+    by :func:`~simomac.linalg.run_chunks`, in two passes: the fit pass
+    folds each chunk's sums of the whitened norms into running totals in
+    chunk order, every member is then fitted once, and the evaluation
+    pass does the same with the moments of the bound statistic
+    (:class:`_PointSums`).  No trial is drawn twice, and memory does not
+    grow with the trial count.
+
+    Each chunk draws its channel once, for every point and every bound,
+    from a generator on the first child of the chunk's seed
+    (:func:`_chunk_seed`), in the order h1, Z, h2 of
     :func:`sample_channel`: a pass with one user draws exactly the first
     two.  Each point then draws its inputs (x1 first) from a fresh
     generator on the chunk's seed, so every point sees the draws of a
@@ -262,75 +352,61 @@ def _streamed_bounds(points, bounds):
     """
     inputs0, cfg0 = points[0]
     if cfg0.trials < 2:
-        raise InvalidParam("the bound needs trials >= 2: even trials fit, odd trials evaluate")
-    chunks = list(_trial_chunks(cfg0))
-    sums = [[_PointSums.empty(cfg, len(chunks), 3 if bound.branched else 1, len(bound.names))
-             for bound in bounds] for _, cfg in points]
-    step = chunks[0][1] - chunks[0][0]  # the longest chunk
+        raise InvalidParam("the bound needs trials >= 2: half the trials fit, the other half "
+                           "evaluate")
+    streams = _trial_chunks(cfg0, 0), _trial_chunks(cfg0, 1)
+    sums = [[_PointSums.empty(bound, cfg) for bound in bounds] for _, cfg in points]
+    step = streams[0].step
 
-    def run_chunk(i, lo, hi, seed, scratch):
+    def outputs(stream, i, scratch):
+        """(the point's _PointSums, whitened chunk) for chunk i of ``stream``,
+        point by point and bound by bound."""
         if not scratch:
             shape = (step, cfg0.N, cfg0.T)
             scratch.update(noise=np.empty(shape, dtype=complex), draw=np.empty(shape),
                            y=np.empty(shape, dtype=complex))
-        noise, draw, y_buf = (scratch[key][:hi - lo] for key in ("noise", "draw", "y"))
+        starts = streams[stream]
+        b = min(step, starts.stop - starts[i])
+        noise, draw, y_buf = (scratch[key][:b] for key in ("noise", "draw", "y"))
+        seed = _chunk_seed(cfg0, stream, i)
         channel_seed = np.random.SeedSequence(seed.entropy, spawn_key=seed.spawn_key + (0,))
         channel = sample_channel(len(inputs0), cfg0, np.random.default_rng(channel_seed),
-                                 size=hi - lo, out=noise, scratch=draw)
+                                 size=b, out=noise, scratch=draw)
         for (inputs, cfg), point_sums in zip(points, sums):
-            xs = sample_inputs(inputs, cfg, np.random.default_rng(seed), size=hi - lo)
+            xs = sample_inputs(inputs, cfg, np.random.default_rng(seed), size=b)
             for k, (bound, acc) in enumerate(zip(bounds, point_sums), 1):
                 yt, v, s, c, rhs, h_given_x, br = bound.genie(xs, channel, cfg, y_buf)
                 if k == len(bounds):
                     del xs  # no later bound needs the inputs: free them before whitening
-                acc.add_chunk(i, lo, *_whiten(yt, v, s, c), v, rhs, h_given_x, br)
+                yield acc, (*_whiten(yt, v, s, c), v, rhs, h_given_x, br)
 
-    run_chunks(run_chunk, chunks)
+    def run_fit(i, scratch):
+        return [(acc, acc.fit_chunk(white, v, br))
+                for acc, (white, _, v, _, _, br) in outputs(0, i, scratch)]
+
+    def fold_fit(chunk):
+        for acc, rows in chunk:
+            acc.fit_rows.fold(rows)
+
+    def run_eval(i, scratch):
+        return [(acc, acc.eval_chunk(*chunk)) for acc, chunk in outputs(1, i, scratch)]
+
+    def fold_eval(chunk):
+        for acc, rows in chunk:
+            acc.fold_eval(rows)
+
+    run_chunks(run_fit, len(streams[0]), fold=fold_fit)
+    for acc in (acc for point_sums in sums for acc in point_sums):
+        acc.fit()
+    run_chunks(run_eval, len(streams[1]), fold=fold_eval)
     reports = [[] for _ in bounds]
-    for (_, cfg), point_sums in zip(points, sums):
-        for bound, acc, out in zip(bounds, point_sums, reports):
+    for point_sums in sums:
+        for acc, out in zip(point_sums, reports):
             try:
-                neg_q, fitted, pooled = acc.fit_and_evaluate(cfg.N, bound.names, bound.branched)
+                out.append(acc.report())
             except SimomacError as exc:
                 out.append(exc)
-                continue
-            rep = _bound_report(neg_q, acc.rhs, acc.h_given_x, bound.genie_cost, cfg, fitted,
-                                bound.flags, acc.branch if bound.branched else None)
-            rep.components["pooled_fit"] = pooled
-            out.append(rep)
     return reports
-
-
-def _bound_report(neg_q, rhs, h_given_x, genie_cost, cfg, fitted, flags=None, branch=None):
-    """BoundReport from the evaluation trials' -log2 q(Y), analytic
-    right-hand side, h(Y | X) and branch."""
-    t = cfg.T
-    stat = (neg_q - h_given_x + genie_cost) / t
-    components = {
-        "neg_log_q_per_cu": float((neg_q / t).mean()),
-        "h_y_given_x_per_cu": float((h_given_x / t).mean()),
-        "analytic_rhs_value": float(((rhs - h_given_x + genie_cost) / t).mean()),
-        "fitted": fitted,
-    }
-    if branch is not None:
-        per_branch = {k: branch == k for k in (0, 1, 2)}
-        components["branch_counts"] = {k: int(m.sum()) for k, m in per_branch.items()}
-        components["branch_neg_log_q_per_cu"] = {
-            k: float((neg_q[m] / t).mean()) if m.any() else None for k, m in per_branch.items()
-        }
-        components["branch_rhs_per_cu"] = {
-            k: float((rhs[m] / t).mean()) if m.any() else None for k, m in per_branch.items()
-        }
-    return BoundReport(
-        value=float(stat.mean()),
-        std_error=float(stat.std() / np.sqrt(stat.size)),
-        remainder_terms={
-            "log_log_slack_bits": remainder_slack_bits(cfg.P),
-            "genie_cost_bits": float(genie_cost),
-            **(flags or {}),
-        },
-        components=components,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +589,7 @@ def duality_bound_mac_user1(input1, input2, cfg, *, powers=None):
 
 def duality_bounds(input1, input2, cfg, *, powers=None):
     """(:func:`duality_bound_single_user` of input1, :func:`duality_bound_mac_user1`)
-    from one pass over the trials.
+    from one fit pass and one evaluation pass over the trials.
 
     Both bounds see the same chunks, h1, Z and x1, and each equals its
     own call bit for bit (see :func:`_streamed_bounds`).  Raises

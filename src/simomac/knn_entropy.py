@@ -131,7 +131,8 @@ def kth_neighbour_distance(x, k):
     head = min(n, max(_HEAD, k + 1))
     out = np.empty(n)
 
-    def run(i, lo, hi, scratch):
+    def run(i, scratch):
+        lo, hi = i * _ROWS, min((i + 1) * _ROWS, n)
         if not scratch:
             scratch.update(approx=np.empty(_ROWS * min(n, segment), dtype=np.float32),
                            below=np.empty(_ROWS * min(n, segment), dtype=bool))
@@ -163,7 +164,7 @@ def kth_neighbour_distance(x, k):
         if bad.size:
             out[lo + bad] = _exact_kth_sq_dist(x, lo + bad, k)
 
-    run_chunks(run, [(lo, min(lo + _ROWS, n)) for lo in range(0, n, _ROWS)])
+    run_chunks(run, -(-n // _ROWS))
     return np.sqrt(out)
 
 

@@ -1,5 +1,6 @@
-"""Complex linear algebra, random sampling primitives, and the runner
-that spreads independent chunks of work over the CPUs.
+"""Complex linear algebra, random sampling primitives, the runner that
+spreads independent chunks of work over the CPUs, and the merge of their
+per-chunk moments.
 
 All vectors/matrices are plain numpy complex arrays.  Samplers take an
 explicit ``numpy.random.Generator`` so that parallel callers can use
@@ -126,22 +127,28 @@ def cpu_count():
         return os.cpu_count() or 1
 
 
-def run_chunks(run, chunks):
-    """Call ``run(i, *chunks[i], scratch)`` for every chunk i.
+def run_chunks(run, n, fold=None):
+    """Call ``run(i, scratch)`` for every chunk i < n; with ``fold``, call
+    ``fold(result)`` on each chunk's result in chunk order.
 
-    The calling thread and min(CPUs, chunks) - 1 helper threads take the
-    chunk indices in order from one shared iterator.  Each thread passes
-    a dict of its own as ``scratch``, in which ``run`` may keep buffers
-    for that thread's later chunks.  Once a chunk raises,
-    no further chunk is started; after the started ones have finished,
-    the error of the lowest failed chunk is raised.  Every chunk below it
-    was started before it, so that is the error a one-thread run raises.
+    The calling thread and min(CPUs, n) - 1 helper threads take the chunk
+    indices in order from one shared iterator.  Each thread passes a dict
+    of its own as ``scratch``, in which ``run`` may keep buffers for that
+    thread's later chunks.  A result that finishes before a lower chunk's
+    waits for it; ``fold`` runs under a lock, so the folds never overlap
+    and their order, and so any sum they build, does not depend on the
+    CPU count.  Once a chunk raises, no further chunk is started; after
+    the started ones have finished, the error of the lowest failed chunk
+    is raised.  Every chunk below it was started before it, so that is
+    the error a one-thread run raises.
     """
     lock = threading.Lock()
-    todo = iter(range(len(chunks)))
-    errors = {}
+    todo = iter(range(n))
+    errors, finished = {}, {}
+    folded = 0  # chunks folded so far
 
     def work():
+        nonlocal folded
         scratch = {}
         while True:
             with lock:
@@ -149,12 +156,19 @@ def run_chunks(run, chunks):
             if i is None:
                 return
             try:
-                run(i, *chunks[i], scratch)
+                result = run(i, scratch)
             except BaseException as exc:  # re-raised below, on the calling thread
                 with lock:
                     errors[i] = exc
+                continue
+            if fold is not None:
+                with lock:
+                    finished[i] = result
+                    while folded in finished:
+                        fold(finished.pop(folded))
+                        folded += 1
 
-    helpers = min(cpu_count(), len(chunks)) - 1
+    helpers = min(cpu_count(), n) - 1
     with ThreadPoolExecutor(max(helpers, 1)) as pool:  # threads start on submit only
         futures = [pool.submit(work) for _ in range(helpers)]
         work()
@@ -162,6 +176,24 @@ def run_chunks(run, chunks):
             future.result()
     if errors:
         raise errors[min(errors)]
+
+
+def merge_moments(a, b):
+    """(count, mean, M2) of the union of two groups, each given by its
+    (count, mean, M2), M2 being the sum of squared deviations from the
+    mean; numbers, or arrays of one shape merged elementwise.
+
+    The pairwise update of Chan, Golub & LeVeque (1979): with
+    d = mean_b - mean_a, the mean moves by d n_b / n and M2 gains
+    d^2 n_a n_b / n, so no large sums of squares cancel.  An empty group
+    (count 0, mean 0) leaves the other as it is, and two empty ones merge
+    to an empty one.
+    """
+    (n_a, mean_a, m2_a), (n_b, mean_b, m2_b) = a, b
+    n = n_a + n_b
+    d = mean_b - mean_a
+    share = n_b / np.maximum(n, 1)
+    return n, mean_a + d * share, m2_a + m2_b + d * d * n_a * share
 
 
 def norm_sq(a, axis=-1):

@@ -7,16 +7,25 @@ the pre-logs matter for the DoF claims.
 
 Closed-form MMSE is available for Gaussian fading: with a pilot of
 amplitude sqrt(P), hhat ~ CN(0, P/(1+P) I_N) and the per-entry error
-variance is 1/(1+P).
+variance is 1/(1+P).  The rates depend on the channel only through the
+squared norms of the CN(0, I_N) directions and, for the MAC, their inner
+product, so those statistics are drawn from their exact laws, chunk by
+chunk, and only the moments of the per-trial rates are kept, merged
+chunk by chunk: memory does not grow with the trial count.
 """
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .channel import at_powers, one_or_all
 from .errors import InvalidParam, RegimeUnsupported
-from .linalg import abs_sq, norm_sq, sample_complex_gaussian
+from .linalg import merge_moments
+
+# Trials per chunk of the channel statistics.  The chunk length fixes how
+# the draws interleave, so the rates depend on it.
+_CHUNK_TRIALS = 2**13
 
 
 @dataclass
@@ -32,29 +41,48 @@ def _mmse_stats(P):
     return P / (1.0 + P), 1.0 / (1.0 + P)
 
 
+def _streamed_rates(cfg, cfgs, draw, per_trial):
+    """(mean, standard error) of the per-trial rates at each of ``cfgs``.
+
+    ``draw(rng, size)`` gives one chunk's channel statistics, drawn from
+    ``cfg.rng()`` chunk after chunk, once for every power;
+    ``per_trial(c, *stats)`` maps them to the chunk's rates at c.P.  Only
+    each power's count, mean and M2 are kept, merged in chunk order.
+    """
+    rng, moments = cfg.rng(), [(0, 0.0, 0.0)] * len(cfgs)
+    for lo in range(0, cfg.trials, _CHUNK_TRIALS):
+        stats = draw(rng, min(_CHUNK_TRIALS, cfg.trials - lo))
+        for k, c in enumerate(cfgs):
+            rates = per_trial(c, *stats)
+            mean = rates.mean(axis=0)
+            dev = rates - mean
+            moments[k] = merge_moments(moments[k], (len(rates), mean, (dev * dev).sum(axis=0)))
+    return [(mean, np.sqrt(m2 / n) / np.sqrt(n)) for n, mean, m2 in moments]
+
+
 def single_user_training_rate(cfg, *, powers=None):
     """One pilot slot, T-1 data slots; rate (T-1)/T E log2(1 + SINR_eff).
 
     T = 1 degenerates to zero pre-log (no data slots); returns rate 0.
     With ``powers``, returns one RateEstimate per power, equal to the call
     with cfg at that P: the estimate is hhat = sqrt(P/(1+P)) g for one
-    CN(0, I_N) draw g, so ||g||^2 is drawn once for the whole grid.
+    CN(0, I_N) draw g, so ||g||^2 ~ Gamma(N, 1) is drawn once for the
+    whole grid, in chunks (:func:`_streamed_rates`).
     """
     t, n = cfg.T, cfg.N
     if cfg.fading_kind != "iid_complex_gaussian":
         raise RegimeUnsupported("closed-form MMSE requires Gaussian fading")
     cfgs = [c for _, c in at_powers([], cfg, powers)]
     if t < 2:
-        rates = [RateEstimate(0.0, 0.0) for _ in cfgs]
-    else:
-        g2 = norm_sq(sample_complex_gaussian(n, cfg.rng(), size=cfg.trials))
-        rates = []
-        for c in cfgs:
-            est_var, err_var = _mmse_stats(c.P)
-            per_trial = (t - 1) / t * np.log2(1.0 + c.P * est_var / (1.0 + c.P * err_var) * g2)
-            rates.append(RateEstimate(float(per_trial.mean()),
-                                      float(per_trial.std() / np.sqrt(cfg.trials))))
-    return one_or_all(rates, powers)
+        return one_or_all([RateEstimate(0.0, 0.0) for _ in cfgs], powers)
+
+    def per_trial(c, g2):
+        est_var, err_var = _mmse_stats(c.P)
+        return (t - 1) / t * np.log2(1.0 + c.P * est_var / (1.0 + c.P * err_var) * g2)
+
+    moments = _streamed_rates(cfg, cfgs, lambda rng, size: (rng.standard_gamma(n, size),),
+                              per_trial)
+    return one_or_all([RateEstimate(float(r), float(se)) for r, se in moments], powers)
 
 
 def tdma_rates(cfg, tau=0.5):
@@ -67,15 +95,30 @@ def tdma_rates(cfg, tau=0.5):
     return r1, r2
 
 
-def _gram_stats(h):
-    """Squared norms ||h_k||^2, (B, 2), and |h_1^H h_2|^2, (B,), of
-    h: (B, 2, N)."""
-    return norm_sq(h), abs_sq(np.einsum("bn,bn->b", h[:, 0].conj(), h[:, 1]))
+def _gram_draws(n, rng, size):
+    """Squared norms ||h_k||^2, (size, 2), and |h_1^H h_2|^2, (size,), of
+    i.i.d. h_1, h_2 ~ CN(0, I_N), drawn from their exact laws.
+
+    ||h_1||^2 ~ Gamma(N, 1).  Given h_1, c = u^H h_2 with u = h_1/||h_1||
+    is CN(0, 1) and h_2's part orthogonal to u is CN(0, I_{N-1}) in that
+    complement, both independent of h_1: so |c|^2 ~ Exp(1),
+    ||h_2||^2 = |c|^2 + Gamma(N-1, 1) (no second term at N = 1) and
+    |h_1^H h_2|^2 = ||h_1||^2 |c|^2.  Three variates per trial, drawn in
+    that order.
+    """
+    g1 = rng.standard_gamma(n, size)
+    c2 = rng.standard_exponential(size)
+    gains_sq = np.empty((size, 2))
+    gains_sq[:, 0] = g1
+    gains_sq[:, 1] = c2
+    if n > 1:
+        gains_sq[:, 1] += rng.standard_gamma(n - 1, size)
+    return gains_sq, g1 * c2
 
 
 def _gram_log2_det(gains_sq, cross, rho):
-    """log2 det(I_2 + rho H^H H) per trial from the :func:`_gram_stats` of
-    H = [h_1 h_2], in closed form:
+    """log2 det(I_2 + rho H^H H) per trial from the :func:`_gram_draws`
+    statistics of H = [h_1 h_2], in closed form:
     (1 + rho |h_1|^2)(1 + rho |h_2|^2) - rho^2 |h_1^H h_2|^2."""
     gains = 1.0 + rho * gains_sq
     return np.log2(gains[:, 0] * gains[:, 1] - rho * rho * cross)
@@ -90,7 +133,8 @@ def mac_training_rates(cfg, *, powers=None):
     noise.  Requires T >= 3; falls back conceptually to tdma_rates above.
     With ``powers``, returns one (R1, R2) pair per power, equal to the
     call with cfg at that P; as in :func:`single_user_training_rate`,
-    the channel statistics are drawn once for the whole grid.
+    the channel statistics (:func:`_gram_draws`) are drawn once for the
+    whole grid, in chunks.
     """
     t, n = cfg.T, cfg.N
     if cfg.fading_kind != "iid_complex_gaussian":
@@ -98,20 +142,18 @@ def mac_training_rates(cfg, *, powers=None):
     if t < 3:
         raise RegimeUnsupported("MAC training needs T >= 3; use tdma_rates")
     cfgs = [c for _, c in at_powers([], cfg, powers)]
-    gains_sq, cross = _gram_stats(sample_complex_gaussian(n, cfg.rng(), size=(cfg.trials, 2)))
-    pairs = []
-    for c in cfgs:
+
+    def per_trial(c, gains_sq, cross):
         est_var, err_var = _mmse_stats(c.P)
         # hhat = sqrt(est_var) g, so rho H^H H = (rho est_var) G^H G
         rho = c.P / (1.0 + 2.0 * c.P * err_var) * est_var
         sum_rate = _gram_log2_det(gains_sq, cross, rho)
-        indiv = np.log2(1.0 + rho * gains_sq)  # (trials, 2)
-        per_trial = (t - 2) / t * np.minimum(0.5 * sum_rate[:, None], indiv)
-        r = per_trial.mean(axis=0)
-        se = per_trial.std(axis=0) / np.sqrt(cfg.trials)
-        pairs.append((RateEstimate(float(r[0]), float(se[0])),
-                      RateEstimate(float(r[1]), float(se[1]))))
-    return one_or_all(pairs, powers)
+        indiv = np.log2(1.0 + rho * gains_sq)  # (chunk, 2)
+        return (t - 2) / t * np.minimum(0.5 * sum_rate[:, None], indiv)
+
+    moments = _streamed_rates(cfg, cfgs, partial(_gram_draws, n), per_trial)
+    return one_or_all([(RateEstimate(float(r[0]), float(se[0])),
+                        RateEstimate(float(r[1]), float(se[1]))) for r, se in moments], powers)
 
 
 def rate_slope(cfg_factory, p_db_points):

@@ -147,10 +147,20 @@ class TestInputDistributions:
         ("exponent_profile_peak", 2, 10.0, {"exponents": [1.0, float("nan")]}),
         ("deterministic_point", 2, 10.0, {"x": [1.0, 0.0, 0.0]}),
         ("deterministic_point", 2, 10.0, {}),
+        # a negative data power once gave a NaN bound and two raw RuntimeWarnings
+        ("pilot_data_product", 4, 10.0, {"data_power": -1.0}),
+        ("pilot_data_product", 4, 10.0, {"data_power": float("inf")}),
+        ("pilot_data_product", 4, 10.0, {"pilot_power": -1.0}),
+        ("pilot_data_product", 4, 10.0, {"pilot_power": float("nan")}),
     ])
     def test_invalid_law_raises_invalid_param(self, kind, t, p, params):
         with pytest.raises(InvalidParam):
             InputDistribution(kind=kind, T=t, P=p, params=params)
+
+    @pytest.mark.parametrize("key", ["pilot_power", "data_power"])
+    def test_silent_pilot_or_data_allowed(self, key):
+        silent = InputDistribution(kind="pilot_data_product", T=4, P=10.0, params={key: 0.0})
+        assert np.isfinite(silent.sample(np.random.default_rng(0), size=100)).all()
 
 
 class TestTruncation:

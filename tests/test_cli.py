@@ -117,14 +117,15 @@ class TestBounds:
                    for pt in rep["points"])
 
     def test_one_pass_for_both_bounds(self, capsys, monkeypatch):
-        # both bounds of the whole power grid come from one chunk pass
+        # both bounds of the whole power grid come from one fit pass and
+        # one evaluation pass
         passes = []
         real = converse.run_chunks
         monkeypatch.setattr(converse, "run_chunks",
-                            lambda *args: passes.append(1) or real(*args))
+                            lambda *args, **kwargs: passes.append(1) or real(*args, **kwargs))
         code, out = _run(capsys, ["bounds", "--T", "4", "--N", "2",
                                   "--P-dB", "20,30", "--trials", "2000"])
-        assert code == 0 and len(passes) == 1
+        assert code == 0 and len(passes) == 2
         assert all("single_user_upper" in pt and "mac_user1_upper" in pt
                    for pt in json.loads(out)["points"])
 
@@ -274,10 +275,10 @@ class TestBoundsPowerGrid:
         assert "single_user_upper" in pt and "mac_user1_upper" in pt
 
     def test_one_failed_point_keeps_the_others(self, capsys):
-        # T=2, seed 6, 100 trials: at 20 dB branch 0 has evaluation trials
+        # T=2, seed 0, 100 trials: at 20 dB branch 0 has evaluation trials
         # but no fit trial, so only that point's MAC bound is lost
         code, out = _run(capsys, ["bounds", "--T", "2", "--N", "2", "--P-dB", "20,30",
-                                  "--trials", "100", "--seed", "6"])
+                                  "--trials", "100", "--seed", "0"])
         assert code == 0
         rep = json.loads(out)
         assert rep["warnings"] == ["P=20.0 dB: category 'branch0/middle': no samples to fit"]

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from simomac import converse, linalg
+from simomac.auxdist import AuxDistParams, log_density_from_norm_sq
 from simomac.channel import ChannelConfig, InputDistribution, superpose
 from simomac.converse import (
     _exact_log2_det,
@@ -51,6 +52,11 @@ def _single_user_on_slots(input_dist, cfg, slots):
     ((rep,),) = converse._streamed_bounds([([input_dist], cfg)],
                                           [converse._single_user_bound(cfg, slots)])
     return rep
+
+
+def _chunk_bounds(starts):
+    """(lo, hi) of each chunk of a _trial_chunks range."""
+    return [(lo, min(lo + starts.step, starts.stop)) for lo in starts]
 
 
 def _mac_engine(engine, mag, s2, t, n=2, p=100.0):
@@ -445,38 +451,70 @@ class TestStreamingEngine:
             tracemalloc.stop()
         assert peak < 48 * 2**20
 
+    def test_memory_does_not_grow_with_trials(self):
+        # both bounds at two powers keep per-chunk rows only: ten times the
+        # trials, the same peak within 10 %
+        iso = InputDistribution(kind="isotropic_peak", T=32, P=100.0)
+        peaks = []
+        for trials in (2_000, 20_000):
+            cfg = ChannelConfig(T=32, N=8, P=100.0, trials=trials, seed=0)
+            tracemalloc.start()
+            try:
+                duality_bounds(iso, iso, cfg, powers=[100.0, 1000.0])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0]
+
     @pytest.mark.parametrize("t,n,trials,step", [(32, 8, 2_500, 256), (3, 4, 50_000, 5460),
                                                   (1024, 1024, 5, 2)])
     def test_chunk_length_rule(self, t, n, trials, step):
+        # ceil(trials / 2) fit trials, the rest evaluate; both streams are
+        # cut into chunks of the same length
         cfg = _cfg(t=t, n=n, trials=trials)
-        bounds = [(lo, hi) for lo, hi, _ in converse._trial_chunks(cfg)]
-        assert bounds == [(lo, min(lo + step, trials)) for lo in range(0, trials, step)]
+        fit = {2_500: 1_250, 50_000: 25_000, 5: 3}[trials]
+        for stream, size in ((0, fit), (1, trials - fit)):
+            assert _chunk_bounds(converse._trial_chunks(cfg, stream)) == [
+                (lo, min(lo + step, size)) for lo in range(0, size, step)]
 
     def test_three_chunks_and_an_odd_remainder(self, monkeypatch):
-        # T = N = 2: 4 entries per trial, so 100 trials per chunk
+        # T = N = 2: 4 entries per trial, so 100 trials per chunk; the 301
+        # fit trials end in an odd remainder, the 300 evaluation trials not
         monkeypatch.setattr(converse, "_CHUNK_ENTRIES", 400)
-        cfg = _cfg(t=2, n=2, p=10.0, trials=301, seed=2)
-        bounds = [(lo, hi) for lo, hi, _ in converse._trial_chunks(cfg)]
-        assert bounds == [(0, 100), (100, 200), (200, 300), (300, 301)]
+        cfg = _cfg(t=2, n=2, p=10.0, trials=601, seed=2)
+        assert _chunk_bounds(converse._trial_chunks(cfg, 0)) == [(0, 100), (100, 200),
+                                                                  (200, 300), (300, 301)]
+        assert _chunk_bounds(converse._trial_chunks(cfg, 1)) == [(0, 100), (100, 200), (200, 300)]
         iso = InputDistribution(kind="isotropic_peak", T=2, P=10.0)
         rep = duality_bound_mac_user1(iso, iso, cfg)
-        assert sum(rep.components["branch_counts"].values()) == 301 // 2
+        assert sum(rep.components["branch_counts"].values()) == 601 // 2
         again = duality_bound_mac_user1(iso, iso, cfg)
         assert (rep.value, rep.std_error) == (again.value, again.std_error)
 
     def test_many_threads_fold_every_chunk(self, monkeypatch):
-        # 201 chunks on more threads than CPUs, switching threads every
-        # microsecond: a lost or misplaced row would change the report
+        # 201 chunks over the two passes, on more threads than CPUs,
+        # switching threads every microsecond: a lost or misplaced row would
+        # change the report, also on a three-power grid of both bounds
         monkeypatch.setattr(converse, "_CHUNK_ENTRIES", 40)
         cfg = _cfg(t=2, n=2, p=100.0, trials=2_001, seed=8)
         iso = InputDistribution(kind="isotropic_peak", T=2, P=100.0)
+        powers = [10.0, 100.0, 1000.0]
+
+        def both():
+            # errors compare by type and message (here 30 dB's MAC point
+            # fails: branch 0 has evaluation trials but no fit trial)
+            single, mac = duality_bounds(iso, iso, cfg, powers=powers)
+            return duality_bound_mac_user1(iso, iso, cfg), [
+                (type(rep), str(rep)) if isinstance(rep, Exception) else rep
+                for rep in single + mac]
+
         monkeypatch.setattr(linalg, "cpu_count", lambda: 1)
-        one = duality_bound_mac_user1(iso, iso, cfg)
+        one = both()
         monkeypatch.setattr(linalg, "cpu_count", lambda: 6)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            many = duality_bound_mac_user1(iso, iso, cfg)
+            many = both()
         finally:
             sys.setswitchinterval(interval)
         assert many == one
@@ -487,40 +525,95 @@ class TestStreamingEngine:
         monkeypatch.setattr(linalg, "cpu_count", lambda: workers)
         seen = {}
 
-        def run(i, lo, hi, seed, scratch):
+        def run(i, scratch):
             seen[i] = (threading.get_ident(), id(scratch))
 
-        linalg.run_chunks(run, [(0, 1, None)] * 40)
+        linalg.run_chunks(run, 40)
         assert sorted(seen) == list(range(40))
         assert len(set(seen.values())) == len({thread for thread, _ in seen.values()})
         assert len(set(seen.values())) <= workers
 
+    def test_fold_sees_every_result_in_chunk_order(self, monkeypatch):
+        # chunks finish out of order on more threads than CPUs, switching
+        # threads every microsecond; the folds must still come in order
+        monkeypatch.setattr(linalg, "cpu_count", lambda: 6)
+        folded = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            linalg.run_chunks(lambda i, scratch: i, 300, fold=folded.append)
+        finally:
+            sys.setswitchinterval(interval)
+        assert folded == list(range(300))
+
     @pytest.mark.parametrize("workers", [1, 3])
     def test_chunk_error_stops_the_run(self, monkeypatch, workers):
-        # 20 chunks; every chunk from chunk 1 on raises when it draws
+        # 20 chunks per stream; every chunk from chunk 1 on raises when it
+        # draws
         monkeypatch.setattr(converse, "_CHUNK_ENTRIES", 400)
         monkeypatch.setattr(linalg, "cpu_count", lambda: workers)
         started = []
         real = converse.sample_inputs
 
         def sample_inputs(inputs, cfg, rng, size=None):
-            chunk = rng.bit_generator.seed_seq.spawn_key[-1]
-            started.append(chunk)
+            stream, chunk = rng.bit_generator.seed_seq.spawn_key
+            started.append((stream, chunk))
             if chunk >= 1:
                 raise InvalidParam(f"chunk {chunk} failed")
             return real(inputs, cfg, rng, size)
 
         monkeypatch.setattr(converse, "sample_inputs", sample_inputs)
-        cfg = _cfg(t=2, n=2, p=10.0, trials=2_000, seed=4)
+        cfg = _cfg(t=2, n=2, p=10.0, trials=4_000, seed=4)
         iso = InputDistribution(kind="isotropic_peak", T=2, P=10.0)
+        assert len(converse._trial_chunks(cfg, 0)) == 20
         threads = threading.active_count()
         with pytest.raises(InvalidParam, match="^chunk 1 failed$"):
             duality_bound_single_user(iso, cfg)
         assert threading.active_count() == threads
-        # chunk 0 is the only one that succeeds, and each thread stops
-        # after its first failure
-        assert {0, 1} <= set(started)
+        # fit chunk 0 is the only one that succeeds, each thread stops
+        # after its first failure, and the evaluation pass never starts
+        assert {(0, 0), (0, 1)} <= set(started)
         assert len(started) <= 1 + workers
+
+    def test_folded_chunks_match_the_direct_statistic(self):
+        # fit and evaluation chunks of synthetic norms, folded one by one,
+        # against the bound statistic of all evaluation trials at once with
+        # each group's density
+        cfg = _cfg(t=3, n=4, p=100.0, trials=1_000)
+        bound = converse._mac_bound(cfg)  # branched: T <= N
+        acc = converse._PointSums.empty(bound, cfg)
+        rng = np.random.default_rng(6)
+
+        def chunk(b):
+            return (rng.gamma(3.0, 2.0, size=(b, 3)), rng.normal(size=(b, 3)),
+                    rng.integers(0, 3, size=b), rng.normal(size=b), rng.normal(size=b),
+                    rng.integers(0, 3, size=b))
+
+        for b in (300, 200):
+            white, _, v, _, _, br = chunk(b)
+            acc.fit_rows.fold(acc.fit_chunk(white, v, br))
+        acc.fit()
+        chunks = [chunk(b) for b in (250, 180, 70)]
+        for c in chunks:
+            acc.fold_eval(acc.eval_chunk(*c))
+        rep = acc.report()
+
+        white, log_det, v, rhs, h, br = (np.concatenate(parts) for parts in zip(*chunks))
+        group = converse._categories(v, 3, 3) + 3 * br[:, None]
+        ln_q = np.zeros(white.shape)
+        for label, (alpha, beta) in rep.components["fitted"].items():
+            k = 3 * int(label[6]) + converse.MAC_CATEGORIES.index(label.split("/")[1])
+            member = AuxDistParams(n=4, a=np.eye(4), alpha=alpha, beta=beta)
+            ln_q[group == k] = log_density_from_norm_sq(white[group == k], member)
+        neg_q = -(ln_q.sum(axis=1) + log_det.sum(axis=1)) / np.log(2.0)
+        stat = (neg_q - h + bound.genie_cost) / 3
+        assert rep.value == pytest.approx(stat.mean(), rel=1e-12)
+        assert rep.std_error == pytest.approx(stat.std() / np.sqrt(500), rel=1e-9)
+        assert rep.components["analytic_rhs_value"] == pytest.approx(
+            np.mean((rhs - h + bound.genie_cost) / 3), rel=1e-9)
+        assert rep.components["branch_counts"] == {k: int((br == k).sum()) for k in range(3)}
+        assert rep.components["branch_neg_log_q_per_cu"][1] == pytest.approx(
+            np.mean(neg_q[br == 1] / 3), rel=1e-12)
 
     def test_whitening_by_chunks_is_bit_identical(self):
         rng = np.random.default_rng(7)

@@ -10,6 +10,7 @@ from simomac.linalg import (
     TOL_STRUCTURAL,
     apply_rotation,
     divided_difference_exp,
+    merge_moments,
     rotation_unitary_from,
     sample_complex_gaussian,
     sample_uniform_complex_sphere,
@@ -164,3 +165,21 @@ class TestSamplerAndNorms:
             np.testing.assert_allclose(got, ref, rtol=1e-13, atol=0)
             np.testing.assert_allclose(abs_sq(arr), np.abs(arr) ** 2, rtol=1e-13, atol=0)
             assert abs_sq(arr).dtype == np.float64
+
+
+class TestMergeMoments:
+    @pytest.mark.parametrize("cols", [None, 2])
+    def test_groups_merge_to_the_whole(self, cols):
+        # uneven groups, empty ones first and in the middle, merged one by
+        # one against numpy on all values at once
+        rng = np.random.default_rng(4)
+        shape = (1000,) if cols is None else (1000, cols)
+        x = 1e3 + rng.normal(size=shape)
+        merged = (0, 0.0, 0.0)
+        for part in np.split(x, [0, 10, 10, 400, 997]):
+            mean = part.mean(axis=0) if len(part) else np.zeros(x.shape[1:])
+            merged = merge_moments(merged, (len(part), mean, ((part - mean) ** 2).sum(axis=0)))
+        n, mu, m2 = merged
+        assert n == 1000
+        np.testing.assert_allclose(mu, x.mean(axis=0), rtol=1e-14)
+        np.testing.assert_allclose(m2 / n, x.var(axis=0), rtol=1e-10)

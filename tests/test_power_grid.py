@@ -6,8 +6,8 @@ the chunk's stream, as a call of its own would; the training rates draw
 their channel statistics once.  Every entry of a grid call must therefore equal the call
 at that power alone, errors included, and the bounds must not depend on
 how many threads ran their chunks.  ``duality_bounds`` runs both bounds
-in one pass over the same draws, so each of its entries must equal the
-call of that bound alone.
+in the same fit and evaluation passes over the same draws, so each of
+its entries must equal the call of that bound alone.
 """
 
 import tracemalloc
@@ -124,15 +124,15 @@ def test_grid_over_several_chunks(monkeypatch, kind):
 @pytest.mark.parametrize("kind", ["isotropic", "truncated"])
 def test_shared_draws_are_counted_once(monkeypatch, kind):
     # the points, and both bounds of duality_bounds, share the fading and
-    # noise of every chunk, whatever the input law: only the inputs are
-    # drawn again
+    # noise of every chunk of both streams, whatever the input law: only
+    # the inputs are drawn again, and no chunk is drawn twice
     calls = []
     real = converse.sample_channel
     monkeypatch.setattr(converse, "sample_channel",
                         lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
     cfg = ChannelConfig(T=2, N=2, P=10.0, trials=1_000, seed=1)
     dist = _input(kind, 2, 10.0, None, 1000.0)
-    chunks = len(list(converse._trial_chunks(cfg)))
+    chunks = sum(len(converse._trial_chunks(cfg, stream)) for stream in (0, 1))
     duality_bound_single_user(dist, cfg, powers=[10.0, 100.0, 1000.0])
     assert len(calls) == chunks
     calls.clear()
@@ -148,7 +148,7 @@ def test_empty_grid_raises():
 
 
 def test_grid_memory():
-    # three points keep their evaluation halves; each thread reuses its own noise buffer
+    # three points keep per-chunk rows only; each thread reuses its own noise buffer
     cfg = ChannelConfig(T=3, N=4, P=100.0, trials=100_000, seed=0)
     iso = InputDistribution(kind="isotropic_peak", T=3, P=100.0)
     tracemalloc.start()

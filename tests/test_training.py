@@ -1,12 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from simomac import training
 from simomac.channel import ChannelConfig
 from simomac.errors import InvalidParam, RegimeUnsupported
-from simomac.linalg import sample_complex_gaussian
+from simomac.linalg import abs_sq, norm_sq, sample_complex_gaussian
 from simomac.training import (
+    _gram_draws,
     _gram_log2_det,
-    _gram_stats,
     mac_training_rates,
     rate_slope,
     single_user_training_rate,
@@ -16,6 +19,27 @@ from simomac.training import (
 
 def _cfg(t, n, p, trials=50_000, seed=0):
     return ChannelConfig(T=t, N=n, P=p, trials=trials, seed=seed)
+
+
+def _explicit_gram_stats(h):
+    """||h_k||^2, (B, 2), and |h_1^H h_2|^2, (B,), of explicit draws h: (B, 2, N)."""
+    return norm_sq(h), abs_sq(np.einsum("bn,bn->b", h[:, 0].conj(), h[:, 1]))
+
+
+def _gram_summary(gains_sq, cross):
+    """Means and variances of ||h_1||^2, ||h_2||^2, |h_1^H h_2|^2, and
+    corr(||h_2||^2, |h_1^H h_2|^2)."""
+    cols = np.column_stack([gains_sq, cross])
+    return np.concatenate([cols.mean(axis=0), cols.var(axis=0),
+                           [np.corrcoef(cols[:, 1], cols[:, 2])[0, 1]]])
+
+
+def _summary_and_se(gains_sq, cross, batches=20):
+    """_gram_summary of all trials, and its standard errors from the
+    spread over ``batches`` equal batches (batch means)."""
+    parts = [_gram_summary(g, c) for g, c in zip(np.array_split(gains_sq, batches),
+                                                  np.array_split(cross, batches))]
+    return _gram_summary(gains_sq, cross), np.std(parts, axis=0, ddof=1) / np.sqrt(batches)
 
 
 class TestSingleUser:
@@ -76,4 +100,48 @@ class TestGramDeterminant:
         hm = np.swapaxes(h, 1, 2)  # (B, N, 2): columns h_1, h_2
         gram = np.eye(2) + rho * np.einsum("bnk,bnl->bkl", hm.conj(), hm)
         ref = np.linalg.slogdet(gram)[1] / np.log(2.0)
-        np.testing.assert_allclose(_gram_log2_det(*_gram_stats(h), rho), ref, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(_gram_log2_det(*_explicit_gram_stats(h), rho), ref,
+                                   rtol=1e-12, atol=0)
+
+
+class TestGramDraws:
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_law_matches_explicit_draws(self, n):
+        # the exact-law draws against Gram statistics of explicit CN(0, I_N)
+        # vectors: means, variances and corr(||h_2||^2, |h_1^H h_2|^2)
+        # within 4 combined standard errors
+        trials = 200_000
+        drawn, drawn_se = _summary_and_se(*_gram_draws(n, np.random.default_rng(11), trials))
+        h = sample_complex_gaussian(n, np.random.default_rng(12), size=(trials, 2))
+        explicit, explicit_se = _summary_and_se(*_explicit_gram_stats(h))
+        assert np.all(np.abs(drawn - explicit) <= 4 * np.hypot(drawn_se, explicit_se))
+
+    def test_single_antenna_has_no_orthogonal_part(self):
+        # at N = 1, ||h_2||^2 = |c|^2 and |h_1^H h_2|^2 = ||h_1||^2 ||h_2||^2
+        gains_sq, cross = _gram_draws(1, np.random.default_rng(3), 1_000)
+        np.testing.assert_allclose(cross, gains_sq[:, 0] * gains_sq[:, 1], rtol=1e-15)
+
+    def test_chunked_moments_match_one_chunk(self, monkeypatch):
+        # the single-user rate draws one variate per trial, so its chunks cut
+        # one stream: merging the chunks' moments must give the one-chunk rate
+        cfg = _cfg(4, 2, 100.0, trials=50_000, seed=5)
+        chunked = single_user_training_rate(cfg)
+        monkeypatch.setattr(training, "_CHUNK_TRIALS", cfg.trials)
+        whole = single_user_training_rate(cfg)
+        assert chunked.rate == pytest.approx(whole.rate, rel=1e-13)
+        assert chunked.std_error == pytest.approx(whole.std_error, rel=1e-9)
+
+    def test_memory_does_not_grow_with_trials(self):
+        # both rates at three powers keep per-power moments only: forty
+        # times the trials, the same peak within 10 %
+        peaks = []
+        for trials in (10_000, 400_000):
+            cfg = _cfg(3, 4, 100.0, trials=trials)
+            tracemalloc.start()
+            try:
+                single_user_training_rate(cfg, powers=[1e2, 1e3, 1e4])
+                mac_training_rates(cfg, powers=[1e2, 1e3, 1e4])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0]
