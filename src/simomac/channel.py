@@ -209,7 +209,11 @@ class InputDistribution:
         if self.kind == "exponent_profile_peak":
             amps = self.P ** (np.asarray(self.params["exponents"], dtype=float) / 2.0)
             ph = rng.uniform(0.0, 2.0 * np.pi, size=(size, t))
-            return amps * np.exp(1j * ph)
+            # amps e^{i ph}, bit for bit, written part by part in place
+            x = np.empty((size, t), dtype=complex)
+            np.multiply(np.cos(ph, out=x.real), amps, out=x.real)
+            np.multiply(np.sin(ph, out=x.imag), amps, out=x.imag)
+            return x
         if self.kind == "pilot_data_product":
             pilot_p = self.params.get("pilot_power", self.P)
             data_p = self.params.get("data_power", self.P)

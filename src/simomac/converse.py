@@ -97,12 +97,16 @@ def _trial_chunks(cfg, stream):
     chunk length and whose stop is the stream's trial count.
 
     Stream 0 holds the ceil(trials / 2) fit trials, stream 1 the
-    floor(trials / 2) evaluation trials.  A chunk holds
-    max(2, even part of ``_CHUNK_ENTRIES // (N T)``) trials, the last one
-    possibly fewer, and draws from :func:`_chunk_seed`.
+    floor(trials / 2) evaluation trials.  A stream of ``size`` trials is
+    cut into chunks of ceil(size / count) trials, the last one possibly
+    fewer, where count = ceil(size / cap) and cap =
+    max(2, ``_CHUNK_ENTRIES // (N T)``): no chunk exceeds the cap, and
+    the chunks are as equal as the cap allows, so the CPUs running them
+    finish together.  Each chunk draws from :func:`_chunk_seed`.
     """
-    step = max(2, _CHUNK_ENTRIES // (cfg.N * cfg.T) // 2 * 2)
-    return range(0, (cfg.trials + 1 - stream) // 2, step)
+    size = (cfg.trials + 1 - stream) // 2  # >= 1: the bounds need trials >= 2
+    count = -(-size // max(2, _CHUNK_ENTRIES // (cfg.N * cfg.T)))
+    return range(0, size, -(-size // count))
 
 
 def _chunk_seed(cfg, stream, i):
@@ -356,17 +360,16 @@ def _streamed_bounds(points, bounds):
                            "evaluate")
     streams = _trial_chunks(cfg0, 0), _trial_chunks(cfg0, 1)
     sums = [[_PointSums.empty(bound, cfg) for bound in bounds] for _, cfg in points]
-    step = streams[0].step
 
     def outputs(stream, i, scratch):
         """(the point's _PointSums, whitened chunk) for chunk i of ``stream``,
         point by point and bound by bound."""
-        if not scratch:
-            shape = (step, cfg0.N, cfg0.T)
+        starts = streams[stream]
+        if not scratch:  # a fresh dict each pass: sized by this stream's chunks
+            shape = (starts.step, cfg0.N, cfg0.T)
             scratch.update(noise=np.empty(shape, dtype=complex), draw=np.empty(shape),
                            y=np.empty(shape, dtype=complex))
-        starts = streams[stream]
-        b = min(step, starts.stop - starts[i])
+        b = min(starts.step, starts.stop - starts[i])
         noise, draw, y_buf = (scratch[key][:b] for key in ("noise", "draw", "y"))
         seed = _chunk_seed(cfg0, stream, i)
         channel_seed = np.random.SeedSequence(seed.entropy, spawn_key=seed.spawn_key + (0,))

@@ -31,9 +31,6 @@ _ENGINE_MIN_DIM = 9
 # Rows of one work unit, and the columns of one pass over them.
 _ROWS = 128
 _SEGMENT = 2048
-# Each row's first threshold comes from its distances to the first
-# _HEAD points.
-_HEAD = 512
 # m * n * k of one float32 GEMM tile: OpenBLAS runs products up to this
 # size on the calling thread instead of waking its own threads.
 _GEMM_MNK = 2**18
@@ -98,14 +95,17 @@ def kth_neighbour_distance(x, k):
     :func:`~simomac.linalg.run_chunks`.  For each block:
 
     1. Approximate squared distances come from the float32 product of
-       [x_i, |x_i|^2, 1] and [-2 x_j, 1, |x_j|^2], in tiles small enough
-       that OpenBLAS keeps each on the calling thread.  Their error is at
+       [x_i, |x_i|^2, 1] and [-2 x_j, 1, |x_j|^2], one segment of
+       ``_SEGMENT`` columns at a time.  Each segment is one stacked
+       ``np.matmul`` over tiles small enough that OpenBLAS keeps each on
+       the calling thread, plus one call for the columns left over, so
+       numpy loops over the tiles with the GIL released.  Their error is at
        most (d + 4) eps32 (|x_i|^2 + |x_j|^2) (float32 rounding of the
        inputs plus a (d + 2)-term dot product), so the margin
        M_i = 4 (d + 8) eps32 (|x_i|^2 + max_j |x_j|^2) bounds it with a
        fourfold reserve.
     2. With tau_i the (k+1)-th smallest approximate distance to the
-       first ``_HEAD`` points, the true (k+1)-th neighbour distance is
+       points of the first segment, the true (k+1)-th neighbour distance is
        at most tau_i + M_i, so every true neighbour is within
        approximate distance tau_i + 2 M_i; the points above it are
        dropped.
@@ -128,7 +128,6 @@ def kth_neighbour_distance(x, k):
     margin = 4 * (d + 8) * _EPS32 * (sq + sq.max())
     tile = max(1, _GEMM_MNK // (_ROWS * (d + 2)))
     segment = max(_SEGMENT, k + 1)
-    head = min(n, max(_HEAD, k + 1))
     out = np.empty(n)
 
     def run(i, scratch):
@@ -142,11 +141,15 @@ def kth_neighbour_distance(x, k):
             w = min(segment, n - s0)
             approx = scratch["approx"][:m * w].reshape(m, w)
             below = scratch["below"][:m * w].reshape(m, w)
-            for c0 in range(0, w, tile):
-                np.matmul(left[lo:hi], right[:, s0 + c0:s0 + min(c0 + tile, w)],
-                          out=approx[:, c0:c0 + tile])
+            nt = w // tile
+            whole = nt * tile
+            np.matmul(left[lo:hi],
+                      right[:, s0:s0 + whole].reshape(d + 2, nt, tile).transpose(1, 0, 2),
+                      out=approx[:, :whole].reshape(m, nt, tile).transpose(1, 0, 2))
+            if whole < w:
+                np.matmul(left[lo:hi], right[:, s0 + whole:s0 + w], out=approx[:, whole:])
             if s0 == 0:
-                tau = np.partition(approx[:, :head], k, axis=1)[:, k].astype(float)
+                tau = np.partition(approx, k, axis=1)[:, k].astype(float)
                 ok = np.isfinite(tau) & (2 * d * mg <= tau)
                 cut = np.nextafter((tau + 2 * mg).astype(np.float32), np.float32(np.inf))
                 cut[~ok] = -np.inf

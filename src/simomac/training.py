@@ -8,8 +8,8 @@ the pre-logs matter for the DoF claims.
 Closed-form MMSE is available for Gaussian fading: with a pilot of
 amplitude sqrt(P), hhat ~ CN(0, P/(1+P) I_N) and the per-entry error
 variance is 1/(1+P).  The rates depend on the channel only through the
-squared norms of the CN(0, I_N) directions and, for the MAC, their inner
-product, so those statistics are drawn from their exact laws, chunk by
+squared norms of the CN(0, I_N) directions and, for the MAC, their Gram
+determinant, so those statistics are drawn from their exact laws, chunk by
 chunk, and only the moments of the per-trial rates are kept, merged
 chunk by chunk: memory does not grow with the trial count.
 """
@@ -96,32 +96,37 @@ def tdma_rates(cfg, tau=0.5):
 
 
 def _gram_draws(n, rng, size):
-    """Squared norms ||h_k||^2, (size, 2), and |h_1^H h_2|^2, (size,), of
-    i.i.d. h_1, h_2 ~ CN(0, I_N), drawn from their exact laws.
+    """Squared norms ||h_k||^2, (size, 2), and the Gram determinant
+    det(H^H H) = ||h_1||^2 ||h_2||^2 - |h_1^H h_2|^2, (size,), of H = [h_1 h_2]
+    with i.i.d. h_1, h_2 ~ CN(0, I_N), drawn from their exact laws.
 
     ||h_1||^2 ~ Gamma(N, 1).  Given h_1, c = u^H h_2 with u = h_1/||h_1||
     is CN(0, 1) and h_2's part orthogonal to u is CN(0, I_{N-1}) in that
     complement, both independent of h_1: so |c|^2 ~ Exp(1),
-    ||h_2||^2 = |c|^2 + Gamma(N-1, 1) (no second term at N = 1) and
-    |h_1^H h_2|^2 = ||h_1||^2 |c|^2.  Three variates per trial, drawn in
-    that order.
+    ||h_2||^2 = |c|^2 + G with G ~ Gamma(N-1, 1), |h_1^H h_2|^2 =
+    ||h_1||^2 |c|^2 and det(H^H H) = ||h_1||^2 G (no G, and a zero
+    determinant, at N = 1).  Three variates per trial, drawn in that
+    order.
     """
     g1 = rng.standard_gamma(n, size)
     c2 = rng.standard_exponential(size)
     gains_sq = np.empty((size, 2))
     gains_sq[:, 0] = g1
     gains_sq[:, 1] = c2
+    det = np.zeros(size)
     if n > 1:
-        gains_sq[:, 1] += rng.standard_gamma(n - 1, size)
-    return gains_sq, g1 * c2
+        rest = rng.standard_gamma(n - 1, size)
+        gains_sq[:, 1] += rest
+        det = g1 * rest
+    return gains_sq, det
 
 
-def _gram_log2_det(gains_sq, cross, rho):
+def _gram_log2_det(gains_sq, det, rho):
     """log2 det(I_2 + rho H^H H) per trial from the :func:`_gram_draws`
     statistics of H = [h_1 h_2], in closed form:
-    (1 + rho |h_1|^2)(1 + rho |h_2|^2) - rho^2 |h_1^H h_2|^2."""
-    gains = 1.0 + rho * gains_sq
-    return np.log2(gains[:, 0] * gains[:, 1] - rho * rho * cross)
+    1 + rho (|h_1|^2 + |h_2|^2) + rho^2 det(H^H H), a sum of non-negative
+    terms, so no digits cancel."""
+    return np.log2(1.0 + rho * (gains_sq[:, 0] + gains_sq[:, 1]) + rho * rho * det)
 
 
 def mac_training_rates(cfg, *, powers=None):
@@ -143,11 +148,11 @@ def mac_training_rates(cfg, *, powers=None):
         raise RegimeUnsupported("MAC training needs T >= 3; use tdma_rates")
     cfgs = [c for _, c in at_powers([], cfg, powers)]
 
-    def per_trial(c, gains_sq, cross):
+    def per_trial(c, gains_sq, det):
         est_var, err_var = _mmse_stats(c.P)
         # hhat = sqrt(est_var) g, so rho H^H H = (rho est_var) G^H G
         rho = c.P / (1.0 + 2.0 * c.P * err_var) * est_var
-        sum_rate = _gram_log2_det(gains_sq, cross, rho)
+        sum_rate = _gram_log2_det(gains_sq, det, rho)
         indiv = np.log2(1.0 + rho * gains_sq)  # (chunk, 2)
         return (t - 2) / t * np.minimum(0.5 * sum_rate[:, None], indiv)
 

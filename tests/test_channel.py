@@ -132,6 +132,16 @@ class TestInputDistributions:
         x = d.sample(rng, size=10)
         assert np.allclose(np.abs(x), [10.0, 100.0**0.25, 1.0])
 
+    def test_exponent_profile_is_amps_times_phase(self):
+        # the draws are amps e^{i ph} for uniform phases, bit for bit
+        exponents = [1.0, 0.5, 0.25, 0.0]
+        d = InputDistribution(kind="exponent_profile_peak", T=4, P=1000.0,
+                              params={"exponents": exponents})
+        x = d.sample(np.random.default_rng(21), size=200_000)
+        ph = np.random.default_rng(21).uniform(0.0, 2.0 * np.pi, size=(200_000, 4))
+        ref = 1000.0 ** (np.asarray(exponents) / 2.0) * np.exp(1j * ph)
+        assert np.array_equal(x.view(float), ref.view(float))
+
     def test_unknown_kind(self):
         with pytest.raises(InvalidParam):
             InputDistribution(kind="lattice", T=2, P=1.0)

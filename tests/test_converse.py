@@ -466,11 +466,13 @@ class TestStreamingEngine:
                 tracemalloc.stop()
         assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0]
 
-    @pytest.mark.parametrize("t,n,trials,step", [(32, 8, 2_500, 256), (3, 4, 50_000, 5460),
+    @pytest.mark.parametrize("t,n,trials,step", [(32, 8, 2_500, 250), (3, 4, 50_000, 5000),
                                                   (1024, 1024, 5, 2)])
     def test_chunk_length_rule(self, t, n, trials, step):
         # ceil(trials / 2) fit trials, the rest evaluate; both streams are
-        # cut into chunks of the same length
+        # cut into chunks of the same length, as equal as the cap of
+        # max(2, 2^16 // (N T)) trials allows: 5 x 250 (cap 256) and
+        # 5 x 5,000 (cap 5,461)
         cfg = _cfg(t=t, n=n, trials=trials)
         fit = {2_500: 1_250, 50_000: 25_000, 5: 3}[trials]
         for stream, size in ((0, fit), (1, trials - fit)):
@@ -478,18 +480,32 @@ class TestStreamingEngine:
                 (lo, min(lo + step, size)) for lo in range(0, size, step)]
 
     def test_three_chunks_and_an_odd_remainder(self, monkeypatch):
-        # T = N = 2: 4 entries per trial, so 100 trials per chunk; the 301
-        # fit trials end in an odd remainder, the 300 evaluation trials not
+        # T = N = 2: 4 entries per trial, so at most 100 trials per chunk;
+        # the 301 fit trials make three chunks of 76 and an odd remainder of
+        # 73, the 300 evaluation trials three chunks of 100
         monkeypatch.setattr(converse, "_CHUNK_ENTRIES", 400)
         cfg = _cfg(t=2, n=2, p=10.0, trials=601, seed=2)
-        assert _chunk_bounds(converse._trial_chunks(cfg, 0)) == [(0, 100), (100, 200),
-                                                                  (200, 300), (300, 301)]
+        assert _chunk_bounds(converse._trial_chunks(cfg, 0)) == [(0, 76), (76, 152),
+                                                                  (152, 228), (228, 301)]
         assert _chunk_bounds(converse._trial_chunks(cfg, 1)) == [(0, 100), (100, 200), (200, 300)]
         iso = InputDistribution(kind="isotropic_peak", T=2, P=10.0)
         rep = duality_bound_mac_user1(iso, iso, cfg)
         assert sum(rep.components["branch_counts"].values()) == 601 // 2
         again = duality_bound_mac_user1(iso, iso, cfg)
         assert (rep.value, rep.std_error) == (again.value, again.std_error)
+
+    def test_fit_stream_with_more_chunks(self, monkeypatch):
+        # N T = 8 caps a chunk at 8,192 trials: the 8,193 fit trials take
+        # two chunks, the 8,192 evaluation trials one longer chunk, so each
+        # pass sizes its buffers by its own stream
+        cfg = _cfg(t=4, n=2, p=100.0, trials=16_385, seed=3)
+        assert _chunk_bounds(converse._trial_chunks(cfg, 0)) == [(0, 4_097), (4_097, 8_193)]
+        assert _chunk_bounds(converse._trial_chunks(cfg, 1)) == [(0, 8_192)]
+        iso = InputDistribution(kind="isotropic_peak", T=4, P=100.0)
+        monkeypatch.setattr(linalg, "cpu_count", lambda: 1)
+        one = duality_bounds(iso, iso, cfg)
+        monkeypatch.setattr(linalg, "cpu_count", lambda: 3)
+        assert duality_bounds(iso, iso, cfg) == one
 
     def test_many_threads_fold_every_chunk(self, monkeypatch):
         # 201 chunks over the two passes, on more threads than CPUs,

@@ -3,7 +3,7 @@ import pytest
 from scipy.spatial import cKDTree
 from scipy.special import digamma, gammaln
 
-from simomac import converse, knn_entropy
+from simomac import converse, knn_entropy, linalg
 from simomac.channel import ChannelConfig, InputDistribution
 from simomac.converse import mutual_information_lower_estimate
 from simomac.errors import InvalidParam
@@ -11,6 +11,8 @@ from simomac.knn_entropy import complex_to_real, kth_neighbour_distance, knn_ent
 from simomac.linalg import sample_complex_gaussian
 
 MIN_DIM = knn_entropy._ENGINE_MIN_DIM
+# Columns per GEMM tile of the search at 16 real dimensions.
+TILE_16 = knn_entropy._GEMM_MNK // (knn_entropy._ROWS * 18)
 
 
 def _tree_distance(x, k=4):
@@ -145,6 +147,19 @@ class TestExactSearch:
     def test_k_plus_one_points(self, k):
         x = np.random.default_rng(13).normal(size=(k + 1, 16))
         assert np.array_equal(kth_neighbour_distance(x, k), _tree_distance(x, k))
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("n", [
+        TILE_16 - 1,  # below one tile: the stacked product is empty
+        TILE_16,  # one tile, no columns left over
+        knn_entropy._SEGMENT + 3 * TILE_16 + 5,  # last segment ends in a partial tile
+        3 * knn_entropy._ROWS + 1,  # a last block of one row
+    ])
+    def test_tile_and_block_edges(self, monkeypatch, n, workers):
+        # d = 16: tiles of _GEMM_MNK // (_ROWS (d + 2)) columns per GEMM call
+        monkeypatch.setattr(linalg, "cpu_count", lambda: workers)
+        x = np.random.default_rng(n).normal(size=(n, 16))
+        assert np.array_equal(kth_neighbour_distance(x, 4), _tree_distance(x))
 
     @pytest.mark.parametrize("d", [MIN_DIM - 1, MIN_DIM])
     def test_either_side_of_the_switch(self, d):

@@ -115,8 +115,9 @@ def test_grid_equals_per_power_calls(kind, t, n, trials, fading, p_dbs, seed, ex
 
 @pytest.mark.parametrize("kind", ["isotropic", "truncated"])
 def test_grid_over_several_chunks(monkeypatch, kind):
-    # T = 3, N = 2: 6 entries per trial, so 100 trials per chunk and an
-    # odd remainder chunk
+    # T = 3, N = 2: 6 entries per trial, so at most 100 trials per chunk:
+    # 226 fit trials in chunks of 76, 76 and 74, 225 evaluation trials in
+    # three of 75
     monkeypatch.setattr(converse, "_CHUNK_ENTRIES", 600)
     _check_grid(kind, 3, 2, 451, "iid_complex_gaussian", [0, 20, 40], 5, [1.0, 0.5, 0.0])
 

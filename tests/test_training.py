@@ -22,24 +22,28 @@ def _cfg(t, n, p, trials=50_000, seed=0):
 
 
 def _explicit_gram_stats(h):
-    """||h_k||^2, (B, 2), and |h_1^H h_2|^2, (B,), of explicit draws h: (B, 2, N)."""
-    return norm_sq(h), abs_sq(np.einsum("bn,bn->b", h[:, 0].conj(), h[:, 1]))
+    """||h_k||^2, (B, 2), and det(H^H H) = ||h_1||^2 ||h_2||^2 - |h_1^H h_2|^2,
+    (B,), of explicit draws h: (B, 2, N)."""
+    gains_sq = norm_sq(h)
+    cross = abs_sq(np.einsum("bn,bn->b", h[:, 0].conj(), h[:, 1]))
+    return gains_sq, gains_sq[:, 0] * gains_sq[:, 1] - cross
 
 
-def _gram_summary(gains_sq, cross):
+def _gram_summary(gains_sq, det):
     """Means and variances of ||h_1||^2, ||h_2||^2, |h_1^H h_2|^2, and
-    corr(||h_2||^2, |h_1^H h_2|^2)."""
-    cols = np.column_stack([gains_sq, cross])
+    corr(||h_2||^2, |h_1^H h_2|^2), with |h_1^H h_2|^2 recovered from the
+    Gram determinant (which is 0 at N = 1, and has no spread to compare)."""
+    cols = np.column_stack([gains_sq, gains_sq[:, 0] * gains_sq[:, 1] - det])
     return np.concatenate([cols.mean(axis=0), cols.var(axis=0),
                            [np.corrcoef(cols[:, 1], cols[:, 2])[0, 1]]])
 
 
-def _summary_and_se(gains_sq, cross, batches=20):
+def _summary_and_se(gains_sq, det, batches=20):
     """_gram_summary of all trials, and its standard errors from the
     spread over ``batches`` equal batches (batch means)."""
     parts = [_gram_summary(g, c) for g, c in zip(np.array_split(gains_sq, batches),
-                                                  np.array_split(cross, batches))]
-    return _gram_summary(gains_sq, cross), np.std(parts, axis=0, ddof=1) / np.sqrt(batches)
+                                                  np.array_split(det, batches))]
+    return _gram_summary(gains_sq, det), np.std(parts, axis=0, ddof=1) / np.sqrt(batches)
 
 
 class TestSingleUser:
@@ -103,6 +107,14 @@ class TestGramDeterminant:
         np.testing.assert_allclose(_gram_log2_det(*_explicit_gram_stats(h), rho), ref,
                                    rtol=1e-12, atol=0)
 
+    def test_single_antenna_keeps_every_digit(self):
+        # at N = 1, det(I_2 + rho H^H H) = 1 + rho (||h_1||^2 + ||h_2||^2): no
+        # rho^2 terms to cancel, even at rho = 1e14
+        rho = 1e14
+        gains_sq, det = _gram_draws(1, np.random.default_rng(0), 100_000)
+        exact = np.log2(1.0 + rho * (gains_sq[:, 0] + gains_sq[:, 1]))
+        np.testing.assert_allclose(_gram_log2_det(gains_sq, det, rho), exact, rtol=1e-12, atol=0)
+
 
 class TestGramDraws:
     @pytest.mark.parametrize("n", [1, 2, 4])
@@ -117,9 +129,9 @@ class TestGramDraws:
         assert np.all(np.abs(drawn - explicit) <= 4 * np.hypot(drawn_se, explicit_se))
 
     def test_single_antenna_has_no_orthogonal_part(self):
-        # at N = 1, ||h_2||^2 = |c|^2 and |h_1^H h_2|^2 = ||h_1||^2 ||h_2||^2
-        gains_sq, cross = _gram_draws(1, np.random.default_rng(3), 1_000)
-        np.testing.assert_allclose(cross, gains_sq[:, 0] * gains_sq[:, 1], rtol=1e-15)
+        # at N = 1, |h_1^H h_2|^2 = ||h_1||^2 ||h_2||^2, so det(H^H H) is 0
+        _, det = _gram_draws(1, np.random.default_rng(3), 1_000)
+        assert np.array_equal(det, np.zeros(1_000))
 
     def test_chunked_moments_match_one_chunk(self, monkeypatch):
         # the single-user rate draws one variate per trial, so its chunks cut
