@@ -1,14 +1,17 @@
 """Radial auxiliary output family on C^N.
 
-Density (natural log internally; rates/entropies are reported in bits at
-the interfaces):
+Density of a whitened output w = A y (natural log internally;
+rates/entropies are reported in bits at the interfaces):
 
-    r(y) = Gamma(N) |det A|^2 / (pi^N beta^alpha Gamma(alpha))
-           * ||A y||^(2(alpha - N)) * exp(-||A y||^2 / beta)
+    r(w) = Gamma(N) / (pi^N beta^alpha Gamma(alpha))
+           * ||w||^(2(alpha - N)) * exp(-||w||^2 / beta)
 
-The squared radius ||A Y||^2 is Gamma(alpha, beta), the direction of A Y
-is uniform on the complex unit sphere.  The canonical parameterization
-fits beta = E||A Y||^2 and alpha = 1/log(beta) from a sample population.
+The squared radius ||W||^2 is Gamma(alpha, beta), the direction of W is
+uniform on the complex unit sphere.  The whitening map A enters the
+density of y only as the entropy shift ln |det A|^2, which the caller
+adds (:func:`simomac.converse._whiten` gives it without forming A).  The
+canonical parameterization fits beta = E||W||^2 and alpha = 1/log(beta)
+from a sample population.
 """
 
 from dataclasses import dataclass, field
@@ -40,27 +43,18 @@ class AuxDistParams:
     """Parameters of one member of the radial family on C^N."""
 
     n: int
-    a: np.ndarray  # N x N nonsingular
     alpha: float
     beta: float
 
     def __post_init__(self):
-        self.a = np.asarray(self.a, dtype=complex)
         if self.alpha <= 0 or self.beta <= 0:
             raise InvalidParam("alpha and beta must be positive")
-        if self.a.shape != (self.n, self.n):
-            raise InvalidParam("A must be N x N")
-        sign, ld = np.linalg.slogdet(self.a)
-        if abs(sign) == 0 or not np.isfinite(ld):
-            raise InvalidParam("A must be nonsingular")
-        self.log_abs_det_a_sq = 2.0 * ld  # natural log of |det A|^2
 
 
 def log_normalizer(p):
     """Natural log of the density normalization constant."""
     return (
         lgamma(p.n)
-        + p.log_abs_det_a_sq
         - p.n * np.log(np.pi)
         - p.alpha * np.log(p.beta)
         - lgamma(p.alpha)
@@ -68,7 +62,7 @@ def log_normalizer(p):
 
 
 def check_not_singular(norm_sq, p):
-    """Raise SingularPoint when alpha < N and some of the norms ||A y||^2
+    """Raise SingularPoint when alpha < N and some of the norms ||w||^2
     (an array, or the least of a population) underflows to the origin,
     where the density is singular."""
     if p.alpha < p.n and np.any(np.asarray(norm_sq) < _NORM_SQ_FLOOR):
@@ -76,7 +70,7 @@ def check_not_singular(norm_sq, p):
 
 
 def log_density_from_norm_sq(norm_sq, p):
-    """Natural-log density given precomputed ||A y||^2 (vectorized).
+    """Natural-log density given precomputed ||w||^2 (vectorized).
 
     Raises SingularPoint as :func:`check_not_singular` does.
     """
@@ -86,7 +80,7 @@ def log_density_from_norm_sq(norm_sq, p):
 
 
 def radial_log_density(norm_sq, log_norm, shape, beta):
-    """Natural-log density from ||A y||^2 and a member's
+    """Natural-log density from ||w||^2 and a member's
     :func:`log_normalizer`, alpha - N and beta, with no singularity check.
 
     The three may be arrays of norm_sq's shape, so that one call
@@ -97,15 +91,15 @@ def radial_log_density(norm_sq, log_norm, shape, beta):
 
 
 class NormSqSums(NamedTuple):
-    """Count and sum of a population of ||A Y||^2: all the canonical fit
+    """Count and sum of a population of ||W||^2: all the canonical fit
     needs, so a streamed caller can accumulate them chunk by chunk."""
 
     count: int
     total: float
 
 
-def fit_params(norm_sq_samples, n, a):
-    """Canonical fit: beta = mean(||A Y||^2), alpha = 1/ln(beta).
+def fit_params(norm_sq_samples, n):
+    """Canonical fit: beta = mean(||W||^2), alpha = 1/ln(beta).
 
     ``norm_sq_samples`` holds the samples, or their :class:`NormSqSums`.
     Raises InvalidRegime when there are no samples or their mean is <= 1
@@ -119,13 +113,13 @@ def fit_params(norm_sq_samples, n, a):
     beta = float(sums.total / sums.count)
     if beta <= 1.0:
         raise InvalidRegime(f"mean ||A Y||^2 = {beta:.4g} <= 1; alpha undefined")
-    return AuxDistParams(n=n, a=a, alpha=1.0 / np.log(beta), beta=beta)
+    return AuxDistParams(n=n, alpha=1.0 / np.log(beta), beta=beta)
 
 
 @dataclass
 class CrossEntropyReport:
     """Monte-Carlo cross entropy of a population against a fitted member,
-    split into the two leading terms and the double-log remainder (bits)."""
+    split into the leading term and the double-log remainder (bits)."""
 
     cross_entropy_bits: float
     leading_bits: float
@@ -139,19 +133,18 @@ class CrossEntropyReport:
 
 
 def cross_entropy_expansion(samples, params):
-    """E_P[-log2 r(Y)] by Monte Carlo, with the leading-term split.
+    """E_P[-log2 r(W)] by Monte Carlo, with the leading-term split.
 
-    ``samples`` are vectors in C^N drawn from the true population P;
-    ``params`` should be fitted per the canonical rule from the same
-    population.  Leading terms: -log|det A|^2 + N E[log ||A Y||^2].
+    ``samples`` are whitened vectors in C^N drawn from the true population
+    P; ``params`` should be fitted per the canonical rule from the same
+    population.  Leading term: N E[log ||W||^2].
     """
-    samples = np.asarray(samples, dtype=complex)
-    norm_sq = linalg.norm_sq(samples @ params.a.T)
+    norm_sq = linalg.norm_sq(np.asarray(samples, dtype=complex))
     neg_logs = -log_density_from_norm_sq(norm_sq, params) / LN2
     ce = float(np.mean(neg_logs))
     se = float(np.std(neg_logs) / np.sqrt(neg_logs.size))
     log_terms = np.log(np.maximum(norm_sq, _NORM_SQ_FLOOR)) / LN2
-    leading = float(-params.log_abs_det_a_sq / LN2 + params.n * np.mean(log_terms))
+    leading = float(params.n * np.mean(log_terms))
     return CrossEntropyReport(
         cross_entropy_bits=ce,
         leading_bits=leading,

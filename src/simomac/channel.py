@@ -261,6 +261,8 @@ def truncate_to_peak(dist, P, beta, rng, trials=100_000):
     """
     if beta <= 1.0:
         raise InvalidParam("beta must exceed 1")
+    if trials < 1:
+        raise InvalidParam("trials must be >= 1")
     threshold = float(P**beta)
     x = dist.sample(rng, size=trials)
     tail = (norm_sq(x) >= threshold).astype(float)

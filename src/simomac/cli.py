@@ -19,6 +19,7 @@ import configparser
 import json
 import os
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -28,7 +29,7 @@ from . import __version__, lemmas, region
 from .auxdist import remainder_slack_bits
 from .channel import FADING_KINDS, ChannelConfig, InputDistribution
 from .converse import duality_bound_mac_user1, duality_bounds
-from .errors import InvalidRegime, SimomacError
+from .errors import InvalidRegime, RegimeUnsupported, SimomacError
 from .training import mac_training_rates, single_user_training_rate
 
 
@@ -166,11 +167,15 @@ def cmd_bounds(args):
     # the whole power grid
     iso = InputDistribution(kind="isotropic_peak", T=args.T, P=cfg.P)
     single, mac = duality_bounds(iso, iso, cfg, powers=powers)
-    gaussian = cfg.fading_kind == "iid_complex_gaussian"
-    if gaussian:
+    # a training scheme that does not cover (T, N, fading) is not reported
+    try:
         su_training = single_user_training_rate(cfg, powers=powers)
-        if args.T >= 3:
-            mac_training = mac_training_rates(cfg, powers=powers)
+    except RegimeUnsupported:
+        su_training = None
+    try:
+        mac_training = mac_training_rates(cfg, powers=powers)
+    except RegimeUnsupported:
+        mac_training = None
     per_p = []
     warnings = []
     for k, p_db in enumerate(p_dbs):
@@ -180,31 +185,23 @@ def cmd_bounds(args):
             entry["mac_user1_upper"] = _bound_to_dict(_raise_if_error(mac[k]))
         except InvalidRegime as exc:
             warnings.append(f"P={p_db} dB: {exc}")
-        if gaussian:
+        if su_training is not None:
             su = su_training[k]
             entry["single_user_training"] = {"rate": su.rate, "std_error": su.std_error}
-            if args.T >= 3:
-                r1, r2 = mac_training[k]
-                entry["mac_training"] = {
-                    "rate1": r1.rate, "rate2": r2.rate,
-                    "std_error1": r1.std_error, "std_error2": r2.std_error,
-                }
+        if mac_training is not None:
+            r1, r2 = mac_training[k]
+            entry["mac_training"] = {
+                "rate1": r1.rate, "rate2": r2.rate,
+                "std_error1": r1.std_error, "std_error2": r2.std_error,
+            }
         per_p.append(entry)
     slopes = []
     bounds = ("single_user_upper", "mac_user1_upper")
     for lo, hi in zip(per_p, per_p[1:]):
         if all(k in pt for pt in (lo, hi) for k in bounds):
             dx = (hi["P_dB"] - lo["P_dB"]) / 10.0 * np.log2(10.0)
-            slopes.append(
-                {
-                    "from_dB": lo["P_dB"],
-                    "to_dB": hi["P_dB"],
-                    "single_user_upper": (hi["single_user_upper"]["value"]
-                                          - lo["single_user_upper"]["value"]) / dx,
-                    "mac_user1_upper": (hi["mac_user1_upper"]["value"]
-                                        - lo["mac_user1_upper"]["value"]) / dx,
-                }
-            )
+            slopes.append({"from_dB": lo["P_dB"], "to_dB": hi["P_dB"],
+                           **{k: (hi[k]["value"] - lo[k]["value"]) / dx for k in bounds}})
     report.update({"points": per_p, "slopes": slopes, "warnings": warnings})
     _emit(report)
     return 0
@@ -253,30 +250,31 @@ def _verify_optimizer():
 
 
 def _verify_props(seed):
+    """The Proposition inequalities at T=4, N=2 (single-user and T >= N+1
+    MAC genies) and T=2, N=2 (the T <= N genie, every branch of which must
+    be seen), for both fadings at 20 and 30 dB, 100k trials: each bound
+    value - analytic right-hand side <= slack + 3 SE."""
     checks = []
-    p_lin = 100.0
-    slack = remainder_slack_bits(p_lin)
+    p_dbs = (20, 30)
+    powers = [10.0 ** (p_db / 10.0) for p_db in p_dbs]
     for kind in FADING_KINDS:
-        cfg = ChannelConfig(T=4, N=2, P=p_lin, fading_kind=kind, trials=30_000, seed=seed)
-        iso = InputDistribution(kind="isotropic_peak", T=4, P=p_lin)
-        su, mac = duality_bounds(iso, iso, cfg)
-        gap = su.value - su.components["analytic_rhs_value"]
-        checks.append({"check": f"prop_single_user_{kind}", "margin": float(slack - gap),
-                       "slack": slack + 3 * su.std_error,
-                       "passed": bool(gap <= slack + 3 * su.std_error)})
-        gap = mac.value - mac.components["analytic_rhs_value"]
-        checks.append({"check": f"prop_mac_high_t_{kind}", "margin": float(slack - gap),
-                       "slack": slack + 3 * mac.std_error,
-                       "passed": bool(gap <= slack + 3 * mac.std_error)})
-        cfg2 = ChannelConfig(T=2, N=2, P=p_lin, fading_kind=kind, trials=30_000, seed=seed)
-        i1 = InputDistribution(kind="isotropic_peak", T=2, P=p_lin)
-        i2 = InputDistribution(kind="exponent_profile_peak", T=2, P=p_lin,
-                               params={"exponents": [0.5, 0.0]})
-        low = duality_bound_mac_user1(i1, i2, cfg2)
-        gap = low.value - low.components["analytic_rhs_value"]
-        checks.append({"check": f"prop_mac_low_t_branches_{kind}", "margin": float(slack - gap),
-                       "slack": slack + 3 * low.std_error,
-                       "passed": bool(gap <= slack + 3 * low.std_error)})
+        cfg = ChannelConfig(T=4, N=2, P=powers[0], fading_kind=kind, trials=100_000, seed=seed)
+        iso = InputDistribution(kind="isotropic_peak", T=4, P=cfg.P)
+        single, mac = duality_bounds(iso, iso, cfg, powers=powers)
+        profile = InputDistribution(kind="exponent_profile_peak", T=2, P=cfg.P,
+                                    params={"exponents": [0.5, 0.0]})
+        low = duality_bound_mac_user1(replace(iso, T=2), profile, replace(cfg, T=2), powers=powers)
+        for p_db, p, *reps in zip(p_dbs, powers, single, mac, low):
+            slack, at = remainder_slack_bits(p), f"{kind}_{p_db}dB"
+            reps = [_raise_if_error(rep) for rep in reps]
+            fewest = min(reps[2].components["branch_counts"].values())
+            checks.append({"check": f"prop_mac_low_t_all_branches_{at}",
+                           "margin": float(fewest), "slack": 0.0, "passed": fewest > 0})
+            for name, rep in zip(("single_user", "mac_high_t", "mac_low_t"), reps):
+                gap = rep.value - rep.components["analytic_rhs_value"]
+                checks.append({"check": f"prop_{name}_{at}", "margin": float(slack - gap),
+                               "slack": slack + 3 * rep.std_error,
+                               "passed": bool(gap <= slack + 3 * rep.std_error)})
     return checks
 
 

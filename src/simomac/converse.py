@@ -152,10 +152,6 @@ class _GroupRows:
     least: np.ndarray
 
     @classmethod
-    def empty(cls, shape):
-        return cls(np.zeros(shape, dtype=np.int64), np.zeros(shape), np.full(shape, np.inf))
-
-    @classmethod
     def of(cls, group, white, shape):
         """The rows of norms ``white``, each of aux group ``group`` (its flat
         index into ``shape``)."""
@@ -177,19 +173,20 @@ class _GroupRows:
 class _PointSums:
     """What one power point of one streamed bound keeps over all chunks.
 
-    ``fit_rows`` and ``eval_rows`` are the :class:`_GroupRows` of the fit
-    and the evaluation stream; ``members`` holds one (label, fitted member
-    or fit error, pooled) per (branch, category), set by :meth:`fit`
-    between the passes; ``moments`` holds per branch the count, mean and
-    M2 of the bound statistic, and ``sums`` per branch the sums of
-    -log2 q(Y), h(Y | X) and the analytic right-hand side.  Chunks are
-    folded in in chunk order, so nothing grows with the trial count.
+    ``rows`` is the point's one :class:`_GroupRows` table: the fit pass
+    folds its chunks' rows in, :meth:`fit` reads them and sets ``members``
+    (one (label, fitted member or fit error, pooled) per (branch,
+    category)), and the evaluation pass then folds its own rows in, so
+    that :meth:`report` sees every group seen in either stream.
+    ``moments`` holds per branch the count, mean and M2 of the bound
+    statistic, and ``sums`` per branch the sums of -log2 q(Y), h(Y | X)
+    and the analytic right-hand side.  Chunks are folded in in chunk
+    order, so nothing grows with the trial count.
     """
 
     bound: "_Bound"
     cfg: object  # the point's ChannelConfig
-    fit_rows: _GroupRows
-    eval_rows: _GroupRows
+    rows: _GroupRows
     moments: tuple
     sums: np.ndarray
     members: list = field(default_factory=list)
@@ -199,8 +196,8 @@ class _PointSums:
     def empty(cls, bound, cfg):
         branches = 3 if bound.branched else 1
         shape = (branches, len(bound.names))
-        return cls(bound, cfg, _GroupRows.empty(shape), _GroupRows.empty(shape),
-                   (np.zeros(branches),) * 3, np.zeros((3, branches)))
+        rows = _GroupRows(np.zeros(shape, dtype=np.int64), np.zeros(shape), np.full(shape, np.inf))
+        return cls(bound, cfg, rows, (np.zeros(branches),) * 3, np.zeros((3, branches)))
 
     def _groups(self, white, v, branch):
         """(B, T) aux group per slot, branch * categories + category."""
@@ -210,9 +207,9 @@ class _PointSums:
             group += n_names * branch[:, None]
         return group
 
-    def fit_chunk(self, white, v, branch):
-        """A fit chunk's rows, to fold into ``fit_rows``."""
-        return _GroupRows.of(self._groups(white, v, branch), white, self.fit_rows.count.shape)
+    def fit_chunk(self, white, v, branch, *_):
+        """A whitened fit chunk's rows (log_det, rhs and h_given_x unused)."""
+        return _GroupRows.of(self._groups(white, v, branch), white, self.rows.count.shape)
 
     def fit(self):
         """Fit one canonical radial member per (branch, category) on the
@@ -220,7 +217,7 @@ class _PointSums:
         samples, or mean <= 1, is fitted on the sums pooled over branches.
         A failed fit is kept, to be raised if the group is seen at all."""
         n, names = self.cfg.N, self.bound.names
-        count, total = self.fit_rows.count, self.fit_rows.total
+        count, total = self.rows.count, self.rows.total
         table = []
         for br, c in np.ndindex(count.shape):
             label = f"branch{br}/{names[c]}" if self.bound.branched else names[c]
@@ -229,7 +226,7 @@ class _PointSums:
             if pooled:
                 sums = NormSqSums(count[:, c].sum(), total[:, c].sum())
             try:
-                member = fit_params(sums, n, np.eye(n))
+                member = fit_params(sums, n)
                 table.append((log_normalizer(member), member.alpha - n, member.beta))
             except InvalidRegime as exc:
                 member = InvalidRegime(f"category {label!r}: {exc}")
@@ -237,12 +234,12 @@ class _PointSums:
             self.members.append((label, member, pooled))
         self.table = np.array(table).T
 
-    def eval_chunk(self, white, log_det, v, rhs, h_given_x, branch):
+    def eval_chunk(self, white, v, branch, log_det, rhs, h_given_x):
         """An evaluation chunk's rows, moments and sums, for
         :meth:`fold_eval`: each trial's -log2 q(Y) under the fitted
         members, then per branch."""
         group = self._groups(white, v, branch)
-        rows = _GroupRows.of(group, white, self.eval_rows.count.shape)
+        rows = _GroupRows.of(group, white, self.rows.count.shape)
         ln_q = radial_log_density(white, *self.table[:, group])
         neg_q = -(ln_q.sum(axis=1) + log_det.sum(axis=1)) / LN2
         stat = (neg_q - h_given_x + self.bound.genie_cost) / self.cfg.T
@@ -255,9 +252,9 @@ class _PointSums:
         return rows, (count, mean, np.bincount(br, dev * dev, nb)), sums
 
     def fold_eval(self, chunk):
-        """Fold an :meth:`eval_chunk` result in; chunks come in chunk order."""
+        """Fold an :meth:`eval_chunk` result in."""
         rows, moments, sums = chunk
-        self.eval_rows.fold(rows)
+        self.rows.fold(rows)
         self.moments = merge_moments(self.moments, moments)
         self.sums += sums
 
@@ -266,10 +263,8 @@ class _PointSums:
         (branch, category) group seen in either stream whose fit failed or
         whose least norm is singular under its member.  ``fitted`` and
         ``pooled_fit`` list the groups seen, in that order."""
-        rows = (self.fit_rows, self.eval_rows)
-        seen = sum(r.count for r in rows).ravel() > 0
-        least = np.minimum(*(r.least for r in rows)).ravel()
         fitted, pooled = {}, []
+        seen, least = self.rows.count.ravel() > 0, self.rows.least.ravel()
         for (label, member, pooled_fit), group_seen, low in zip(self.members, seen, least):
             if not group_seen:
                 continue
@@ -302,7 +297,8 @@ class _PointSums:
             remainder_terms={
                 "log_log_slack_bits": remainder_slack_bits(self.cfg.P),
                 "genie_cost_bits": float(cost),
-                **self.bound.flags,
+                # h(Y|X) is the Gaussian-fading value; flagged for other fading
+                "h_order_one_flagged": self.cfg.fading_kind != "iid_complex_gaussian",
             },
             components=components,
         )
@@ -323,7 +319,6 @@ class _Bound:
     genie: Callable
     names: tuple
     genie_cost: float
-    flags: dict
     branched: bool = False
 
 
@@ -381,27 +376,25 @@ def _streamed_bounds(points, bounds):
                 yt, v, s, c, rhs, h_given_x, br = bound.genie(xs, channel, cfg, y_buf)
                 if k == len(bounds):
                     del xs  # no later bound needs the inputs: free them before whitening
-                yield acc, (*_whiten(yt, v, s, c), v, rhs, h_given_x, br)
+                white, log_det = _whiten(yt, v, s, c)
+                yield acc, (white, v, br, log_det, rhs, h_given_x)
 
-    def run_fit(i, scratch):
-        return [(acc, acc.fit_chunk(white, v, br))
-                for acc, (white, _, v, _, _, br) in outputs(0, i, scratch)]
+    def run_pass(stream, step, fold):
+        """``step(acc, *chunk)`` on each whitened chunk of ``stream``, its
+        results folded in chunk order by ``fold(acc, result)``."""
+        def run(i, scratch):
+            return [(acc, step(acc, *chunk)) for acc, chunk in outputs(stream, i, scratch)]
 
-    def fold_fit(chunk):
-        for acc, rows in chunk:
-            acc.fit_rows.fold(rows)
+        def fold_all(results):
+            for acc, result in results:
+                fold(acc, result)
 
-    def run_eval(i, scratch):
-        return [(acc, acc.eval_chunk(*chunk)) for acc, chunk in outputs(1, i, scratch)]
+        run_chunks(run, len(streams[stream]), fold=fold_all)
 
-    def fold_eval(chunk):
-        for acc, rows in chunk:
-            acc.fold_eval(rows)
-
-    run_chunks(run_fit, len(streams[0]), fold=fold_fit)
+    run_pass(0, _PointSums.fit_chunk, lambda acc, rows: acc.rows.fold(rows))
     for acc in (acc for point_sums in sums for acc in point_sums):
         acc.fit()
-    run_chunks(run_eval, len(streams[1]), fold=fold_eval)
+    run_pass(1, _PointSums.eval_chunk, _PointSums.fold_eval)
     reports = [[] for _ in bounds]
     for point_sums in sums:
         for acc, out in zip(point_sums, reports):
@@ -435,13 +428,11 @@ def _single_user_genie(xs, channel, cfg, out, slots):
     return superpose(xs[:1], channel, out=out), v, ones, ones, rhs, h_given_x, None
 
 
-def _single_user_bound(cfg, slots):
+def _single_user_bound(slots):
     """The single-user bound of :func:`_streamed_bounds`, its pilot the
     strongest of the first ``slots`` slots (1 <= slots <= T)."""
-    # h(Y|X) is the Gaussian-fading value; flag it for other fading
-    flags = {"h_order_one_flagged": cfg.fading_kind != "iid_complex_gaussian"}
     return _Bound(partial(_single_user_genie, slots=slots), ("pilot", "offpilot"),
-                  np.log2(slots), flags)
+                  np.log2(slots))
 
 
 def duality_bound_single_user(input_dist, cfg, *, powers=None):
@@ -455,7 +446,7 @@ def duality_bound_single_user(input_dist, cfg, *, powers=None):
     fit or evaluation raised.  Every trial chunk's fading and noise are
     drawn once for the whole grid (see :func:`_streamed_bounds`).
     """
-    bound = _single_user_bound(cfg, cfg.T)
+    bound = _single_user_bound(cfg.T)
     (reports,) = _streamed_bounds(at_powers([input_dist], cfg, powers), [bound])
     return one_or_all(reports, powers)
 
@@ -511,23 +502,16 @@ def _mac_low_t(mag, s2, yt, cfg):
 
     # analytic per-branch right-hand sides (shared samples)
     mv = mag[rows, v]
-    rhs = np.zeros(b)
-    b0, b1, b2 = branch == 0, branch == 1, branch == 2
     xt2 = mag[:, -1]
-    rhs[b0] = (
-        n * np.log2(1.0 + s2[b0] + xt2[b0])
-        + (t - 1) * np.log2(1.0 + xt2[b0] / (1.0 + s2[b0]))
-    )
-    rhs[b1] = (
-        (n + t - 2) * np.log2(1.0 + mv[b1])
-        + n * np.log2(1.0 + s2[b1])
-        + np.log2(1.0 + mv[b1] / (1.0 + s2[b1]))
-    )
-    rhs[b2] = (
-        (n + t - 2) * np.log2(1.0 + mv[b2])
-        + n * np.log2((1.0 + s2[b2] + xt2[b2]) / (1.0 + s2[b2] + p))
-        + n * np.log2(1.0 + s2[b2])
-        + np.log2(1.0 + p / (1.0 + s2[b2]))
+    rhs = np.select(
+        [branch == 0, branch == 1],
+        [
+            n * np.log2(1.0 + s2 + xt2) + (t - 1) * np.log2(1.0 + xt2 / (1.0 + s2)),
+            (n + t - 2) * np.log2(1.0 + mv) + n * np.log2(1.0 + s2)
+            + np.log2(1.0 + mv / (1.0 + s2)),
+        ],
+        (n + t - 2) * np.log2(1.0 + mv) + n * np.log2((1.0 + s2 + xt2) / (1.0 + s2 + p))
+        + n * np.log2(1.0 + s2) + np.log2(1.0 + p / (1.0 + s2)),
     )
     return v, sigma, c, rhs, branch
 
@@ -567,12 +551,10 @@ def _mac_bound(cfg):
     t = cfg.T
     if t < 2:
         raise RegimeUnsupported("the MAC bound needs T >= 2")
-    flags = {"h_order_one_flagged": cfg.fading_kind != "iid_complex_gaussian"}
     if regime_objective(t, cfg.N) == "f_exponent":
-        return _Bound(partial(_mac_genie, engine=_mac_high_t), MAC_CATEGORIES,
-                      np.log2(t - 1), flags)
+        return _Bound(partial(_mac_genie, engine=_mac_high_t), MAC_CATEGORIES, np.log2(t - 1))
     return _Bound(partial(_mac_genie, engine=_mac_low_t), MAC_CATEGORIES, np.log2(2 * t),
-                  flags, branched=True)
+                  branched=True)
 
 
 def duality_bound_mac_user1(input1, input2, cfg, *, powers=None):
@@ -600,7 +582,7 @@ def duality_bounds(input1, input2, cfg, *, powers=None):
     as in :func:`duality_bound_single_user`; without it, the single-user
     error is raised before the MAC one.
     """
-    bounds = [_single_user_bound(cfg, cfg.T), _mac_bound(cfg)]
+    bounds = [_single_user_bound(cfg.T), _mac_bound(cfg)]
     single, mac = _streamed_bounds(at_powers([input1, input2], cfg, powers), bounds)
     return one_or_all(single, powers), one_or_all(mac, powers)
 
@@ -653,8 +635,9 @@ def isotropic_mixture_mi_estimate(cfg, trials=None):
     return mi, se
 
 
-def mutual_information_lower_estimate(input_dist, cfg, k=4, max_knn_samples=20_000):
-    """(1/T) * [kNN-hat h(Y) - exact h(Y|X)] for the single-user channel.
+def mutual_information_lower_estimate(input_dist, cfg, max_knn_samples=20_000):
+    """(1/T) * [kNN-hat h(Y) - exact h(Y|X)] for the single-user channel,
+    h(Y) from the 4th nearest neighbours.
 
     A plug-in estimate, not a lower bound: the k-NN entropy of Y is biased
     high at high SNR in 2NT real dimensions, so the estimate can exceed
@@ -676,5 +659,5 @@ def mutual_information_lower_estimate(input_dist, cfg, k=4, max_knn_samples=20_0
     y = superpose([x[:m]], sample_channel(1, cfg, rng, size=m))
     h_cond = _gaussian_h_given_x(np.log2(1.0 + norm_sq(x)), cfg).mean()
     del x
-    h_y = knn_entropy_bits(y.reshape(m, -1), k=k)
+    h_y = knn_entropy_bits(y.reshape(m, -1), k=4)
     return float((h_y - h_cond) / cfg.T)

@@ -95,12 +95,23 @@ def _vertices_from_halfspaces(halfspaces):
     return tuple(_start_at_origin(_convex_hull(feas)))
 
 
+def _counts(*counts):
+    """T, N and any grid step counts as ints; raises InvalidParam unless
+    each is an integer >= 1."""
+    try:
+        counts = [operator.index(k) for k in counts]
+    except TypeError:
+        raise InvalidParam("T, N and the grid step counts must be integers") from None
+    if min(counts) < 1:
+        raise InvalidParam("T, N and the grid step counts must be >= 1")
+    return counts
+
+
 def outer_region(T, N):
     """Converse polytope: single sum constraint when T <= 2 or N = 1,
     otherwise the two skewed constraints through (1-1/T, 0) and
     (1-2/T, 1-2/T)."""
-    if T < 1 or N < 1:
-        raise InvalidParam("T and N must be >= 1")
+    T, N = _counts(T, N)
     pre = F(1) - F(1, T)
     if T <= 2 or N == 1:
         hs = ((F(1), F(1), pre),)
@@ -116,8 +127,7 @@ def outer_region(T, N):
 
 def dof_corner_points(T, N):
     """Extreme achievable pairs of the training-based schemes (exact)."""
-    if T < 1 or N < 1:
-        raise InvalidParam("T and N must be >= 1")
+    T, N = _counts(T, N)
     if T == 1:
         return [(F(0), F(0))]
     single = F(1) - F(1, T)
@@ -244,15 +254,7 @@ def _optimizer_args(lambda1, lambda2, T, N, objective, steps=()):
     that are not both zero, a known objective and positive integer grid
     step counts.
     """
-    try:
-        T, N = operator.index(T), operator.index(N)
-        steps = [operator.index(s) for s in steps]
-    except TypeError:
-        raise InvalidParam("T, N and the grid steps must be integers") from None
-    if T < 1 or N < 1:
-        raise InvalidParam("T and N must be >= 1")
-    if any(s < 1 for s in steps):
-        raise InvalidParam("grid steps must be >= 1")
+    T, N, *_ = _counts(T, N, *steps)
     try:
         l1, l2 = F(lambda1), F(lambda2)  # NaN and infinities raise here
     except (TypeError, ValueError, OverflowError):

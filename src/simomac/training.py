@@ -159,20 +159,3 @@ def mac_training_rates(cfg, *, powers=None):
     moments = _streamed_rates(cfg, cfgs, partial(_gram_draws, n), per_trial)
     return one_or_all([(RateEstimate(float(r[0]), float(se[0])),
                         RateEstimate(float(r[1]), float(se[1]))) for r, se in moments], powers)
-
-
-def rate_slope(cfg_factory, p_db_points):
-    """Least-squares slope of rate vs log2 P over the given dB grid.
-
-    ``cfg_factory(P_linear)`` builds the config; the rate callable is the
-    first return value when the scheme returns a pair.
-    """
-    xs, ys = [], []
-    for p_db in p_db_points:
-        p_lin = 10.0 ** (p_db / 10.0)
-        est = cfg_factory(p_lin)
-        rate = est[0].rate if isinstance(est, tuple) else est.rate
-        xs.append(np.log2(p_lin))
-        ys.append(rate)
-    xs, ys = np.asarray(xs), np.asarray(ys)
-    return float(np.polyfit(xs, ys, 1)[0])

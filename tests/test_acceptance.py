@@ -14,15 +14,13 @@ import numpy as np
 import pytest
 
 from simomac import cli, lemmas, region
-from simomac.auxdist import remainder_slack_bits
 from simomac.channel import FADING_KINDS, ChannelConfig, InputDistribution
 from simomac.converse import (
-    duality_bound_mac_user1,
     duality_bound_single_user,
     isotropic_mixture_mi_estimate,
     mutual_information_lower_estimate,
 )
-from simomac.training import mac_training_rates, rate_slope, single_user_training_rate
+from simomac.training import mac_training_rates, single_user_training_rate
 
 T_RANGE = range(1, 17)
 N_RANGE = range(1, 9)
@@ -91,20 +89,16 @@ def test_04_looseness_instance():
 def test_05_achievability_slopes():
     start = time.perf_counter()
     trials = 100_000
-    p_dbs = [30, 40, 50]
+    powers = [10.0 ** (p_db / 10.0) for p_db in (30, 40, 50)]
     for t, n in [(4, 2), (8, 2)]:
-        slope = rate_slope(
-            lambda p: single_user_training_rate(
-                ChannelConfig(T=t, N=n, P=p, trials=trials, seed=0)),
-            p_dbs,
-        )
+        cfg = ChannelConfig(T=t, N=n, P=powers[0], trials=trials, seed=0)
+        rates = [est.rate for est in single_user_training_rate(cfg, powers=powers)]
+        slope = np.polyfit(np.log2(powers), rates, 1)[0]
         target = 1.0 - 1.0 / t
         assert slope == pytest.approx(target, abs=0.05), (t, n, slope)
-    mac_slope = rate_slope(
-        lambda p: mac_training_rates(
-            ChannelConfig(T=8, N=2, P=p, trials=trials, seed=0)),
-        p_dbs,
-    )
+    cfg = ChannelConfig(T=8, N=2, P=powers[0], trials=trials, seed=0)
+    rates = [r1.rate for r1, _ in mac_training_rates(cfg, powers=powers)]
+    mac_slope = np.polyfit(np.log2(powers), rates, 1)[0]
     assert mac_slope == pytest.approx(1.0 - 2.0 / 8, abs=0.05)
     elapsed = time.perf_counter() - start
     _verdict("achievability_slopes", True, f"({elapsed:.1f}s, mac={mac_slope:.3f})")
@@ -152,30 +146,14 @@ def test_06_duality_bound_validity():
 
 def test_07_proposition_inequalities():
     start = time.perf_counter()
-    trials = 100_000
-    for kind in FADING_KINDS:
-        for p_db in (20, 30):
-            p = 10.0 ** (p_db / 10.0)
-            slack = remainder_slack_bits(p)
-            cfg = ChannelConfig(T=4, N=2, P=p, fading_kind=kind,
-                                trials=trials, seed=0)
-            iso = InputDistribution(kind="isotropic_peak", T=4, P=p)
-            su = duality_bound_single_user(iso, cfg)
-            gap = su.value - su.components["analytic_rhs_value"]
-            assert gap <= slack + 3 * su.std_error, ("single", kind, p_db, gap)
-            mac = duality_bound_mac_user1(iso, iso, cfg)
-            gap = mac.value - mac.components["analytic_rhs_value"]
-            assert gap <= slack + 3 * mac.std_error, ("mac_high", kind, p_db, gap)
-            # exercise all three genie branches in the short-block regime
-            cfg2 = ChannelConfig(T=2, N=2, P=p, fading_kind=kind,
-                                 trials=trials, seed=0)
-            i1 = InputDistribution(kind="isotropic_peak", T=2, P=p)
-            i2 = InputDistribution(kind="exponent_profile_peak", T=2, P=p,
-                                   params={"exponents": [0.5, 0.0]})
-            low = duality_bound_mac_user1(i1, i2, cfg2)
-            assert min(low.components["branch_counts"].values()) > 0
-            gap = low.value - low.components["analytic_rhs_value"]
-            assert gap <= slack + 3 * low.std_error, ("mac_low", kind, p_db, gap)
+    # the CLI suite: both fadings at 20 and 30 dB, 100k trials; every genie
+    # branch of the T <= N bound must be seen
+    checks = cli._verify_props(0)
+    failed = [c["check"] for c in checks if not c["passed"]]
+    assert [c["check"] for c in checks] == [
+        f"prop_{name}_{kind}_{p_db}dB" for kind in FADING_KINDS for p_db in (20, 30)
+        for name in ("mac_low_t_all_branches", "single_user", "mac_high_t", "mac_low_t")]
+    assert not failed, failed
     elapsed = time.perf_counter() - start
     _verdict("proposition_inequalities", True, f"({elapsed:.1f}s)")
     assert elapsed < 600.0

@@ -189,6 +189,12 @@ class TestTruncation:
         with pytest.raises(InvalidParam):
             truncate_to_peak(d, 10.0, 1.0, np.random.default_rng(0))
 
+    def test_needs_trials(self):
+        # no draw: the tail probability would be the mean of an empty sample
+        d = InputDistribution(kind="exponential_norm", T=2, P=10.0)
+        with pytest.raises(InvalidParam, match="trials"):
+            truncate_to_peak(d, 10.0, 1.5, np.random.default_rng(0), trials=0)
+
 
 class TestSampleOutputsDraws:
     def test_no_users_is_pure_noise(self):

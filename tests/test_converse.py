@@ -50,7 +50,7 @@ def _single_user_on_slots(input_dist, cfg, slots):
     """The single-user bound with its pilot the strongest of the first
     ``slots`` slots, as the MAC bound's (T-1)-slot genie picks it."""
     ((rep,),) = converse._streamed_bounds([([input_dist], cfg)],
-                                          [converse._single_user_bound(cfg, slots)])
+                                          [converse._single_user_bound(slots)])
     return rep
 
 
@@ -239,6 +239,17 @@ class TestEvalG:
         # the branch-1 value at the tie point is finite and different
         base = 3 * np.log2(2.0) + 2 * np.log2(1.5625) + np.log2(1.0 + 1.0 / 1.5625)
         assert np.isfinite(base) and rhs != pytest.approx(base)
+
+    def test_mixed_batch_equals_single_trials(self):
+        # one trial at a time against a batch that holds all three branches:
+        # each trial keeps its own branch's value, bit for bit
+        rng = np.random.default_rng(8)
+        mag, s2 = rng.exponential(5.0, size=(300, 3)), rng.exponential(2.0, size=300)
+        *_, rhs, branch = _mac_low_t(mag, s2, np.zeros((300, 2, 3), dtype=complex),
+                                     _cfg(t=3, p=10.0))
+        assert set(branch) == {0, 1, 2}
+        single = [_mac_engine(_mac_low_t, m, s, t=3, p=10.0)[3][0] for m, s in zip(mag, s2)]
+        assert np.array_equal(rhs, single)
 
 
 class TestSingleUserBound:
@@ -601,25 +612,25 @@ class TestStreamingEngine:
         rng = np.random.default_rng(6)
 
         def chunk(b):
-            return (rng.gamma(3.0, 2.0, size=(b, 3)), rng.normal(size=(b, 3)),
-                    rng.integers(0, 3, size=b), rng.normal(size=b), rng.normal(size=b),
-                    rng.integers(0, 3, size=b))
+            # (white, v, branch, log_det, rhs, h_given_x)
+            return (rng.gamma(3.0, 2.0, size=(b, 3)), rng.integers(0, 3, size=b),
+                    rng.integers(0, 3, size=b), rng.normal(size=(b, 3)), rng.normal(size=b),
+                    rng.normal(size=b))
 
         for b in (300, 200):
-            white, _, v, _, _, br = chunk(b)
-            acc.fit_rows.fold(acc.fit_chunk(white, v, br))
+            acc.rows.fold(acc.fit_chunk(*chunk(b)))
         acc.fit()
         chunks = [chunk(b) for b in (250, 180, 70)]
         for c in chunks:
             acc.fold_eval(acc.eval_chunk(*c))
         rep = acc.report()
 
-        white, log_det, v, rhs, h, br = (np.concatenate(parts) for parts in zip(*chunks))
+        white, v, br, log_det, rhs, h = (np.concatenate(parts) for parts in zip(*chunks))
         group = converse._categories(v, 3, 3) + 3 * br[:, None]
         ln_q = np.zeros(white.shape)
         for label, (alpha, beta) in rep.components["fitted"].items():
             k = 3 * int(label[6]) + converse.MAC_CATEGORIES.index(label.split("/")[1])
-            member = AuxDistParams(n=4, a=np.eye(4), alpha=alpha, beta=beta)
+            member = AuxDistParams(n=4, alpha=alpha, beta=beta)
             ln_q[group == k] = log_density_from_norm_sq(white[group == k], member)
         neg_q = -(ln_q.sum(axis=1) + log_det.sum(axis=1)) / np.log(2.0)
         stat = (neg_q - h + bound.genie_cost) / 3

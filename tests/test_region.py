@@ -62,6 +62,12 @@ class TestOuterRegion:
         with pytest.raises(InvalidParam):
             outer_region(0, 1)
 
+    @pytest.mark.parametrize("build", [outer_region, inner_region, dof_corner_points])
+    @pytest.mark.parametrize("t,n", [(2.5, 2), (4, 2.0), ("4", 2)])
+    def test_non_integer_dims_rejected(self, build, t, n):
+        with pytest.raises(InvalidParam, match="integers"):
+            build(t, n)
+
 
 class TestInnerRegion:
     def test_corner_points(self):

@@ -11,7 +11,6 @@ from simomac.training import (
     _gram_draws,
     _gram_log2_det,
     mac_training_rates,
-    rate_slope,
     single_user_training_rate,
     tdma_rates,
 )
@@ -60,9 +59,9 @@ class TestSingleUser:
             prev = est
 
     def test_slope_prelog(self):
-        slope = rate_slope(
-            lambda p: single_user_training_rate(_cfg(4, 2, p)), [30, 40, 50]
-        )
+        powers = [10.0 ** (p_db / 10.0) for p_db in (30, 40, 50)]
+        rates = [est.rate for est in single_user_training_rate(_cfg(4, 2, 1.0), powers=powers)]
+        slope = np.polyfit(np.log2(powers), rates, 1)[0]
         assert slope == pytest.approx(3 / 4, abs=0.05)
 
     def test_non_gaussian_unsupported(self):
@@ -93,7 +92,9 @@ class TestMac:
         assert r1.rate == pytest.approx(r2.rate, abs=3 * (r1.std_error + r2.std_error))
 
     def test_slope_prelog(self):
-        slope = rate_slope(lambda p: mac_training_rates(_cfg(8, 2, p)), [30, 40, 50])
+        powers = [10.0 ** (p_db / 10.0) for p_db in (30, 40, 50)]
+        rates = [r1.rate for r1, _ in mac_training_rates(_cfg(8, 2, 1.0), powers=powers)]
+        slope = np.polyfit(np.log2(powers), rates, 1)[0]
         assert slope == pytest.approx(3 / 4, abs=0.05)
 
 
