@@ -97,12 +97,46 @@ def sample_fading(kind, n, rng, size=None):
 
 
 def sample_inputs(inputs, cfg, rng, size=None):
-    """Every user's (B, T) input draws from ``rng``, in user order; B is
-    ``size`` or ``cfg.trials``."""
+    """Every user's (B, T) input draws from ``rng``, in user order, each
+    its law's :meth:`InputDistribution.sample` at cfg's power; B is
+    ``size`` or ``cfg.trials``.  :func:`sample_point_inputs` gives the
+    same draws for every point of a power grid."""
+    b = _input_count(inputs, cfg, size)
+    return [d.sample(rng, size=b) for d in inputs]
+
+
+def _input_count(inputs, cfg, size):
+    """B = ``size`` or ``cfg.trials``; raises InvalidParam unless every
+    input has cfg.T slots."""
     if any(d.T != cfg.T for d in inputs):
         raise InvalidParam("every input must have T = cfg.T slots")
-    b = cfg.trials if size is None else size
-    return [d.sample(rng, size=b) for d in inputs]
+    return cfg.trials if size is None else size
+
+
+def sample_point_inputs(points, seed, size):
+    """Each (inputs, cfg) point's :func:`sample_inputs` draw of ``size``
+    trials from a fresh generator on ``seed``, point by point: what a call
+    for that point alone draws.
+
+    The points of :func:`at_powers` differ in P only, and P enters the
+    draws only through :meth:`InputDistribution.at_power`, so each user's
+    P-free :meth:`InputDistribution.draw` is made once and mapped to every
+    point.  A truncated law's rejection loop draws again for as many
+    trials as the point's P rejects, so the points of truncated laws draw
+    one by one.
+    """
+    if any(d.truncate_above is not None for inputs, _ in points for d in inputs):
+        for inputs, cfg in points:
+            yield sample_inputs(inputs, cfg, np.random.default_rng(seed), size)
+        return
+    inputs, cfg = points[0]
+    b = _input_count(inputs, cfg, size)
+    rng = np.random.default_rng(seed)
+    draws = [d.draw(rng, b) for d in inputs]
+    for inputs, _ in points[:-1]:
+        yield [d.at_power(w) for d, w in zip(inputs, draws)]
+    # the last point lets go of each draw as it maps it, so none outlives it
+    yield [d.at_power(draws.pop(0)) for d in points[-1][0]]
 
 
 def sample_channel(users, cfg, rng, size=None, out=None, scratch=None):
@@ -169,9 +203,12 @@ class InputDistribution:
     ``params["pilot_power"]`` and ``params["data_power"]`` (default P).
     ``truncate_above`` (norm^2 threshold) conditions the law on
     ||X||^2 < threshold via rejection; set by
-    :func:`truncate_to_peak`.  Raises InvalidParam on an unknown kind,
-    T < 1, a P that is not finite and positive, or such a missing or
-    malformed parameter.
+    :func:`truncate_to_peak`.  A draw is a P-free :meth:`draw` mapped to
+    this P by :meth:`at_power` (then the rejection loop of
+    :meth:`sample`), so the draws of an untruncated law at several powers
+    are one :meth:`draw` and one :meth:`at_power` per power.  Raises
+    InvalidParam on an unknown kind, T < 1, a P that is not finite and
+    positive, or such a missing or malformed parameter.
     """
 
     kind: str
@@ -199,43 +236,65 @@ class InputDistribution:
                 if not (math.isfinite(power) and power >= 0):
                     raise InvalidParam(f"params[{key!r}] must be finite and >= 0, got {power}")
 
-    def _raw_sample(self, rng, size):
+    def draw(self, rng, size):
+        """The P-free part of ``size`` draws of the untruncated law, for
+        :meth:`at_power`: the count for ``deterministic_point``, (size, T)
+        unit-sphere directions for ``isotropic_peak``, uniform phases for
+        ``exponent_profile_peak``, CN(0, 1) entries for
+        ``pilot_data_product``, and (standard exponential variates,
+        unit-sphere directions) for ``exponential_norm``."""
         t = self.T
         if self.kind == "deterministic_point":
-            x = np.asarray(self.params["x"], dtype=complex)
-            return np.broadcast_to(x, (size, t)).copy()
+            return size
         if self.kind == "isotropic_peak":
-            return np.sqrt(self.P) * sample_uniform_complex_sphere(t, rng, size=size)
+            return sample_uniform_complex_sphere(t, rng, size=size)
+        if self.kind == "exponent_profile_peak":
+            return rng.uniform(0.0, 2.0 * np.pi, size=(size, t))
+        if self.kind == "pilot_data_product":
+            return sample_complex_gaussian(t, rng, size=size)
+        if self.kind == "exponential_norm":
+            # rng.exponential(scale) is scale * standard_exponential(), bit for bit
+            return rng.standard_exponential(size), sample_uniform_complex_sphere(t, rng, size=size)
+        raise InvalidParam(self.kind)
+
+    def at_power(self, draw):
+        """(size, T) draws of the untruncated law at this P from a
+        :meth:`draw`, which is left as it is."""
+        if self.kind == "deterministic_point":
+            x = np.asarray(self.params["x"], dtype=complex)
+            return np.broadcast_to(x, (draw, self.T)).copy()
+        if self.kind == "isotropic_peak":
+            return np.sqrt(self.P) * draw
         if self.kind == "exponent_profile_peak":
             amps = self.P ** (np.asarray(self.params["exponents"], dtype=float) / 2.0)
-            ph = rng.uniform(0.0, 2.0 * np.pi, size=(size, t))
             # amps e^{i ph}, bit for bit, written part by part in place
-            x = np.empty((size, t), dtype=complex)
-            np.multiply(np.cos(ph, out=x.real), amps, out=x.real)
-            np.multiply(np.sin(ph, out=x.imag), amps, out=x.imag)
+            x = np.empty(draw.shape, dtype=complex)
+            np.multiply(np.cos(draw, out=x.real), amps, out=x.real)
+            np.multiply(np.sin(draw, out=x.imag), amps, out=x.imag)
             return x
         if self.kind == "pilot_data_product":
             pilot_p = self.params.get("pilot_power", self.P)
             data_p = self.params.get("data_power", self.P)
-            x = np.sqrt(data_p) * sample_complex_gaussian(t, rng, size=size)
+            x = np.sqrt(data_p) * draw
             x[:, 0] = np.sqrt(pilot_p)
             return x
         if self.kind == "exponential_norm":
-            norm_sq = rng.exponential(self.P * self.T, size=size)
-            u = sample_uniform_complex_sphere(t, rng, size=size)
-            return np.sqrt(norm_sq)[:, None] * u
+            e, u = draw
+            return np.sqrt((self.P * self.T) * e)[:, None] * u
         raise InvalidParam(self.kind)
 
     def sample(self, rng, size=1):
-        """(size, T) draws, honoring truncation by rejection."""
-        x = self._raw_sample(rng, size)
+        """(size, T) draws, :meth:`at_power` of a :meth:`draw`, honoring
+        truncation by rejection: rejected rows are drawn again from
+        ``rng``, so how much of it is used depends on P."""
+        x = self.at_power(self.draw(rng, size))
         if self.truncate_above is not None:
             for _ in range(1000):
                 bad = norm_sq(x) >= self.truncate_above
                 n_bad = int(bad.sum())
                 if n_bad == 0:
                     break
-                x[bad] = self._raw_sample(rng, n_bad)
+                x[bad] = self.at_power(self.draw(rng, n_bad))
             else:
                 raise InvalidParam("rejection sampling did not converge")
         return x

@@ -4,14 +4,17 @@ the two-user MAC.
 All rate quantities are bits per channel use.  The duality bounds draw
 and whiten their Monte-Carlo trials in fixed-size chunks from streams
 of their own, the fading and noise once for every power and both
-bounds, and run the chunks on every CPU the process may use; each
-chunk's sums are folded in chunk order, so the results do not depend on
-the CPU count.  Half the trials fit the auxiliary-output parameters
-(alpha, beta per slot category) in a first pass that keeps only sums of
-the whitened norms; the other half, drawn from a stream of their own,
-evaluate the bound against those fixed parameters in a second pass that
-keeps only the moments of the bound statistic, so there is no fitting
-bias and memory does not grow with the trial count.  All
+bounds, the inputs once for every power unless their law is truncated,
+and run the chunks on every CPU the process may use; each chunk's sums
+are folded in chunk order, so the results do not depend on the CPU
+count.  Half the trials fit the auxiliary-output parameters (alpha,
+beta per slot category) in a first pass that forms and keeps only sums
+of the whitened norms; the other half, drawn from a stream of their
+own, evaluate the bound against those fixed parameters in a second pass
+that alone forms ln |det A|^2, h(Y | X) and the analytic right-hand
+side, and keeps only the moments of the bound statistic and their
+sums, so there is no fitting bias and memory does not grow with the
+trial count.  All
 double-log remainder terms are carried explicitly in the returned
 reports with the calibrated constants from :mod:`simomac.auxdist`.
 """
@@ -37,6 +40,7 @@ from .channel import (
     sample_channel,
     sample_inputs,
     sample_outputs,
+    sample_point_inputs,
     superpose,
 )
 from .errors import InvalidParam, InvalidRegime, RegimeUnsupported, SimomacError
@@ -123,17 +127,25 @@ def _whiten(yt, v, s, c):
     A = (s_i I + c_i y_v y_v^H)^{-1/2} and the pilot slot left as is.
     Each row depends on its own trial only, so chunks whiten independently.
     """
-    b, n, _ = yt.shape
-    rows = np.arange(b)
+    white, denom = _whitened_norms(yt, v, s, c)
+    log_det = -((yt.shape[1] - 1) * np.log(s) + np.log(denom))
+    log_det[np.arange(len(v)), v] = 0.0
+    return white, log_det
+
+
+def _whitened_norms(yt, v, s, c):
+    """The norms of :func:`_whiten`, without ln |det A|^2, and the (B, T)
+    scales s + c ||y_v||^2 of the pilot direction, from which
+    :func:`_whiten` forms ln |det A|^2.  The fit pass reads the norms
+    only."""
+    rows = np.arange(len(v))
     y_v = yt[rows, :, v]
     nv2 = norm_sq(y_v)
     ip = abs_sq(np.einsum("bnt,bn->bt", yt, np.conj(y_v)))
     denom = s + c * nv2[:, None]
     white = norm_sq(yt, axis=1) / s - (c / s) * ip / denom
-    log_det = -((n - 1) * np.log(s) + np.log(denom))  # ln |det A|^2
     white[rows, v] = nv2
-    log_det[rows, v] = 0.0
-    return white, log_det
+    return white, denom
 
 
 def _categories(v, t, n_names):
@@ -207,8 +219,8 @@ class _PointSums:
             group += n_names * branch[:, None]
         return group
 
-    def fit_chunk(self, white, v, branch, *_):
-        """A whitened fit chunk's rows (log_det, rhs and h_given_x unused)."""
+    def fit_chunk(self, white, v, branch):
+        """A whitened fit chunk's rows."""
         return _GroupRows.of(self._groups(white, v, branch), white, self.rows.count.shape)
 
     def fit(self):
@@ -309,11 +321,13 @@ class _Bound:
     """One duality bound of a streamed pass.
 
     ``genie(xs, channel, cfg, out)`` maps one chunk's inputs and
-    :func:`sample_channel` draw to (yt, v, s, c, rhs, h_given_x, branch):
-    the outputs to whiten, built in the thread's (chunk, N, T) buffer
-    ``out``, the pilot slot and whitening scales of :func:`_whiten`, the
-    analytic right-hand side, h(Y | X) and the aux branch (None when
-    unbranched).  ``names`` labels the aux categories.
+    :func:`sample_channel` draw to (yt, v, s, c, branch, terms): the
+    outputs to whiten, built in the thread's (chunk, N, T) buffer ``out``,
+    the pilot slot and whitening scales of :func:`_whiten`, the aux branch
+    (None when unbranched), and ``terms()``, which returns the analytic
+    right-hand side and h(Y | X): only the evaluation pass reads them, so
+    only it calls ``terms``.
+    ``names`` labels the aux categories.
     """
 
     genie: Callable
@@ -334,20 +348,26 @@ def _streamed_bounds(points, bounds):
     chunk order, every member is then fitted once, and the evaluation
     pass does the same with the moments of the bound statistic
     (:class:`_PointSums`).  No trial is drawn twice, and memory does not
-    grow with the trial count.
+    grow with the trial count.  Each pass computes only what it reads: the
+    fit pass forms the whitened norms alone (:func:`_whitened_norms`), and
+    only the evaluation pass forms ln |det A|^2 (:func:`_whiten`), the
+    analytic right-hand side and h(Y | X) (the genie's ``terms``).
 
     Each chunk draws its channel once, for every point and every bound,
     from a generator on the first child of the chunk's seed
     (:func:`_chunk_seed`), in the order h1, Z, h2 of
     :func:`sample_channel`: a pass with one user draws exactly the first
-    two.  Each point then draws its inputs (x1 first) from a fresh
-    generator on the chunk's seed, so every point sees the draws of a
-    call of its own, and every bound of a point sees the same draws as a
-    pass for that bound alone.  Each thread draws the noise and builds
-    each bound's outputs in turn in (chunk, N, T) buffers of its own,
-    reused from chunk to chunk and bound to bound, so their memory is not
-    faulted in afresh.  Every (B, N, T) array but the noise lives for one
-    bound of one point of one chunk.
+    two.  Its inputs (x1 first) come from :func:`sample_point_inputs` on
+    the chunk's seed: each user's P-free draw once for the whole grid,
+    mapped to every point's P, or for truncated laws a fresh draw per
+    point.  Either way every point sees the draws of a call of its own,
+    and every bound of a point sees the same draws as a pass for that
+    bound alone.  Each thread draws the noise, whose normal deviates pass
+    through the Y buffer, and builds each bound's outputs in turn in two
+    (chunk, N, T) buffers of its own, reused from
+    chunk to chunk and bound to bound, so their memory is not faulted in
+    afresh.  Every (B, N, T) array but the noise lives for one bound of
+    one point of one chunk.
     """
     inputs0, cfg0 = points[0]
     if cfg0.trials < 2:
@@ -358,26 +378,33 @@ def _streamed_bounds(points, bounds):
 
     def outputs(stream, i, scratch):
         """(the point's _PointSums, whitened chunk) for chunk i of ``stream``,
-        point by point and bound by bound."""
+        point by point and bound by bound: (white, v, branch) in the fit
+        stream, (white, v, branch, log_det, rhs, h_given_x) in the
+        evaluation stream."""
         starts = streams[stream]
         if not scratch:  # a fresh dict each pass: sized by this stream's chunks
             shape = (starts.step, cfg0.N, cfg0.T)
-            scratch.update(noise=np.empty(shape, dtype=complex), draw=np.empty(shape),
-                           y=np.empty(shape, dtype=complex))
+            scratch.update(noise=np.empty(shape, dtype=complex), y=np.empty(shape, dtype=complex))
         b = min(starts.step, starts.stop - starts[i])
-        noise, draw, y_buf = (scratch[key][:b] for key in ("noise", "draw", "y"))
+        noise, y_buf = scratch["noise"][:b], scratch["y"][:b]
+        # the noise's normal deviates pass through the front half of the Y
+        # buffer, which holds nothing until the first bound builds its outputs
+        draw = y_buf.reshape(-1).view(float)[:noise.size].reshape(noise.shape)
         seed = _chunk_seed(cfg0, stream, i)
         channel_seed = np.random.SeedSequence(seed.entropy, spawn_key=seed.spawn_key + (0,))
         channel = sample_channel(len(inputs0), cfg0, np.random.default_rng(channel_seed),
                                  size=b, out=noise, scratch=draw)
-        for (inputs, cfg), point_sums in zip(points, sums):
-            xs = sample_inputs(inputs, cfg, np.random.default_rng(seed), size=b)
+        for (_, cfg), point_sums, xs in zip(points, sums, sample_point_inputs(points, seed, b)):
             for k, (bound, acc) in enumerate(zip(bounds, point_sums), 1):
-                yt, v, s, c, rhs, h_given_x, br = bound.genie(xs, channel, cfg, y_buf)
+                yt, v, s, c, br, terms = bound.genie(xs, channel, cfg, y_buf)
+                terms = terms() if stream else None  # (rhs, h_given_x): evaluation only
                 if k == len(bounds):
                     del xs  # no later bound needs the inputs: free them before whitening
-                white, log_det = _whiten(yt, v, s, c)
-                yield acc, (white, v, br, log_det, rhs, h_given_x)
+                if stream:
+                    white, log_det = _whiten(yt, v, s, c)
+                    yield acc, (white, v, br, log_det, *terms)
+                else:
+                    yield acc, (_whitened_norms(yt, v, s, c)[0], v, br)
 
     def run_pass(stream, step, fold):
         """``step(acc, *chunk)`` on each whitened chunk of ``stream``, its
@@ -411,21 +438,27 @@ def _streamed_bounds(points, bounds):
 
 def _single_user_genie(xs, channel, cfg, out, slots):
     """Outputs y = h1 x1^T + Z of user 1 alone; the strongest of the first
-    ``slots`` slots as the pilot, no whitening scales; the Proposition
-    right-hand side and the Gaussian-fading h(Y | X) on the same trials."""
-    n, t = cfg.N, cfg.T
+    ``slots`` slots as the pilot, no whitening scales; as terms, those of
+    :func:`_single_user_terms` on the same trials."""
     x = xs[0]
     mag = abs_sq(x)
     v = np.argmax(mag[:, :slots], axis=1)
+    ones = np.ones(mag.shape)
+    terms = partial(_single_user_terms, x, mag, v, cfg)
+    return superpose(xs[:1], channel, out=out), v, ones, ones, None, terms
+
+
+def _single_user_terms(x, mag, v, cfg):
+    """The Proposition right-hand side and the Gaussian-fading h(Y | X) of
+    inputs x, with mag = |x|^2 and pilot slot v."""
+    n, t = cfg.N, cfg.T
     xv2 = mag[np.arange(v.size), v]
     off = np.arange(t) != v[:, None]
     ratios = mag / (1.0 + xv2)[:, None]
     rhs = (n + t - 1) * np.log2(1.0 + xv2) + n * np.where(
         off, np.log2(1.0 + ratios), 0.0
     ).sum(axis=1)
-    h_given_x = _gaussian_h_given_x(np.log2(1.0 + norm_sq(x)), cfg)
-    ones = np.ones(mag.shape)
-    return superpose(xs[:1], channel, out=out), v, ones, ones, rhs, h_given_x, None
+    return rhs, _gaussian_h_given_x(np.log2(1.0 + norm_sq(x)), cfg)
 
 
 def _single_user_bound(slots):
@@ -443,8 +476,9 @@ def duality_bound_single_user(input_dist, cfg, *, powers=None):
 
     With ``powers``, returns one entry per power, equal to the call with
     the input and cfg at that P: its BoundReport, or the SimomacError its
-    fit or evaluation raised.  Every trial chunk's fading and noise are
-    drawn once for the whole grid (see :func:`_streamed_bounds`).
+    fit or evaluation raised.  Every trial chunk's fading and noise, and
+    its inputs unless their law is truncated, are drawn once for the whole
+    grid (see :func:`_streamed_bounds`).
     """
     bound = _single_user_bound(cfg.T)
     (reports,) = _streamed_bounds(at_powers([input_dist], cfg, powers), [bound])
@@ -461,32 +495,35 @@ MAC_CATEGORIES = ("pilot", "middle", "last")
 def _mac_high_t(mag, s2, yt, cfg):
     """(T-1)-slot genie for the T >= N+1 regime; the last slot is whitened
     against the interference power.  mag: |x1t|^2 of the rotated input;
-    s2: ||x2||^2.  Returns (v, s, c, analytic rhs, branch=None)."""
-    b, n, t = yt.shape
+    s2: ||x2||^2.  Returns (v, s, c, branch=None)."""
+    b, _, t = yt.shape
     v = np.argmax(mag[:, : t - 1], axis=1)
     s = np.ones((b, t))
     s[:, -1] = 1.0 + s2
+    return v, s, np.ones((b, t)), None
 
-    # analytic right-hand side evaluated on the same samples
-    mv = mag[np.arange(b), v]
+
+def _mac_high_t_rhs(mag, s2, v, branch, cfg):
+    """The analytic right-hand side of :func:`_mac_high_t` on the same
+    samples (``branch`` unused)."""
+    n, t = cfg.N, cfg.T
+    mv = mag[np.arange(v.size), v]
     head_ratios = mag[:, : t - 1] / (1.0 + mv)[:, None]
     head_mask = np.arange(t - 1) != v[:, None]
-    rhs = (
+    return (
         (n + t - 2) * np.log2(1.0 + mv)
         + n * np.where(head_mask, np.log2(1.0 + head_ratios), 0.0).sum(axis=1)
         + n * np.log2(1.0 + s2)
         + np.log2(1.0 + mv / (1.0 + s2))
         + n * np.log2(1.0 + mag[:, -1] / (1.0 + s2 + mv))
     )
-    return v, s, np.ones((b, t)), rhs, None
 
 
 def _mac_low_t(mag, s2, yt, cfg):
     """(V, U)-genie for the T <= N regime with the three aux branches:
     0 when the pilot is the last slot, 1 otherwise, 2 when moreover the
-    last entry dominates everything."""
-    b, n, t = yt.shape
-    p = cfg.P
+    last entry dominates everything.  Returns (v, s, c, branch)."""
+    b, _, t = yt.shape
     sigma = np.ones((b, t))
     sigma[:, -1] = 1.0 + s2
     v = np.argmax(mag / sigma, axis=1)
@@ -498,12 +535,17 @@ def _mac_low_t(mag, s2, yt, cfg):
     c = np.repeat(1.0 / sigma[rows, v][:, None], t, axis=1)
     # branch 2 rescales the pilot direction by P / ||Y_v||^2
     nv2 = norm_sq(yt[rows, :, v])
-    c[:, -1] = np.where(branch == 2, p / np.maximum(nv2, 1e-300), c[:, -1])
+    c[:, -1] = np.where(branch == 2, cfg.P / np.maximum(nv2, 1e-300), c[:, -1])
+    return v, sigma, c, branch
 
-    # analytic per-branch right-hand sides (shared samples)
-    mv = mag[rows, v]
+
+def _mac_low_t_rhs(mag, s2, v, branch, cfg):
+    """The analytic per-branch right-hand sides of :func:`_mac_low_t` on
+    the same samples."""
+    n, t, p = cfg.N, cfg.T, cfg.P
+    mv = mag[np.arange(v.size), v]
     xt2 = mag[:, -1]
-    rhs = np.select(
+    return np.select(
         [branch == 0, branch == 1],
         [
             n * np.log2(1.0 + s2 + xt2) + (t - 1) * np.log2(1.0 + xt2 / (1.0 + s2)),
@@ -513,13 +555,12 @@ def _mac_low_t(mag, s2, yt, cfg):
         (n + t - 2) * np.log2(1.0 + mv) + n * np.log2((1.0 + s2 + xt2) / (1.0 + s2 + p))
         + n * np.log2(1.0 + s2) + np.log2(1.0 + p / (1.0 + s2)),
     )
-    return v, sigma, c, rhs, branch
 
 
-def _mac_genie(xs, channel, cfg, out, engine):
+def _mac_genie(xs, channel, cfg, out, engine, rhs):
     """One chunk of the MAC bound: the outputs rotated by U(x2), built in
-    ``out``; the regime's ``engine`` on them; h(Y | X1, X2) (its dominant
-    term only, flagged, off Gaussian fading).
+    ``out``; the regime's ``engine`` on them; as terms, those of
+    :func:`_mac_terms` with the regime's ``rhs``.
 
     Since x2^T U(x2) = ||x2|| e_T^T, the rotated outputs are
     (h1 x1^T + h2 x2^T + Z) U = h1 (x1^T U) + ||x2|| h2 e_T^T + Z U.  Given
@@ -536,13 +577,21 @@ def _mac_genie(xs, channel, cfg, out, engine):
     yt = superpose([x1t], channel, out=out)
     yt[:, :, -1] += np.sqrt(s2)[:, None] * hs[1]
     mag = abs_sq(x1t)
-    v, s, c, rhs, branch = engine(mag, s2, yt, cfg)
+    v, s, c, branch = engine(mag, s2, yt, cfg)
+    terms = partial(_mac_terms, rhs, x1, x2, mag, s2, v, branch, cfg)
+    return yt, v, s, c, branch, terms
+
+
+def _mac_terms(rhs, x1, x2, mag, s2, v, branch, cfg):
+    """``rhs(mag, s2, v, branch, cfg)``, the regime's analytic right-hand
+    side, and h(Y | X1, X2) (its dominant term only, flagged, off Gaussian
+    fading)."""
     if cfg.fading_kind == "iid_complex_gaussian":
         h_given_x = _gaussian_h_given_x(_exact_log2_det(x1, x2), cfg)
     else:
         head = mag[:, :-1].sum(axis=1)
         h_given_x = cfg.N * np.log2((1.0 + s2) * (1.0 + head) + mag[:, -1])
-    return yt, v, s, c, rhs, h_given_x, branch
+    return rhs(mag, s2, v, branch, cfg), h_given_x
 
 
 def _mac_bound(cfg):
@@ -552,9 +601,10 @@ def _mac_bound(cfg):
     if t < 2:
         raise RegimeUnsupported("the MAC bound needs T >= 2")
     if regime_objective(t, cfg.N) == "f_exponent":
-        return _Bound(partial(_mac_genie, engine=_mac_high_t), MAC_CATEGORIES, np.log2(t - 1))
-    return _Bound(partial(_mac_genie, engine=_mac_low_t), MAC_CATEGORIES, np.log2(2 * t),
-                  branched=True)
+        return _Bound(partial(_mac_genie, engine=_mac_high_t, rhs=_mac_high_t_rhs),
+                      MAC_CATEGORIES, np.log2(t - 1))
+    return _Bound(partial(_mac_genie, engine=_mac_low_t, rhs=_mac_low_t_rhs), MAC_CATEGORIES,
+                  np.log2(2 * t), branched=True)
 
 
 def duality_bound_mac_user1(input1, input2, cfg, *, powers=None):

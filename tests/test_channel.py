@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from simomac.channel import (
     ANNULUS_R_HI,
     ANNULUS_R_LO,
+    INPUT_KINDS,
     ChannelConfig,
     InputDistribution,
     sample_channel,
@@ -141,6 +144,32 @@ class TestInputDistributions:
         ph = np.random.default_rng(21).uniform(0.0, 2.0 * np.pi, size=(200_000, 4))
         ref = 1000.0 ** (np.asarray(exponents) / 2.0) * np.exp(1j * ph)
         assert np.array_equal(x.view(float), ref.view(float))
+
+    @pytest.mark.parametrize("kind", INPUT_KINDS)
+    def test_sample_is_the_power_map_of_one_draw(self, kind):
+        # sample() at each power is at_power of one P-free draw, bit for bit,
+        # and leaves the generator where the draw leaves it; the draw itself
+        # is reused, so at_power must not write into it
+        params = {"deterministic_point": {"x": [1.0, 2j, 0.5 - 0.5j]},
+                  "exponent_profile_peak": {"exponents": [1.0, 0.5, 0.0]},
+                  "pilot_data_product": {"pilot_power": 3.0}}.get(kind, {})
+        law = InputDistribution(kind=kind, T=3, P=10.0, params=params)
+        draw_rng = np.random.default_rng(4)
+        draw = law.draw(draw_rng, 500)
+        for p in (0.5, 10.0, 1e4, 1e12):
+            at = replace(law, P=p)
+            rng = np.random.default_rng(4)
+            x = at.sample(rng, size=500)
+            assert np.array_equal(x.view(float), at.at_power(draw).view(float))
+            assert rng.bit_generator.state == draw_rng.bit_generator.state
+
+    def test_exponential_is_scaled_standard_exponential(self):
+        # the exponential_norm map rests on this identity, bit for bit
+        a, b = np.random.default_rng(5), np.random.default_rng(5)
+        scale = 3 * 1e4 / 7.0
+        x = a.exponential(scale, size=1000)
+        assert np.array_equal(x, scale * b.standard_exponential(1000))
+        assert a.bit_generator.state == b.bit_generator.state
 
     def test_unknown_kind(self):
         with pytest.raises(InvalidParam):

@@ -13,7 +13,9 @@ from simomac.converse import (
     _exact_log2_det,
     _mac_genie,
     _mac_high_t,
+    _mac_high_t_rhs,
     _mac_low_t,
+    _mac_low_t_rhs,
     _single_user_genie,
     duality_bound_mac_user1,
     duality_bound_single_user,
@@ -59,11 +61,17 @@ def _chunk_bounds(starts):
     return [(lo, min(lo + starts.step, starts.stop)) for lo in starts]
 
 
+_MAC_RHS = {_mac_high_t: _mac_high_t_rhs, _mac_low_t: _mac_low_t_rhs}
+
+
 def _mac_engine(engine, mag, s2, t, n=2, p=100.0):
-    """(v, s, c, rhs, branch) of a MAC genie engine for one trial, from
-    |x1t|^2 of the rotated input and s2 = ||x2||^2."""
+    """(v, s, c, rhs, branch) of a MAC genie engine and its right-hand
+    side for one trial, from |x1t|^2 of the rotated input and
+    s2 = ||x2||^2."""
     yt = np.zeros((1, n, t), dtype=complex)
-    return engine(np.array([mag], dtype=float), np.array([s2]), yt, _cfg(t=t, n=n, p=p))
+    mag, s2, cfg = np.array([mag], dtype=float), np.array([s2]), _cfg(t=t, n=n, p=p)
+    v, s, c, branch = engine(mag, s2, yt, cfg)
+    return v, s, c, _MAC_RHS[engine](mag, s2, v, branch, cfg), branch
 
 
 def _mac_chunk(x1, x2, fading="iid_complex_gaussian", n=2):
@@ -71,8 +79,9 @@ def _mac_chunk(x1, x2, fading="iid_complex_gaussian", n=2):
     x1, x2 = (np.asarray(x, dtype=complex)[None] for x in (x1, x2))
     channel = _silent_channel(1, n, x1.shape[1], 2)
     out = _mac_genie([x1, x2], channel, _cfg(t=x1.shape[1], n=n, fading=fading), None,
-                     engine=_mac_high_t)
-    return out[4][0], out[5][0]
+                     engine=_mac_high_t, rhs=_mac_high_t_rhs)
+    rhs, h_given_x = out[5]()
+    return rhs[0], h_given_x[0]
 
 
 class TestGenieIndices:
@@ -117,7 +126,7 @@ class TestRotatedOutputs:
         z = sample_complex_gaussian(t, rng, size=(1, n))
         ref = apply_rotation(superpose([x1, x2], (hs, z)), x2)
         yt = _mac_genie([x1, x2], (hs, apply_rotation(z, x2)), _cfg(t=t, n=n), None,
-                        engine=_mac_high_t)[0]
+                        engine=_mac_high_t, rhs=_mac_high_t_rhs)[0]
         assert np.abs(yt - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
@@ -245,8 +254,9 @@ class TestEvalG:
         # each trial keeps its own branch's value, bit for bit
         rng = np.random.default_rng(8)
         mag, s2 = rng.exponential(5.0, size=(300, 3)), rng.exponential(2.0, size=300)
-        *_, rhs, branch = _mac_low_t(mag, s2, np.zeros((300, 2, 3), dtype=complex),
-                                     _cfg(t=3, p=10.0))
+        cfg = _cfg(t=3, p=10.0)
+        v, *_, branch = _mac_low_t(mag, s2, np.zeros((300, 2, 3), dtype=complex), cfg)
+        rhs = _mac_low_t_rhs(mag, s2, v, branch, cfg)
         assert set(branch) == {0, 1, 2}
         single = [_mac_engine(_mac_low_t, m, s, t=3, p=10.0)[3][0] for m, s in zip(mag, s2)]
         assert np.array_equal(rhs, single)
@@ -580,16 +590,16 @@ class TestStreamingEngine:
         monkeypatch.setattr(converse, "_CHUNK_ENTRIES", 400)
         monkeypatch.setattr(linalg, "cpu_count", lambda: workers)
         started = []
-        real = converse.sample_inputs
+        real = converse.sample_point_inputs
 
-        def sample_inputs(inputs, cfg, rng, size=None):
-            stream, chunk = rng.bit_generator.seed_seq.spawn_key
+        def sample_point_inputs(points, seed, size):
+            stream, chunk = seed.spawn_key
             started.append((stream, chunk))
             if chunk >= 1:
                 raise InvalidParam(f"chunk {chunk} failed")
-            return real(inputs, cfg, rng, size)
+            return real(points, seed, size)
 
-        monkeypatch.setattr(converse, "sample_inputs", sample_inputs)
+        monkeypatch.setattr(converse, "sample_point_inputs", sample_point_inputs)
         cfg = _cfg(t=2, n=2, p=10.0, trials=4_000, seed=4)
         iso = InputDistribution(kind="isotropic_peak", T=2, P=10.0)
         assert len(converse._trial_chunks(cfg, 0)) == 20
@@ -618,7 +628,7 @@ class TestStreamingEngine:
                     rng.normal(size=b))
 
         for b in (300, 200):
-            acc.rows.fold(acc.fit_chunk(*chunk(b)))
+            acc.rows.fold(acc.fit_chunk(*chunk(b)[:3]))
         acc.fit()
         chunks = [chunk(b) for b in (250, 180, 70)]
         for c in chunks:

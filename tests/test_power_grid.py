@@ -2,7 +2,8 @@
 
 The duality bounds draw every trial chunk's fading and noise once for
 the whole grid, from a stream of their own, and each point's inputs from
-the chunk's stream, as a call of its own would; the training rates draw
+the chunk's stream, as a call of its own would: the P-free part once for
+the whole grid, unless the law is truncated; the training rates draw
 their channel statistics once.  Every entry of a grid call must therefore equal the call
 at that power alone, errors included, and the bounds must not depend on
 how many threads ran their chunks.  ``duality_bounds`` runs both bounds
@@ -11,6 +12,7 @@ its entries must equal the call of that bound alone.
 """
 
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -18,8 +20,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from simomac import converse, linalg
-from simomac.channel import FADING_KINDS, ChannelConfig, InputDistribution
+from simomac import channel, converse, linalg
+from simomac.channel import FADING_KINDS, INPUT_KINDS, ChannelConfig, InputDistribution
 from simomac.converse import duality_bound_mac_user1, duality_bound_single_user, duality_bounds
 from simomac.errors import InvalidParam, SimomacError
 from simomac.training import mac_training_rates, single_user_training_rate
@@ -39,15 +41,28 @@ def _same(a, b):
     return a == b
 
 
+# every input law, pilot_data_product also with explicit pilot and data
+# powers, and a truncated law
+KINDS = [*INPUT_KINDS, "pilot_data_explicit", "truncated"]
+
+
 def _input(kind, t, p, exponents, max_p):
-    if kind == "exponent_profile":
-        return InputDistribution(kind="exponent_profile_peak", T=t, P=p,
-                                 params={"exponents": exponents})
+    """The law ``kind`` at P = p; ``exponents`` (T entries) shape the
+    exponent profile and the deterministic point."""
+    if kind == "exponent_profile_peak":
+        return InputDistribution(kind=kind, T=t, P=p, params={"exponents": exponents})
+    if kind == "deterministic_point":
+        x = np.sqrt(p) * (1.0 + 1j * np.asarray(exponents))
+        return InputDistribution(kind=kind, T=t, P=p, params={"x": x})
+    if kind == "pilot_data_explicit":
+        # powers that stay put while P moves
+        return InputDistribution(kind="pilot_data_product", T=t, P=p,
+                                 params={"pilot_power": max_p, "data_power": p / 2.0})
     if kind == "truncated":
         # the threshold stays put while P moves, so the rejection loop, and
         # with it the generator state, differs between the points
         return InputDistribution(kind="exponential_norm", T=t, P=p, truncate_above=t * max_p)
-    return InputDistribution(kind="isotropic_peak", T=t, P=p)
+    return InputDistribution(kind=kind, T=t, P=p)
 
 
 def _on_threads(workers, fn, *args, **kwargs):
@@ -93,9 +108,10 @@ def _check_grid(kind, t, n, trials, fading, p_dbs, seed, exponents, workers=1):
             assert all(_same(g, s) for g, s in zip(grid, singles))
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+# about 20 examples for each of the 7 kinds
+@settings(max_examples=140, deadline=None, derandomize=True)
 @given(
-    kind=st.sampled_from(["isotropic", "exponent_profile", "truncated"]),
+    kind=st.sampled_from(KINDS),
     t=st.integers(1, 6),
     n=st.integers(1, 4),
     trials=st.integers(2, 600),
@@ -113,7 +129,7 @@ def test_grid_equals_per_power_calls(kind, t, n, trials, fading, p_dbs, seed, ex
         _check_grid(kind, t, n, trials, fading, p_dbs, seed, exponent_grid[:t], workers)
 
 
-@pytest.mark.parametrize("kind", ["isotropic", "truncated"])
+@pytest.mark.parametrize("kind", KINDS)
 def test_grid_over_several_chunks(monkeypatch, kind):
     # T = 3, N = 2: 6 entries per trial, so at most 100 trials per chunk:
     # 226 fit trials in chunks of 76, 76 and 74, 225 evaluation trials in
@@ -122,23 +138,44 @@ def test_grid_over_several_chunks(monkeypatch, kind):
     _check_grid(kind, 3, 2, 451, "iid_complex_gaussian", [0, 20, 40], 5, [1.0, 0.5, 0.0])
 
 
-@pytest.mark.parametrize("kind", ["isotropic", "truncated"])
+@pytest.mark.parametrize("kind", ["isotropic_peak", "truncated"])
 def test_shared_draws_are_counted_once(monkeypatch, kind):
     # the points, and both bounds of duality_bounds, share the fading and
-    # noise of every chunk of both streams, whatever the input law: only
-    # the inputs are drawn again, and no chunk is drawn twice
-    calls = []
-    real = converse.sample_channel
-    monkeypatch.setattr(converse, "sample_channel",
-                        lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
+    # noise of every chunk of both streams, whatever the input law; an
+    # untruncated law's P-free input draw is made once per chunk, whatever
+    # the grid length, a truncated law's inputs once per point; no chunk is
+    # drawn twice.  The fit pass whitens only: ln |det A|^2 (_whiten),
+    # h(Y | X) and the right-hand sides come from the evaluation chunks
+    calls = Counter()
+
+    def count(owner, name, key):
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name,
+                            lambda *args, **kwargs: calls.update([key]) or real(*args, **kwargs))
+
+    count(converse, "sample_channel", "channel")
+    count(InputDistribution, "draw", "draw")
+    count(channel, "sample_inputs", "point")
+    count(converse, "_whiten", "log_det")
+    count(converse, "_gaussian_h_given_x", "h_given_x")
+    for rhs in ("_single_user_terms", "_mac_high_t_rhs", "_mac_low_t_rhs"):
+        count(converse, rhs, "rhs")
     cfg = ChannelConfig(T=2, N=2, P=10.0, trials=1_000, seed=1)
     dist = _input(kind, 2, 10.0, None, 1000.0)
-    chunks = sum(len(converse._trial_chunks(cfg, stream)) for stream in (0, 1))
-    duality_bound_single_user(dist, cfg, powers=[10.0, 100.0, 1000.0])
-    assert len(calls) == chunks
-    calls.clear()
-    duality_bounds(dist, dist, cfg, powers=[10.0, 100.0, 1000.0])
-    assert len(calls) == chunks
+    evaluation = len(converse._trial_chunks(cfg, 1))
+    chunks = len(converse._trial_chunks(cfg, 0)) + evaluation
+    for powers in ([10.0], [10.0, 100.0, 1000.0]):
+        for fn, args, users, bounds in ((duality_bound_single_user, (dist, cfg), 1, 1),
+                                        (duality_bounds, (dist, dist, cfg), 2, 2)):
+            calls.clear()
+            fn(*args, powers=powers)
+            assert calls["channel"] == chunks
+            if kind == "truncated":
+                assert calls["point"] == len(powers) * chunks
+            else:
+                assert calls["draw"] == users * chunks and calls["point"] == 0
+            for key in ("log_det", "h_given_x", "rhs"):
+                assert calls[key] == len(powers) * bounds * evaluation
 
 
 def test_empty_grid_raises():
