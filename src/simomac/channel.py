@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import InvalidParam
-from .linalg import norm_sq, sample_complex_gaussian, sample_uniform_complex_sphere
+from .linalg import LN2, LOG2_PI_E, norm_sq, sample_complex_gaussian, sample_uniform_complex_sphere
 
 FADING_KINDS = ("iid_complex_gaussian", "iid_uniform_annulus")
 
@@ -20,6 +20,14 @@ FADING_KINDS = ("iid_complex_gaussian", "iid_uniform_annulus")
 # one (second moment of a uniform amplitude).
 ANNULUS_R_LO = 0.5
 ANNULUS_R_HI = (3.0 * np.sqrt(5.0) - 1.0) / 4.0
+
+# Entropy deficit log2(pi e) - h(fading entry) in bits against CN(0, 1).
+# The annulus's h = log2(2 pi (r_hi - r_lo)) + E[log2 r], r uniform on
+# [r_lo, r_hi], so E[ln r] = (r_hi ln r_hi - r_lo ln r_lo) / (r_hi - r_lo) - 1.
+FADING_ENTROPY_DEFICIT = {"iid_complex_gaussian": 0.0, "iid_uniform_annulus": (
+    LOG2_PI_E - np.log2(2.0 * np.pi * (ANNULUS_R_HI - ANNULUS_R_LO)) - (
+        (ANNULUS_R_HI * np.log(ANNULUS_R_HI) - ANNULUS_R_LO * np.log(ANNULUS_R_LO))
+        / (ANNULUS_R_HI - ANNULUS_R_LO) - 1.0) / LN2)}
 
 # Powers from here on (150 dB) are rejected: the duality bounds' whitened
 # norms are then a difference of two O(P) terms with no correct digit left.

@@ -27,7 +27,7 @@ import scipy  # the top-level package only, for its version
 
 from . import __version__, lemmas, region
 from .auxdist import remainder_slack_bits
-from .channel import FADING_KINDS, ChannelConfig, InputDistribution
+from .channel import FADING_KINDS, ChannelConfig, InputDistribution, one_or_all
 from .converse import duality_bound_mac_user1, duality_bounds
 from .errors import InvalidRegime, RegimeUnsupported, SimomacError
 from .training import mac_training_rates, single_user_training_rate
@@ -140,12 +140,6 @@ def _power(p_db):
         return float("inf")
 
 
-def _raise_if_error(result):
-    if isinstance(result, Exception):
-        raise result
-    return result
-
-
 def cmd_bounds(args):
     p_dbs = args.P_dB
     # the genie regime of the MAC bound, which follows (T, N)
@@ -181,8 +175,8 @@ def cmd_bounds(args):
     for k, p_db in enumerate(p_dbs):
         entry = {"P_dB": p_db, "slack_bits": remainder_slack_bits(powers[k])}
         try:
-            entry["single_user_upper"] = _bound_to_dict(_raise_if_error(single[k]))
-            entry["mac_user1_upper"] = _bound_to_dict(_raise_if_error(mac[k]))
+            entry["single_user_upper"] = _bound_to_dict(one_or_all([single[k]], None))
+            entry["mac_user1_upper"] = _bound_to_dict(one_or_all([mac[k]], None))
         except InvalidRegime as exc:
             warnings.append(f"P={p_db} dB: {exc}")
         if su_training is not None:
@@ -256,7 +250,7 @@ def _verify_props(seed):
     value - analytic right-hand side <= slack + 3 SE."""
     checks = []
     p_dbs = (20, 30)
-    powers = [10.0 ** (p_db / 10.0) for p_db in p_dbs]
+    powers = [_power(p_db) for p_db in p_dbs]
     for kind in FADING_KINDS:
         cfg = ChannelConfig(T=4, N=2, P=powers[0], fading_kind=kind, trials=100_000, seed=seed)
         iso = InputDistribution(kind="isotropic_peak", T=4, P=cfg.P)
@@ -266,7 +260,7 @@ def _verify_props(seed):
         low = duality_bound_mac_user1(replace(iso, T=2), profile, replace(cfg, T=2), powers=powers)
         for p_db, p, *reps in zip(p_dbs, powers, single, mac, low):
             slack, at = remainder_slack_bits(p), f"{kind}_{p_db}dB"
-            reps = [_raise_if_error(rep) for rep in reps]
+            reps = [one_or_all([rep], None) for rep in reps]
             fewest = min(reps[2].components["branch_counts"].values())
             checks.append({"check": f"prop_mac_low_t_all_branches_{at}",
                            "margin": float(fewest), "slack": 0.0, "passed": fewest > 0})

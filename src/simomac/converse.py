@@ -1,9 +1,11 @@
 """Genie-aided duality upper bounds for the single-user SIMO channel and
 the two-user MAC.
 
-All rate quantities are bits per channel use.  The duality bounds draw
-and whiten their Monte-Carlo trials in fixed-size chunks from streams
-of their own, the fading and noise once for every power and both
+All rate quantities are bits per channel use.  Each bound is a genie
+shape of three plain functions (:class:`_Bound`), and the bounds and MI
+oracles share one h(Y | X) (:func:`_h_given_x`).  The duality bounds
+draw and whiten their Monte-Carlo trials in fixed-size chunks from
+streams of their own, the fading and noise once for every power and both
 bounds, the inputs once for every power unless their law is truncated,
 and run the chunks on every CPU the process may use; each chunk's sums
 are folded in chunk order, so the results do not depend on the CPU
@@ -34,6 +36,7 @@ from .auxdist import (
     remainder_slack_bits,
 )
 from .channel import (
+    FADING_ENTROPY_DEFICIT,
     InputDistribution,
     at_powers,
     one_or_all,
@@ -80,16 +83,24 @@ class BoundReport:
 # Conditional entropy h(Y | X1, X2)
 # ---------------------------------------------------------------------------
 
-def _exact_log2_det(x1, x2):
-    """log2 det(I_T + x1 x1^H + x2 x2^H), batched over leading axis."""
-    ip = abs_sq(np.einsum("...t,...t->...", np.conj(x2), x1))
-    return np.log2((1.0 + norm_sq(x1)) * (1.0 + norm_sq(x2)) - ip)
+def _log2_det(mag, s2):
+    """log2 det(I_T + x1 x1^H + x2 x2^H), batched, from mag = |x1t|^2 of x1
+    rotated by U(x2) and s2 = ||x2||^2: a sum of non-negative terms, so no
+    digits cancel however nearly parallel x1 and x2 are."""
+    return np.log2((1.0 + s2) * (1.0 + mag[:, :-1].sum(axis=1)) + mag[:, -1])
 
 
-def _gaussian_h_given_x(log2_det, cfg):
-    """h(Y | X) in bits under Gaussian fading, N log2_det + N T log2(pi e),
-    from log2_det = log2 det(I_T + sum_k x_k x_k^H)."""
-    return cfg.N * log2_det + cfg.N * cfg.T * LOG2_PI_E
+def _h_given_x(mag, s2, cfg):
+    """N [log2 det + T log2(pi e) - K D] bits from the (mag, s2) of
+    :func:`_log2_det`: h(Y | X1, X2) under Gaussian fading, a lower bound
+    within N K D bits otherwise, so the duality bounds stay upper bounds.
+    K counts the users of nonzero input, D is the fading's entropy deficit
+    (:data:`~simomac.channel.FADING_ENTROPY_DEFICIT`): each row of Y is a
+    map of K fading entries plus noise, so by data processing its relative
+    entropy to the Gaussian of its covariance is at most K D."""
+    users = (mag.sum(axis=1) > 0).astype(int) + (s2 > 0)  # integers: bool + bool is OR
+    n, deficit = cfg.N, FADING_ENTROPY_DEFICIT[cfg.fading_kind]
+    return n * _log2_det(mag, s2) + n * cfg.T * LOG2_PI_E - n * users * deficit
 
 
 # ---------------------------------------------------------------------------
@@ -123,8 +134,9 @@ def _whiten(yt, v, s, c):
     """Squared whitened norms ||A y_i||^2 and ln |det A|^2, each (B, T).
 
     yt: (B, N, T) outputs (rotated for the MAC); v: (B,) pilot slot; s, c:
-    (B, T) whitening scales, non-pilot slot i being whitened by
-    A = (s_i I + c_i y_v y_v^H)^{-1/2} and the pilot slot left as is.
+    (B, T) whitening scales, c possibly a scalar, non-pilot slot i being
+    whitened by A = (s_i I + c_i y_v y_v^H)^{-1/2} and the pilot slot left
+    as is.
     Each row depends on its own trial only, so chunks whiten independently.
     """
     white, denom = _whitened_norms(yt, v, s, c)
@@ -309,7 +321,7 @@ class _PointSums:
             remainder_terms={
                 "log_log_slack_bits": remainder_slack_bits(self.cfg.P),
                 "genie_cost_bits": float(cost),
-                # h(Y|X) is the Gaussian-fading value; flagged for other fading
+                # off Gaussian fading h(Y|X) is a lower bound, within N K D bits
                 "h_order_one_flagged": self.cfg.fading_kind != "iid_complex_gaussian",
             },
             components=components,
@@ -318,19 +330,21 @@ class _PointSums:
 
 @dataclass(frozen=True)
 class _Bound:
-    """One duality bound of a streamed pass.
+    """One duality bound of a streamed pass: its genie shape as plain
+    functions.
 
-    ``genie(xs, channel, cfg, out)`` maps one chunk's inputs and
-    :func:`sample_channel` draw to (yt, v, s, c, branch, terms): the
-    outputs to whiten, built in the thread's (chunk, N, T) buffer ``out``,
-    the pilot slot and whitening scales of :func:`_whiten`, the aux branch
-    (None when unbranched), and ``terms()``, which returns the analytic
-    right-hand side and h(Y | X): only the evaluation pass reads them, so
-    only it calls ``terms``.
-    ``names`` labels the aux categories.
+    ``outputs(xs, channel, out)`` maps one chunk's inputs and
+    :func:`sample_channel` draw to (yt, mag, s2): the outputs to whiten,
+    built in the thread's (chunk, N, T) buffer ``out``, and the (mag, s2)
+    of :func:`_log2_det`.  ``pilot(mag, s2, yt, cfg)`` gives the pilot
+    slot and whitening scales of :func:`_whiten` and the aux branch (None
+    when unbranched), and ``rhs(mag, s2, v, branch, cfg)`` the analytic
+    right-hand side.  ``names`` labels the aux categories.
     """
 
-    genie: Callable
+    outputs: Callable
+    pilot: Callable
+    rhs: Callable
     names: tuple
     genie_cost: float
     branched: bool = False
@@ -351,7 +365,8 @@ def _streamed_bounds(points, bounds):
     grow with the trial count.  Each pass computes only what it reads: the
     fit pass forms the whitened norms alone (:func:`_whitened_norms`), and
     only the evaluation pass forms ln |det A|^2 (:func:`_whiten`), the
-    analytic right-hand side and h(Y | X) (the genie's ``terms``).
+    analytic right-hand side (the bound's ``rhs``) and h(Y | X)
+    (:func:`_h_given_x`).
 
     Each chunk draws its channel once, for every point and every bound,
     from a generator on the first child of the chunk's seed
@@ -396,13 +411,16 @@ def _streamed_bounds(points, bounds):
                                  size=b, out=noise, scratch=draw)
         for (_, cfg), point_sums, xs in zip(points, sums, sample_point_inputs(points, seed, b)):
             for k, (bound, acc) in enumerate(zip(bounds, point_sums), 1):
-                yt, v, s, c, br, terms = bound.genie(xs, channel, cfg, y_buf)
-                terms = terms() if stream else None  # (rhs, h_given_x): evaluation only
+                yt, mag, s2 = bound.outputs(xs, channel, y_buf)
                 if k == len(bounds):
                     del xs  # no later bound needs the inputs: free them before whitening
+                v, s, c, br = bound.pilot(mag, s2, yt, cfg)
+                if stream:  # only the evaluation pass reads the terms
+                    rhs, h_given_x = bound.rhs(mag, s2, v, br, cfg), _h_given_x(mag, s2, cfg)
+                del mag, s2  # nothing else reads them: free them before whitening
                 if stream:
                     white, log_det = _whiten(yt, v, s, c)
-                    yield acc, (white, v, br, log_det, *terms)
+                    yield acc, (white, v, br, log_det, rhs, h_given_x)
                 else:
                     yield acc, (_whitened_norms(yt, v, s, c)[0], v, br)
 
@@ -436,36 +454,40 @@ def _streamed_bounds(points, bounds):
 # Single-user duality bound
 # ---------------------------------------------------------------------------
 
-def _single_user_genie(xs, channel, cfg, out, slots):
-    """Outputs y = h1 x1^T + Z of user 1 alone; the strongest of the first
-    ``slots`` slots as the pilot, no whitening scales; as terms, those of
-    :func:`_single_user_terms` on the same trials."""
-    x = xs[0]
-    mag = abs_sq(x)
+def _user1_outputs(xs, channel, out):
+    """Outputs y = h1 x1^T + Z of user 1 alone, built in ``out``, with
+    mag = |x1|^2 and s2 = 0."""
+    return superpose(xs[:1], channel, out=out), abs_sq(xs[0]), 0.0
+
+
+def _strongest_pilot(mag, s2, yt, cfg, slots):
+    """The pilot v, the strongest of the first ``slots`` slots; the last
+    slot's scale 1 + s2, interference plus noise (1 for user 1 alone).
+    Returns (v, s, c = 1, branch=None)."""
+    b, _, t = yt.shape
     v = np.argmax(mag[:, :slots], axis=1)
-    ones = np.ones(mag.shape)
-    terms = partial(_single_user_terms, x, mag, v, cfg)
-    return superpose(xs[:1], channel, out=out), v, ones, ones, None, terms
+    s = np.ones((b, t))
+    s[:, -1] = 1.0 + s2
+    return v, s, 1.0, None
 
 
-def _single_user_terms(x, mag, v, cfg):
-    """The Proposition right-hand side and the Gaussian-fading h(Y | X) of
-    inputs x, with mag = |x|^2 and pilot slot v."""
+def _single_user_rhs(mag, s2, v, branch, cfg):
+    """The Proposition right-hand side of user 1 alone with pilot slot v
+    (s2 = 0 and ``branch`` unused)."""
     n, t = cfg.N, cfg.T
     xv2 = mag[np.arange(v.size), v]
     off = np.arange(t) != v[:, None]
     ratios = mag / (1.0 + xv2)[:, None]
-    rhs = (n + t - 1) * np.log2(1.0 + xv2) + n * np.where(
+    return (n + t - 1) * np.log2(1.0 + xv2) + n * np.where(
         off, np.log2(1.0 + ratios), 0.0
     ).sum(axis=1)
-    return rhs, _gaussian_h_given_x(np.log2(1.0 + norm_sq(x)), cfg)
 
 
 def _single_user_bound(slots):
     """The single-user bound of :func:`_streamed_bounds`, its pilot the
     strongest of the first ``slots`` slots (1 <= slots <= T)."""
-    return _Bound(partial(_single_user_genie, slots=slots), ("pilot", "offpilot"),
-                  np.log2(slots))
+    return _Bound(_user1_outputs, partial(_strongest_pilot, slots=slots), _single_user_rhs,
+                  ("pilot", "offpilot"), np.log2(slots))
 
 
 def duality_bound_single_user(input_dist, cfg, *, powers=None):
@@ -492,20 +514,9 @@ def duality_bound_single_user(input_dist, cfg, *, powers=None):
 MAC_CATEGORIES = ("pilot", "middle", "last")
 
 
-def _mac_high_t(mag, s2, yt, cfg):
-    """(T-1)-slot genie for the T >= N+1 regime; the last slot is whitened
-    against the interference power.  mag: |x1t|^2 of the rotated input;
-    s2: ||x2||^2.  Returns (v, s, c, branch=None)."""
-    b, _, t = yt.shape
-    v = np.argmax(mag[:, : t - 1], axis=1)
-    s = np.ones((b, t))
-    s[:, -1] = 1.0 + s2
-    return v, s, np.ones((b, t)), None
-
-
 def _mac_high_t_rhs(mag, s2, v, branch, cfg):
-    """The analytic right-hand side of :func:`_mac_high_t` on the same
-    samples (``branch`` unused)."""
+    """The analytic right-hand side of the (T-1)-slot genie of the T >= N+1
+    regime on the same samples (``branch`` unused)."""
     n, t = cfg.N, cfg.T
     mv = mag[np.arange(v.size), v]
     head_ratios = mag[:, : t - 1] / (1.0 + mv)[:, None]
@@ -557,10 +568,9 @@ def _mac_low_t_rhs(mag, s2, v, branch, cfg):
     )
 
 
-def _mac_genie(xs, channel, cfg, out, engine, rhs):
-    """One chunk of the MAC bound: the outputs rotated by U(x2), built in
-    ``out``; the regime's ``engine`` on them; as terms, those of
-    :func:`_mac_terms` with the regime's ``rhs``.
+def _rotated_mac_outputs(xs, channel, out):
+    """The MAC outputs rotated by U(x2), built in ``out``, with
+    mag = |x1t|^2 of the rotated input x1t and s2 = ||x2||^2.
 
     Since x2^T U(x2) = ||x2|| e_T^T, the rotated outputs are
     (h1 x1^T + h2 x2^T + Z) U = h1 (x1^T U) + ||x2|| h2 e_T^T + Z U.  Given
@@ -576,22 +586,7 @@ def _mac_genie(xs, channel, cfg, out, engine, rhs):
     s2 = norm_sq(x2)
     yt = superpose([x1t], channel, out=out)
     yt[:, :, -1] += np.sqrt(s2)[:, None] * hs[1]
-    mag = abs_sq(x1t)
-    v, s, c, branch = engine(mag, s2, yt, cfg)
-    terms = partial(_mac_terms, rhs, x1, x2, mag, s2, v, branch, cfg)
-    return yt, v, s, c, branch, terms
-
-
-def _mac_terms(rhs, x1, x2, mag, s2, v, branch, cfg):
-    """``rhs(mag, s2, v, branch, cfg)``, the regime's analytic right-hand
-    side, and h(Y | X1, X2) (its dominant term only, flagged, off Gaussian
-    fading)."""
-    if cfg.fading_kind == "iid_complex_gaussian":
-        h_given_x = _gaussian_h_given_x(_exact_log2_det(x1, x2), cfg)
-    else:
-        head = mag[:, :-1].sum(axis=1)
-        h_given_x = cfg.N * np.log2((1.0 + s2) * (1.0 + head) + mag[:, -1])
-    return rhs(mag, s2, v, branch, cfg), h_given_x
+    return yt, abs_sq(x1t), s2
 
 
 def _mac_bound(cfg):
@@ -601,9 +596,9 @@ def _mac_bound(cfg):
     if t < 2:
         raise RegimeUnsupported("the MAC bound needs T >= 2")
     if regime_objective(t, cfg.N) == "f_exponent":
-        return _Bound(partial(_mac_genie, engine=_mac_high_t, rhs=_mac_high_t_rhs),
-                      MAC_CATEGORIES, np.log2(t - 1))
-    return _Bound(partial(_mac_genie, engine=_mac_low_t, rhs=_mac_low_t_rhs), MAC_CATEGORIES,
+        return _Bound(_rotated_mac_outputs, partial(_strongest_pilot, slots=t - 1),
+                      _mac_high_t_rhs, MAC_CATEGORIES, np.log2(t - 1))
+    return _Bound(_rotated_mac_outputs, _mac_low_t, _mac_low_t_rhs, MAC_CATEGORIES,
                   np.log2(2 * t), branched=True)
 
 
@@ -679,7 +674,8 @@ def isotropic_mixture_mi_estimate(cfg, trials=None):
         )
     ln_p += lgamma(t) - n * t * np.log(np.pi) - n * np.log(1.0 + p)
     neg_log_p = -ln_p / LN2
-    h_cond = _gaussian_h_given_x(np.log2(1.0 + p), cfg)  # ||x||^2 = P surely
+    # ||x||^2 = P surely, and the determinant depends on x through ||x||^2 only
+    (h_cond,) = _h_given_x(np.full((1, 1), p), 0.0, cfg)
     mi = (neg_log_p.mean() - h_cond) / t
     se = float(neg_log_p.std() / np.sqrt(b) / t)
     return mi, se
@@ -707,7 +703,7 @@ def mutual_information_lower_estimate(input_dist, cfg, max_knn_samples=20_000):
     (x,) = sample_inputs([input_dist], cfg, rng)
     m = min(cfg.trials, max_knn_samples)
     y = superpose([x[:m]], sample_channel(1, cfg, rng, size=m))
-    h_cond = _gaussian_h_given_x(np.log2(1.0 + norm_sq(x)), cfg).mean()
+    h_cond = _h_given_x(norm_sq(x)[:, None], 0.0, cfg).mean()  # det depends on ||x||^2 only
     del x
     h_y = knn_entropy_bits(y.reshape(m, -1), k=4)
     return float((h_y - h_cond) / cfg.T)

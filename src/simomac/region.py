@@ -73,7 +73,8 @@ def _start_at_origin(hull):
 
 
 def _vertices_from_halfspaces(halfspaces):
-    """All feasible pairwise boundary intersections, hulled CCW."""
+    """All feasible pairwise boundary intersections, hulled CCW; the origin,
+    where d1 = 0 meets d2 = 0, is among them, as every b >= 0."""
     lines = [(a1, a2, b) for (a1, a2, b) in halfspaces]
     lines.append((F(1), F(0), F(0)))  # d1 = 0
     lines.append((F(0), F(1), F(0)))  # d2 = 0
@@ -90,8 +91,6 @@ def _vertices_from_halfspaces(halfspaces):
         for p in cand
         if p[0] >= 0 and p[1] >= 0 and all(a1 * p[0] + a2 * p[1] <= b for a1, a2, b in halfspaces)
     ]
-    if not feas:
-        feas = [(F(0), F(0))]
     return tuple(_start_at_origin(_convex_hull(feas)))
 
 
@@ -152,11 +151,7 @@ def inner_region(T, N):
             if a1 <= 0 and a2 <= 0:
                 continue  # nonnegativity edge, implied
             hs.append((a1, a2, b))
-    elif len(hull) == 2:
-        p, q = hull
-        s = q[0] + q[1]  # segment from origin: d1 + d2 <= level along it
-        hs.append((F(1), F(1), s if s > 0 else F(0)))
-    else:
+    else:  # T = 1: the origin alone
         hs.append((F(1), F(1), F(0)))
     hs = tuple(dict.fromkeys(hs))
     return DofRegion(halfspaces=hs, vertices=tuple(hull))

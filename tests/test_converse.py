@@ -8,15 +8,24 @@ import pytest
 
 from simomac import converse, linalg
 from simomac.auxdist import AuxDistParams, log_density_from_norm_sq
-from simomac.channel import ChannelConfig, InputDistribution, superpose
+from simomac.channel import (
+    ANNULUS_R_HI,
+    ANNULUS_R_LO,
+    FADING_ENTROPY_DEFICIT,
+    ChannelConfig,
+    InputDistribution,
+    sample_fading,
+    superpose,
+)
 from simomac.converse import (
-    _exact_log2_det,
-    _mac_genie,
-    _mac_high_t,
+    _h_given_x,
+    _log2_det,
     _mac_high_t_rhs,
     _mac_low_t,
     _mac_low_t_rhs,
-    _single_user_genie,
+    _rotated_mac_outputs,
+    _strongest_pilot,
+    _user1_outputs,
     duality_bound_mac_user1,
     duality_bound_single_user,
     duality_bounds,
@@ -25,7 +34,7 @@ from simomac.converse import (
 )
 from simomac.errors import InvalidParam, InvalidRegime, RegimeUnsupported
 from simomac.knn_entropy import knn_entropy_bits
-from simomac.linalg import abs_sq, apply_rotation, sample_complex_gaussian
+from simomac.linalg import abs_sq, apply_rotation, norm_sq, sample_complex_gaussian
 from simomac.region import regime_objective
 
 LOG2_PI_E = np.log2(np.pi * np.e)
@@ -41,11 +50,11 @@ def _silent_channel(b, n, t, users):
 
 
 def _pilot(x, slots=None):
-    """The pilot slot that _single_user_genie picks for each row of x."""
+    """The pilot slot that the single-user genie picks for each row of x."""
     x = np.atleast_2d(np.asarray(x, dtype=complex))
     channel = _silent_channel(len(x), 2, x.shape[1], 1)
-    return _single_user_genie([x], channel, _cfg(t=x.shape[1]), None,
-                              slots=slots or x.shape[1])[1]
+    yt, mag, s2 = _user1_outputs([x], channel, None)
+    return _strongest_pilot(mag, s2, yt, _cfg(t=x.shape[1]), slots or x.shape[1])[0]
 
 
 def _single_user_on_slots(input_dist, cfg, slots):
@@ -59,6 +68,11 @@ def _single_user_on_slots(input_dist, cfg, slots):
 def _chunk_bounds(starts):
     """(lo, hi) of each chunk of a _trial_chunks range."""
     return [(lo, min(lo + starts.step, starts.stop)) for lo in starts]
+
+
+def _mac_high_t(mag, s2, yt, cfg):
+    """The pilot rule of the T >= N+1 genie: the strongest of the first T - 1 slots."""
+    return _strongest_pilot(mag, s2, yt, cfg, cfg.T - 1)
 
 
 _MAC_RHS = {_mac_high_t: _mac_high_t_rhs, _mac_low_t: _mac_low_t_rhs}
@@ -75,13 +89,14 @@ def _mac_engine(engine, mag, s2, t, n=2, p=100.0):
 
 
 def _mac_chunk(x1, x2, fading="iid_complex_gaussian", n=2):
-    """_mac_genie's (rhs, h(Y | X1, X2)) for one trial of the T >= N+1 regime."""
+    """(rhs, h(Y | X1, X2), log2 det) of the T >= N+1 MAC genie for one trial."""
     x1, x2 = (np.asarray(x, dtype=complex)[None] for x in (x1, x2))
     channel = _silent_channel(1, n, x1.shape[1], 2)
-    out = _mac_genie([x1, x2], channel, _cfg(t=x1.shape[1], n=n, fading=fading), None,
-                     engine=_mac_high_t, rhs=_mac_high_t_rhs)
-    rhs, h_given_x = out[5]()
-    return rhs[0], h_given_x[0]
+    cfg = _cfg(t=x1.shape[1], n=n, fading=fading)
+    yt, mag, s2 = _rotated_mac_outputs([x1, x2], channel, None)
+    v, _, _, branch = _mac_high_t(mag, s2, yt, cfg)
+    rhs = _mac_high_t_rhs(mag, s2, v, branch, cfg)
+    return rhs[0], _h_given_x(mag, s2, cfg)[0], _log2_det(mag, s2)[0]
 
 
 class TestGenieIndices:
@@ -118,31 +133,33 @@ class TestGenieIndices:
 class TestRotatedOutputs:
     def test_drawn_rotated_equal_rotated_outputs(self):
         # (h1 x1^T + h2 x2^T + Z) U = h1 (x1^T U) + ||x2|| h2 e_T^T + Z U, U = U(x2):
-        # given the noise Z U, _mac_genie's outputs are the rotated outputs
+        # given the noise Z U, _rotated_mac_outputs gives the rotated outputs
         rng = np.random.default_rng(21)
         t, n = 5, 3
         x1, x2 = (sample_complex_gaussian(t, rng, size=1) for _ in range(2))
         hs = [sample_complex_gaussian(n, rng, size=1) for _ in range(2)]
         z = sample_complex_gaussian(t, rng, size=(1, n))
         ref = apply_rotation(superpose([x1, x2], (hs, z)), x2)
-        yt = _mac_genie([x1, x2], (hs, apply_rotation(z, x2)), _cfg(t=t, n=n), None,
-                        engine=_mac_high_t, rhs=_mac_high_t_rhs)[0]
+        yt = _rotated_mac_outputs([x1, x2], (hs, apply_rotation(z, x2)), None)[0]
         assert np.abs(yt - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 class TestConditionalEntropy:
     def test_pure_noise(self):
         cfg = _cfg()
-        _, h = _mac_chunk(np.zeros(4), np.zeros(4))
+        _, h, log2_det = _mac_chunk(np.zeros(4), np.zeros(4))
         assert h == pytest.approx(cfg.N * cfg.T * LOG2_PI_E)
-        assert _exact_log2_det(np.zeros(4), np.zeros(4)) == 0.0
+        assert log2_det == 0.0
 
     def test_dominant_branch_single_user_case(self):
-        # off Gaussian fading only the dominant term is kept, and flagged
+        # off Gaussian fading h(Y|X) is N [log2 det + T log2(pi e) - K D] with
+        # K = 1 user of nonzero input, a lower bound, and flagged
         cfg = _cfg(fading="iid_uniform_annulus")
         x1 = np.array([1.0, 2.0, 0.0, 1.0])
-        _, h = _mac_chunk(x1, np.zeros(4), fading=cfg.fading_kind)
-        assert h == pytest.approx(cfg.N * np.log2(1 + np.linalg.norm(x1) ** 2), abs=1e-9)
+        _, h, _ = _mac_chunk(x1, np.zeros(4), fading=cfg.fading_kind)
+        rule = np.log2(1 + np.linalg.norm(x1) ** 2) + cfg.T * LOG2_PI_E \
+            - FADING_ENTROPY_DEFICIT[cfg.fading_kind]
+        assert h == pytest.approx(cfg.N * rule, abs=1e-9)
         iso = InputDistribution(kind="isotropic_peak", T=4, P=100.0)
         rep = duality_bound_mac_user1(iso, iso, _cfg(trials=2_000, fading=cfg.fading_kind))
         assert rep.remainder_terms["h_order_one_flagged"] is True
@@ -157,7 +174,7 @@ class TestConditionalEntropy:
         t, n, trials = 4, 2, 50_000
         x1 = sample_complex_gaussian(t, rng)
         x2 = sample_complex_gaussian(t, rng)
-        _, exact = _mac_chunk(x1, x2, n=n)
+        _, exact, _ = _mac_chunk(x1, x2, n=n)
         h1 = sample_complex_gaussian(n, rng, size=trials)
         h2 = sample_complex_gaussian(n, rng, size=trials)
         z = sample_complex_gaussian(t, rng, size=(trials, n))
@@ -166,13 +183,118 @@ class TestConditionalEntropy:
         assert abs(est - exact) / (n * t) <= 0.15  # bits per complex dimension
 
 
+def _annulus_h_given_x(x, b, rng, grid=2001, block=500):
+    """Monte-Carlo h(Y | x) in bits and its standard error for N = 1 and
+    annulus fading, from b outputs Y = h x^T + Z.
+
+    With h = r e^{i phi}, the phase averages in closed form,
+    p(y | x) = pi^-T e^-||y||^2 E_r[exp(-r^2 ||x||^2) I0(2 r |y^H x|)], and
+    the trapezoid rule on ``grid`` points of [r_lo, r_hi] takes E_r.
+    """
+    from scipy.special import i0e
+
+    r = np.linspace(ANNULUS_R_LO, ANNULUS_R_HI, grid)
+    w = np.full(grid, (r[1] - r[0]) / (ANNULUS_R_HI - ANNULUS_R_LO))
+    w[[0, -1]] /= 2
+    y = sample_fading("iid_uniform_annulus", 1, rng, size=b) * x \
+        + sample_complex_gaussian(x.size, rng, size=b)
+    c = np.abs(y.conj() @ x)
+    ln_p = -x.size * np.log(np.pi) - norm_sq(y)
+    for i in range(0, b, block):
+        z = 2.0 * r * c[i:i + block, None]
+        e = -r * r * norm_sq(x) + z + np.log(i0e(z))
+        top = e.max(axis=1)
+        ln_p[i:i + block] += top + np.log(np.exp(e - top[:, None]) @ w)
+    bits = -ln_p / np.log(2.0)
+    return bits.mean(), bits.std() / np.sqrt(b)
+
+
+class TestLowerBoundRule:
+    """h(Y | X) >= N [log2 det + T log2(pi e) - K D] off Gaussian fading."""
+
+    def test_annulus_deficit_matches_integration(self):
+        from scipy.integrate import dblquad
+
+        def density(r):
+            return 1.0 / (2.0 * np.pi * r * (ANNULUS_R_HI - ANNULUS_R_LO))
+
+        h, _ = dblquad(lambda phi, r: -density(r) * np.log2(density(r)) * r,
+                       ANNULUS_R_LO, ANNULUS_R_HI, 0.0, 2.0 * np.pi)
+        deficit = FADING_ENTROPY_DEFICIT["iid_uniform_annulus"]
+        assert deficit == pytest.approx(LOG2_PI_E - h, abs=1e-12)
+        assert deficit == pytest.approx(0.6656, abs=1e-4)
+        assert FADING_ENTROPY_DEFICIT["iid_complex_gaussian"] == 0.0
+
+    @pytest.mark.parametrize("p", [1.0, 30.0, 1000.0])
+    def test_rule_brackets_quadrature_h(self, p):
+        # the rule is at most h(Y | x) and at least h(Y | x) - N K D, K = 1
+        cfg = _cfg(t=2, n=1, p=p, fading="iid_uniform_annulus")
+        x = np.full(2, np.sqrt(p / 2), dtype=complex)
+        h, se = _annulus_h_given_x(x, 4_000, np.random.default_rng(5))
+        rule = _h_given_x(abs_sq(x)[None], 0.0, cfg)[0]
+        assert h - FADING_ENTROPY_DEFICIT[cfg.fading_kind] - 3 * se <= rule <= h + 3 * se
+
+    def test_counts_users_of_nonzero_input(self):
+        # K = 0, 1, 1, 2: the deficit counts users, it is not OR-ed
+        cfg = _cfg(t=2, n=3, fading="iid_uniform_annulus")
+        mag = np.array([[0.0, 0.0], [0.0, 4.0], [0.0, 0.0], [1.0, 0.0]])
+        s2 = np.array([0.0, 0.0, 9.0, 9.0])
+        gap = 3 * (_log2_det(mag, s2) + 2 * LOG2_PI_E) - _h_given_x(mag, s2, cfg)
+        deficit = FADING_ENTROPY_DEFICIT[cfg.fading_kind]
+        assert gap == pytest.approx(3 * deficit * np.array([0, 1, 1, 2]), abs=1e-12)
+
+
+class TestLog2Det:
+    @staticmethod
+    def _mp_log2_det(x1, x2):
+        """log2 det(I + x1 x1^H + x2 x2^H) in 60-digit arithmetic."""
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(60):
+            m = mpmath.eye(len(x1))
+            for x in (x1, x2):
+                col = mpmath.matrix([mpmath.mpc(complex(e)) for e in x])
+                m += col * col.H
+            return float(mpmath.log(mpmath.re(mpmath.det(m)), 2))
+
+    @pytest.mark.parametrize("p", [1.0, 1e4, 1e12])
+    @pytest.mark.parametrize("parallel", [False, True])
+    def test_matches_mpmath_determinant(self, p, parallel):
+        # nearly parallel inputs make (1 + ||x1||^2)(1 + ||x2||^2) - |x2^H x1|^2
+        # lose about 5 digits at P = 1e12; the sum of non-negative terms loses
+        # only the rotation's rounding, eps ||x1|| against the orthogonal part
+        rng = np.random.default_rng(3)
+        t = 4
+        x2 = sample_complex_gaussian(t, rng, size=6)
+        x2 *= np.sqrt(p) / np.linalg.norm(x2, axis=1, keepdims=True)
+        x1 = np.sqrt(p) * sample_complex_gaussian(t, rng, size=6)
+        if parallel:
+            x1 = x2 * np.exp(0.7j) + 1e-6 * x1
+        x1t = apply_rotation(x1[:, None, :], x2)[:, 0]
+        got = _log2_det(abs_sq(x1t), norm_sq(x2))
+        ref = [self._mp_log2_det(a, b) for a, b in zip(x1, x2)]
+        assert np.abs(got - ref).max() <= 1e-8
+
+    def test_exact_in_the_rotated_frame(self):
+        # x2 along the last slot, where U(x2) = I: nearly parallel inputs at
+        # P = 1e12 keep every digit
+        rng = np.random.default_rng(4)
+        p, t = 1e12, 4
+        x2 = np.zeros((6, t), dtype=complex)
+        x2[:, -1] = np.sqrt(p)
+        x1 = x2 * np.exp(0.7j) + 1e-6 * np.sqrt(p) * sample_complex_gaussian(t, rng, size=6)
+        got = _log2_det(abs_sq(x1), norm_sq(x2))
+        ref = [self._mp_log2_det(a, b) for a, b in zip(x1, x2)]
+        assert np.abs(got - ref).max() <= 1e-13
+        assert _log2_det(np.zeros((1, t)), 0.0) == 0.0
+
+
 def _f_penalty(x1t, x2_norm, t, n=2):
     """User 1's f penalty: the T >= N+1 right-hand side minus the dominant
-    h(Y | X) term, with x2 along the last slot, where U(x2) = I."""
+    h(Y | X) term N log2 det, with x2 along the last slot, where U(x2) = I."""
     x2 = np.zeros(t)
     x2[-1] = x2_norm
-    rhs, h = _mac_chunk(x1t, x2, fading="iid_uniform_annulus", n=n)
-    return rhs - h
+    rhs, _, log2_det = _mac_chunk(x1t, x2, n=n)
+    return rhs - n * log2_det
 
 
 class TestEvalF:
@@ -286,7 +408,7 @@ class TestSingleUserBound:
     @pytest.mark.parametrize("fading,flagged", [("iid_complex_gaussian", False),
                                                 ("iid_uniform_annulus", True)])
     def test_h_given_x_flagged_off_gaussian_fading(self, fading, flagged):
-        # h(Y|X) is the Gaussian-fading value, exact only for Gaussian fading
+        # h(Y|X) is exact under Gaussian fading only, a lower bound otherwise
         cfg = _cfg(trials=2_000, fading=fading)
         iso = InputDistribution(kind="isotropic_peak", T=4, P=100.0)
         rep = duality_bound_single_user(iso, cfg)
@@ -340,13 +462,15 @@ class TestMacBound:
         assert rep2.remainder_terms["genie_cost_bits"] == pytest.approx(np.log2(4))
         assert set(rep2.components["branch_counts"]) == {0, 1, 2}
 
-    def test_silent_interferer_matches_single_user(self):
+    @pytest.mark.parametrize("fading", ["iid_complex_gaussian", "iid_uniform_annulus"])
+    def test_silent_interferer_matches_single_user(self, fading):
         # with x2 = 0 the rotation is the identity and the MAC machinery
         # must reduce to the single-user bound restricted to T-1 genie
         # slots; the analytic sides coincide exactly, the MC sides differ
-        # only through fit-category pooling
+        # only through fit-category pooling, whatever the fading: both
+        # bounds subtract the same h(Y | X)
         p = 1000.0
-        cfg = _cfg(p=p, trials=100_000, seed=29)
+        cfg = _cfg(p=p, trials=100_000, seed=29, fading=fading)
         i1 = InputDistribution(kind="isotropic_peak", T=4, P=p)
         zero2 = InputDistribution(kind="deterministic_point", T=4, P=p,
                                   params={"x": np.zeros(4)})

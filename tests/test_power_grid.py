@@ -157,8 +157,8 @@ def test_shared_draws_are_counted_once(monkeypatch, kind):
     count(InputDistribution, "draw", "draw")
     count(channel, "sample_inputs", "point")
     count(converse, "_whiten", "log_det")
-    count(converse, "_gaussian_h_given_x", "h_given_x")
-    for rhs in ("_single_user_terms", "_mac_high_t_rhs", "_mac_low_t_rhs"):
+    count(converse, "_h_given_x", "h_given_x")
+    for rhs in ("_single_user_rhs", "_mac_high_t_rhs", "_mac_low_t_rhs"):
         count(converse, rhs, "rhs")
     cfg = ChannelConfig(T=2, N=2, P=10.0, trials=1_000, seed=1)
     dist = _input(kind, 2, 10.0, None, 1000.0)
