@@ -16,7 +16,6 @@ from a sample population.
 
 from dataclasses import dataclass, field
 from math import lgamma
-from typing import NamedTuple
 
 import numpy as np
 
@@ -90,24 +89,47 @@ def radial_log_density(norm_sq, log_norm, shape, beta):
     return log_norm + shape * np.log(safe) - norm_sq / beta
 
 
-class NormSqSums(NamedTuple):
-    """Count and sum of a population of ||W||^2: all the canonical fit
-    needs, so a streamed caller can accumulate them chunk by chunk."""
+@dataclass
+class NormSqSums:
+    """Count, sum and least value of ||W||^2 per aux group, as arrays of
+    the group shape (0-d for one population): all the canonical fit and
+    :func:`check_not_singular` need, so a streamed caller folds its chunks'
+    sums (:meth:`fold`) and keeps no norm."""
 
-    count: int
-    total: float
+    count: np.ndarray
+    total: np.ndarray
+    least: np.ndarray
+
+    @classmethod
+    def of(cls, norms, group=None, shape=()):
+        """The sums of ``norms``, each in the group of its flat index
+        ``group`` into ``shape``; one population when ``group`` is None."""
+        pop = np.ravel(norms)
+        group = np.zeros(pop.size, dtype=np.intp) if group is None else np.ravel(group)
+        size = int(np.prod(shape))
+        least = np.full(size, np.inf)
+        np.minimum.at(least, group, pop)
+        return cls(np.bincount(group, minlength=size).reshape(shape),
+                   np.bincount(group, pop, size).reshape(shape), least.reshape(shape))
+
+    def fold(self, other):
+        """Add another set of sums of the same groups to these."""
+        self.count += other.count
+        self.total += other.total
+        np.minimum(self.least, other.least, out=self.least)
+
+    def pooled(self, at):
+        """One population's sums: those of the groups at index ``at``, pooled."""
+        return NormSqSums(self.count[at].sum(), self.total[at].sum(), self.least[at].min())
 
 
-def fit_params(norm_sq_samples, n):
-    """Canonical fit: beta = mean(||W||^2), alpha = 1/ln(beta).
+def fit_params(sums, n):
+    """Canonical fit on one population's :class:`NormSqSums`:
+    beta = mean(||W||^2), alpha = 1/ln(beta).
 
-    ``norm_sq_samples`` holds the samples, or their :class:`NormSqSums`.
     Raises InvalidRegime when there are no samples or their mean is <= 1
     (alpha would be nonpositive).
     """
-    sums = norm_sq_samples
-    if not isinstance(sums, NormSqSums):
-        sums = NormSqSums(np.size(sums), np.sum(sums))
     if sums.count == 0:
         raise InvalidRegime("no samples to fit")
     beta = float(sums.total / sums.count)
@@ -141,8 +163,7 @@ def cross_entropy_expansion(samples, params):
     """
     norm_sq = linalg.norm_sq(np.asarray(samples, dtype=complex))
     neg_logs = -log_density_from_norm_sq(norm_sq, params) / LN2
-    ce = float(np.mean(neg_logs))
-    se = float(np.std(neg_logs) / np.sqrt(neg_logs.size))
+    ce, se = map(float, linalg.mean_and_std_error(linalg.moments_of(neg_logs)))
     log_terms = np.log(np.maximum(norm_sq, _NORM_SQ_FLOOR)) / LN2
     leading = float(params.n * np.mean(log_terms))
     return CrossEntropyReport(

@@ -10,8 +10,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import InvalidParam
-from .linalg import LN2, LOG2_PI_E, norm_sq, sample_complex_gaussian, sample_uniform_complex_sphere
+from .errors import InvalidParam, counts
+from .linalg import (LN2, LOG2_PI_E, mean_and_std_error, moments_of, norm_sq,
+                     sample_complex_gaussian, sample_uniform_complex_sphere)
 
 FADING_KINDS = ("iid_complex_gaussian", "iid_uniform_annulus")
 
@@ -46,18 +47,14 @@ class ChannelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.T < 1 or self.N < 1:
-            raise InvalidParam("T and N must be >= 1")
-        if self.P <= 0:
-            raise InvalidParam("P must be positive")
+        self.T, self.N, self.trials = counts("T, N and trials", self.T, self.N, self.trials)
+        (self.seed,) = counts("seed", self.seed, least=0)
+        if not self.P > 0:
+            raise InvalidParam(f"P must be finite and positive, got {self.P}")
         if not self.P < P_MAX:
             raise InvalidParam(f"P = {self.P:.4g} is out of range: from {P_MAX:g} (150 dB) "
                                "on, the whitened norms of the duality bounds keep no "
                                "correct digit (cancellation)")
-        if self.trials < 1:
-            raise InvalidParam("trials must be >= 1")
-        if self.seed < 0:
-            raise InvalidParam("seed must be >= 0")
         if self.fading_kind not in FADING_KINDS:
             raise InvalidParam(f"unknown fading kind {self.fading_kind!r}")
 
@@ -215,8 +212,8 @@ class InputDistribution:
     this P by :meth:`at_power` (then the rejection loop of
     :meth:`sample`), so the draws of an untruncated law at several powers
     are one :meth:`draw` and one :meth:`at_power` per power.  Raises
-    InvalidParam on an unknown kind, T < 1, a P that is not finite and
-    positive, or such a missing or malformed parameter.
+    InvalidParam on an unknown kind, T not an integer >= 1, a P that is
+    not finite and positive, or such a missing or malformed parameter.
     """
 
     kind: str
@@ -228,8 +225,7 @@ class InputDistribution:
     def __post_init__(self):
         if self.kind not in INPUT_KINDS:
             raise InvalidParam(f"unknown input kind {self.kind!r}")
-        if self.T < 1:
-            raise InvalidParam(f"T must be >= 1, got {self.T}")
+        (self.T,) = counts("T", self.T)
         if not (math.isfinite(self.P) and self.P > 0):
             raise InvalidParam(f"P must be finite and positive, got {self.P}")
         key = {"deterministic_point": "x", "exponent_profile_peak": "exponents"}.get(self.kind)
@@ -325,16 +321,15 @@ def truncate_to_peak(dist, P, beta, rng, trials=100_000):
     Returns the conditional (peak-constrained) distribution and a report
     with the empirical tail probability, the Markov bound T*P^(1-beta),
     and the O(P^(1-beta) log P^beta) rate-gap term with unit constant.
+    Raises InvalidParam unless P > 0 and beta > 1 are finite, and trials >= 1 an integer.
     """
-    if beta <= 1.0:
-        raise InvalidParam("beta must exceed 1")
-    if trials < 1:
-        raise InvalidParam("trials must be >= 1")
+    if not (math.isfinite(P) and math.isfinite(beta) and P > 0 and beta > 1.0):
+        raise InvalidParam(f"need a finite P > 0 and beta > 1, got P = {P}, beta = {beta}")
+    (trials,) = counts("trials", trials)
     threshold = float(P**beta)
     x = dist.sample(rng, size=trials)
     tail = (norm_sq(x) >= threshold).astype(float)
-    p_hat = float(tail.mean())
-    se = float(tail.std() / np.sqrt(trials))
+    p_hat, se = map(float, mean_and_std_error(moments_of(tail)))
     truncated = replace(dist, truncate_above=threshold)
     report = TruncationReport(
         truncation_prob=p_hat,

@@ -236,7 +236,7 @@ def _verify_optimizer():
         objective = region.regime_objective(t, n)
         sup, _ = region.weighted_sum_dof_sup(Fraction(1), Fraction(1), t, n, objective)
         grid, _ = region.grid_oracle_sup(Fraction(1), Fraction(1), t, n, objective)
-        tol = float(region.objective_lipschitz_bound(t, n)) / 512.0
+        tol = region.grid_oracle_tolerance(t, n)
         margin = float(sup) - float(grid)
         checks.append({"check": f"grid_oracle_T{t}_N{n}", "margin": margin, "slack": tol,
                        "passed": 0.0 <= margin <= tol})

@@ -10,20 +10,20 @@ bounds, the inputs once for every power unless their law is truncated,
 and run the chunks on every CPU the process may use; each chunk's sums
 are folded in chunk order, so the results do not depend on the CPU
 count.  Half the trials fit the auxiliary-output parameters (alpha,
-beta per slot category) in a first pass that forms and keeps only sums
-of the whitened norms; the other half, drawn from a stream of their
-own, evaluate the bound against those fixed parameters in a second pass
-that alone forms ln |det A|^2, h(Y | X) and the analytic right-hand
-side, and keeps only the moments of the bound statistic and their
-sums, so there is no fitting bias and memory does not grow with the
-trial count.  All
-double-log remainder terms are carried explicitly in the returned
-reports with the calibrated constants from :mod:`simomac.auxdist`.
+beta per branch and slot category) in a first pass that keeps only the
+:class:`~simomac.auxdist.NormSqSums` of the whitened norms; the other
+half, drawn from a stream of their own, evaluate the bound against
+those fixed parameters in a second pass that alone forms ln |det A|^2,
+h(Y | X) and the analytic right-hand side, and keeps only plain sums
+(:class:`_PointSums`).  So there is no fitting bias, and memory does not
+grow with the trial count.  All double-log remainder terms are carried
+explicitly in the returned reports with the calibrated constants from
+:mod:`simomac.auxdist`.
 """
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import partial, reduce
+from functools import partial
 
 import numpy as np
 
@@ -46,7 +46,7 @@ from .channel import (
     sample_point_inputs,
     superpose,
 )
-from .errors import InvalidParam, InvalidRegime, RegimeUnsupported, SimomacError
+from .errors import InvalidParam, InvalidRegime, RegimeUnsupported, SimomacError, counts
 from .knn_entropy import knn_entropy_bits
 from .linalg import (
     LN2,
@@ -54,7 +54,9 @@ from .linalg import (
     abs_sq,
     apply_rotation,
     divided_difference_exp,
+    mean_and_std_error,
     merge_moments,
+    moments_of,
     norm_sq,
     run_chunks,
 )
@@ -168,60 +170,34 @@ def _categories(v, t, n_names):
 
 
 @dataclass
-class _GroupRows:
-    """Count, sum and least value of whitened norms per (branch, category)."""
-
-    count: np.ndarray
-    total: np.ndarray
-    least: np.ndarray
-
-    @classmethod
-    def of(cls, group, white, shape):
-        """The rows of norms ``white``, each of aux group ``group`` (its flat
-        index into ``shape``)."""
-        group, pop = group.ravel(), white.ravel()
-        size = int(np.prod(shape))
-        least = np.full(size, np.inf)
-        np.minimum.at(least, group, pop)
-        return cls(np.bincount(group, minlength=size).reshape(shape),
-                   np.bincount(group, pop, size).reshape(shape), least.reshape(shape))
-
-    def fold(self, rows):
-        """Add another set of norms' rows to these."""
-        self.count += rows.count
-        self.total += rows.total
-        np.minimum(self.least, rows.least, out=self.least)
-
-
-@dataclass
 class _PointSums:
     """What one power point of one streamed bound keeps over all chunks.
 
-    ``rows`` is the point's one :class:`_GroupRows` table: the fit pass
-    folds its chunks' rows in, :meth:`fit` reads them and sets ``members``
-    (one (label, fitted member or fit error, pooled) per (branch,
-    category)), and the evaluation pass then folds its own rows in, so
-    that :meth:`report` sees every group seen in either stream.
-    ``moments`` holds per branch the count, mean and M2 of the bound
-    statistic, and ``sums`` per branch the sums of -log2 q(Y), h(Y | X)
-    and the analytic right-hand side.  Chunks are folded in in chunk
-    order, so nothing grows with the trial count.
+    ``rows`` is the point's one :class:`~simomac.auxdist.NormSqSums`
+    table, one group per (branch, category): the fit pass folds its
+    chunks' sums in, :meth:`fit` reads them and sets ``members`` (one
+    (label, fitted member or fit error, pooled) per group), and the
+    evaluation pass then folds its own sums in, so that :meth:`report`
+    sees every group seen in either stream.  The evaluation pass also
+    keeps the count, mean and M2 of the bound statistic, its trials per
+    branch and the sum of rhs - h(Y | X) over its trials.  Chunks are
+    folded in in chunk order, so nothing grows with the trial count.
     """
 
     bound: "_Bound"
     cfg: object  # the point's ChannelConfig
-    rows: _GroupRows
-    moments: tuple
-    sums: np.ndarray
+    rows: NormSqSums
+    branch_trials: np.ndarray
+    moments: tuple = (0, 0.0, 0.0)  # of the bound statistic
+    rhs_gap: float = 0.0  # sum of rhs - h(Y | X)
     members: list = field(default_factory=list)
     table: np.ndarray | None = None  # (3, groups): log normalizer, alpha - N, beta
 
     @classmethod
     def empty(cls, bound, cfg):
-        branches = 3 if bound.branched else 1
-        shape = (branches, len(bound.names))
-        rows = _GroupRows(np.zeros(shape, dtype=np.int64), np.zeros(shape), np.full(shape, np.inf))
-        return cls(bound, cfg, rows, (np.zeros(branches),) * 3, np.zeros((3, branches)))
+        shape = (3 if bound.branched else 1, len(bound.names))
+        rows = NormSqSums(np.zeros(shape, dtype=np.int64), np.zeros(shape), np.full(shape, np.inf))
+        return cls(bound, cfg, rows, np.zeros(shape[0], dtype=np.int64))
 
     def _groups(self, white, v, branch):
         """(B, T) aux group per slot, branch * categories + category."""
@@ -232,8 +208,8 @@ class _PointSums:
         return group
 
     def fit_chunk(self, white, v, branch):
-        """A whitened fit chunk's rows."""
-        return _GroupRows.of(self._groups(white, v, branch), white, self.rows.count.shape)
+        """A whitened fit chunk's sums."""
+        return NormSqSums.of(white, self._groups(white, v, branch), self.rows.count.shape)
 
     def fit(self):
         """Fit one canonical radial member per (branch, category) on the
@@ -241,14 +217,13 @@ class _PointSums:
         samples, or mean <= 1, is fitted on the sums pooled over branches.
         A failed fit is kept, to be raised if the group is seen at all."""
         n, names = self.cfg.N, self.bound.names
-        count, total = self.rows.count, self.rows.total
         table = []
-        for br, c in np.ndindex(count.shape):
+        for br, c in np.ndindex(self.rows.count.shape):
             label = f"branch{br}/{names[c]}" if self.bound.branched else names[c]
-            sums = NormSqSums(count[br, c], total[br, c])
+            sums = self.rows.pooled((br, c))
             pooled = self.bound.branched and (sums.count < 100 or sums.total / sums.count <= 1.0)
             if pooled:
-                sums = NormSqSums(count[:, c].sum(), total[:, c].sum())
+                sums = self.rows.pooled(np.s_[:, c])
             try:
                 member = fit_params(sums, n)
                 table.append((log_normalizer(member), member.alpha - n, member.beta))
@@ -259,28 +234,23 @@ class _PointSums:
         self.table = np.array(table).T
 
     def eval_chunk(self, white, v, branch, log_det, rhs, h_given_x):
-        """An evaluation chunk's rows, moments and sums, for
-        :meth:`fold_eval`: each trial's -log2 q(Y) under the fitted
-        members, then per branch."""
+        """An evaluation chunk's sums, for :meth:`fold_eval`: each trial's
+        -log2 q(Y) under the fitted members gives its bound statistic."""
         group = self._groups(white, v, branch)
-        rows = _GroupRows.of(group, white, self.rows.count.shape)
+        rows = NormSqSums.of(white, group, self.rows.count.shape)
         ln_q = radial_log_density(white, *self.table[:, group])
         neg_q = -(ln_q.sum(axis=1) + log_det.sum(axis=1)) / LN2
         stat = (neg_q - h_given_x + self.bound.genie_cost) / self.cfg.T
-        br = np.zeros(len(stat), dtype=np.intp) if branch is None else branch
-        nb = self.sums.shape[1]
-        count = np.bincount(br, minlength=nb)
-        mean = np.bincount(br, stat, nb) / np.maximum(count, 1)
-        dev = stat - mean[br]
-        sums = np.array([np.bincount(br, x, nb) for x in (neg_q, h_given_x, rhs)])
-        return rows, (count, mean, np.bincount(br, dev * dev, nb)), sums
+        trials = len(stat) if branch is None else np.bincount(branch, minlength=3)
+        return rows, moments_of(stat), trials, (rhs - h_given_x).sum()
 
     def fold_eval(self, chunk):
         """Fold an :meth:`eval_chunk` result in."""
-        rows, moments, sums = chunk
+        rows, moments, trials, rhs_gap = chunk
         self.rows.fold(rows)
         self.moments = merge_moments(self.moments, moments)
-        self.sums += sums
+        self.branch_trials += trials
+        self.rhs_gap += rhs_gap
 
     def report(self):
         """The point's BoundReport; raises the error of the first
@@ -299,25 +269,16 @@ class _PointSums:
             if pooled_fit:
                 pooled.append(label)
 
-        t, cost = self.cfg.T, self.bound.genie_cost
-        n, value, m2 = reduce(merge_moments, zip(*self.moments))  # over branches
-        count = self.moments[0]
-        neg_q, h_given_x, rhs = self.sums
-        components = {
-            "neg_log_q_per_cu": float(neg_q.sum() / n / t),
-            "h_y_given_x_per_cu": float(h_given_x.sum() / n / t),
-            "analytic_rhs_value": float((rhs.sum() - h_given_x.sum() + n * cost) / n / t),
-            "fitted": fitted,
-        }
+        t, cost, n = self.cfg.T, self.bound.genie_cost, self.moments[0]
+        value, std_error = mean_and_std_error(self.moments)
+        components = {"analytic_rhs_value": float((self.rhs_gap + n * cost) / n / t),
+                      "fitted": fitted}
         if self.bound.branched:
-            components["branch_counts"] = {k: int(m) for k, m in enumerate(count)}
-            for key, sums in (("branch_neg_log_q_per_cu", neg_q), ("branch_rhs_per_cu", rhs)):
-                components[key] = {k: float(x / m / t) if m else None
-                                   for k, (x, m) in enumerate(zip(sums, count))}
+            components["branch_counts"] = {k: int(m) for k, m in enumerate(self.branch_trials)}
         components["pooled_fit"] = pooled
         return BoundReport(
             value=float(value),
-            std_error=float(np.sqrt(m2 / n) / np.sqrt(n)),
+            std_error=float(std_error),
             remainder_terms={
                 "log_log_slack_bits": remainder_slack_bits(self.cfg.P),
                 "genie_cost_bits": float(cost),
@@ -608,9 +569,9 @@ def duality_bound_mac_user1(input1, input2, cfg, *, powers=None):
     The genie follows :func:`~simomac.region.regime_objective`: with the
     f bracket (T >= N+1) the (T-1)-slot genie, cost log2(T-1); with the g
     bracket the (V, U) genie with three aux branches, cost log2(2T).
-    Raises RegimeUnsupported at T = 1.  Components carry the per-branch
-    contributions and the analytic right-hand side on the shared
-    samples.  ``powers`` works as in :func:`duality_bound_single_user`.
+    Raises RegimeUnsupported at T = 1.  Components carry the analytic
+    right-hand side and, for the (V, U) genie, the trials per branch.
+    ``powers`` works as in :func:`duality_bound_single_user`.
     """
     bound = _mac_bound(cfg)
     (reports,) = _streamed_bounds(at_powers([input1, input2], cfg, powers), [bound])
@@ -650,16 +611,14 @@ def isotropic_mixture_mi_estimate(cfg, trials=None):
     and squaring of the bidiagonal exponential) at the eigenvalues
     shifted by their maximum, so temporaries stay O(block * T^2).
 
-    Raises InvalidParam if ``trials`` < 1.
+    Raises InvalidParam unless ``trials`` is an integer >= 1.
     """
     from math import lgamma
 
     if cfg.fading_kind != "iid_complex_gaussian":
         raise RegimeUnsupported("closed-form mixture needs Gaussian fading")
     n, t, p = cfg.N, cfg.T, cfg.P
-    b = trials if trials is not None else min(cfg.trials, 10_000)
-    if b < 1:
-        raise InvalidParam("trials must be >= 1")
+    (b,) = counts("trials", min(cfg.trials, 10_000) if trials is None else trials)
     iso = InputDistribution(kind="isotropic_peak", T=t, P=p)
     _, y = sample_outputs([iso], cfg, cfg.rng(stream=2), size=b)
     c = p / (1.0 + p)
@@ -676,9 +635,8 @@ def isotropic_mixture_mi_estimate(cfg, trials=None):
     neg_log_p = -ln_p / LN2
     # ||x||^2 = P surely, and the determinant depends on x through ||x||^2 only
     (h_cond,) = _h_given_x(np.full((1, 1), p), 0.0, cfg)
-    mi = (neg_log_p.mean() - h_cond) / t
-    se = float(neg_log_p.std() / np.sqrt(b) / t)
-    return mi, se
+    mean, se = mean_and_std_error(moments_of(neg_log_p))
+    return (mean - h_cond) / t, float(se / t)
 
 
 def mutual_information_lower_estimate(input_dist, cfg, max_knn_samples=20_000):
@@ -694,9 +652,11 @@ def mutual_information_lower_estimate(input_dist, cfg, max_knn_samples=20_000):
     ``cfg.trials`` inputs are drawn, then the fading and noise of those
     m, so no output beyond them is formed.  The exact conditional part
     averages over all the inputs, which are dropped before the search.
+    Raises InvalidParam unless ``max_knn_samples`` is an integer >= 1.
     """
     if cfg.T > 8 or cfg.N > 4:
         raise InvalidParam("k-NN estimate capped at T <= 8, N <= 4")
+    (max_knn_samples,) = counts("max_knn_samples", max_knn_samples)
     if cfg.fading_kind != "iid_complex_gaussian":
         raise RegimeUnsupported("plug-in estimate needs the exact Gaussian branch")
     rng = cfg.rng(stream=1)

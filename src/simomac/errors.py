@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its integer-count check."""
+
+import operator
 
 
 class SimomacError(Exception):
@@ -11,6 +13,18 @@ class DegenerateInput(SimomacError):
 
 class InvalidParam(SimomacError):
     """A scalar or shape parameter is out of range."""
+
+
+def counts(what, *values, least=1):
+    """``values`` as ints; raises InvalidParam, naming them ``what``,
+    unless each is an integer (``operator.index``) >= ``least``."""
+    try:
+        values = [operator.index(k) for k in values]
+    except TypeError:
+        raise InvalidParam(f"{what} must be integers") from None
+    if min(values) < least:
+        raise InvalidParam(f"{what} must be >= {least}")
+    return values
 
 
 class SingularPoint(SimomacError):

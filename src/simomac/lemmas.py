@@ -8,18 +8,16 @@ can report them uniformly.
 
 import numpy as np
 
-from .auxdist import cross_entropy_expansion, fit_params, log_density_from_norm_sq
+from .auxdist import NormSqSums, cross_entropy_expansion, fit_params, log_density_from_norm_sq
 from .channel import InputDistribution, truncate_to_peak
 from .converse import _whiten
-from .errors import InvalidParam
+from .errors import counts
 from .linalg import TOL_ALGEBRAIC, norm_sq, sample_complex_gaussian
 
 
 def _rng(seed):
-    """Generator on ``seed``; raises InvalidParam for a negative seed."""
-    if seed < 0:
-        raise InvalidParam(f"seed must be >= 0, got {seed}")
-    return np.random.default_rng(seed)
+    """Generator on ``seed``; raises InvalidParam unless it is an integer >= 0."""
+    return np.random.default_rng(*counts("seed", seed, least=0))
 
 
 def entropy_shift_invariance(seed=0):
@@ -43,7 +41,7 @@ def entropy_shift_invariance(seed=0):
     s = rng.uniform(0.5, 2.0, size=(count, dim))
     c = rng.uniform(0.0, 2.0, size=(count, dim))
     white, log_det = _whiten(y, v, s, c)
-    unit = fit_params(white, n)
+    unit = fit_params(NormSqSums.of(white), n)
     whitened = -(log_density_from_norm_sq(white, unit).sum(axis=1) + log_det.sum(axis=1))
     direct = np.zeros(count)
     for b in range(count):
@@ -108,7 +106,7 @@ def aux_remainder_bound(seed=0):
     results = []
     for target in (1e3, 1e6):
         y = np.sqrt(target / n) * sample_complex_gaussian(n, rng, size=200_000)
-        params = fit_params(np.linalg.norm(y, axis=1) ** 2, n)
+        params = fit_params(NormSqSums.of(np.linalg.norm(y, axis=1) ** 2), n)
         results.append(cross_entropy_expansion(y, params))
     margin = min(r.slack_bits - abs(r.remainder_bits) for r in results)
     return {"check": "aux_remainder_bound", "margin": float(margin),

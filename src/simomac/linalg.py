@@ -178,6 +178,20 @@ def run_chunks(run, n, fold=None):
         raise errors[min(errors)]
 
 
+def moments_of(x):
+    """(count, mean, M2) of the rows of ``x``, for :func:`merge_moments`;
+    M2 is not a BLAS dot product, which would cost the chunk threads memory."""
+    mean = x.mean(axis=0)
+    dev = x - mean
+    return len(x), mean, (dev * dev).sum(axis=0)
+
+
+def mean_and_std_error(moments):
+    """(mean, standard error of the mean) of a group's (count, mean, M2)."""
+    n, mean, m2 = moments
+    return mean, np.sqrt(m2 / n) / np.sqrt(n)
+
+
 def merge_moments(a, b):
     """(count, mean, M2) of the union of two groups, each given by its
     (count, mean, M2), M2 being the sum of squared deviations from the

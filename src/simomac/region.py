@@ -13,7 +13,6 @@ arrangement; a float grid search serves as an independent oracle.
 
 import functools
 import math
-import operator
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,7 +20,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import InvalidParam, RegimeWarning
+from .errors import InvalidParam, RegimeWarning, counts
 
 F = Fraction
 
@@ -94,16 +93,7 @@ def _vertices_from_halfspaces(halfspaces):
     return tuple(_start_at_origin(_convex_hull(feas)))
 
 
-def _counts(*counts):
-    """T, N and any grid step counts as ints; raises InvalidParam unless
-    each is an integer >= 1."""
-    try:
-        counts = [operator.index(k) for k in counts]
-    except TypeError:
-        raise InvalidParam("T, N and the grid step counts must be integers") from None
-    if min(counts) < 1:
-        raise InvalidParam("T, N and the grid step counts must be >= 1")
-    return counts
+_counts = functools.partial(counts, "T, N and the grid step counts")
 
 
 def outer_region(T, N):
@@ -414,7 +404,10 @@ def _grid_max(axes, lambda1, lambda2, T, N, objective):
     return float(vals.flat[kl]), (i, j) + np.unravel_index(kl, vals.shape)
 
 
-def grid_oracle_sup(lambda1, lambda2, T, N, objective, coarse_step=64, fine_step=512):
+GRID_FINE_STEP = 512
+
+
+def grid_oracle_sup(lambda1, lambda2, T, N, objective, coarse_step=64, fine_step=GRID_FINE_STEP):
     """Two-stage brute-force grid maximum: full 1/coarse_step grid, then a
     1/fine_step refinement around the coarse argmax.  Returns (value,
     argmax tuple) as floats."""
@@ -440,3 +433,9 @@ def grid_oracle_sup(lambda1, lambda2, T, N, objective, coarse_step=64, fine_step
 def objective_lipschitz_bound(T, N):
     """Per-coordinate Lipschitz constant bound for either objective."""
     return 2.0 * (N + T) / T
+
+
+def grid_oracle_tolerance(T, N):
+    """How far below the exact sup the grid oracle, at its default fine
+    step, may stay: the Lipschitz bound times one fine grid step."""
+    return objective_lipschitz_bound(T, N) / GRID_FINE_STEP

@@ -21,7 +21,7 @@ import numpy as np
 
 from .channel import at_powers, one_or_all
 from .errors import InvalidParam, RegimeUnsupported
-from .linalg import merge_moments
+from .linalg import mean_and_std_error, merge_moments, moments_of
 
 # Trials per chunk of the channel statistics.  The chunk length fixes how
 # the draws interleave, so the rates depend on it.
@@ -53,11 +53,8 @@ def _streamed_rates(cfg, cfgs, draw, per_trial):
     for lo in range(0, cfg.trials, _CHUNK_TRIALS):
         stats = draw(rng, min(_CHUNK_TRIALS, cfg.trials - lo))
         for k, c in enumerate(cfgs):
-            rates = per_trial(c, *stats)
-            mean = rates.mean(axis=0)
-            dev = rates - mean
-            moments[k] = merge_moments(moments[k], (len(rates), mean, (dev * dev).sum(axis=0)))
-    return [(mean, np.sqrt(m2 / n) / np.sqrt(n)) for n, mean, m2 in moments]
+            moments[k] = merge_moments(moments[k], moments_of(per_trial(c, *stats)))
+    return [mean_and_std_error(m) for m in moments]
 
 
 def single_user_training_rate(cfg, *, powers=None):

@@ -67,7 +67,7 @@ def test_03_optimizer_tightness():
         objective = region.regime_objective(t, n)
         sup, _ = region.weighted_sum_dof_sup(*lam, t, n, objective)
         grid, _ = region.grid_oracle_sup(*lam, t, n, objective)
-        tol = float(region.objective_lipschitz_bound(t, n)) / 512.0
+        tol = region.grid_oracle_tolerance(t, n)
         assert 0.0 <= float(sup) - float(grid) <= tol, (t, n, lam)
     elapsed = time.perf_counter() - start
     _verdict("optimizer_tightness", True, f"({elapsed:.1f}s)")

@@ -4,6 +4,7 @@ from scipy.special import gammaln
 
 from simomac.auxdist import (
     AuxDistParams,
+    NormSqSums,
     cross_entropy_expansion,
     fit_params,
     log_density_from_norm_sq,
@@ -32,9 +33,9 @@ class TestParams:
 
     def test_fit_requires_scale_above_one(self):
         with pytest.raises(InvalidRegime):
-            fit_params(np.full(100, 0.5), 2)
+            fit_params(NormSqSums.of(np.full(100, 0.5)), 2)
         with pytest.raises(InvalidRegime):
-            fit_params(np.empty(0), 2)
+            fit_params(NormSqSums.of(np.empty(0)), 2)
 
 
 class TestDensity:
@@ -84,7 +85,7 @@ class TestCrossEntropyExpansion:
         rng = np.random.default_rng(3)
         sigma_sq, n = 100.0, 2
         y = np.sqrt(sigma_sq) * sample_complex_gaussian(n, rng, size=200_000)
-        params = fit_params(np.linalg.norm(y, axis=1) ** 2, n)
+        params = fit_params(NormSqSums.of(np.linalg.norm(y, axis=1) ** 2), n)
         rep = cross_entropy_expansion(y, params)
         assert rep.beta == pytest.approx(n * sigma_sq, rel=0.02)
         assert abs(rep.remainder_bits) <= 2 * np.log2(np.log2(n * sigma_sq)) + 5
@@ -95,7 +96,7 @@ class TestCrossEntropyExpansion:
         y = np.sqrt(50.0) * sample_complex_gaussian(n, rng, size=200_000)
         for a in (np.eye(n), c * np.eye(n)):
             w = y @ a.T
-            params = fit_params(np.linalg.norm(w, axis=1) ** 2, n)
+            params = fit_params(NormSqSums.of(np.linalg.norm(w, axis=1) ** 2), n)
             rep = cross_entropy_expansion(w, params)
             assert rep.within_slack()
 
@@ -110,7 +111,7 @@ class TestCrossEntropyExpansion:
         reps = []
         for a in (np.eye(n), c * np.eye(n)):
             w = y @ a.T
-            params = fit_params(np.linalg.norm(w, axis=1) ** 2, n)
+            params = fit_params(NormSqSums.of(np.linalg.norm(w, axis=1) ** 2), n)
             reps.append(cross_entropy_expansion(w, params))
         assert reps[1].leading_bits - 2 * n * np.log2(c) - reps[0].leading_bits == pytest.approx(
             0.0, abs=1e-9

@@ -16,10 +16,10 @@ from simomac.region import (
     dof_corner_points,
     exponent_objective,
     grid_oracle_sup,
+    grid_oracle_tolerance,
     inner_region,
     max_weighted_dof,
     membership,
-    objective_lipschitz_bound,
     outer_region,
     polygon_export,
     regime_objective,
@@ -165,7 +165,7 @@ class TestGridOracle:
         objective = regime_objective(t, n)
         sup, _ = weighted_sum_dof_sup(F(1), F(1), t, n, objective)
         grid, _ = grid_oracle_sup(F(1), F(1), t, n, objective)
-        tol = float(objective_lipschitz_bound(t, n)) / 512.0
+        tol = grid_oracle_tolerance(t, n)
         assert 0.0 <= float(sup) - float(grid) <= tol
 
 
