@@ -75,18 +75,29 @@ def log_density_from_norm_sq(norm_sq, p):
     """
     norm_sq = np.asarray(norm_sq, dtype=float)
     check_not_singular(norm_sq, p)
-    return radial_log_density(norm_sq, log_normalizer(p), p.alpha - p.n, p.beta)
+    return radial_log_density(log_norm_sq(norm_sq), norm_sq, log_normalizer(p), p.alpha - p.n,
+                              p.beta)
 
 
-def radial_log_density(norm_sq, log_norm, shape, beta):
-    """Natural-log density from ||w||^2 and a member's
+def log_norm_sq(norm_sq):
+    """ln ||w||^2, the norms floored at the smallest one the density reads."""
+    return np.log(np.maximum(norm_sq, _NORM_SQ_FLOOR))
+
+
+def radial_log_density(log_sq, norm_sq, log_norm, shape, beta):
+    """Natural-log density from the two terms it reads, ln ||w||^2
+    (:func:`log_norm_sq`) and ||w||^2, and a member's
     :func:`log_normalizer`, alpha - N and beta, with no singularity check.
 
-    The three may be arrays of norm_sq's shape, so that one call
-    evaluates each norm under a member of its own.
+    The density is linear in the two terms, so a caller may pass their
+    conditional means in place of sampled values: the mean of the result
+    is unchanged.  The member's three may be arrays of the norms' shape,
+    so that one call evaluates each norm under a member of its own.
     """
-    safe = np.maximum(norm_sq, _NORM_SQ_FLOOR)
-    return log_norm + shape * np.log(safe) - norm_sq / beta
+    log_density = shape * log_sq
+    log_density += log_norm  # in place: a chunk's (B, T) temporaries stay few
+    log_density -= norm_sq / beta
+    return log_density
 
 
 @dataclass
@@ -109,8 +120,10 @@ class NormSqSums:
         size = int(np.prod(shape))
         least = np.full(size, np.inf)
         np.minimum.at(least, group, pop)
-        return cls(np.bincount(group, minlength=size).reshape(shape),
-                   np.bincount(group, pop, size).reshape(shape), least.reshape(shape))
+        # an empty population's weighted bincount is integer: the sums are float
+        total = np.bincount(group, pop, size).astype(float, copy=False)
+        return cls(np.bincount(group, minlength=size).reshape(shape), total.reshape(shape),
+                   least.reshape(shape))
 
     def fold(self, other):
         """Add another set of sums of the same groups to these."""
@@ -164,7 +177,7 @@ def cross_entropy_expansion(samples, params):
     norm_sq = linalg.norm_sq(np.asarray(samples, dtype=complex))
     neg_logs = -log_density_from_norm_sq(norm_sq, params) / LN2
     ce, se = map(float, linalg.mean_and_std_error(linalg.moments_of(neg_logs)))
-    log_terms = np.log(np.maximum(norm_sq, _NORM_SQ_FLOOR)) / LN2
+    log_terms = log_norm_sq(norm_sq) / LN2
     leading = float(params.n * np.mean(log_terms))
     return CrossEntropyReport(
         cross_entropy_bits=ce,

@@ -123,11 +123,13 @@ def _bound_to_dict(rep):
     return {
         "value": rep.value,
         "std_error": rep.std_error,
+        "eval_trials": rep.components.get("eval_trials"),
         "remainder_terms": rep.remainder_terms,
         "fitted": {k: list(v) for k, v in rep.components.get("fitted", {}).items()},
         "analytic_rhs_value": rep.components.get("analytic_rhs_value"),
         "branch_counts": rep.components.get("branch_counts"),
         "pooled_fit": rep.components.get("pooled_fit"),
+        "nonpilot_pooled_fit": rep.components.get("nonpilot_pooled_fit"),
     }
 
 

@@ -16,9 +16,13 @@ half, drawn from a stream of their own, evaluate the bound against
 those fixed parameters in a second pass that alone forms ln |det A|^2,
 h(Y | X) and the analytic right-hand side, and keeps only plain sums
 (:class:`_PointSums`).  So there is no fitting bias, and memory does not
-grow with the trial count.  All double-log remainder terms are carried
-explicitly in the returned reports with the calibrated constants from
-:mod:`simomac.auxdist`.
+grow with the trial count.  Under Gaussian fading the evaluated
+statistic is Rao-Blackwellised (:func:`_conditioned_terms`): the pilot
+slot's terms of -ln q(Y) are replaced by their means given X, and each
+other slot's ||w_t||^2 by its mean given X and the pilot output, so the
+bound keeps its mean at a smaller standard error.  All double-log
+remainder terms are carried explicitly in the returned reports with the
+calibrated constants from :mod:`simomac.auxdist`.
 """
 
 from collections.abc import Callable
@@ -31,6 +35,7 @@ from .auxdist import (
     NormSqSums,
     check_not_singular,
     fit_params,
+    log_norm_sq,
     log_normalizer,
     radial_log_density,
     remainder_slack_bits,
@@ -162,6 +167,69 @@ def _whitened_norms(yt, v, s, c):
     return white, denom
 
 
+def _residual_variance(mag, s2, v):
+    """(B, T) variance sigma_t^2 = K_tt - |K_tv|^2 / K_vv of a row's slot-t
+    entry given its pilot entry y_v, under Gaussian fading, and the (B,)
+    pilot variance K_vv.
+
+    Each row of Y given X is CN(0, K), K_tt = 1 + mag_t + s2 [t = T] and
+    |K_tv|^2 = mag_t mag_v, from the (mag, s2) of :func:`_log2_det`.  The
+    difference is written as the sum of non-negative terms
+    1 + s2 [t = T] + mag_t (1 + s2 [v = T]) / K_vv, so no digits cancel at
+    high power.
+    """
+    b, t = mag.shape
+    interference = (v == t - 1) * s2  # s2 [v = T]: the pilot's own interference
+    k_vv = 1.0 + np.take(mag, np.arange(b) * t + v) + interference
+    sigma2 = mag * ((1.0 + interference) / k_vv)[:, None]
+    sigma2 += 1.0
+    sigma2[:, -1] += s2
+    return sigma2, k_vv
+
+
+def _digamma(n):
+    """psi(n) = -gamma + sum_{k < n} 1/k for an integer n >= 1: the mean of
+    ln G for G ~ Gamma(n, 1)."""
+    return -np.euler_gamma + sum(1.0 / k for k in range(1, n))
+
+
+def _conditioned_terms(white, mag, s2, v, s, c, cfg):
+    """(B, T) terms ln ||w_t||^2 and ||w_t||^2 that -ln q(Y) reads
+    (:func:`~simomac.auxdist.radial_log_density`), Rao-Blackwellised under
+    Gaussian fading.
+
+    Given X, the pilot's ||y_v||^2 is K_vv Gamma(N, 1), so its two terms
+    become their means ln K_vv + psi(N) and N K_vv.  Given (X, y_v), slot
+    t's entries are (K_tv / K_vv) y_v plus CN(0, sigma_t^2 I_N) noise
+    (:func:`_residual_variance`), so each other slot's ||w_t||^2, which is
+    ||y_perp||^2 / s_t + |<y_t, u>|^2 / (s_t + c_t ||y_v||^2) with
+    u = y_v / ||y_v||, becomes its mean
+    (N - 1) sigma_t^2 / s_t + (mag_t mag_v ||y_v||^2 / K_vv^2 + sigma_t^2)
+    / (s_t + c_t ||y_v||^2); its ln ||w_t||^2 stays sampled.  The genies'
+    s, c, slot categories and branches are functions of (X, y_v), so each
+    replaced term is a conditional mean of itself and the mean of the
+    bound statistic is unchanged.  Off Gaussian fading the terms are the
+    sampled ones, ln ||w_t||^2 and ||w_t||^2 of the whitened norms
+    ``white`` of :func:`_whiten`.
+    """
+    if cfg.fading_kind != "iid_complex_gaussian":
+        return log_norm_sq(white), white
+    n, (b, t) = cfg.N, white.shape
+    pilot = np.arange(b) * t + v  # flat index of each trial's pilot slot
+    sigma2, k_vv = _residual_variance(mag, s2, v)
+    nv2 = np.take(white, pilot)
+    lin = mag * (np.take(mag, pilot) * nv2 / k_vv**2)[:, None]  # |K_tv / K_vv|^2 ||y_v||^2
+    lin += sigma2
+    lin /= s + c * nv2[:, None]
+    sigma2 *= n - 1
+    sigma2 /= s
+    lin += sigma2
+    np.put(lin, pilot, n * k_vv)
+    log_sq = log_norm_sq(white)
+    np.put(log_sq, pilot, np.log(k_vv) + _digamma(n))
+    return log_sq, lin
+
+
 def _categories(v, t, n_names):
     """(B, T) aux category per slot: 0 for the pilot slot v, n_names - 1
     for the last slot when it is not the pilot, 1 otherwise."""
@@ -176,12 +244,13 @@ class _PointSums:
     ``rows`` is the point's one :class:`~simomac.auxdist.NormSqSums`
     table, one group per (branch, category): the fit pass folds its
     chunks' sums in, :meth:`fit` reads them and sets ``members`` (one
-    (label, fitted member or fit error, pooled) per group), and the
-    evaluation pass then folds its own sums in, so that :meth:`report`
-    sees every group seen in either stream.  The evaluation pass also
-    keeps the count, mean and M2 of the bound statistic, its trials per
-    branch and the sum of rhs - h(Y | X) over its trials.  Chunks are
-    folded in in chunk order, so nothing grows with the trial count.
+    (label, fitted member or fit error, pool: None, "branches" or
+    "nonpilot") per group), and the evaluation pass then folds its own
+    sums in, so that :meth:`report` sees every group seen in either
+    stream.  The evaluation pass also keeps the count, mean and M2 of the
+    bound statistic, its trials per branch and the sum of rhs - h(Y | X)
+    over its trials.  Chunks are folded in in chunk order, so nothing
+    grows with the trial count.
     """
 
     bound: "_Bound"
@@ -196,8 +265,8 @@ class _PointSums:
     @classmethod
     def empty(cls, bound, cfg):
         shape = (3 if bound.branched else 1, len(bound.names))
-        rows = NormSqSums(np.zeros(shape, dtype=np.int64), np.zeros(shape), np.full(shape, np.inf))
-        return cls(bound, cfg, rows, np.zeros(shape[0], dtype=np.int64))
+        return cls(bound, cfg, NormSqSums.of(np.empty(0), shape=shape),
+                   np.zeros(shape[0], dtype=np.int64))
 
     def _groups(self, white, v, branch):
         """(B, T) aux group per slot, branch * categories + category."""
@@ -214,33 +283,50 @@ class _PointSums:
     def fit(self):
         """Fit one canonical radial member per (branch, category) on the
         fit stream's sums.  When branched, a branch with fewer than 100 fit
-        samples, or mean <= 1, is fitted on the sums pooled over branches.
-        A failed fit is kept, to be raised if the group is seen at all."""
+        samples, or mean <= 1, is fitted on the sums pooled over branches
+        ("branches"), and a non-pilot category whose pool over branches
+        cannot be fitted either (no samples, or mean <= 1: at T = 2 only
+        branch 0 has a middle slot) on the sums of every non-pilot group
+        ("nonpilot").  A failed fit is kept, to be raised if the group is
+        seen at all."""
         n, names = self.cfg.N, self.bound.names
         table = []
         for br, c in np.ndindex(self.rows.count.shape):
             label = f"branch{br}/{names[c]}" if self.bound.branched else names[c]
-            sums = self.rows.pooled((br, c))
-            pooled = self.bound.branched and (sums.count < 100 or sums.total / sums.count <= 1.0)
-            if pooled:
-                sums = self.rows.pooled(np.s_[:, c])
-            try:
-                member = fit_params(sums, n)
-                table.append((log_normalizer(member), member.alpha - n, member.beta))
-            except InvalidRegime as exc:
-                member = InvalidRegime(f"category {label!r}: {exc}")
+            own = self.rows.pooled((br, c))
+            pools = [((br, c), None)]
+            if self.bound.branched and (own.count < 100 or own.total / own.count <= 1.0):
+                pools = [(np.s_[:, c], "branches")]
+                if c > 0:
+                    pools.append((np.s_[:, 1:], "nonpilot"))
+            for at, pool in pools:
+                try:
+                    member = fit_params(self.rows.pooled(at), n)
+                    table.append((log_normalizer(member), member.alpha - n, member.beta))
+                    break
+                except InvalidRegime as exc:
+                    member = InvalidRegime(f"category {label!r}: {exc}")
+            else:
                 table.append((0.0, 0.0, 1.0))  # a stand-in: the point fails if it is seen
-            self.members.append((label, member, pooled))
+            self.members.append((label, member, pool))
         self.table = np.array(table).T
 
-    def eval_chunk(self, white, v, branch, log_det, rhs, h_given_x):
-        """An evaluation chunk's sums, for :meth:`fold_eval`: each trial's
-        -log2 q(Y) under the fitted members gives its bound statistic."""
+    def statistic(self, group, log_det, log_sq, lin, h_given_x):
+        """(B,) bound statistic (-log2 q(Y) - h(Y | X) + genie cost) / T of
+        each trial, -ln q(Y) read from the (B, T) aux groups, ln |det A|^2
+        and the terms ln ||w||^2 and ||w||^2 of :func:`_conditioned_terms`
+        under the fitted members."""
+        ln_q = radial_log_density(log_sq, lin, *self.table[:, group])
+        neg_q = -(ln_q.sum(axis=1) + log_det.sum(axis=1)) / LN2
+        return (neg_q - h_given_x + self.bound.genie_cost) / self.cfg.T
+
+    def eval_chunk(self, white, v, branch, log_det, log_sq, lin, rhs, h_given_x):
+        """An evaluation chunk's sums, for :meth:`fold_eval`: the sums of
+        its sampled whitened norms ``white`` and the moments of its
+        :meth:`statistic`."""
         group = self._groups(white, v, branch)
         rows = NormSqSums.of(white, group, self.rows.count.shape)
-        ln_q = radial_log_density(white, *self.table[:, group])
-        neg_q = -(ln_q.sum(axis=1) + log_det.sum(axis=1)) / LN2
-        stat = (neg_q - h_given_x + self.bound.genie_cost) / self.cfg.T
+        stat = self.statistic(group, log_det, log_sq, lin, h_given_x)
         trials = len(stat) if branch is None else np.bincount(branch, minlength=3)
         return rows, moments_of(stat), trials, (rhs - h_given_x).sum()
 
@@ -256,26 +342,30 @@ class _PointSums:
         """The point's BoundReport; raises the error of the first
         (branch, category) group seen in either stream whose fit failed or
         whose least norm is singular under its member.  ``fitted`` and
-        ``pooled_fit`` list the groups seen, in that order."""
-        fitted, pooled = {}, []
+        ``pooled_fit`` and, when branched, ``nonpilot_pooled_fit`` list the
+        groups seen, in that order, fitted on their pool over branches and
+        on the pool of every non-pilot group; ``eval_trials`` is the
+        sample size behind ``std_error``."""
+        fitted, pooled = {}, {"branches": [], "nonpilot": []}
         seen, least = self.rows.count.ravel() > 0, self.rows.least.ravel()
-        for (label, member, pooled_fit), group_seen, low in zip(self.members, seen, least):
+        for (label, member, pool), group_seen, low in zip(self.members, seen, least):
             if not group_seen:
                 continue
             if isinstance(member, SimomacError):
                 raise member
             check_not_singular(low, member)
             fitted[label] = (member.alpha, member.beta)
-            if pooled_fit:
-                pooled.append(label)
+            if pool:
+                pooled[pool].append(label)
 
         t, cost, n = self.cfg.T, self.bound.genie_cost, self.moments[0]
         value, std_error = mean_and_std_error(self.moments)
         components = {"analytic_rhs_value": float((self.rhs_gap + n * cost) / n / t),
-                      "fitted": fitted}
+                      "eval_trials": int(n), "fitted": fitted}
         if self.bound.branched:
             components["branch_counts"] = {k: int(m) for k, m in enumerate(self.branch_trials)}
-        components["pooled_fit"] = pooled
+            components["nonpilot_pooled_fit"] = pooled["nonpilot"]
+        components["pooled_fit"] = pooled["branches"]
         return BoundReport(
             value=float(value),
             std_error=float(std_error),
@@ -326,7 +416,8 @@ def _streamed_bounds(points, bounds):
     grow with the trial count.  Each pass computes only what it reads: the
     fit pass forms the whitened norms alone (:func:`_whitened_norms`), and
     only the evaluation pass forms ln |det A|^2 (:func:`_whiten`), the
-    analytic right-hand side (the bound's ``rhs``) and h(Y | X)
+    terms of -ln q(Y) (:func:`_conditioned_terms`), the analytic
+    right-hand side (the bound's ``rhs``) and h(Y | X)
     (:func:`_h_given_x`).
 
     Each chunk draws its channel once, for every point and every bound,
@@ -355,8 +446,8 @@ def _streamed_bounds(points, bounds):
     def outputs(stream, i, scratch):
         """(the point's _PointSums, whitened chunk) for chunk i of ``stream``,
         point by point and bound by bound: (white, v, branch) in the fit
-        stream, (white, v, branch, log_det, rhs, h_given_x) in the
-        evaluation stream."""
+        stream, (white, v, branch, log_det, log_sq, lin, rhs, h_given_x) in
+        the evaluation stream."""
         starts = streams[stream]
         if not scratch:  # a fresh dict each pass: sized by this stream's chunks
             shape = (starts.step, cfg0.N, cfg0.T)
@@ -376,20 +467,26 @@ def _streamed_bounds(points, bounds):
                 if k == len(bounds):
                     del xs  # no later bound needs the inputs: free them before whitening
                 v, s, c, br = bound.pilot(mag, s2, yt, cfg)
-                if stream:  # only the evaluation pass reads the terms
-                    rhs, h_given_x = bound.rhs(mag, s2, v, br, cfg), _h_given_x(mag, s2, cfg)
-                del mag, s2  # nothing else reads them: free them before whitening
-                if stream:
-                    white, log_det = _whiten(yt, v, s, c)
-                    yield acc, (white, v, br, log_det, rhs, h_given_x)
-                else:
+                if not stream:
+                    del mag, s2  # the fit pass reads the whitened norms alone
                     yield acc, (_whitened_norms(yt, v, s, c)[0], v, br)
+                    continue
+                rhs, h_given_x = bound.rhs(mag, s2, v, br, cfg), _h_given_x(mag, s2, cfg)
+                white, log_det = _whiten(yt, v, s, c)
+                log_sq, lin = _conditioned_terms(white, mag, s2, v, s, c, cfg)
+                del mag, s2  # read: free them before the chunk is evaluated
+                yield acc, (white, v, br, log_det, log_sq, lin, rhs, h_given_x)
+                del white, log_det, log_sq, lin  # read: free them before the next whitening
 
     def run_pass(stream, step, fold):
         """``step(acc, *chunk)`` on each whitened chunk of ``stream``, its
         results folded in chunk order by ``fold(acc, result)``."""
         def run(i, scratch):
-            return [(acc, step(acc, *chunk)) for acc, chunk in outputs(stream, i, scratch)]
+            results = []
+            for acc, chunk in outputs(stream, i, scratch):
+                results.append((acc, step(acc, *chunk)))
+                del chunk  # read: free its arrays before the next bound builds its own
+            return results
 
         def fold_all(results):
             for acc, result in results:

@@ -38,6 +38,21 @@ class TestParams:
             fit_params(NormSqSums.of(np.empty(0)), 2)
 
 
+class TestNormSqSums:
+    def test_empty_population_folds_float_sums(self):
+        # a table made from no norms has float totals, so a chunk's sums
+        # fold into it and it pools like any other
+        sums = NormSqSums.of(np.empty(0), np.empty(0, dtype=np.intp), (1, 3))
+        assert sums.total.dtype == float and np.array_equal(sums.count, np.zeros((1, 3)))
+        assert np.all(sums.least == np.inf)
+        sums.fold(NormSqSums.of(np.array([2.0, 3.5, 1.25]), np.array([0, 2, 2]), (1, 3)))
+        assert sums.count.tolist() == [[1, 0, 2]]
+        assert sums.total.tolist() == [[2.0, 0.0, 4.75]]
+        assert sums.least.tolist() == [[2.0, np.inf, 1.25]]
+        pooled = sums.pooled(np.s_[0, 1:])
+        assert (pooled.count, pooled.total, pooled.least) == (2, 4.75, 1.25)
+
+
 class TestDensity:
     def test_gaussian_special_case(self):
         # alpha = N, beta = 1 reduces to CN(0, I)

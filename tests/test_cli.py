@@ -249,6 +249,26 @@ class TestBoundsPooledFit:
         assert pt["single_user_upper"]["pooled_fit"] == []
 
 
+class TestBoundsNonpilotPool:
+    @pytest.mark.parametrize("trials,seed", [(40, 2), (100, 4), (100, 8), (100, 11), (100, 0)])
+    def test_t2_point_fits_on_the_nonpilot_pool(self, capsys, trials, seed):
+        # at T = 2 only branch 0 has a middle slot; with too few fit trials
+        # there, or their mean <= 1, it is fitted on the pool of every
+        # non-pilot group and the point is kept
+        code, out = _run(capsys, ["bounds", "--T", "2", "--N", "2", "--P-dB", "20",
+                                  "--trials", str(trials), "--seed", str(seed)])
+        assert code == 0
+        rep = json.loads(out, parse_constant=pytest.fail)
+        assert rep["warnings"] == []
+        (pt,) = rep["points"]
+        for key in ("single_user_upper", "mac_user1_upper"):
+            assert pt[key]["eval_trials"] == trials // 2
+        mac = pt["mac_user1_upper"]
+        assert mac["nonpilot_pooled_fit"] == ["branch0/middle"]
+        assert "branch0/middle" in mac["fitted"] and "branch0/middle" not in mac["pooled_fit"]
+        assert pt["single_user_upper"]["nonpilot_pooled_fit"] is None
+
+
 class TestBoundsPowerGrid:
     def test_repeated_power_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -274,9 +294,16 @@ class TestBoundsPowerGrid:
         pt = json.loads(out, parse_constant=pytest.fail)["points"][0]
         assert "single_user_upper" in pt and "mac_user1_upper" in pt
 
-    def test_one_failed_point_keeps_the_others(self, capsys):
-        # T=2, seed 0, 100 trials: at 20 dB branch 0 has evaluation trials
-        # but no fit trial, so only that point's MAC bound is lost
+    def test_one_failed_point_keeps_the_others(self, capsys, monkeypatch):
+        # only the 20 dB point's MAC bound fails, so only it is lost
+        real = cli.duality_bounds
+
+        def no_low_mac_bound(*args, powers, **kwargs):
+            single, mac = real(*args, powers=powers, **kwargs)
+            lost = InvalidRegime("category 'branch0/middle': no samples to fit")
+            return single, [lost] + mac[1:]
+
+        monkeypatch.setattr(cli, "duality_bounds", no_low_mac_bound)
         code, out = _run(capsys, ["bounds", "--T", "2", "--N", "2", "--P-dB", "20,30",
                                   "--trials", "100", "--seed", "0"])
         assert code == 0
@@ -316,10 +343,14 @@ def test_bounds_exit_0_with_finite_json_or_exit_2_with_one_error_line(
 def test_cli_imports_no_scipy_submodule():
     # scipy.special and scipy.spatial (with scipy.sparse behind it) were
     # most of the start-up time; an estimate in the numpy search's
-    # dimensions must not load the k-d tree either
-    code = ("import sys, numpy as np, simomac.cli\n"
+    # dimensions must not load the k-d tree either, nor a bounds run
+    # (psi(N) of the conditioned statistic) scipy.special
+    code = ("import contextlib, io, sys, numpy as np, simomac.cli\n"
             "from simomac.knn_entropy import _ENGINE_MIN_DIM, knn_entropy_bits\n"
             "knn_entropy_bits(np.random.default_rng(0).normal(size=(50, _ENGINE_MIN_DIM)))\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert simomac.cli.main(['bounds', '--T', '3', '--N', '4', '--P-dB', '20',\n"
+            "                               '--trials', '400']) == 0\n"
             "print(' '.join(sorted(sys.modules)))")
     loaded = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                             check=True).stdout.split()

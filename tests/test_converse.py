@@ -7,14 +7,16 @@ import numpy as np
 import pytest
 
 from simomac import converse, linalg
-from simomac.auxdist import AuxDistParams, log_density_from_norm_sq
+from simomac.auxdist import AuxDistParams, log_density_from_norm_sq, log_norm_sq, log_normalizer
 from simomac.channel import (
     ANNULUS_R_HI,
     ANNULUS_R_LO,
     FADING_ENTROPY_DEFICIT,
     ChannelConfig,
     InputDistribution,
+    sample_channel,
     sample_fading,
+    sample_inputs,
     superpose,
 )
 from simomac.converse import (
@@ -68,6 +70,11 @@ def _single_user_on_slots(input_dist, cfg, slots):
 def _chunk_bounds(starts):
     """(lo, hi) of each chunk of a _trial_chunks range."""
     return [(lo, min(lo + starts.step, starts.stop)) for lo in starts]
+
+
+def _iso(cfg):
+    """The isotropic peak-power input at cfg's T and P."""
+    return InputDistribution(kind="isotropic_peak", T=cfg.T, P=cfg.P)
 
 
 def _mac_high_t(mag, s2, yt, cfg):
@@ -461,12 +468,14 @@ class TestMacBound:
         rep2 = duality_bound_mac_user1(i1, i1, cfg2)
         assert rep2.remainder_terms["genie_cost_bits"] == pytest.approx(np.log2(4))
         assert set(rep2.components["branch_counts"]) == {0, 1, 2}
-        # the report shape: branch counts for the T <= N genie only
+        # the report shape: branch counts and the non-pilot pool for the
+        # T <= N genie only; every bound gives its evaluation trial count
         su = duality_bound_single_user(iso, cfg)
-        keys = {"analytic_rhs_value", "fitted", "pooled_fit"}
+        keys = {"analytic_rhs_value", "eval_trials", "fitted", "pooled_fit"}
         assert set(su.components) == set(rep.components) == keys
-        assert set(rep2.components) == keys | {"branch_counts"}
+        assert set(rep2.components) == keys | {"branch_counts", "nonpilot_pooled_fit"}
         for r in (su, rep, rep2):
+            assert r.components["eval_trials"] == 10_000
             assert set(r.remainder_terms) == {"log_log_slack_bits", "genie_cost_bits",
                                               "h_order_one_flagged"}
 
@@ -562,6 +571,150 @@ class TestMiEstimates:
             warnings.simplefilter("error")
             mi, se = isotropic_mixture_mi_estimate(_cfg(t=t, n=n), trials=2_000)
         assert np.isfinite(mi) and np.isfinite(se) and se > 0
+
+
+def _eval_chunks(bound, inputs, cfg, trials, chunk=50_000):
+    """The engine's evaluation terms of ``bound`` on ``trials`` fresh
+    trials, drawn ``chunk`` at a time: (white, v, branch, log_sq, lin)
+    concatenated, branch 0 when unbranched."""
+    parts = []
+    for seed in np.random.SeedSequence(cfg.seed).spawn(-(-trials // chunk)):
+        rng = np.random.default_rng(seed)
+        xs = sample_inputs(inputs, cfg, rng, size=chunk)
+        channel = sample_channel(len(inputs), cfg, rng, size=chunk)
+        yt, mag, s2 = bound.outputs(xs, channel, None)
+        v, s, c, branch = bound.pilot(mag, s2, yt, cfg)
+        white, _ = converse._whiten(yt, v, s, c)
+        log_sq, lin = converse._conditioned_terms(white, mag, s2, v, s, c, cfg)
+        parts.append((white, v, np.zeros_like(v) if branch is None else branch, log_sq, lin))
+    return tuple(np.concatenate(p) for p in zip(*parts))
+
+
+def _within(diff, sigmas):
+    """|mean| of a sample of differences within ``sigmas`` standard errors."""
+    return abs(diff.mean()) <= sigmas * diff.std() / np.sqrt(diff.size)
+
+
+def _paired_statistics(monkeypatch, inputs, cfg, powers, fading_check=None):
+    """duality_bounds on ``inputs`` at ``powers``, and for each point and
+    bound, keyed (P, len(names)), the (conditioned, sampled) statistics of
+    its evaluation trials: the engine's own and the one that reads the
+    sampled norms' terms, on the same draws and fitted members."""
+    stats = {}
+    real = converse._PointSums.eval_chunk
+
+    def eval_chunk(acc, white, v, branch, log_det, log_sq, lin, rhs, h_given_x):
+        group = acc._groups(white, v, branch)
+        pair = (acc.statistic(group, log_det, log_sq, lin, h_given_x),
+                acc.statistic(group, log_det, log_norm_sq(white), white, h_given_x))
+        stats.setdefault((acc.cfg.P, len(acc.bound.names)), []).append(pair)
+        if fading_check:
+            fading_check(acc, white, group, log_det, log_sq, lin, h_given_x, pair[0])
+        return real(acc, white, v, branch, log_det, log_sq, lin, rhs, h_given_x)
+
+    monkeypatch.setattr(converse._PointSums, "eval_chunk", eval_chunk)
+    reports = converse.duality_bounds(*inputs, cfg, powers=powers)
+    paired = {key: tuple(np.concatenate(p) for p in zip(*chunks)) for key, chunks in stats.items()}
+    return reports, paired
+
+
+class TestConditionedStatistic:
+    """The Rao-Blackwellised terms of -ln q(Y) under Gaussian fading."""
+
+    @pytest.mark.parametrize("case", ["single_user", "last_slot", "branch0", "branch1",
+                                      "branch2"])
+    def test_conditional_means_are_unbiased(self, case):
+        # each replaced term minus its sampled value has mean 0 over 2e5
+        # trials: the non-pilot ||w_t||^2 given (x, y_v), the pilot's
+        # ln ||y_v||^2 and ||y_v||^2 given x; for the T <= N genie branch 2
+        # needs a weak user 2, so both users draw exponential norms
+        if case == "single_user":
+            cfg = _cfg(t=4, n=2, p=100.0, seed=11)
+            bound, inputs = converse._single_user_bound(4), [_iso(cfg)]
+        elif case == "last_slot":
+            cfg = _cfg(t=4, n=2, p=100.0, seed=12)
+            bound, inputs = converse._mac_bound(cfg), [_iso(cfg), _iso(cfg)]
+        else:
+            cfg = _cfg(t=2, n=2, p=100.0, seed=13)
+            bound = converse._mac_bound(cfg)
+            inputs = [InputDistribution(kind="exponential_norm", T=2, P=p) for p in (100.0, 1.0)]
+        white, v, branch, log_sq, lin = _eval_chunks(bound, inputs, cfg, 200_000)
+        rows = np.arange(len(v))
+        slots = np.arange(cfg.T) != v[:, None]
+        if case == "last_slot":
+            slots[:, :-1] = False
+        trials = branch == int(case[-1]) if case.startswith("branch") else rows >= 0
+        assert trials.sum() >= 30_000
+        off = np.where(slots, white - lin, 0.0).sum(axis=1)[trials]
+        assert _within(off, 4)
+        pv = rows[trials], v[trials]
+        assert _within(log_norm_sq(white[pv]) - log_sq[pv], 4)
+        assert _within(white[pv] - lin[pv], 4)
+
+    @pytest.mark.parametrize("t,n", [(3, 4), (4, 2)])
+    def test_same_mean_smaller_error_on_the_same_draws(self, monkeypatch, t, n):
+        # the engine's value and error are those of the conditioned
+        # statistic; against the sampled one on the same draws its paired
+        # mean difference is within 3 SE, and its SE is at most 0.7x
+        cfg = _cfg(t=t, n=n, p=10.0, trials=100_000, seed=0)
+        (single, mac), paired = _paired_statistics(monkeypatch, [_iso(cfg), _iso(cfg)], cfg,
+                                                   [10.0, 1000.0])
+        for k, p in enumerate((10.0, 1000.0)):
+            for rep, names in ((single[k], 2), (mac[k], 3)):
+                cond, sampled = paired[(p, names)]
+                assert cond.size == rep.components["eval_trials"] == 50_000
+                assert rep.value == pytest.approx(cond.mean(), rel=1e-12)
+                assert rep.std_error == pytest.approx(cond.std() / np.sqrt(cond.size), rel=1e-9)
+                assert _within(cond - sampled, 3)
+                assert cond.std() <= 0.7 * sampled.std()
+
+    def test_annulus_reads_the_sampled_norms(self, monkeypatch):
+        # off Gaussian fading the terms are the sampled norms' own, and the
+        # statistic is the density of the whitened norms, bit for bit
+        def check(acc, white, group, log_det, log_sq, lin, h_given_x, stat):
+            assert lin is white
+            assert np.array_equal(log_sq, np.log(np.maximum(white, 1e-300)))
+            log_norm, shape, beta = acc.table[:, group]
+            ln_q = log_norm + shape * np.log(np.maximum(white, 1e-300)) - white / beta
+            neg_q = -(ln_q.sum(axis=1) + log_det.sum(axis=1)) / np.log(2.0)
+            assert np.array_equal(stat, (neg_q - h_given_x + acc.bound.genie_cost) / acc.cfg.T)
+            seen.append(len(stat))
+
+        seen = []
+        cfg = _cfg(t=3, n=4, p=100.0, trials=4_000, seed=5, fading="iid_uniform_annulus")
+        _, paired = _paired_statistics(monkeypatch, [_iso(cfg), _iso(cfg)], cfg, [100.0, 1e4],
+                                       fading_check=check)
+        assert sum(seen) == 4 * 2_000
+        for cond, sampled in paired.values():
+            assert np.array_equal(cond, sampled)
+
+    @pytest.mark.parametrize("interferer", [True, False])
+    def test_residual_variance_keeps_every_digit(self, interferer):
+        # K_tt - |K_tv|^2 / K_vv loses every digit at 140 dB; the sum of
+        # non-negative terms matches 60-digit arithmetic to 1e-12
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(8)
+        p, b, t = 1e14, 40, 4
+        x1 = np.sqrt(p) * sample_complex_gaussian(t, rng, size=b)
+        mag = abs_sq(x1) / t
+        s2 = p * rng.uniform(0.5, 2.0, size=b) if interferer else 0.0
+        v = np.arange(b) % t  # the pilot on the last, interfered slot too
+        sigma2, k_vv = converse._residual_variance(mag, s2, v)
+        s2s = np.broadcast_to(s2, (b,))
+        with mpmath.workdps(60):
+            for i in range(b):
+                m = [mpmath.mpf(float(e)) for e in mag[i]]
+                k = [1 + m[j] + (mpmath.mpf(float(s2s[i])) if j == t - 1 else 0) for j in range(t)]
+                assert float(k[v[i]]) == pytest.approx(k_vv[i], rel=1e-15)
+                for j in range(t):
+                    if j != v[i]:
+                        ref = k[j] - m[j] * m[v[i]] / k[v[i]]
+                        assert abs(sigma2[i, j] / ref - 1) <= 1e-12
+
+    def test_digamma_of_integers(self):
+        mpmath = pytest.importorskip("mpmath")
+        for n in (1, 2, 3, 8, 40):
+            assert converse._digamma(n) == pytest.approx(float(mpmath.digamma(n)), rel=1e-14)
 
 
 class TestPooledFit:
@@ -670,8 +823,9 @@ class TestStreamingEngine:
         powers = [10.0, 100.0, 1000.0]
 
         def both():
-            # errors compare by type and message (here 30 dB's MAC point
-            # fails: branch 0 has evaluation trials but no fit trial)
+            # errors compare by type and message, should a point fail (at
+            # 30 dB branch 0 has evaluation trials but no fit trial, and its
+            # middle slot is fitted on the pool of every non-pilot group)
             single, mac = duality_bounds(iso, iso, cfg, powers=powers)
             return duality_bound_mac_user1(iso, iso, cfg), [
                 (type(rep), str(rep)) if isinstance(rep, Exception) else rep
@@ -745,19 +899,31 @@ class TestStreamingEngine:
         assert len(started) <= 1 + workers
 
     def test_folded_chunks_match_the_direct_statistic(self):
-        # fit and evaluation chunks of synthetic norms, folded one by one,
-        # against the bound statistic of all evaluation trials at once with
-        # each group's density
+        # the terms ln ||w||^2 and ||w||^2 that -ln q reads are synthetic
+        # conditional means, not those of the norms
+        self._folded_against_direct("conditioned")
+
+    def test_sampled_terms_give_the_density_of_the_norms(self):
+        self._folded_against_direct("sampled")
+
+    @staticmethod
+    def _folded_against_direct(terms):
+        """Fit and evaluation chunks of synthetic norms, folded one by one,
+        against the bound statistic of all evaluation trials at once with
+        each group's density, read from the chunks' ``terms``."""
         cfg = _cfg(t=3, n=4, p=100.0, trials=1_000)
         bound = converse._mac_bound(cfg)  # branched: T <= N
         acc = converse._PointSums.empty(bound, cfg)
         rng = np.random.default_rng(6)
 
         def chunk(b):
-            # (white, v, branch, log_det, rhs, h_given_x)
-            return (rng.gamma(3.0, 2.0, size=(b, 3)), rng.integers(0, 3, size=b),
-                    rng.integers(0, 3, size=b), rng.normal(size=(b, 3)), rng.normal(size=b),
-                    rng.normal(size=b))
+            # (white, v, branch, log_det, log_sq, lin, rhs, h_given_x)
+            white = rng.gamma(3.0, 2.0, size=(b, 3))
+            log_sq, lin = (rng.normal(size=(b, 3)), rng.gamma(2.0, 3.0, size=(b, 3)))
+            if terms == "sampled":
+                log_sq, lin = log_norm_sq(white), white
+            return (white, rng.integers(0, 3, size=b), rng.integers(0, 3, size=b),
+                    rng.normal(size=(b, 3)), log_sq, lin, rng.normal(size=b), rng.normal(size=b))
 
         for b in (300, 200):
             acc.rows.fold(acc.fit_chunk(*chunk(b)[:3]))
@@ -767,17 +933,22 @@ class TestStreamingEngine:
             acc.fold_eval(acc.eval_chunk(*c))
         rep = acc.report()
 
-        white, v, br, log_det, rhs, h = (np.concatenate(parts) for parts in zip(*chunks))
+        white, v, br, log_det, log_sq, lin, rhs, h = (np.concatenate(p) for p in zip(*chunks))
         group = converse._categories(v, 3, 3) + 3 * br[:, None]
         ln_q = np.zeros(white.shape)
         for label, (alpha, beta) in rep.components["fitted"].items():
             k = 3 * int(label[6]) + converse.MAC_CATEGORIES.index(label.split("/")[1])
             member = AuxDistParams(n=4, alpha=alpha, beta=beta)
-            ln_q[group == k] = log_density_from_norm_sq(white[group == k], member)
+            at = group == k
+            ln_q[at] = log_normalizer(member) + (alpha - 4) * log_sq[at] - lin[at] / beta
+            if terms == "sampled":
+                assert ln_q[at] == pytest.approx(log_density_from_norm_sq(white[at], member),
+                                                 rel=1e-13)
         neg_q = -(ln_q.sum(axis=1) + log_det.sum(axis=1)) / np.log(2.0)
         stat = (neg_q - h + bound.genie_cost) / 3
         assert rep.value == pytest.approx(stat.mean(), rel=1e-12)
         assert rep.std_error == pytest.approx(stat.std() / np.sqrt(500), rel=1e-9)
+        assert rep.components["eval_trials"] == 500
         assert rep.components["analytic_rhs_value"] == pytest.approx(
             np.mean((rhs - h + bound.genie_cost) / 3), rel=1e-9)
         assert rep.components["branch_counts"] == {k: int((br == k).sum()) for k in range(3)}
