@@ -9,7 +9,8 @@ rates/entropies are reported in bits at the interfaces):
 The squared radius ||W||^2 is Gamma(alpha, beta), the direction of W is
 uniform on the complex unit sphere.  The whitening map A enters the
 density of y only as the entropy shift ln |det A|^2, which the caller
-adds (:func:`simomac.converse._whiten` gives it without forming A).  The
+adds (:func:`simomac.converse._whiten` gives ||A y||^2 and
+:func:`simomac.converse._log_det` the shift, without forming A).  The
 canonical parameterization fits beta = E||W||^2 and alpha = 1/log(beta)
 from a sample population.
 """

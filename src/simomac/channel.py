@@ -321,12 +321,16 @@ def truncate_to_peak(dist, P, beta, rng, trials=100_000):
     Returns the conditional (peak-constrained) distribution and a report
     with the empirical tail probability, the Markov bound T*P^(1-beta),
     and the O(P^(1-beta) log P^beta) rate-gap term with unit constant.
-    Raises InvalidParam unless P > 0 and beta > 1 are finite, and trials >= 1 an integer.
+    Raises InvalidParam unless P > 0 and beta > 1 are finite, P^beta is a
+    finite float, and trials >= 1 an integer.
     """
     if not (math.isfinite(P) and math.isfinite(beta) and P > 0 and beta > 1.0):
         raise InvalidParam(f"need a finite P > 0 and beta > 1, got P = {P}, beta = {beta}")
     (trials,) = counts("trials", trials)
-    threshold = float(P**beta)
+    try:
+        threshold = math.pow(P, beta)
+    except OverflowError:
+        raise InvalidParam(f"P^beta = {P}^{beta} is not a finite float") from None
     x = dist.sample(rng, size=trials)
     tail = (norm_sq(x) >= threshold).astype(float)
     p_hat, se = map(float, mean_and_std_error(moments_of(tail)))

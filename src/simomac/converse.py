@@ -15,7 +15,8 @@ beta per branch and slot category) in a first pass that keeps only the
 half, drawn from a stream of their own, evaluate the bound against
 those fixed parameters in a second pass that alone forms ln |det A|^2,
 h(Y | X) and the analytic right-hand side, and keeps only plain sums
-(:class:`_PointSums`).  So there is no fitting bias, and memory does not
+(:class:`_PointSums`); both passes whiten through one kernel
+(:func:`_whiten`).  So there is no fitting bias, and memory does not
 grow with the trial count.  Under Gaussian fading the evaluated
 statistic is Rao-Blackwellised (:func:`_conditioned_terms`): the pilot
 slot's terms of -ln q(Y) are replaced by their means given X, and each
@@ -138,25 +139,15 @@ def _chunk_seed(cfg, stream, i):
 
 
 def _whiten(yt, v, s, c):
-    """Squared whitened norms ||A y_i||^2 and ln |det A|^2, each (B, T).
+    """Squared whitened norms ||A y_i||^2 and the scales s + c ||y_v||^2 of
+    the pilot direction, each (B, T).
 
     yt: (B, N, T) outputs (rotated for the MAC); v: (B,) pilot slot; s, c:
     (B, T) whitening scales, c possibly a scalar, non-pilot slot i being
     whitened by A = (s_i I + c_i y_v y_v^H)^{-1/2} and the pilot slot left
-    as is.
+    as is.  The fit pass reads the norms only.
     Each row depends on its own trial only, so chunks whiten independently.
     """
-    white, denom = _whitened_norms(yt, v, s, c)
-    log_det = -((yt.shape[1] - 1) * np.log(s) + np.log(denom))
-    log_det[np.arange(len(v)), v] = 0.0
-    return white, log_det
-
-
-def _whitened_norms(yt, v, s, c):
-    """The norms of :func:`_whiten`, without ln |det A|^2, and the (B, T)
-    scales s + c ||y_v||^2 of the pilot direction, from which
-    :func:`_whiten` forms ln |det A|^2.  The fit pass reads the norms
-    only."""
     rows = np.arange(len(v))
     y_v = yt[rows, :, v]
     nv2 = norm_sq(y_v)
@@ -165,6 +156,14 @@ def _whitened_norms(yt, v, s, c):
     white = norm_sq(yt, axis=1) / s - (c / s) * ip / denom
     white[rows, v] = nv2
     return white, denom
+
+
+def _log_det(s, denom, v, n):
+    """(B, T) ln |det A|^2 of the maps A on C^n of :func:`_whiten`, from
+    its scales s and denom = s + c ||y_v||^2; 0 at the pilot slot."""
+    log_det = -((n - 1) * np.log(s) + np.log(denom))
+    log_det[np.arange(len(v)), v] = 0.0
+    return log_det
 
 
 def _residual_variance(mag, s2, v):
@@ -193,10 +192,11 @@ def _digamma(n):
     return -np.euler_gamma + sum(1.0 / k for k in range(1, n))
 
 
-def _conditioned_terms(white, mag, s2, v, s, c, cfg):
+def _conditioned_terms(white, denom, mag, s2, v, s, cfg):
     """(B, T) terms ln ||w_t||^2 and ||w_t||^2 that -ln q(Y) reads
     (:func:`~simomac.auxdist.radial_log_density`), Rao-Blackwellised under
-    Gaussian fading.
+    Gaussian fading, from the norms ``white`` and scales
+    ``denom`` = s + c ||y_v||^2 of :func:`_whiten`.
 
     Given X, the pilot's ||y_v||^2 is K_vv Gamma(N, 1), so its two terms
     become their means ln K_vv + psi(N) and N K_vv.  Given (X, y_v), slot
@@ -209,8 +209,7 @@ def _conditioned_terms(white, mag, s2, v, s, c, cfg):
     s, c, slot categories and branches are functions of (X, y_v), so each
     replaced term is a conditional mean of itself and the mean of the
     bound statistic is unchanged.  Off Gaussian fading the terms are the
-    sampled ones, ln ||w_t||^2 and ||w_t||^2 of the whitened norms
-    ``white`` of :func:`_whiten`.
+    sampled ones, ln ||w_t||^2 and ||w_t||^2 of ``white``.
     """
     if cfg.fading_kind != "iid_complex_gaussian":
         return log_norm_sq(white), white
@@ -220,7 +219,7 @@ def _conditioned_terms(white, mag, s2, v, s, c, cfg):
     nv2 = np.take(white, pilot)
     lin = mag * (np.take(mag, pilot) * nv2 / k_vv**2)[:, None]  # |K_tv / K_vv|^2 ||y_v||^2
     lin += sigma2
-    lin /= s + c * nv2[:, None]
+    lin /= denom
     sigma2 *= n - 1
     sigma2 /= s
     lin += sigma2
@@ -276,9 +275,11 @@ class _PointSums:
             group += n_names * branch[:, None]
         return group
 
-    def fit_chunk(self, white, v, branch):
-        """A whitened fit chunk's sums."""
-        return NormSqSums.of(white, self._groups(white, v, branch), self.rows.count.shape)
+    def fit_chunk(self, yt, mag, s2, v, s, c, branch):
+        """A fit chunk's (sums,) of its whitened norms, for :meth:`fold`,
+        from a bound's outputs and pilot; it takes no logarithm."""
+        white, _ = _whiten(yt, v, s, c)
+        return (NormSqSums.of(white, self._groups(white, v, branch), self.rows.count.shape),)
 
     def fit(self):
         """Fit one canonical radial member per (branch, category) on the
@@ -320,19 +321,21 @@ class _PointSums:
         neg_q = -(ln_q.sum(axis=1) + log_det.sum(axis=1)) / LN2
         return (neg_q - h_given_x + self.bound.genie_cost) / self.cfg.T
 
-    def eval_chunk(self, white, v, branch, log_det, log_sq, lin, rhs, h_given_x):
-        """An evaluation chunk's sums, for :meth:`fold_eval`: the sums of
-        its sampled whitened norms ``white`` and the moments of its
-        :meth:`statistic`."""
+    def eval_chunk(self, yt, mag, s2, v, s, c, branch):
+        """An evaluation chunk's sums of its whitened norms, moments of its
+        :meth:`statistic`, trials per branch and sum of rhs - h(Y | X)."""
+        white, denom = _whiten(yt, v, s, c)
         group = self._groups(white, v, branch)
         rows = NormSqSums.of(white, group, self.rows.count.shape)
-        stat = self.statistic(group, log_det, log_sq, lin, h_given_x)
+        log_sq, lin = _conditioned_terms(white, denom, mag, s2, v, s, self.cfg)
+        h_given_x = _h_given_x(mag, s2, self.cfg)
+        stat = self.statistic(group, _log_det(s, denom, v, self.cfg.N), log_sq, lin, h_given_x)
         trials = len(stat) if branch is None else np.bincount(branch, minlength=3)
-        return rows, moments_of(stat), trials, (rhs - h_given_x).sum()
+        rhs_gap = (self.bound.rhs(mag, s2, v, branch, self.cfg) - h_given_x).sum()
+        return rows, moments_of(stat), trials, rhs_gap
 
-    def fold_eval(self, chunk):
-        """Fold an :meth:`eval_chunk` result in."""
-        rows, moments, trials, rhs_gap = chunk
+    def fold(self, rows, moments=(0, 0.0, 0.0), trials=0, rhs_gap=0.0):
+        """Fold a :meth:`fit_chunk`'s or :meth:`eval_chunk`'s sums in."""
         self.rows.fold(rows)
         self.moments = merge_moments(self.moments, moments)
         self.branch_trials += trials
@@ -389,8 +392,9 @@ class _Bound:
     built in the thread's (chunk, N, T) buffer ``out``, and the (mag, s2)
     of :func:`_log2_det`.  ``pilot(mag, s2, yt, cfg)`` gives the pilot
     slot and whitening scales of :func:`_whiten` and the aux branch (None
-    when unbranched), and ``rhs(mag, s2, v, branch, cfg)`` the analytic
-    right-hand side.  ``names`` labels the aux categories.
+    when unbranched): (v, s, c, branch), which with (yt, mag, s2) is what
+    :class:`_PointSums` takes per chunk.  ``rhs(mag, s2, v, branch, cfg)``
+    gives the analytic right-hand side.  ``names`` labels the aux categories.
     """
 
     outputs: Callable
@@ -413,12 +417,13 @@ def _streamed_bounds(points, bounds):
     chunk order, every member is then fitted once, and the evaluation
     pass does the same with the moments of the bound statistic
     (:class:`_PointSums`).  No trial is drawn twice, and memory does not
-    grow with the trial count.  Each pass computes only what it reads: the
-    fit pass forms the whitened norms alone (:func:`_whitened_norms`), and
-    only the evaluation pass forms ln |det A|^2 (:func:`_whiten`), the
-    terms of -ln q(Y) (:func:`_conditioned_terms`), the analytic
-    right-hand side (the bound's ``rhs``) and h(Y | X)
-    (:func:`_h_given_x`).
+    grow with the trial count.  For each point and bound, a chunk builds
+    the outputs, takes the pilot and hands both to the point's _PointSums.
+    Both passes whiten through :func:`_whiten`; the fit pass takes no
+    logarithm, and only the evaluation pass forms ln |det A|^2
+    (:func:`_log_det`) and the terms of -ln q(Y) (:func:`_conditioned_terms`)
+    from the kernel's scales, the analytic right-hand side (the bound's
+    ``rhs``) and h(Y | X) (:func:`_h_given_x`).
 
     Each chunk draws its channel once, for every point and every bound,
     from a generator on the first child of the chunk's seed
@@ -431,10 +436,9 @@ def _streamed_bounds(points, bounds):
     and every bound of a point sees the same draws as a pass for that
     bound alone.  Each thread draws the noise, whose normal deviates pass
     through the Y buffer, and builds each bound's outputs in turn in two
-    (chunk, N, T) buffers of its own, reused from
-    chunk to chunk and bound to bound, so their memory is not faulted in
-    afresh.  Every (B, N, T) array but the noise lives for one bound of
-    one point of one chunk.
+    (chunk, N, T) buffers of its own, reused from chunk to chunk and
+    bound to bound, so their memory is not faulted in afresh.  The
+    whitening's arrays end with the _PointSums call of one bound.
     """
     inputs0, cfg0 = points[0]
     if cfg0.trials < 2:
@@ -443,11 +447,9 @@ def _streamed_bounds(points, bounds):
     streams = _trial_chunks(cfg0, 0), _trial_chunks(cfg0, 1)
     sums = [[_PointSums.empty(bound, cfg) for bound in bounds] for _, cfg in points]
 
-    def outputs(stream, i, scratch):
-        """(the point's _PointSums, whitened chunk) for chunk i of ``stream``,
-        point by point and bound by bound: (white, v, branch) in the fit
-        stream, (white, v, branch, log_det, log_sq, lin, rhs, h_given_x) in
-        the evaluation stream."""
+    def run(stream, i, scratch):
+        """(_PointSums, its fit or evaluation sums) per point and bound of
+        chunk i of ``stream``."""
         starts = streams[stream]
         if not scratch:  # a fresh dict each pass: sized by this stream's chunks
             shape = (starts.step, cfg0.N, cfg0.T)
@@ -461,43 +463,23 @@ def _streamed_bounds(points, bounds):
         channel_seed = np.random.SeedSequence(seed.entropy, spawn_key=seed.spawn_key + (0,))
         channel = sample_channel(len(inputs0), cfg0, np.random.default_rng(channel_seed),
                                  size=b, out=noise, scratch=draw)
+        results = []
         for (_, cfg), point_sums, xs in zip(points, sums, sample_point_inputs(points, seed, b)):
-            for k, (bound, acc) in enumerate(zip(bounds, point_sums), 1):
+            for bound, acc in zip(bounds, point_sums):
                 yt, mag, s2 = bound.outputs(xs, channel, y_buf)
-                if k == len(bounds):
-                    del xs  # no later bound needs the inputs: free them before whitening
-                v, s, c, br = bound.pilot(mag, s2, yt, cfg)
-                if not stream:
-                    del mag, s2  # the fit pass reads the whitened norms alone
-                    yield acc, (_whitened_norms(yt, v, s, c)[0], v, br)
-                    continue
-                rhs, h_given_x = bound.rhs(mag, s2, v, br, cfg), _h_given_x(mag, s2, cfg)
-                white, log_det = _whiten(yt, v, s, c)
-                log_sq, lin = _conditioned_terms(white, mag, s2, v, s, c, cfg)
-                del mag, s2  # read: free them before the chunk is evaluated
-                yield acc, (white, v, br, log_det, log_sq, lin, rhs, h_given_x)
-                del white, log_det, log_sq, lin  # read: free them before the next whitening
+                v, s, c, branch = bound.pilot(mag, s2, yt, cfg)
+                chunk = acc.eval_chunk if stream else acc.fit_chunk
+                results.append((acc, chunk(yt, mag, s2, v, s, c, branch)))
+        return results
 
-    def run_pass(stream, step, fold):
-        """``step(acc, *chunk)`` on each whitened chunk of ``stream``, its
-        results folded in chunk order by ``fold(acc, result)``."""
-        def run(i, scratch):
-            results = []
-            for acc, chunk in outputs(stream, i, scratch):
-                results.append((acc, step(acc, *chunk)))
-                del chunk  # read: free its arrays before the next bound builds its own
-            return results
+    def fold(results):
+        for acc, chunk_sums in results:
+            acc.fold(*chunk_sums)
 
-        def fold_all(results):
-            for acc, result in results:
-                fold(acc, result)
-
-        run_chunks(run, len(streams[stream]), fold=fold_all)
-
-    run_pass(0, _PointSums.fit_chunk, lambda acc, rows: acc.rows.fold(rows))
+    run_chunks(partial(run, 0), len(streams[0]), fold=fold)
     for acc in (acc for point_sums in sums for acc in point_sums):
         acc.fit()
-    run_pass(1, _PointSums.eval_chunk, _PointSums.fold_eval)
+    run_chunks(partial(run, 1), len(streams[1]), fold=fold)
     reports = [[] for _ in bounds]
     for point_sums in sums:
         for acc, out in zip(point_sums, reports):

@@ -1,7 +1,8 @@
 """Self-consistency suites for the four supporting results used by the
 bounds: entropy shift under linear maps (through the bounds' own
-whitening), the concave log-moment lower bound, average-to-peak
-truncation via Markov, and the radial-family cross-entropy remainder.
+whitening kernel and ln |det A|^2), the concave log-moment lower bound,
+average-to-peak truncation via Markov, and the radial-family
+cross-entropy remainder.
 Each check returns a small dict with a margin and a pass flag so the CLI
 can report them uniformly.
 """
@@ -10,7 +11,7 @@ import numpy as np
 
 from .auxdist import NormSqSums, cross_entropy_expansion, fit_params, log_density_from_norm_sq
 from .channel import InputDistribution, truncate_to_peak
-from .converse import _whiten
+from .converse import _log_det, _whiten
 from .errors import counts
 from .linalg import TOL_ALGEBRAIC, norm_sq, sample_complex_gaussian
 
@@ -27,9 +28,11 @@ def entropy_shift_invariance(seed=0):
     The bounds evaluate the density of a non-pilot slot y_i of Y as
     |det A|^2 q(A y_i), A = (s_i I + c_i y_v y_v^H)^{-1/2}: the entropy
     shift h(A W) = h(W) + log |det A|^2 under a linear map.
-    :func:`~simomac.converse._whiten` gives ||A y_i||^2 and ln |det A|^2
-    without forming A; here A is formed from an eigendecomposition, and
-    the aux member is evaluated at A y_i with 2 ln |det A| (slogdet) added.
+    :func:`~simomac.converse._whiten` gives ||A y_i||^2 and its scales,
+    from which :func:`~simomac.converse._log_det` gives ln |det A|^2, both
+    without forming A and as the evaluation pass calls them; here A is
+    formed from an eigendecomposition, and the aux member is evaluated at
+    A y_i with 2 ln |det A| (slogdet) added.
     Twenty random (2, 4) outputs with random pilot slots and scales;
     returns the largest relative difference between the two values of
     -ln q(Y).
@@ -40,7 +43,8 @@ def entropy_shift_invariance(seed=0):
     v = rng.integers(dim, size=count)
     s = rng.uniform(0.5, 2.0, size=(count, dim))
     c = rng.uniform(0.0, 2.0, size=(count, dim))
-    white, log_det = _whiten(y, v, s, c)
+    white, denom = _whiten(y, v, s, c)
+    log_det = _log_det(s, denom, v, n)
     unit = fit_params(NormSqSums.of(white), n)
     whitened = -(log_density_from_norm_sq(white, unit).sum(axis=1) + log_det.sum(axis=1))
     direct = np.zeros(count)

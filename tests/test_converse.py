@@ -2,6 +2,7 @@ import sys
 import threading
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -584,8 +585,8 @@ def _eval_chunks(bound, inputs, cfg, trials, chunk=50_000):
         channel = sample_channel(len(inputs), cfg, rng, size=chunk)
         yt, mag, s2 = bound.outputs(xs, channel, None)
         v, s, c, branch = bound.pilot(mag, s2, yt, cfg)
-        white, _ = converse._whiten(yt, v, s, c)
-        log_sq, lin = converse._conditioned_terms(white, mag, s2, v, s, c, cfg)
+        white, denom = converse._whiten(yt, v, s, c)
+        log_sq, lin = converse._conditioned_terms(white, denom, mag, s2, v, s, cfg)
         parts.append((white, v, np.zeros_like(v) if branch is None else branch, log_sq, lin))
     return tuple(np.concatenate(p) for p in zip(*parts))
 
@@ -599,18 +600,23 @@ def _paired_statistics(monkeypatch, inputs, cfg, powers, fading_check=None):
     """duality_bounds on ``inputs`` at ``powers``, and for each point and
     bound, keyed (P, len(names)), the (conditioned, sampled) statistics of
     its evaluation trials: the engine's own and the one that reads the
-    sampled norms' terms, on the same draws and fitted members."""
+    sampled norms' terms, on the same draws and fitted members, both formed
+    by the engine's kernel functions from each chunk's outputs and pilot."""
     stats = {}
     real = converse._PointSums.eval_chunk
 
-    def eval_chunk(acc, white, v, branch, log_det, log_sq, lin, rhs, h_given_x):
+    def eval_chunk(acc, yt, mag, s2, v, s, c, branch):
+        white, denom = converse._whiten(yt, v, s, c)
         group = acc._groups(white, v, branch)
+        log_det = converse._log_det(s, denom, v, acc.cfg.N)
+        log_sq, lin = converse._conditioned_terms(white, denom, mag, s2, v, s, acc.cfg)
+        h_given_x = converse._h_given_x(mag, s2, acc.cfg)
         pair = (acc.statistic(group, log_det, log_sq, lin, h_given_x),
                 acc.statistic(group, log_det, log_norm_sq(white), white, h_given_x))
         stats.setdefault((acc.cfg.P, len(acc.bound.names)), []).append(pair)
         if fading_check:
             fading_check(acc, white, group, log_det, log_sq, lin, h_given_x, pair[0])
-        return real(acc, white, v, branch, log_det, log_sq, lin, rhs, h_given_x)
+        return real(acc, yt, mag, s2, v, s, c, branch)
 
     monkeypatch.setattr(converse._PointSums, "eval_chunk", eval_chunk)
     reports = converse.duality_bounds(*inputs, cfg, powers=powers)
@@ -910,7 +916,9 @@ class TestStreamingEngine:
     def _folded_against_direct(terms):
         """Fit and evaluation chunks of synthetic norms, folded one by one,
         against the bound statistic of all evaluation trials at once with
-        each group's density, read from the chunks' ``terms``."""
+        each group's density, read from the chunks' ``terms``.  Each chunk
+        runs through fit_chunk or eval_chunk with the whitening kernel,
+        ln |det A|^2, the terms, h(Y | X) and the rhs giving its values."""
         cfg = _cfg(t=3, n=4, p=100.0, trials=1_000)
         bound = converse._mac_bound(cfg)  # branched: T <= N
         acc = converse._PointSums.empty(bound, cfg)
@@ -925,12 +933,21 @@ class TestStreamingEngine:
             return (white, rng.integers(0, 3, size=b), rng.integers(0, 3, size=b),
                     rng.normal(size=(b, 3)), log_sq, lin, rng.normal(size=b), rng.normal(size=b))
 
+        def fold(work, white, v, branch, log_det, log_sq, lin, rhs, h_given_x):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(converse, "_whiten", lambda *args: (white, None))
+                mp.setattr(converse, "_log_det", lambda *args: log_det)
+                mp.setattr(converse, "_conditioned_terms", lambda *args: (log_sq, lin))
+                mp.setattr(converse, "_h_given_x", lambda *args: h_given_x)
+                mp.setattr(acc, "bound", replace(bound, rhs=lambda *args: rhs))
+                acc.fold(*work(None, None, None, v, None, None, branch))
+
         for b in (300, 200):
-            acc.rows.fold(acc.fit_chunk(*chunk(b)[:3]))
+            fold(acc.fit_chunk, *chunk(b))
         acc.fit()
         chunks = [chunk(b) for b in (250, 180, 70)]
         for c in chunks:
-            acc.fold_eval(acc.eval_chunk(*c))
+            fold(acc.eval_chunk, *c)
         rep = acc.report()
 
         white, v, br, log_det, log_sq, lin, rhs, h = (np.concatenate(p) for p in zip(*chunks))

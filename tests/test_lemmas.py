@@ -14,11 +14,11 @@ class TestIndividualChecks:
     def test_entropy_shift_detects_a_wrong_whitening(self, monkeypatch):
         # ln |det A|^2 of the (n - 1) scaled directions only: off by ln det
         # of the pilot direction's scale
-        def whiten_without_pilot_direction(yt, v, s, c):
-            white, log_det = converse._whiten(yt, v, s, c)
-            return white, np.where(log_det == 0.0, 0.0, -(yt.shape[1] - 1) * np.log(s))
+        def log_det_without_pilot_direction(s, denom, v, n):
+            log_det = converse._log_det(s, denom, v, n)
+            return np.where(log_det == 0.0, 0.0, -(n - 1) * np.log(s))
 
-        monkeypatch.setattr(lemmas, "_whiten", whiten_without_pilot_direction)
+        monkeypatch.setattr(lemmas, "_log_det", log_det_without_pilot_direction)
         res = lemmas.entropy_shift_invariance(seed=3)
         assert not res["passed"]
         assert res["margin"] > 1e3 * res["slack"]

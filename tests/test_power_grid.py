@@ -83,8 +83,9 @@ def _check_grid(kind, t, n, trials, fading, p_dbs, seed, exponents, workers=1):
 
     grid = _on_threads(workers, duality_bound_single_user, dist, cfg, powers=powers)
     assert len(grid) == len(powers)
-    for got, (d, c) in zip(grid, at):
-        assert _same(got, _on_threads(1, duality_bound_single_user, d, c))
+    single_alone = [_on_threads(1, duality_bound_single_user, d, c) for d, c in at]
+    for got, alone in zip(grid, single_alone):
+        assert _same(got, alone)
 
     grid = _on_threads(workers, duality_bound_mac_user1, dist, dist, cfg, powers=powers)
     both = _on_threads(workers, duality_bounds, dist, dist, cfg, powers=powers)
@@ -94,10 +95,10 @@ def _check_grid(kind, t, n, trials, fading, p_dbs, seed, exponents, workers=1):
     else:
         single, mac = both
         assert len(single) == len(mac) == len(powers)
-        for got, got_single, got_mac, (d, c) in zip(grid, single, mac, at):
+        for got, got_single, got_mac, (d, c), su in zip(grid, single, mac, at, single_alone):
             alone = _on_threads(1, duality_bound_mac_user1, d, d, c)
             assert _same(got, alone) and _same(got_mac, alone)
-            assert _same(got_single, _on_threads(1, duality_bound_single_user, d, c))
+            assert _same(got_single, su)
 
     for rates in (single_user_training_rate, mac_training_rates):
         grid = _call(rates, cfg, powers=powers)
@@ -144,8 +145,10 @@ def test_shared_draws_are_counted_once(monkeypatch, kind):
     # noise of every chunk of both streams, whatever the input law; an
     # untruncated law's P-free input draw is made once per chunk, whatever
     # the grid length, a truncated law's inputs once per point; no chunk is
-    # drawn twice.  The fit pass whitens only: ln |det A|^2 (_whiten),
-    # h(Y | X) and the right-hand sides come from the evaluation chunks
+    # drawn twice.  Both passes whiten every chunk of every point and
+    # bound through the one kernel (_whiten); the fit pass takes no log:
+    # ln |det A|^2 (_log_det), h(Y | X) and the right-hand sides come
+    # from the evaluation chunks
     calls = Counter()
 
     def count(owner, name, key):
@@ -156,7 +159,8 @@ def test_shared_draws_are_counted_once(monkeypatch, kind):
     count(converse, "sample_channel", "channel")
     count(InputDistribution, "draw", "draw")
     count(channel, "sample_inputs", "point")
-    count(converse, "_whiten", "log_det")
+    count(converse, "_whiten", "whiten")
+    count(converse, "_log_det", "log_det")
     count(converse, "_h_given_x", "h_given_x")
     for rhs in ("_single_user_rhs", "_mac_high_t_rhs", "_mac_low_t_rhs"):
         count(converse, rhs, "rhs")
@@ -174,6 +178,7 @@ def test_shared_draws_are_counted_once(monkeypatch, kind):
                 assert calls["point"] == len(powers) * chunks
             else:
                 assert calls["draw"] == users * chunks and calls["point"] == 0
+            assert calls["whiten"] == len(powers) * bounds * chunks
             for key in ("log_det", "h_given_x", "rhs"):
                 assert calls[key] == len(powers) * bounds * evaluation
 

@@ -54,10 +54,12 @@ def _exp_norm():
     lambda: truncate_to_peak(_exp_norm(), math.nan, 1.5, np.random.default_rng(0)),
     lambda: truncate_to_peak(_exp_norm(), 100.0, math.nan, np.random.default_rng(0)),
     lambda: truncate_to_peak(_exp_norm(), 100.0, math.inf, np.random.default_rng(0)),
+    lambda: truncate_to_peak(_exp_norm(), 1e200, 2.0, np.random.default_rng(0)),
     lambda: lemmas.truncation_markov_bound(seed=1.5),
 ], ids=["training_T", "bound_T", "bound_N", "bound_trials", "bound_seed", "input_T",
         "mixture_trials", "knn_samples", "truncate_negative_P", "truncate_zero_P",
-        "truncate_nan_P", "truncate_nan_beta", "truncate_inf_beta", "lemma_seed"])
+        "truncate_nan_P", "truncate_nan_beta", "truncate_inf_beta", "truncate_overflow_P_beta",
+        "lemma_seed"])
 def test_bad_count_or_power_raises_invalid_param(call):
     with pytest.raises(InvalidParam):
         call()
