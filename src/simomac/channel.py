@@ -35,6 +35,14 @@ FADING_ENTROPY_DEFICIT = {"iid_complex_gaussian": 0.0, "iid_uniform_annulus": (
 P_MAX = 1e15
 
 
+def _finite(value):
+    """Whether |value| is a finite float: False past the float range or for a non-number."""
+    try:
+        return math.isfinite(abs(value))
+    except (OverflowError, TypeError):
+        return False
+
+
 @dataclass
 class ChannelConfig:
     """Static description of one simulated channel."""
@@ -52,8 +60,8 @@ class ChannelConfig:
         if not self.P > 0:
             raise InvalidParam(f"P must be finite and positive, got {self.P}")
         if not self.P < P_MAX:
-            raise InvalidParam(f"P = {self.P:.4g} is out of range: from {P_MAX:g} (150 dB) "
-                               "on, the whitened norms of the duality bounds keep no "
+            raise InvalidParam(f"P = {10 * math.log10(self.P):.4g} dB is out of range: from "
+                               "150 dB on, the whitened norms of the duality bounds keep no "
                                "correct digit (cancellation)")
         if self.fading_kind not in FADING_KINDS:
             raise InvalidParam(f"unknown fading kind {self.fading_kind!r}")
@@ -226,18 +234,18 @@ class InputDistribution:
         if self.kind not in INPUT_KINDS:
             raise InvalidParam(f"unknown input kind {self.kind!r}")
         (self.T,) = counts("T", self.T)
-        if not (math.isfinite(self.P) and self.P > 0):
+        if not (_finite(self.P) and self.P > 0):
             raise InvalidParam(f"P must be finite and positive, got {self.P}")
         key = {"deterministic_point": "x", "exponent_profile_peak": "exponents"}.get(self.kind)
         if key is not None:
-            entries = np.asarray(self.params.get(key, ()))
-            if entries.shape != (self.T,) or not np.isfinite(entries).all():
+            entries = self.params.get(key, ())
+            if np.shape(entries) != (self.T,) or not all(map(_finite, entries)):
                 raise InvalidParam(f"{self.kind} needs params[{key!r}] of T = {self.T} "
                                    "finite entries")
         if self.kind == "pilot_data_product":
             for key in ("pilot_power", "data_power"):
                 power = self.params.get(key, self.P)
-                if not (math.isfinite(power) and power >= 0):
+                if not (_finite(power) and power >= 0):
                     raise InvalidParam(f"params[{key!r}] must be finite and >= 0, got {power}")
 
     def draw(self, rng, size):
@@ -324,7 +332,7 @@ def truncate_to_peak(dist, P, beta, rng, trials=100_000):
     Raises InvalidParam unless P > 0 and beta > 1 are finite, P^beta is a
     finite float, and trials >= 1 an integer.
     """
-    if not (math.isfinite(P) and math.isfinite(beta) and P > 0 and beta > 1.0):
+    if not (_finite(P) and _finite(beta) and P > 0 and beta > 1.0):
         raise InvalidParam(f"need a finite P > 0 and beta > 1, got P = {P}, beta = {beta}")
     (trials,) = counts("trials", trials)
     try:

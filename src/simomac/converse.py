@@ -2,28 +2,26 @@
 the two-user MAC.
 
 All rate quantities are bits per channel use.  Each bound is a genie
-shape of three plain functions (:class:`_Bound`), and the bounds and MI
-oracles share one h(Y | X) (:func:`_h_given_x`).  The duality bounds
-draw and whiten their Monte-Carlo trials in fixed-size chunks from
-streams of their own, the fading and noise once for every power and both
-bounds, the inputs once for every power unless their law is truncated,
-and run the chunks on every CPU the process may use; each chunk's sums
-are folded in chunk order, so the results do not depend on the CPU
-count.  Half the trials fit the auxiliary-output parameters (alpha,
-beta per branch and slot category) in a first pass that keeps only the
-:class:`~simomac.auxdist.NormSqSums` of the whitened norms; the other
-half, drawn from a stream of their own, evaluate the bound against
-those fixed parameters in a second pass that alone forms ln |det A|^2,
-h(Y | X) and the analytic right-hand side, and keeps only plain sums
-(:class:`_PointSums`); both passes whiten through one kernel
-(:func:`_whiten`).  So there is no fitting bias, and memory does not
-grow with the trial count.  Under Gaussian fading the evaluated
-statistic is Rao-Blackwellised (:func:`_conditioned_terms`): the pilot
-slot's terms of -ln q(Y) are replaced by their means given X, and each
-other slot's ||w_t||^2 by its mean given X and the pilot output, so the
-bound keeps its mean at a smaller standard error.  All double-log
-remainder terms are carried explicitly in the returned reports with the
-calibrated constants from :mod:`simomac.auxdist`.
+shape of three plain functions (:class:`_Bound`) on one row model: the
+slot levels s (:func:`_slot_levels`), built once per chunk, and one
+h(Y | X) (:func:`_h_given_x`), which the MI oracles share.  The duality
+bounds draw their Monte-Carlo trials in fixed-size chunks, the fading
+and noise once for every power and both bounds, the inputs once for
+every power unless their law is truncated, and run the chunks on every
+CPU the process may use, folding each chunk's sums in chunk order, so
+the results do not depend on the CPU count.  Half the trials fit the
+auxiliary-output parameters (alpha, beta per branch and slot category)
+on sums of the whitened norms (:class:`~simomac.auxdist.NormSqSums`);
+the other half, a stream of their own, evaluate the bound against those
+fixed parameters and keep only plain sums (:class:`_PointSums`); both
+passes whiten through one kernel (:func:`_whiten`).  So there is no
+fitting bias, and memory does not grow with the trial count.  Under
+Gaussian fading the evaluated statistic is Rao-Blackwellised
+(:func:`_conditioned_terms`): the pilot slot's terms of -ln q(Y) are
+replaced by their means given X, and each other slot's ||w_t||^2 by its
+mean given X and the pilot output, so the bound keeps its mean at a
+smaller standard error.  The double-log remainder terms are carried in
+the reports with the calibrated constants of :mod:`simomac.auxdist`.
 """
 
 from collections.abc import Callable
@@ -138,6 +136,16 @@ def _chunk_seed(cfg, stream, i):
     return np.random.SeedSequence((cfg.seed, 0), spawn_key=(stream, i))
 
 
+def _slot_levels(mag, s2):
+    """(B, T) slot levels s_t = 1 + s2 [t = T] from the (mag, s2) of
+    :func:`_log2_det`: noise plus the rotated interferer, which lands in
+    the last slot.  Every genie whitens with these scales s."""
+    b, t = mag.shape
+    s = np.ones((b, t))
+    s[:, -1] = 1.0 + s2
+    return s
+
+
 def _whiten(yt, v, s, c):
     """Squared whitened norms ||A y_i||^2 and the scales s + c ||y_v||^2 of
     the pilot direction, each (B, T).
@@ -145,8 +153,8 @@ def _whiten(yt, v, s, c):
     yt: (B, N, T) outputs (rotated for the MAC); v: (B,) pilot slot; s, c:
     (B, T) whitening scales, c possibly a scalar, non-pilot slot i being
     whitened by A = (s_i I + c_i y_v y_v^H)^{-1/2} and the pilot slot left
-    as is.  The fit pass reads the norms only.
-    Each row depends on its own trial only, so chunks whiten independently.
+    as is.  Each row depends on its own trial only, so chunks whiten
+    independently.
     """
     rows = np.arange(len(v))
     y_v = yt[rows, :, v]
@@ -160,29 +168,33 @@ def _whiten(yt, v, s, c):
 
 def _log_det(s, denom, v, n):
     """(B, T) ln |det A|^2 of the maps A on C^n of :func:`_whiten`, from
-    its scales s and denom = s + c ||y_v||^2; 0 at the pilot slot."""
-    log_det = -((n - 1) * np.log(s) + np.log(denom))
+    its scales s and denom = s + c ||y_v||^2; 0 at the pilot slot.  It is
+    formed in denom's own buffer, so denom is used up: read it before."""
+    log_s = np.log(s)
+    log_s *= n - 1
+    log_det = np.log(denom, out=denom)
+    log_det += log_s
+    np.negative(log_det, out=log_det)
     log_det[np.arange(len(v)), v] = 0.0
     return log_det
 
 
-def _residual_variance(mag, s2, v):
+def _residual_variance(mag, s, v):
     """(B, T) variance sigma_t^2 = K_tt - |K_tv|^2 / K_vv of a row's slot-t
     entry given its pilot entry y_v, under Gaussian fading, and the (B,)
     pilot variance K_vv.
 
-    Each row of Y given X is CN(0, K), K_tt = 1 + mag_t + s2 [t = T] and
-    |K_tv|^2 = mag_t mag_v, from the (mag, s2) of :func:`_log2_det`.  The
-    difference is written as the sum of non-negative terms
-    1 + s2 [t = T] + mag_t (1 + s2 [v = T]) / K_vv, so no digits cancel at
-    high power.
+    Each row of Y given X is CN(0, K), K_tt = mag_t + s_t and
+    |K_tv|^2 = mag_t mag_v, from mag and the slot levels s.  The
+    difference is the sum of non-negative terms s_t + mag_t s_v / K_vv,
+    so no digits cancel at high power.
     """
     b, t = mag.shape
-    interference = (v == t - 1) * s2  # s2 [v = T]: the pilot's own interference
-    k_vv = 1.0 + np.take(mag, np.arange(b) * t + v) + interference
-    sigma2 = mag * ((1.0 + interference) / k_vv)[:, None]
-    sigma2 += 1.0
-    sigma2[:, -1] += s2
+    pilot = np.arange(b) * t + v
+    s_v = np.take(s, pilot)
+    k_vv = np.take(mag, pilot) + s_v
+    sigma2 = mag * (s_v / k_vv)[:, None]
+    sigma2 += s
     return sigma2, k_vv
 
 
@@ -192,11 +204,11 @@ def _digamma(n):
     return -np.euler_gamma + sum(1.0 / k for k in range(1, n))
 
 
-def _conditioned_terms(white, denom, mag, s2, v, s, cfg):
+def _conditioned_terms(white, denom, mag, v, s, cfg):
     """(B, T) terms ln ||w_t||^2 and ||w_t||^2 that -ln q(Y) reads
     (:func:`~simomac.auxdist.radial_log_density`), Rao-Blackwellised under
-    Gaussian fading, from the norms ``white`` and scales
-    ``denom`` = s + c ||y_v||^2 of :func:`_whiten`.
+    Gaussian fading, from the norms ``white`` and scales (read, not
+    changed) ``denom`` = s + c ||y_v||^2 of :func:`_whiten`.
 
     Given X, the pilot's ||y_v||^2 is K_vv Gamma(N, 1), so its two terms
     become their means ln K_vv + psi(N) and N K_vv.  Given (X, y_v), slot
@@ -215,7 +227,7 @@ def _conditioned_terms(white, denom, mag, s2, v, s, cfg):
         return log_norm_sq(white), white
     n, (b, t) = cfg.N, white.shape
     pilot = np.arange(b) * t + v  # flat index of each trial's pilot slot
-    sigma2, k_vv = _residual_variance(mag, s2, v)
+    sigma2, k_vv = _residual_variance(mag, s, v)
     nv2 = np.take(white, pilot)
     lin = mag * (np.take(mag, pilot) * nv2 / k_vv**2)[:, None]  # |K_tv / K_vv|^2 ||y_v||^2
     lin += sigma2
@@ -240,16 +252,14 @@ def _categories(v, t, n_names):
 class _PointSums:
     """What one power point of one streamed bound keeps over all chunks.
 
-    ``rows`` is the point's one :class:`~simomac.auxdist.NormSqSums`
-    table, one group per (branch, category): the fit pass folds its
-    chunks' sums in, :meth:`fit` reads them and sets ``members`` (one
-    (label, fitted member or fit error, pool: None, "branches" or
-    "nonpilot") per group), and the evaluation pass then folds its own
-    sums in, so that :meth:`report` sees every group seen in either
-    stream.  The evaluation pass also keeps the count, mean and M2 of the
-    bound statistic, its trials per branch and the sum of rhs - h(Y | X)
-    over its trials.  Chunks are folded in in chunk order, so nothing
-    grows with the trial count.
+    ``rows`` is one :class:`~simomac.auxdist.NormSqSums` table, one group
+    per (branch, category): both passes fold their chunks' sums in, and
+    between them :meth:`fit` sets ``members``, one (label, fitted member or
+    fit error, pool: None, "branches" or "nonpilot") per group, so that
+    :meth:`report` sees every group seen in either stream.  The evaluation
+    pass also keeps the count, mean and M2 of the bound statistic, its
+    trials per branch and the sum of rhs - h(Y | X).  Chunks are folded in
+    chunk order, so nothing grows with the trial count.
     """
 
     bound: "_Bound"
@@ -263,16 +273,14 @@ class _PointSums:
 
     @classmethod
     def empty(cls, bound, cfg):
-        shape = (3 if bound.branched else 1, len(bound.names))
-        return cls(bound, cfg, NormSqSums.of(np.empty(0), shape=shape),
-                   np.zeros(shape[0], dtype=np.int64))
+        rows = NormSqSums.of(np.empty(0), shape=(bound.branches, len(bound.names)))
+        return cls(bound, cfg, rows, np.zeros(bound.branches, dtype=np.int64))
 
     def _groups(self, white, v, branch):
         """(B, T) aux group per slot, branch * categories + category."""
         n_names = len(self.bound.names)
         group = _categories(v, white.shape[1], n_names)
-        if branch is not None:
-            group += n_names * branch[:, None]
+        group += n_names * branch[:, None]
         return group
 
     def fit_chunk(self, yt, mag, s2, v, s, c, branch):
@@ -290,13 +298,13 @@ class _PointSums:
         branch 0 has a middle slot) on the sums of every non-pilot group
         ("nonpilot").  A failed fit is kept, to be raised if the group is
         seen at all."""
-        n, names = self.cfg.N, self.bound.names
+        n, names, branched = self.cfg.N, self.bound.names, self.bound.branches > 1
         table = []
         for br, c in np.ndindex(self.rows.count.shape):
-            label = f"branch{br}/{names[c]}" if self.bound.branched else names[c]
+            label = f"branch{br}/{names[c]}" if branched else names[c]
             own = self.rows.pooled((br, c))
             pools = [((br, c), None)]
-            if self.bound.branched and (own.count < 100 or own.total / own.count <= 1.0):
+            if branched and (own.count < 100 or own.total / own.count <= 1.0):
                 pools = [(np.s_[:, c], "branches")]
                 if c > 0:
                     pools.append((np.s_[:, 1:], "nonpilot"))
@@ -327,10 +335,10 @@ class _PointSums:
         white, denom = _whiten(yt, v, s, c)
         group = self._groups(white, v, branch)
         rows = NormSqSums.of(white, group, self.rows.count.shape)
-        log_sq, lin = _conditioned_terms(white, denom, mag, s2, v, s, self.cfg)
+        log_sq, lin = _conditioned_terms(white, denom, mag, v, s, self.cfg)
         h_given_x = _h_given_x(mag, s2, self.cfg)
         stat = self.statistic(group, _log_det(s, denom, v, self.cfg.N), log_sq, lin, h_given_x)
-        trials = len(stat) if branch is None else np.bincount(branch, minlength=3)
+        trials = np.bincount(branch, minlength=self.bound.branches)
         rhs_gap = (self.bound.rhs(mag, s2, v, branch, self.cfg) - h_given_x).sum()
         return rows, moments_of(stat), trials, rhs_gap
 
@@ -365,7 +373,7 @@ class _PointSums:
         value, std_error = mean_and_std_error(self.moments)
         components = {"analytic_rhs_value": float((self.rhs_gap + n * cost) / n / t),
                       "eval_trials": int(n), "fitted": fitted}
-        if self.bound.branched:
+        if self.bound.branches > 1:
             components["branch_counts"] = {k: int(m) for k, m in enumerate(self.branch_trials)}
             components["nonpilot_pooled_fit"] = pooled["nonpilot"]
         components["pooled_fit"] = pooled["branches"]
@@ -384,15 +392,15 @@ class _PointSums:
 
 @dataclass(frozen=True)
 class _Bound:
-    """One duality bound of a streamed pass: its genie shape as plain
-    functions.
+    """One duality bound of a streamed pass: its genie shape as functions.
 
     ``outputs(xs, channel, out)`` maps one chunk's inputs and
     :func:`sample_channel` draw to (yt, mag, s2): the outputs to whiten,
     built in the thread's (chunk, N, T) buffer ``out``, and the (mag, s2)
-    of :func:`_log2_det`.  ``pilot(mag, s2, yt, cfg)`` gives the pilot
-    slot and whitening scales of :func:`_whiten` and the aux branch (None
-    when unbranched): (v, s, c, branch), which with (yt, mag, s2) is what
+    of :func:`_log2_det`.  ``pilot(mag, s, yt, cfg)`` reads the slot
+    levels s of :func:`_slot_levels`, the scales s of :func:`_whiten`, and
+    gives the pilot slot, the scale c and each trial's aux branch below
+    ``branches``: (v, c, branch), which with (yt, mag, s2, s) is what
     :class:`_PointSums` takes per chunk.  ``rhs(mag, s2, v, branch, cfg)``
     gives the analytic right-hand side.  ``names`` labels the aux categories.
     """
@@ -402,7 +410,7 @@ class _Bound:
     rhs: Callable
     names: tuple
     genie_cost: float
-    branched: bool = False
+    branches: int = 1
 
 
 def _streamed_bounds(points, bounds):
@@ -411,34 +419,27 @@ def _streamed_bounds(points, bounds):
 
     The trials form two streams (:func:`_trial_chunks`): ceil(trials / 2)
     fit the aux members, the other floor(trials / 2) evaluate the bound.
-    Each stream is drawn chunk by chunk, the chunks spread over the CPUs
-    by :func:`~simomac.linalg.run_chunks`, in two passes: the fit pass
-    folds each chunk's sums of the whitened norms into running totals in
-    chunk order, every member is then fitted once, and the evaluation
-    pass does the same with the moments of the bound statistic
-    (:class:`_PointSums`).  No trial is drawn twice, and memory does not
-    grow with the trial count.  For each point and bound, a chunk builds
-    the outputs, takes the pilot and hands both to the point's _PointSums.
-    Both passes whiten through :func:`_whiten`; the fit pass takes no
-    logarithm, and only the evaluation pass forms ln |det A|^2
-    (:func:`_log_det`) and the terms of -ln q(Y) (:func:`_conditioned_terms`)
-    from the kernel's scales, the analytic right-hand side (the bound's
-    ``rhs``) and h(Y | X) (:func:`_h_given_x`).
+    Each stream is one pass of chunks over the CPUs
+    (:func:`~simomac.linalg.run_chunks`), folded in chunk order into each
+    point's :class:`_PointSums`: the fit pass folds sums of the whitened
+    norms, every member is then fitted once, and the evaluation pass folds
+    the moments of the bound statistic.  No trial is drawn twice, and
+    memory does not grow with the trial count.  For each point and bound,
+    a chunk builds the outputs, their slot levels (:func:`_slot_levels`)
+    and the pilot, and hands them to the point's _PointSums.
 
-    Each chunk draws its channel once, for every point and every bound,
-    from a generator on the first child of the chunk's seed
-    (:func:`_chunk_seed`), in the order h1, Z, h2 of
-    :func:`sample_channel`: a pass with one user draws exactly the first
-    two.  Its inputs (x1 first) come from :func:`sample_point_inputs` on
-    the chunk's seed: each user's P-free draw once for the whole grid,
-    mapped to every point's P, or for truncated laws a fresh draw per
-    point.  Either way every point sees the draws of a call of its own,
-    and every bound of a point sees the same draws as a pass for that
-    bound alone.  Each thread draws the noise, whose normal deviates pass
-    through the Y buffer, and builds each bound's outputs in turn in two
-    (chunk, N, T) buffers of its own, reused from chunk to chunk and
-    bound to bound, so their memory is not faulted in afresh.  The
-    whitening's arrays end with the _PointSums call of one bound.
+    Each chunk draws its channel once, for every point and bound, from a
+    generator on the first child of the chunk's seed (:func:`_chunk_seed`),
+    in the order h1, Z, h2 of :func:`sample_channel`: a pass with one user
+    draws exactly the first two.  Its inputs (x1 first) come from
+    :func:`sample_point_inputs` on the chunk's seed: each user's P-free
+    draw once for the grid, mapped to every point's P, or for truncated
+    laws a fresh draw per point.  So every point, and every bound of a
+    point, sees the draws of a call of its own.  Each thread draws the
+    noise, whose normal deviates pass through the Y buffer, and builds
+    each bound's outputs in turn in two (chunk, N, T) buffers of its own,
+    reused from chunk to chunk and bound to bound, so their memory is not
+    faulted in afresh.
     """
     inputs0, cfg0 = points[0]
     if cfg0.trials < 2:
@@ -467,7 +468,8 @@ def _streamed_bounds(points, bounds):
         for (_, cfg), point_sums, xs in zip(points, sums, sample_point_inputs(points, seed, b)):
             for bound, acc in zip(bounds, point_sums):
                 yt, mag, s2 = bound.outputs(xs, channel, y_buf)
-                v, s, c, branch = bound.pilot(mag, s2, yt, cfg)
+                s = _slot_levels(mag, s2)
+                v, c, branch = bound.pilot(mag, s, yt, cfg)
                 chunk = acc.eval_chunk if stream else acc.fit_chunk
                 results.append((acc, chunk(yt, mag, s2, v, s, c, branch)))
         return results
@@ -500,27 +502,20 @@ def _user1_outputs(xs, channel, out):
     return superpose(xs[:1], channel, out=out), abs_sq(xs[0]), 0.0
 
 
-def _strongest_pilot(mag, s2, yt, cfg, slots):
-    """The pilot v, the strongest of the first ``slots`` slots; the last
-    slot's scale 1 + s2, interference plus noise (1 for user 1 alone).
-    Returns (v, s, c = 1, branch=None)."""
-    b, _, t = yt.shape
+def _strongest_pilot(mag, s, yt, cfg, slots):
+    """The pilot v, the strongest of the first ``slots`` slots, whitened
+    with the slot levels and c = 1: (v, c = 1, branch = 0), one branch."""
     v = np.argmax(mag[:, :slots], axis=1)
-    s = np.ones((b, t))
-    s[:, -1] = 1.0 + s2
-    return v, s, 1.0, None
+    return v, 1.0, np.zeros_like(v)
 
 
 def _single_user_rhs(mag, s2, v, branch, cfg):
-    """The Proposition right-hand side of user 1 alone with pilot slot v
-    (s2 = 0 and ``branch`` unused)."""
-    n, t = cfg.N, cfg.T
+    """The Proposition right-hand side of user 1 alone on mag's t slots
+    with pilot slot v (s2 and ``branch`` unused)."""
+    n, t = cfg.N, mag.shape[1]
     xv2 = mag[np.arange(v.size), v]
-    off = np.arange(t) != v[:, None]
-    ratios = mag / (1.0 + xv2)[:, None]
-    return (n + t - 1) * np.log2(1.0 + xv2) + n * np.where(
-        off, np.log2(1.0 + ratios), 0.0
-    ).sum(axis=1)
+    off = np.where(np.arange(t) != v[:, None], np.log2(1.0 + mag / (1.0 + xv2)[:, None]), 0.0)
+    return (n + t - 1) * np.log2(1.0 + xv2) + n * off.sum(axis=1)
 
 
 def _single_user_bound(slots):
@@ -556,38 +551,33 @@ MAC_CATEGORIES = ("pilot", "middle", "last")
 
 def _mac_high_t_rhs(mag, s2, v, branch, cfg):
     """The analytic right-hand side of the (T-1)-slot genie of the T >= N+1
-    regime on the same samples (``branch`` unused)."""
-    n, t = cfg.N, cfg.T
-    mv = mag[np.arange(v.size), v]
-    head_ratios = mag[:, : t - 1] / (1.0 + mv)[:, None]
-    head_mask = np.arange(t - 1) != v[:, None]
+    regime on the same samples: the single-user Proposition on the first
+    T - 1 slots plus the interferer's three terms (``branch`` unused)."""
+    n, mv = cfg.N, mag[np.arange(v.size), v]
     return (
-        (n + t - 2) * np.log2(1.0 + mv)
-        + n * np.where(head_mask, np.log2(1.0 + head_ratios), 0.0).sum(axis=1)
+        _single_user_rhs(mag[:, :-1], s2, v, branch, cfg)
         + n * np.log2(1.0 + s2)
         + np.log2(1.0 + mv / (1.0 + s2))
         + n * np.log2(1.0 + mag[:, -1] / (1.0 + s2 + mv))
     )
 
 
-def _mac_low_t(mag, s2, yt, cfg):
+def _mac_low_t(mag, s, yt, cfg):
     """(V, U)-genie for the T <= N regime with the three aux branches:
-    0 when the pilot is the last slot, 1 otherwise, 2 when moreover the
-    last entry dominates everything.  Returns (v, s, c, branch)."""
+    0 when the pilot (largest mag / s) is the last slot, 1 otherwise, 2
+    when moreover the last entry dominates everything.  Returns (v, c,
+    branch), c = 1 / s_v but P / ||y_v||^2 at the last slot in branch 2."""
     b, _, t = yt.shape
-    sigma = np.ones((b, t))
-    sigma[:, -1] = 1.0 + s2
-    v = np.argmax(mag / sigma, axis=1)
+    v = np.argmax(mag / s, axis=1)
     head_max = mag[:, : t - 1].max(axis=1)
-    u = mag[:, -1] >= np.maximum(head_max, 1.0 + s2)
+    u = mag[:, -1] >= np.maximum(head_max, s[:, -1])
     branch = np.where(v == t - 1, 0, np.where(u, 2, 1))
 
     rows = np.arange(b)
-    c = np.repeat(1.0 / sigma[rows, v][:, None], t, axis=1)
-    # branch 2 rescales the pilot direction by P / ||Y_v||^2
+    c = np.repeat(1.0 / s[rows, v][:, None], t, axis=1)
     nv2 = norm_sq(yt[rows, :, v])
     c[:, -1] = np.where(branch == 2, cfg.P / np.maximum(nv2, 1e-300), c[:, -1])
-    return v, sigma, c, branch
+    return v, c, branch
 
 
 def _mac_low_t_rhs(mag, s2, v, branch, cfg):
@@ -639,7 +629,7 @@ def _mac_bound(cfg):
         return _Bound(_rotated_mac_outputs, partial(_strongest_pilot, slots=t - 1),
                       _mac_high_t_rhs, MAC_CATEGORIES, np.log2(t - 1))
     return _Bound(_rotated_mac_outputs, _mac_low_t, _mac_low_t_rhs, MAC_CATEGORIES,
-                  np.log2(2 * t), branched=True)
+                  np.log2(2 * t), branches=3)
 
 
 def duality_bound_mac_user1(input1, input2, cfg, *, powers=None):

@@ -57,7 +57,8 @@ def _pilot(x, slots=None):
     x = np.atleast_2d(np.asarray(x, dtype=complex))
     channel = _silent_channel(len(x), 2, x.shape[1], 1)
     yt, mag, s2 = _user1_outputs([x], channel, None)
-    return _strongest_pilot(mag, s2, yt, _cfg(t=x.shape[1]), slots or x.shape[1])[0]
+    s = converse._slot_levels(mag, s2)
+    return _strongest_pilot(mag, s, yt, _cfg(t=x.shape[1]), slots or x.shape[1])[0]
 
 
 def _single_user_on_slots(input_dist, cfg, slots):
@@ -78,9 +79,9 @@ def _iso(cfg):
     return InputDistribution(kind="isotropic_peak", T=cfg.T, P=cfg.P)
 
 
-def _mac_high_t(mag, s2, yt, cfg):
+def _mac_high_t(mag, s, yt, cfg):
     """The pilot rule of the T >= N+1 genie: the strongest of the first T - 1 slots."""
-    return _strongest_pilot(mag, s2, yt, cfg, cfg.T - 1)
+    return _strongest_pilot(mag, s, yt, cfg, cfg.T - 1)
 
 
 _MAC_RHS = {_mac_high_t: _mac_high_t_rhs, _mac_low_t: _mac_low_t_rhs}
@@ -92,7 +93,8 @@ def _mac_engine(engine, mag, s2, t, n=2, p=100.0):
     s2 = ||x2||^2."""
     yt = np.zeros((1, n, t), dtype=complex)
     mag, s2, cfg = np.array([mag], dtype=float), np.array([s2]), _cfg(t=t, n=n, p=p)
-    v, s, c, branch = engine(mag, s2, yt, cfg)
+    s = converse._slot_levels(mag, s2)
+    v, c, branch = engine(mag, s, yt, cfg)
     return v, s, c, _MAC_RHS[engine](mag, s2, v, branch, cfg), branch
 
 
@@ -102,7 +104,7 @@ def _mac_chunk(x1, x2, fading="iid_complex_gaussian", n=2):
     channel = _silent_channel(1, n, x1.shape[1], 2)
     cfg = _cfg(t=x1.shape[1], n=n, fading=fading)
     yt, mag, s2 = _rotated_mac_outputs([x1, x2], channel, None)
-    v, _, _, branch = _mac_high_t(mag, s2, yt, cfg)
+    v, _, branch = _mac_high_t(mag, converse._slot_levels(mag, s2), yt, cfg)
     rhs = _mac_high_t_rhs(mag, s2, v, branch, cfg)
     return rhs[0], _h_given_x(mag, s2, cfg)[0], _log2_det(mag, s2)[0]
 
@@ -123,7 +125,7 @@ class TestGenieIndices:
 
     def test_mac_high_t_skips_last_slot(self):
         v, *_, branch = _mac_engine(_mac_high_t, [1.0, 25.0, 100.0], 0.0, t=3)
-        assert v == [1] and branch is None
+        assert v == [1] and branch == [0]  # the one branch
 
     def test_mac_low_t_sigma_weights(self):
         # sigma^2 = (1, 1, 4): ratios (1, 1, 2.5) -> last slot, branch 0
@@ -385,7 +387,8 @@ class TestEvalG:
         rng = np.random.default_rng(8)
         mag, s2 = rng.exponential(5.0, size=(300, 3)), rng.exponential(2.0, size=300)
         cfg = _cfg(t=3, p=10.0)
-        v, *_, branch = _mac_low_t(mag, s2, np.zeros((300, 2, 3), dtype=complex), cfg)
+        v, *_, branch = _mac_low_t(mag, converse._slot_levels(mag, s2),
+                                   np.zeros((300, 2, 3), dtype=complex), cfg)
         rhs = _mac_low_t_rhs(mag, s2, v, branch, cfg)
         assert set(branch) == {0, 1, 2}
         single = [_mac_engine(_mac_low_t, m, s, t=3, p=10.0)[3][0] for m, s in zip(mag, s2)]
@@ -455,9 +458,9 @@ class TestMacBound:
                     continue
                 bound = converse._mac_bound(cfg)
                 if regime_objective(t, n) == "f_exponent":
-                    assert bound.genie_cost == np.log2(t - 1) and not bound.branched
+                    assert bound.genie_cost == np.log2(t - 1) and bound.branches == 1
                 else:
-                    assert bound.genie_cost == np.log2(2 * t) and bound.branched
+                    assert bound.genie_cost == np.log2(2 * t) and bound.branches == 3
 
     def test_genie_costs(self):
         cfg = _cfg(t=4, n=2, trials=20_000)
@@ -584,10 +587,11 @@ def _eval_chunks(bound, inputs, cfg, trials, chunk=50_000):
         xs = sample_inputs(inputs, cfg, rng, size=chunk)
         channel = sample_channel(len(inputs), cfg, rng, size=chunk)
         yt, mag, s2 = bound.outputs(xs, channel, None)
-        v, s, c, branch = bound.pilot(mag, s2, yt, cfg)
+        s = converse._slot_levels(mag, s2)
+        v, c, branch = bound.pilot(mag, s, yt, cfg)
         white, denom = converse._whiten(yt, v, s, c)
-        log_sq, lin = converse._conditioned_terms(white, denom, mag, s2, v, s, cfg)
-        parts.append((white, v, np.zeros_like(v) if branch is None else branch, log_sq, lin))
+        log_sq, lin = converse._conditioned_terms(white, denom, mag, v, s, cfg)
+        parts.append((white, v, branch, log_sq, lin))
     return tuple(np.concatenate(p) for p in zip(*parts))
 
 
@@ -608,8 +612,8 @@ def _paired_statistics(monkeypatch, inputs, cfg, powers, fading_check=None):
     def eval_chunk(acc, yt, mag, s2, v, s, c, branch):
         white, denom = converse._whiten(yt, v, s, c)
         group = acc._groups(white, v, branch)
+        log_sq, lin = converse._conditioned_terms(white, denom, mag, v, s, acc.cfg)
         log_det = converse._log_det(s, denom, v, acc.cfg.N)
-        log_sq, lin = converse._conditioned_terms(white, denom, mag, s2, v, s, acc.cfg)
         h_given_x = converse._h_given_x(mag, s2, acc.cfg)
         pair = (acc.statistic(group, log_det, log_sq, lin, h_given_x),
                 acc.statistic(group, log_det, log_norm_sq(white), white, h_given_x))
@@ -705,7 +709,7 @@ class TestConditionedStatistic:
         mag = abs_sq(x1) / t
         s2 = p * rng.uniform(0.5, 2.0, size=b) if interferer else 0.0
         v = np.arange(b) % t  # the pilot on the last, interfered slot too
-        sigma2, k_vv = converse._residual_variance(mag, s2, v)
+        sigma2, k_vv = converse._residual_variance(mag, converse._slot_levels(mag, s2), v)
         s2s = np.broadcast_to(s2, (b,))
         with mpmath.workdps(60):
             for i in range(b):
@@ -982,6 +986,21 @@ class TestStreamingEngine:
                  for i in range(0, b, 100)]
         for k in range(2):
             assert np.array_equal(whole[k], np.concatenate([p[k] for p in parts]))
+
+    def test_log_det_uses_denom_up(self):
+        # ln |det A|^2 is formed in the buffer of the kernel's scales denom,
+        # with the values of -((n - 1) ln s + ln denom), bit for bit
+        rng = np.random.default_rng(9)
+        b, n, t = 200, 3, 4
+        yt = sample_complex_gaussian(t, rng, size=(b, n))
+        v = rng.integers(0, t, size=b)
+        s, c = 1.0 + rng.uniform(size=(b, t)), rng.uniform(size=(b, t))
+        _, denom = converse._whiten(yt, v, s, c)
+        direct = -((n - 1) * np.log(s) + np.log(denom))
+        direct[np.arange(b), v] = 0.0
+        log_det = converse._log_det(s, denom, v, n)
+        assert np.shares_memory(log_det, denom)
+        assert np.array_equal(log_det, direct)
 
     def test_single_user_shares_user1_draws_with_mac(self, monkeypatch):
         # user 1's inputs come first in every chunk's stream, so with a

@@ -145,10 +145,10 @@ def test_shared_draws_are_counted_once(monkeypatch, kind):
     # noise of every chunk of both streams, whatever the input law; an
     # untruncated law's P-free input draw is made once per chunk, whatever
     # the grid length, a truncated law's inputs once per point; no chunk is
-    # drawn twice.  Both passes whiten every chunk of every point and
-    # bound through the one kernel (_whiten); the fit pass takes no log:
-    # ln |det A|^2 (_log_det), h(Y | X) and the right-hand sides come
-    # from the evaluation chunks
+    # drawn twice.  Both passes build the slot levels once (_slot_levels)
+    # and whiten once (_whiten) per chunk of every point and bound; the fit
+    # pass takes no log: ln |det A|^2 (_log_det), h(Y | X) and the
+    # right-hand sides come from the evaluation chunks
     calls = Counter()
 
     def count(owner, name, key):
@@ -159,6 +159,7 @@ def test_shared_draws_are_counted_once(monkeypatch, kind):
     count(converse, "sample_channel", "channel")
     count(InputDistribution, "draw", "draw")
     count(channel, "sample_inputs", "point")
+    count(converse, "_slot_levels", "slot_levels")
     count(converse, "_whiten", "whiten")
     count(converse, "_log_det", "log_det")
     count(converse, "_h_given_x", "h_given_x")
@@ -178,7 +179,7 @@ def test_shared_draws_are_counted_once(monkeypatch, kind):
                 assert calls["point"] == len(powers) * chunks
             else:
                 assert calls["draw"] == users * chunks and calls["point"] == 0
-            assert calls["whiten"] == len(powers) * bounds * chunks
+            assert calls["slot_levels"] == calls["whiten"] == len(powers) * bounds * chunks
             for key in ("log_det", "h_given_x", "rhs"):
                 assert calls[key] == len(powers) * bounds * evaluation
 

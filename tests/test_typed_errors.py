@@ -56,10 +56,23 @@ def _exp_norm():
     lambda: truncate_to_peak(_exp_norm(), 100.0, math.inf, np.random.default_rng(0)),
     lambda: truncate_to_peak(_exp_norm(), 1e200, 2.0, np.random.default_rng(0)),
     lambda: lemmas.truncation_markov_bound(seed=1.5),
+    lambda: _cfg(P=10**400),
+    lambda: InputDistribution(kind="isotropic_peak", T=4, P=10**400),
+    lambda: InputDistribution(kind="pilot_data_product", T=4, P=100.0,
+                              params={"pilot_power": 10**400}),
+    lambda: truncate_to_peak(_exp_norm(), 10**400, 1.5, np.random.default_rng(0)),
+    lambda: truncate_to_peak(_exp_norm(), 100.0, 10**400, np.random.default_rng(0)),
+    lambda: InputDistribution(kind="exponent_profile_peak", T=2, P=100.0,
+                              params={"exponents": [10**400, 0]}),
+    lambda: InputDistribution(kind="exponent_profile_peak", T=2, P=100.0,
+                              params={"exponents": ["a", 0]}),
+    lambda: InputDistribution(kind="deterministic_point", T=2, P=100.0,
+                              params={"x": [10**400, 0]}),
 ], ids=["training_T", "bound_T", "bound_N", "bound_trials", "bound_seed", "input_T",
         "mixture_trials", "knn_samples", "truncate_negative_P", "truncate_zero_P",
         "truncate_nan_P", "truncate_nan_beta", "truncate_inf_beta", "truncate_overflow_P_beta",
-        "lemma_seed"])
+        "lemma_seed", "config_int_P", "input_int_P", "pilot_int_power", "truncate_int_P",
+        "truncate_int_beta", "exponents_int", "exponents_str", "point_int"])
 def test_bad_count_or_power_raises_invalid_param(call):
     with pytest.raises(InvalidParam):
         call()
