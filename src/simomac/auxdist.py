@@ -21,7 +21,7 @@ from math import lgamma
 import numpy as np
 
 from . import linalg
-from .errors import InvalidParam, InvalidRegime, SingularPoint
+from .errors import InvalidRegime, SingularPoint, real
 from .linalg import LN2
 
 # Calibration constants for the double-log remainder bound: remainder (bits)
@@ -47,8 +47,8 @@ class AuxDistParams:
     beta: float
 
     def __post_init__(self):
-        if self.alpha <= 0 or self.beta <= 0:
-            raise InvalidParam("alpha and beta must be positive")
+        real("alpha must be finite and positive", self.alpha, above=0)
+        real("beta must be finite and positive", self.beta, above=0)
 
 
 def log_normalizer(p):
@@ -165,7 +165,8 @@ class CrossEntropyReport:
     slack_bits: float = field(default=0.0)
 
     def within_slack(self):
-        return self.remainder_bits <= self.slack_bits
+        """Whether |remainder| <= slack, the two-sided double-log bound."""
+        return abs(self.remainder_bits) <= self.slack_bits
 
 
 def cross_entropy_expansion(samples, params):

@@ -7,10 +7,11 @@ Y of shape (N, T).  Monte-Carlo trials play the role of the block count B.
 
 import math
 from dataclasses import dataclass, field, replace
+from numbers import Complex
 
 import numpy as np
 
-from .errors import InvalidParam, counts
+from .errors import InvalidParam, counts, real
 from .linalg import (LN2, LOG2_PI_E, mean_and_std_error, moments_of, norm_sq,
                      sample_complex_gaussian, sample_uniform_complex_sphere)
 
@@ -35,14 +36,6 @@ FADING_ENTROPY_DEFICIT = {"iid_complex_gaussian": 0.0, "iid_uniform_annulus": (
 P_MAX = 1e15
 
 
-def _finite(value):
-    """Whether |value| is a finite float: False past the float range or for a non-number."""
-    try:
-        return math.isfinite(abs(value))
-    except (OverflowError, TypeError):
-        return False
-
-
 @dataclass
 class ChannelConfig:
     """Static description of one simulated channel."""
@@ -57,8 +50,7 @@ class ChannelConfig:
     def __post_init__(self):
         self.T, self.N, self.trials = counts("T, N and trials", self.T, self.N, self.trials)
         (self.seed,) = counts("seed", self.seed, least=0)
-        if not self.P > 0:
-            raise InvalidParam(f"P must be finite and positive, got {self.P}")
+        real("P must be finite and positive", self.P, above=0, most=math.inf)
         if not self.P < P_MAX:
             raise InvalidParam(f"P = {10 * math.log10(self.P):.4g} dB is out of range: from "
                                "150 dB on, the whitened norms of the duality bounds keep no "
@@ -74,11 +66,12 @@ class ChannelConfig:
 def at_powers(inputs, cfg, powers):
     """One (inputs, cfg) pair per power, each a copy with P replaced; the
     call's own [(inputs, cfg)] when ``powers`` is None.  Raises
-    InvalidParam on an empty or invalid power."""
+    InvalidParam unless ``powers`` is a nonempty 1-D sequence; each copy
+    checks its power by the rule of its own P (:func:`errors.real`)."""
     if powers is None:
         return [(inputs, cfg)]
-    if len(powers) == 0:
-        raise InvalidParam("powers must hold at least one power")
+    if np.ndim(powers) != 1 or len(powers) == 0:
+        raise InvalidParam(f"powers must be a sequence of at least one power, got {powers}")
     return [([replace(d, P=p) for d in inputs], replace(cfg, P=p)) for p in powers]
 
 
@@ -234,19 +227,20 @@ class InputDistribution:
         if self.kind not in INPUT_KINDS:
             raise InvalidParam(f"unknown input kind {self.kind!r}")
         (self.T,) = counts("T", self.T)
-        if not (_finite(self.P) and self.P > 0):
-            raise InvalidParam(f"P must be finite and positive, got {self.P}")
+        real("P must be finite and positive", self.P, above=0)
         key = {"deterministic_point": "x", "exponent_profile_peak": "exponents"}.get(self.kind)
         if key is not None:
             entries = self.params.get(key, ())
-            if np.shape(entries) != (self.T,) or not all(map(_finite, entries)):
-                raise InvalidParam(f"{self.kind} needs params[{key!r}] of T = {self.T} "
-                                   "finite entries")
+            rule = f"{self.kind} needs params[{key!r}] of T = {self.T} finite entries"
+            if np.shape(entries) != (self.T,):
+                raise InvalidParam(rule)
+            for e in entries:  # an entry of the point x is complex: both parts must pass
+                for part in (e.real, e.imag) if key == "x" and isinstance(e, Complex) else (e,):
+                    real(rule, part)
         if self.kind == "pilot_data_product":
             for key in ("pilot_power", "data_power"):
-                power = self.params.get(key, self.P)
-                if not (_finite(power) and power >= 0):
-                    raise InvalidParam(f"params[{key!r}] must be finite and >= 0, got {power}")
+                real(f"params[{key!r}] must be finite and >= 0", self.params.get(key, self.P),
+                     least=0)
 
     def draw(self, rng, size):
         """The P-free part of ``size`` draws of the untruncated law, for
@@ -332,8 +326,8 @@ def truncate_to_peak(dist, P, beta, rng, trials=100_000):
     Raises InvalidParam unless P > 0 and beta > 1 are finite, P^beta is a
     finite float, and trials >= 1 an integer.
     """
-    if not (_finite(P) and _finite(beta) and P > 0 and beta > 1.0):
-        raise InvalidParam(f"need a finite P > 0 and beta > 1, got P = {P}, beta = {beta}")
+    real("P must be finite and positive", P, above=0)
+    real("beta must be finite and > 1", beta, above=1)
     (trials,) = counts("trials", trials)
     try:
         threshold = math.pow(P, beta)

@@ -291,21 +291,21 @@ class _PointSums:
 
     def fit(self):
         """Fit one canonical radial member per (branch, category) on the
-        fit stream's sums.  When branched, a branch with fewer than 100 fit
-        samples, or mean <= 1, is fitted on the sums pooled over branches
-        ("branches"), and a non-pilot category whose pool over branches
-        cannot be fitted either (no samples, or mean <= 1: at T = 2 only
-        branch 0 has a middle slot) on the sums of every non-pilot group
-        ("nonpilot").  A failed fit is kept, to be raised if the group is
-        seen at all."""
+        fit stream's sums.  When branched, a group with fewer than 100 fit
+        samples, or whose own fit fails, is fitted on the sums pooled over
+        branches ("branches"), and a non-pilot category whose pool over
+        branches cannot be fitted either (at T = 2 only branch 0 has a
+        middle slot) on the sums of every non-pilot group ("nonpilot").
+        Whether a population can be fitted is the canonical fit's own rule
+        (:func:`~simomac.auxdist.fit_params`).  A failed fit is kept, to be
+        raised if the group is seen at all."""
         n, names, branched = self.cfg.N, self.bound.names, self.bound.branches > 1
         table = []
         for br, c in np.ndindex(self.rows.count.shape):
             label = f"branch{br}/{names[c]}" if branched else names[c]
-            own = self.rows.pooled((br, c))
-            pools = [((br, c), None)]
-            if branched and (own.count < 100 or own.total / own.count <= 1.0):
-                pools = [(np.s_[:, c], "branches")]
+            pools = [((br, c), None)] if not branched or self.rows.count[br, c] >= 100 else []
+            if branched:
+                pools.append((np.s_[:, c], "branches"))
                 if c > 0:
                     pools.append((np.s_[:, 1:], "nonpilot"))
             for at, pool in pools:
@@ -398,11 +398,12 @@ class _Bound:
     :func:`sample_channel` draw to (yt, mag, s2): the outputs to whiten,
     built in the thread's (chunk, N, T) buffer ``out``, and the (mag, s2)
     of :func:`_log2_det`.  ``pilot(mag, s, yt, cfg)`` reads the slot
-    levels s of :func:`_slot_levels`, the scales s of :func:`_whiten`, and
-    gives the pilot slot, the scale c and each trial's aux branch below
-    ``branches``: (v, c, branch), which with (yt, mag, s2, s) is what
-    :class:`_PointSums` takes per chunk.  ``rhs(mag, s2, v, branch, cfg)``
-    gives the analytic right-hand side.  ``names`` labels the aux categories.
+    levels s of :func:`_slot_levels` and gives the pilot slot, the c of
+    :func:`_whiten` (whose scales are denom = s + c ||y_v||^2) and each
+    trial's aux branch below ``branches``: (v, c, branch), which with
+    (yt, mag, s2, s) is what :class:`_PointSums` takes per chunk.
+    ``rhs(mag, s2, v, branch, cfg)`` gives the analytic right-hand side.
+    ``names`` labels the aux categories.
     """
 
     outputs: Callable

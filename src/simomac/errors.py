@@ -1,6 +1,10 @@
-"""Exception types shared across the package, and its integer-count check."""
+"""Exception types shared across the package, and its integer-count and
+real-parameter checks."""
 
+import math
+import numbers
 import operator
+import sys
 
 
 class SimomacError(Exception):
@@ -25,6 +29,16 @@ def counts(what, *values, least=1):
     if min(values) < least:
         raise InvalidParam(f"{what} must be >= {least}")
     return values
+
+
+def real(rule, value, above=-math.inf, least=-sys.float_info.max, most=sys.float_info.max):
+    """Raises InvalidParam(f"{rule}, got {value}") unless ``value`` is a
+    real number (``numbers.Real``: no string, complex or array) with
+    value > ``above`` and ``least`` <= value <= ``most``.  The default
+    range is that of the finite floats, so NaN, the infinities and an int
+    past the float range fail it."""
+    if not (isinstance(value, numbers.Real) and value > above and least <= value <= most):
+        raise InvalidParam(f"{rule}, got {value}")
 
 
 class SingularPoint(SimomacError):

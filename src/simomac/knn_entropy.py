@@ -17,7 +17,7 @@ from math import lgamma
 
 import numpy as np
 
-from .errors import InvalidParam
+from .errors import InvalidParam, counts
 from .linalg import LN2, run_chunks
 
 # Real dimension from which the numpy search beats cKDTree(leafsize=64)
@@ -175,14 +175,18 @@ def knn_entropy_bits(samples, k=4):
     """Kozachenko-Leonenko entropy estimate in bits.
 
     ``samples``: (n, d) real array, or complex (embedded automatically).
-    Raises InvalidParam unless k >= 1 and there are at least k + 1 points.
+    Raises InvalidParam unless k >= 1 is an integer and the samples are a
+    finite numeric 2-D array of at least k + 1 points.
     """
+    (k,) = counts("k", k)
     samples = np.asarray(samples)
+    if (samples.dtype.kind not in "biufc" or samples.ndim != 2 or len(samples) < k + 1
+            or not np.isfinite(samples).all()):
+        raise InvalidParam(f"k-NN entropy needs a finite numeric (n, d) array of n >= k + 1 "
+                           f"points (k={k}, shape {samples.shape})")
     if np.iscomplexobj(samples):
         samples = complex_to_real(samples)
     n, d = samples.shape
-    if k < 1 or n < k + 1:
-        raise InvalidParam(f"k-NN entropy needs k >= 1 and at least k + 1 points (k={k}, n={n})")
     # k+1 because the query point is its own nearest neighbor
     if d >= _ENGINE_MIN_DIM:
         eps = kth_neighbour_distance(samples, k)

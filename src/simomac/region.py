@@ -253,7 +253,9 @@ def _optimizer_args(lambda1, lambda2, T, N, objective, steps=()):
 
 def exponent_objective(profile, lambda1, lambda2, T, N, objective):
     """Weighted-sum-DoF upper bound at one exponent profile
-    (eta_bar_1, eta_1T, eta_bar_2, eta_2T).  Works on Fractions or floats."""
+    (eta_bar_1, eta_1T, eta_bar_2, eta_2T).  Works on Fractions or floats.
+    Raises InvalidParam unless T, N >= 1 are integers and the objective is known."""
+    T, N = _counts(T, N)
     b1, b2 = (np.asarray(b)[()] for b in _brackets(profile, T, N, objective))
     return (lambda1 * b1 + lambda2 * b2) / T
 
@@ -268,33 +270,23 @@ def regime_objective(T, N):
 # ---------------------------------------------------------------------------
 
 def _kink_hyperplanes():
-    """All hyperplanes where either objective can kink, as (coeffs, rhs).
-
-    Variables ordered (eb1, e1t, eb2, e2t).  Box facets, pairwise
-    equalities, and the sum relations eT = eb + eta_other.
-    """
-    planes = []
-    for i in range(4):
-        for r in (0, 1):
-            c = [F(0)] * 4
-            c[i] = F(1)
-            planes.append((tuple(c), F(r)))
-    for i, j in combinations(range(4), 2):
-        c = [F(0)] * 4
-        c[i], c[j] = F(1), F(-1)
-        planes.append((tuple(c), F(0)))
+    """All hyperplanes where either objective can kink: box facets, pairwise
+    equalities and the sum relations eT = eb + eta_other, as one (30, 5)
+    integer array of the coefficients of (eb1, e1t, eb2, e2t) and the
+    right-hand side."""
+    e = np.eye(4, dtype=np.int64)
+    planes = [(e[i], r) for i in range(4) for r in (0, 1)]
+    planes += [(e[i] - e[j], 0) for i, j in combinations(range(4), 2)]
     # e1t = eb1 + {eb2 | e2t};  e2t = eb2 + {eb1 | e1t}
-    for lhs, base, others in ((1, 0, (2, 3)), (3, 2, (0, 1))):
-        for o in others:
-            c = [F(0)] * 4
-            c[lhs], c[base], c[o] = F(1), F(-1), F(-1)
-            planes.append((tuple(c), F(0)))
-    return planes
+    planes += [(e[t] - e[t - 1] - e[o], 0) for t, o in ((1, 2), (1, 3), (3, 0), (3, 1))]
+    return np.array([np.append(c, r) for c, r in planes])
 
 
 @functools.lru_cache(maxsize=None)
-def _candidate_profiles():
-    """Vertices of the kink arrangement restricted to [0,1]^4, sorted
+def _candidates():
+    """(profiles, D, X): the vertices of the kink arrangement restricted
+    to [0,1]^4 as sorted tuples of Fractions, their common denominator D,
+    and the (4, candidates) object array X of D * profile, as Python ints
     (cached; the hyperplane set does not depend on T, N or the weights).
 
     Each 4-plane subset is solved by Cramer's rule, all subsets at once.
@@ -307,28 +299,21 @@ def _candidate_profiles():
     a few ulps of 16, far less than 1/2, so rounding recovers each integer
     exactly and the vertices are exact Fractions.
     """
-    planes = np.array([list(c) + [r] for c, r in _kink_hyperplanes()], dtype=float)
+    planes = _kink_hyperplanes()
     subsets = np.array(list(combinations(range(len(planes)), 4)))
     a, rhs = planes[subsets, :4], planes[subsets, 4]
-    systems = np.repeat(a[:, None], 5, axis=1)
+    systems = np.repeat(a[:, None], 5, axis=1).astype(float)
     for k in range(4):
         systems[:, k + 1, :, k] = rhs
     dets = np.rint(np.linalg.det(systems)).astype(np.int64)
     det, num = dets[:, :1], dets[:, 1:]
     # num / det in [0, 1]  <=>  0 <= num * det <= det^2
     inside = (det[:, 0] != 0) & np.all((num * det >= 0) & (num * det <= det * det), axis=1)
-    return sorted({tuple(F(int(v), int(d)) for v in row)
-                   for row, (d,) in zip(num[inside], det[inside])})
-
-
-@functools.lru_cache(maxsize=None)
-def _scaled_candidates():
-    """(D, X): the common denominator D of the candidate profiles and the
-    (4, candidates) object array X of D * profile, as Python ints."""
-    cands = _candidate_profiles()
-    D = math.lcm(*(v.denominator for x in cands for v in x))
-    return D, np.array([[v.numerator * (D // v.denominator) for v in x] for x in cands],
-                       dtype=object).T
+    profiles = sorted({tuple(F(int(v), int(d)) for v in row)
+                       for row, (d,) in zip(num[inside], det[inside])})
+    D = math.lcm(*(v.denominator for x in profiles for v in x))
+    scaled = [[v.numerator * (D // v.denominator) for v in x] for x in profiles]
+    return profiles, D, np.array(scaled, dtype=object).T
 
 
 @functools.lru_cache(maxsize=1024)
@@ -341,7 +326,7 @@ def _candidate_brackets(T, N, objective):
     exactly, with no Fraction arithmetic.  They do not depend on the
     weights.
     """
-    D, scaled = _scaled_candidates()
+    _, D, scaled = _candidates()
     b1, b2 = _brackets(scaled, T, N, objective, one=D)
     return D, b1.tolist(), b2.tolist()
 
@@ -366,7 +351,7 @@ def weighted_sum_dof_sup(lambda1, lambda2, T, N, objective):
     D, b1, b2 = _candidate_brackets(T, N, objective)
     scores = [p1 * q2 * x + p2 * q1 * y for x, y in zip(b1, b2)]
     k = scores.index(max(scores))
-    return F(scores[k], q1 * q2 * D * T), _candidate_profiles()[k]
+    return F(scores[k], q1 * q2 * D * T), _candidates()[0][k]
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from functools import partial
 import numpy as np
 
 from .channel import at_powers, one_or_all
-from .errors import InvalidParam, RegimeUnsupported
+from .errors import RegimeUnsupported, real
 from .linalg import mean_and_std_error, merge_moments, moments_of
 
 # Trials per chunk of the channel statistics.  The chunk length fixes how
@@ -84,8 +84,7 @@ def single_user_training_rate(cfg, *, powers=None):
 
 def tdma_rates(cfg, tau=0.5):
     """Time division between the users with block fractions (tau, 1-tau)."""
-    if not 0.0 <= tau <= 1.0:
-        raise InvalidParam("tau must lie in [0, 1]")
+    real("tau must lie in [0, 1]", tau, least=0, most=1)
     single = single_user_training_rate(cfg)
     r1 = RateEstimate(tau * single.rate, tau * single.std_error)
     r2 = RateEstimate((1.0 - tau) * single.rate, (1.0 - tau) * single.std_error)

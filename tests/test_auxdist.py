@@ -4,6 +4,7 @@ from scipy.special import gammaln
 
 from simomac.auxdist import (
     AuxDistParams,
+    CrossEntropyReport,
     NormSqSums,
     cross_entropy_expansion,
     fit_params,
@@ -132,6 +133,18 @@ class TestCrossEntropyExpansion:
             0.0, abs=1e-9
         )
         assert reps[1].beta == pytest.approx(c**2 * reps[0].beta, rel=1e-12)
+
+    def test_within_slack_is_two_sided(self):
+        # |remainder| <= slack: a remainder far below -slack fails too
+        slack = remainder_slack_bits(1e3)
+        rep = CrossEntropyReport(cross_entropy_bits=0.0, leading_bits=0.0,
+                                 remainder_bits=-2 * slack, std_error_bits=0.0, beta=1e3,
+                                 slack_bits=slack)
+        assert not rep.within_slack()
+        rep.remainder_bits = -slack
+        assert rep.within_slack()
+        rep.remainder_bits = 2 * slack
+        assert not rep.within_slack()
 
     def test_slack_grows_double_logarithmically(self):
         assert remainder_slack_bits(1e6) == pytest.approx(

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from simomac import converse, linalg
-from simomac.auxdist import AuxDistParams, log_density_from_norm_sq, log_norm_sq, log_normalizer
+from simomac.auxdist import (AuxDistParams, NormSqSums, log_density_from_norm_sq, log_norm_sq,
+                              log_normalizer)
 from simomac.channel import (
     ANNULUS_R_HI,
     ANNULUS_R_LO,
@@ -739,6 +740,26 @@ class TestPooledFit:
         assert "branch0/pilot" in pooled
         assert set(pooled) <= set(rep.components["fitted"])
         assert "branch1/pilot" not in pooled
+
+    def test_own_fit_first_then_branches_then_nonpilot(self):
+        # synthetic fit sums per (branch, category): a group with >= 100
+        # samples is fitted on its own unless its mean is <= 1; a group
+        # with fewer falls to its pool over branches; the last category
+        # (mean 0.5 in every branch) falls on to the non-pilot pool
+        cfg = _cfg(t=3, n=4, p=100.0, trials=1_000)
+        acc = converse._PointSums.empty(converse._mac_bound(cfg), cfg)
+        count = np.array([[150, 150, 150], [150, 150, 150], [50, 150, 150]])
+        mean = np.array([[5.0, 4.0, 0.5], [0.5, 2.0, 0.5], [5.0, 3.0, 0.5]])
+        acc.rows.fold(NormSqSums(count, count * mean, np.ones((3, 3))))
+        acc.fit()
+        branches = (150 * 5.0 + 150 * 0.5 + 50 * 5.0) / 350
+        nonpilot = 150 * (4.0 + 2.0 + 3.0 + 3 * 0.5) / 900
+        assert [(label, pool, member.beta) for label, member, pool in acc.members] == [
+            ("branch0/pilot", None, 5.0), ("branch0/middle", None, 4.0),
+            ("branch0/last", "nonpilot", nonpilot), ("branch1/pilot", "branches", branches),
+            ("branch1/middle", None, 2.0), ("branch1/last", "nonpilot", nonpilot),
+            ("branch2/pilot", "branches", branches), ("branch2/middle", None, 3.0),
+            ("branch2/last", "nonpilot", nonpilot)]
 
     def test_unbranched_bounds_never_pool(self):
         cfg = _cfg(t=4, n=2, trials=300)

@@ -69,6 +69,19 @@ class TestTooFewPoints:
             with pytest.raises(InvalidParam):
                 knn_entropy_bits(x, k=k)
 
+    @pytest.mark.parametrize("samples", [np.full((10, 16), np.nan), np.full((10, 2), np.nan),
+                                         np.full((10, 2), np.inf), np.ones(10),
+                                         np.full((10, 2), "a")],
+                             ids=["nan_16", "nan_2", "inf_2", "one_dim", "str"])
+    def test_bad_samples_rejected(self, samples):
+        with pytest.raises(InvalidParam):
+            knn_entropy_bits(samples)
+
+    def test_non_integer_k_rejected(self):
+        x = np.random.default_rng(4).normal(size=(100, 2))
+        with pytest.raises(InvalidParam):
+            knn_entropy_bits(x, k=2.5)
+
     def test_estimator_with_too_few_trials_raises(self):
         cfg = ChannelConfig(T=4, N=2, P=100.0, trials=3)
         iso = InputDistribution(kind="isotropic_peak", T=4, P=100.0)

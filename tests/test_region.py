@@ -10,7 +10,7 @@ from simomac.errors import InvalidParam, RegimeWarning
 from simomac.region import (
     _brackets,
     _candidate_brackets,
-    _candidate_profiles,
+    _candidates,
     _grid_max,
     _kink_hyperplanes,
     dof_corner_points,
@@ -260,7 +260,7 @@ class TestExactAgainstObjective:
 
     @pytest.mark.parametrize("objective", ["f_exponent", "g_exponent"])
     def test_first_maximum_over_candidates(self, objective):
-        cands = _candidate_profiles()
+        cands, _, _ = _candidates()
         profiles = np.array(cands, dtype=object).T
         # one weight pair per row: exponent_objective evaluates every pair at once
         lam1, lam2 = (np.array(col, dtype=object)[:, None] for col in zip(*self.WEIGHTS))
@@ -331,16 +331,22 @@ class TestOptimizerInputs:
         with pytest.raises(InvalidParam):
             weighted_sum_dof_sup(*args)
 
+    @pytest.mark.parametrize("profile", [(0.5, 0.25, 1.0, 0.0), (F(1, 2), F(1, 4), F(1), F(0))])
+    @pytest.mark.parametrize("t,n", [(0, 2), (2.5, 2), (4, 0), (4, 1.5)])
+    def test_exponent_objective_rejects(self, profile, t, n):
+        with pytest.raises(InvalidParam):
+            exponent_objective(profile, 1, 1, t, n, "f_exponent")
+
 
 class TestCandidateProfiles:
     def test_vertices_of_the_kink_arrangement(self):
-        cands = _candidate_profiles()
+        cands, _, _ = _candidates()
         assert len(cands) == 27
         assert cands == sorted(set(cands))
         planes = _kink_hyperplanes()
         for x in cands:
             assert all(isinstance(v, F) and 0 <= v <= 1 for v in x)
-            tight = [c for c, r in planes if sum(ci * xi for ci, xi in zip(c, x)) == r]
+            tight = [c for *c, r in planes if sum(ci * xi for ci, xi in zip(c, x)) == r]
             assert np.linalg.matrix_rank(np.array(tight, dtype=float)) == 4
 
 

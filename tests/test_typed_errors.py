@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from simomac import lemmas
+from simomac.auxdist import AuxDistParams
 from simomac.channel import (
     FADING_KINDS,
     INPUT_KINDS,
@@ -25,7 +26,7 @@ from simomac.converse import (
     mutual_information_lower_estimate,
 )
 from simomac.errors import InvalidParam, SimomacError
-from simomac.training import mac_training_rates, single_user_training_rate
+from simomac.training import mac_training_rates, single_user_training_rate, tdma_rates
 
 
 def _cfg(**kwargs):
@@ -68,11 +69,36 @@ def _exp_norm():
                               params={"exponents": ["a", 0]}),
     lambda: InputDistribution(kind="deterministic_point", T=2, P=100.0,
                               params={"x": [10**400, 0]}),
+    lambda: _cfg(P="a"),
+    lambda: _cfg(P=None),
+    lambda: _cfg(P=1j),
+    lambda: _cfg(P=np.array([1.0, 2.0])),
+    lambda: InputDistribution(kind="isotropic_peak", T=4, P=1j),
+    lambda: InputDistribution(kind="pilot_data_product", T=4, P=100.0,
+                              params={"data_power": 1j}),
+    lambda: InputDistribution(kind="exponent_profile_peak", T=2, P=100.0,
+                              params={"exponents": [1j, 0]}),
+    lambda: truncate_to_peak(_exp_norm(), 1j, 1.5, np.random.default_rng(0)),
+    lambda: truncate_to_peak(_exp_norm(), 100.0, 1.5j, np.random.default_rng(0)),
+    lambda: duality_bounds(_iso(), _iso(), _cfg(), powers=10.0),
+    lambda: single_user_training_rate(_cfg(), powers=10.0),
+    lambda: mac_training_rates(_cfg(), powers=10.0),
+    lambda: duality_bound_single_user(_iso(), _cfg(), powers=[1j]),
+    lambda: single_user_training_rate(_cfg(), powers=[1j]),
+    lambda: mac_training_rates(_cfg(), powers=[100.0, 1j]),
+    lambda: tdma_rates(_cfg(), tau="a"),
+    lambda: AuxDistParams(2, math.nan, 1.0),
+    lambda: AuxDistParams(2, 1.0, math.nan),
 ], ids=["training_T", "bound_T", "bound_N", "bound_trials", "bound_seed", "input_T",
         "mixture_trials", "knn_samples", "truncate_negative_P", "truncate_zero_P",
         "truncate_nan_P", "truncate_nan_beta", "truncate_inf_beta", "truncate_overflow_P_beta",
         "lemma_seed", "config_int_P", "input_int_P", "pilot_int_power", "truncate_int_P",
-        "truncate_int_beta", "exponents_int", "exponents_str", "point_int"])
+        "truncate_int_beta", "exponents_int", "exponents_str", "point_int", "config_str_P",
+        "config_none_P", "config_complex_P", "config_array_P", "input_complex_P",
+        "data_complex_power", "exponents_complex", "truncate_complex_P",
+        "truncate_complex_beta", "bounds_scalar_powers", "training_scalar_powers",
+        "mac_training_scalar_powers", "bound_complex_power", "training_complex_power",
+        "mac_training_complex_power", "tdma_str_tau", "aux_nan_alpha", "aux_nan_beta"])
 def test_bad_count_or_power_raises_invalid_param(call):
     with pytest.raises(InvalidParam):
         call()
