@@ -14,14 +14,18 @@ auxiliary-output parameters (alpha, beta per branch and slot category)
 on sums of the whitened norms (:class:`~simomac.auxdist.NormSqSums`);
 the other half, a stream of their own, evaluate the bound against those
 fixed parameters and keep only plain sums (:class:`_PointSums`); both
-passes whiten through one kernel (:func:`_whiten`).  So there is no
-fitting bias, and memory does not grow with the trial count.  Under
-Gaussian fading the evaluated statistic is Rao-Blackwellised
-(:func:`_conditioned_terms`): the pilot slot's terms of -ln q(Y) are
-replaced by their means given X, and each other slot's ||w_t||^2 by its
-mean given X and the pilot output, so the bound keeps its mean at a
-smaller standard error.  The double-log remainder terms are carried in
-the reports with the calibrated constants of :mod:`simomac.auxdist`.
+passes whiten through one kernel (:func:`_whiten`), which splits each
+slot into its parts along and orthogonal to the pilot output, so no
+digits cancel at high power.  So there is no fitting bias, and memory
+does not grow with the trial count.  Under Gaussian fading the
+evaluated statistic is Rao-Blackwellised (:func:`_conditioned_terms`):
+the pilot slot's terms of -ln q(Y) are replaced by their means given X,
+each other slot's ||w_t||^2 by its mean given X and the pilot output,
+and for N >= 3 its ln ||w_t||^2 carries a zero-mean control variate,
+the log of the orthogonal part's known Gamma(N - 1) law; so the bound
+keeps its mean at a smaller standard error.  The double-log remainder
+terms are carried in the reports with the calibrated constants of
+:mod:`simomac.auxdist`.
 """
 
 from collections.abc import Callable
@@ -146,24 +150,52 @@ def _slot_levels(mag, s2):
     return s
 
 
-def _whiten(yt, v, s, c):
-    """Squared whitened norms ||A y_i||^2 and the scales s + c ||y_v||^2 of
-    the pilot direction, each (B, T).
+def _pilot_norm_sq(yt, v):
+    """(B,) ||y_v||^2 of each trial's outputs at its pilot slot v."""
+    return norm_sq(yt[np.arange(len(v)), :, v])
 
-    yt: (B, N, T) outputs (rotated for the MAC); v: (B,) pilot slot; s, c:
-    (B, T) whitening scales, c possibly a scalar, non-pilot slot i being
-    whitened by A = (s_i I + c_i y_v y_v^H)^{-1/2} and the pilot slot left
-    as is.  Each row depends on its own trial only, so chunks whiten
+
+def _whiten(yt, v, nv2, s, c):
+    """Squared whitened norms ||A y_i||^2, the two parts they are built
+    from, and the scales s + c ||y_v||^2 of the pilot direction, each (B, T).
+
+    yt: (B, N, T) outputs (rotated for the MAC); v: (B,) pilot slot; nv2:
+    (B,) its ||y_v||^2 (:func:`_pilot_norm_sq`); s, c: (B, T) whitening
+    scales, c possibly a scalar.  Non-pilot slot i is whitened by
+    A = (s_i I + c_i y_v y_v^H)^{-1/2}, which scales its part along
+    u = y_v / ||y_v|| by denom_i^{-1/2} and the orthogonal rest
+    y_perp = y_i - <y_i, u> u by s_i^{-1/2}, so
+    ||A y_i||^2 = ||y_perp||^2 / s_i + |<y_i, u>|^2 / denom_i: a sum of
+    non-negative terms, with no difference of two O(P) terms to cancel.
+    Returns (white, perp, along, denom), perp = ||y_perp||^2 and
+    along = |<y_i, u>|^2; the pilot slot is left as is, with the norm
+    ||y_v||^2 and perp 0.  y_perp is formed one antenna at a time in a
+    (B, T) temporary, so yt is only read and no (B, N, T) temporary is
+    made.  Each row depends on its own trial only, so chunks whiten
     independently.
     """
     rows = np.arange(len(v))
-    y_v = yt[rows, :, v]
-    nv2 = norm_sq(y_v)
-    ip = abs_sq(np.einsum("bnt,bn->bt", yt, np.conj(y_v)))
+    y_v = np.conjugate(yt[rows, :, v])  # conjugated back below: one (B, N) copy
+    # slot i's part along u is <y_i, u> u = coef y_v, coef = <y_i, y_v> / ||y_v||^2
+    coef = np.matmul(y_v[:, None, :], yt)[:, 0]
+    coef.view(float)[...] *= 1.0 / np.maximum(nv2, 1e-300)[:, None]  # a real scale
+    np.conjugate(y_v, out=y_v)
+    diff = np.empty_like(coef)
+    perp = np.zeros(coef.shape)
+    for k in range(yt.shape[1]):
+        np.multiply(y_v[:, k, None], coef, out=diff)
+        np.subtract(yt[:, k, :], diff, out=diff)
+        perp += diff.real**2
+        perp += diff.imag**2
+    pilot = rows * perp.shape[1] + v  # flat index of each trial's pilot slot
+    np.put(perp, pilot, 0.0)
+    along = abs_sq(coef)
+    along *= nv2[:, None]
     denom = s + c * nv2[:, None]
-    white = norm_sq(yt, axis=1) / s - (c / s) * ip / denom
-    white[rows, v] = nv2
-    return white, denom
+    white = perp / s
+    white += along / denom
+    np.put(white, pilot, nv2)
+    return white, perp, along, denom
 
 
 def _log_det(s, denom, v, n):
@@ -204,11 +236,12 @@ def _digamma(n):
     return -np.euler_gamma + sum(1.0 / k for k in range(1, n))
 
 
-def _conditioned_terms(white, denom, mag, v, s, cfg):
+def _conditioned_terms(white, perp, denom, mag, v, s, cfg):
     """(B, T) terms ln ||w_t||^2 and ||w_t||^2 that -ln q(Y) reads
     (:func:`~simomac.auxdist.radial_log_density`), Rao-Blackwellised under
-    Gaussian fading, from the norms ``white`` and scales (read, not
-    changed) ``denom`` = s + c ||y_v||^2 of :func:`_whiten`.
+    Gaussian fading, from the norms ``white``, orthogonal parts ``perp``
+    and scales (read, not changed) ``denom`` = s + c ||y_v||^2 of
+    :func:`_whiten`.
 
     Given X, the pilot's ||y_v||^2 is K_vv Gamma(N, 1), so its two terms
     become their means ln K_vv + psi(N) and N K_vv.  Given (X, y_v), slot
@@ -217,17 +250,33 @@ def _conditioned_terms(white, denom, mag, v, s, cfg):
     ||y_perp||^2 / s_t + |<y_t, u>|^2 / (s_t + c_t ||y_v||^2) with
     u = y_v / ||y_v||, becomes its mean
     (N - 1) sigma_t^2 / s_t + (mag_t mag_v ||y_v||^2 / K_vv^2 + sigma_t^2)
-    / (s_t + c_t ||y_v||^2); its ln ||w_t||^2 stays sampled.  The genies'
-    s, c, slot categories and branches are functions of (X, y_v), so each
-    replaced term is a conditional mean of itself and the mean of the
-    bound statistic is unchanged.  Off Gaussian fading the terms are the
-    sampled ones, ln ||w_t||^2 and ||w_t||^2 of ``white``.
+    / (s_t + c_t ||y_v||^2).  Its ln ||w_t||^2 stays sampled, but for
+    N >= 3 it carries a control variate: ||y_perp||^2 / sigma_t^2, the
+    noise orthogonal to u, is Gamma(N - 1, 1), so
+    ln ||w_t||^2 - ln(||y_perp||^2 / sigma_t^2) + psi(N - 1) has the same
+    conditional mean, and it is one log,
+    ln(||w_t||^2 sigma_t^2 / ||y_perp||^2) + psi(N - 1), never formed at
+    the pilot, where ||y_perp||^2 = 0.  At N = 2 the variate's one
+    dimension against the parallel part's one gave no gain, so there
+    ln ||w_t||^2 is the sampled one.  The genies' s, c, slot categories
+    and branches are functions of (X, y_v), so each replaced term has the
+    conditional mean of the term it replaces and the mean of the bound
+    statistic is unchanged.  Off Gaussian fading the terms are the sampled
+    ones, ln ||w_t||^2 and ||w_t||^2 of ``white``.
     """
     if cfg.fading_kind != "iid_complex_gaussian":
         return log_norm_sq(white), white
     n, (b, t) = cfg.N, white.shape
     pilot = np.arange(b) * t + v  # flat index of each trial's pilot slot
     sigma2, k_vv = _residual_variance(mag, s, v)
+    if n >= 3:
+        gamma = perp / sigma2  # Gamma(N - 1, 1) given (X, y_v), off the pilot
+        np.put(gamma, pilot, 1.0)  # at the pilot ||y_perp||^2 = 0: no ratio is formed
+        log_sq = log_norm_sq(np.divide(white, gamma, out=gamma))
+        log_sq += _digamma(n - 1)
+    else:
+        log_sq = log_norm_sq(white)
+    np.put(log_sq, pilot, np.log(k_vv) + _digamma(n))
     nv2 = np.take(white, pilot)
     lin = mag * (np.take(mag, pilot) * nv2 / k_vv**2)[:, None]  # |K_tv / K_vv|^2 ||y_v||^2
     lin += sigma2
@@ -236,8 +285,6 @@ def _conditioned_terms(white, denom, mag, v, s, cfg):
     sigma2 /= s
     lin += sigma2
     np.put(lin, pilot, n * k_vv)
-    log_sq = log_norm_sq(white)
-    np.put(log_sq, pilot, np.log(k_vv) + _digamma(n))
     return log_sq, lin
 
 
@@ -283,10 +330,10 @@ class _PointSums:
         group += n_names * branch[:, None]
         return group
 
-    def fit_chunk(self, yt, mag, s2, v, s, c, branch):
+    def fit_chunk(self, yt, mag, s2, v, nv2, s, c, branch):
         """A fit chunk's (sums,) of its whitened norms, for :meth:`fold`,
         from a bound's outputs and pilot; it takes no logarithm."""
-        white, _ = _whiten(yt, v, s, c)
+        white, *_ = _whiten(yt, v, nv2, s, c)
         return (NormSqSums.of(white, self._groups(white, v, branch), self.rows.count.shape),)
 
     def fit(self):
@@ -329,13 +376,13 @@ class _PointSums:
         neg_q = -(ln_q.sum(axis=1) + log_det.sum(axis=1)) / LN2
         return (neg_q - h_given_x + self.bound.genie_cost) / self.cfg.T
 
-    def eval_chunk(self, yt, mag, s2, v, s, c, branch):
+    def eval_chunk(self, yt, mag, s2, v, nv2, s, c, branch):
         """An evaluation chunk's sums of its whitened norms, moments of its
         :meth:`statistic`, trials per branch and sum of rhs - h(Y | X)."""
-        white, denom = _whiten(yt, v, s, c)
+        white, perp, _, denom = _whiten(yt, v, nv2, s, c)
         group = self._groups(white, v, branch)
         rows = NormSqSums.of(white, group, self.rows.count.shape)
-        log_sq, lin = _conditioned_terms(white, denom, mag, v, s, self.cfg)
+        log_sq, lin = _conditioned_terms(white, perp, denom, mag, v, s, self.cfg)
         h_given_x = _h_given_x(mag, s2, self.cfg)
         stat = self.statistic(group, _log_det(s, denom, v, self.cfg.N), log_sq, lin, h_given_x)
         trials = np.bincount(branch, minlength=self.bound.branches)
@@ -398,10 +445,12 @@ class _Bound:
     :func:`sample_channel` draw to (yt, mag, s2): the outputs to whiten,
     built in the thread's (chunk, N, T) buffer ``out``, and the (mag, s2)
     of :func:`_log2_det`.  ``pilot(mag, s, yt, cfg)`` reads the slot
-    levels s of :func:`_slot_levels` and gives the pilot slot, the c of
-    :func:`_whiten` (whose scales are denom = s + c ||y_v||^2) and each
-    trial's aux branch below ``branches``: (v, c, branch), which with
-    (yt, mag, s2, s) is what :class:`_PointSums` takes per chunk.
+    levels s of :func:`_slot_levels` and gives the pilot slot, its
+    outputs' ||y_v||^2 (:func:`_pilot_norm_sq`, formed once per chunk),
+    the c of :func:`_whiten` (whose scales are denom = s + c ||y_v||^2)
+    and each trial's aux branch below ``branches``: (v, nv2, c, branch),
+    which with (yt, mag, s2, s) is what :class:`_PointSums` takes per
+    chunk.
     ``rhs(mag, s2, v, branch, cfg)`` gives the analytic right-hand side.
     ``names`` labels the aux categories.
     """
@@ -470,9 +519,9 @@ def _streamed_bounds(points, bounds):
             for bound, acc in zip(bounds, point_sums):
                 yt, mag, s2 = bound.outputs(xs, channel, y_buf)
                 s = _slot_levels(mag, s2)
-                v, c, branch = bound.pilot(mag, s, yt, cfg)
+                v, nv2, c, branch = bound.pilot(mag, s, yt, cfg)
                 chunk = acc.eval_chunk if stream else acc.fit_chunk
-                results.append((acc, chunk(yt, mag, s2, v, s, c, branch)))
+                results.append((acc, chunk(yt, mag, s2, v, nv2, s, c, branch)))
         return results
 
     def fold(results):
@@ -505,9 +554,10 @@ def _user1_outputs(xs, channel, out):
 
 def _strongest_pilot(mag, s, yt, cfg, slots):
     """The pilot v, the strongest of the first ``slots`` slots, whitened
-    with the slot levels and c = 1: (v, c = 1, branch = 0), one branch."""
+    with the slot levels and c = 1: (v, ||y_v||^2, c = 1, branch = 0), one
+    branch."""
     v = np.argmax(mag[:, :slots], axis=1)
-    return v, 1.0, np.zeros_like(v)
+    return v, _pilot_norm_sq(yt, v), 1.0, np.zeros_like(v)
 
 
 def _single_user_rhs(mag, s2, v, branch, cfg):
@@ -566,19 +616,19 @@ def _mac_high_t_rhs(mag, s2, v, branch, cfg):
 def _mac_low_t(mag, s, yt, cfg):
     """(V, U)-genie for the T <= N regime with the three aux branches:
     0 when the pilot (largest mag / s) is the last slot, 1 otherwise, 2
-    when moreover the last entry dominates everything.  Returns (v, c,
-    branch), c = 1 / s_v but P / ||y_v||^2 at the last slot in branch 2."""
+    when moreover the last entry dominates everything.  Returns (v,
+    ||y_v||^2, c, branch), c = 1 / s_v but P / ||y_v||^2 at the last slot
+    in branch 2, from the same ||y_v||^2 that :func:`_whiten` reads."""
     b, _, t = yt.shape
     v = np.argmax(mag / s, axis=1)
     head_max = mag[:, : t - 1].max(axis=1)
     u = mag[:, -1] >= np.maximum(head_max, s[:, -1])
     branch = np.where(v == t - 1, 0, np.where(u, 2, 1))
 
-    rows = np.arange(b)
-    c = np.repeat(1.0 / s[rows, v][:, None], t, axis=1)
-    nv2 = norm_sq(yt[rows, :, v])
+    c = np.repeat(1.0 / s[np.arange(b), v][:, None], t, axis=1)
+    nv2 = _pilot_norm_sq(yt, v)
     c[:, -1] = np.where(branch == 2, cfg.P / np.maximum(nv2, 1e-300), c[:, -1])
-    return v, c, branch
+    return v, nv2, c, branch
 
 
 def _mac_low_t_rhs(mag, s2, v, branch, cfg):

@@ -11,7 +11,7 @@ import numpy as np
 
 from .auxdist import NormSqSums, cross_entropy_expansion, fit_params, log_density_from_norm_sq
 from .channel import InputDistribution, truncate_to_peak
-from .converse import _log_det, _whiten
+from .converse import _log_det, _pilot_norm_sq, _whiten
 from .errors import counts
 from .linalg import TOL_ALGEBRAIC, norm_sq, sample_complex_gaussian
 
@@ -43,7 +43,7 @@ def entropy_shift_invariance(seed=0):
     v = rng.integers(dim, size=count)
     s = rng.uniform(0.5, 2.0, size=(count, dim))
     c = rng.uniform(0.0, 2.0, size=(count, dim))
-    white, denom = _whiten(y, v, s, c)
+    white, _, _, denom = _whiten(y, v, _pilot_norm_sq(y, v), s, c)
     log_det = _log_det(s, denom, v, n)
     unit = fit_params(NormSqSums.of(white), n)
     whitened = -(log_density_from_norm_sq(white, unit).sum(axis=1) + log_det.sum(axis=1))

@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -293,6 +294,18 @@ class TestBoundsPowerGrid:
         assert code == 0
         pt = json.loads(out, parse_constant=pytest.fail)["points"][0]
         assert "single_user_upper" in pt and "mac_user1_upper" in pt
+
+    def test_149_db_reports_finite_bounds(self, capsys):
+        # the whitened norms are a sum of non-negative parts: none
+        # underflows to the origin below the 150 dB limit
+        code, out = _run(capsys, ["bounds", "--T", "3", "--N", "4", "--P-dB", "149",
+                                  "--trials", "20000", "--seed", "3"])
+        assert code == 0
+        rep = json.loads(out, parse_constant=pytest.fail)
+        (pt,) = rep["points"]
+        assert rep["warnings"] == []
+        for key in ("single_user_upper", "mac_user1_upper"):
+            assert np.isfinite(pt[key]["value"]) and np.isfinite(pt[key]["std_error"])
 
     def test_one_failed_point_keeps_the_others(self, capsys, monkeypatch):
         # only the 20 dB point's MAC bound fails, so only it is lost

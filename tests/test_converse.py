@@ -95,7 +95,7 @@ def _mac_engine(engine, mag, s2, t, n=2, p=100.0):
     yt = np.zeros((1, n, t), dtype=complex)
     mag, s2, cfg = np.array([mag], dtype=float), np.array([s2]), _cfg(t=t, n=n, p=p)
     s = converse._slot_levels(mag, s2)
-    v, c, branch = engine(mag, s, yt, cfg)
+    v, _, c, branch = engine(mag, s, yt, cfg)
     return v, s, c, _MAC_RHS[engine](mag, s2, v, branch, cfg), branch
 
 
@@ -105,7 +105,7 @@ def _mac_chunk(x1, x2, fading="iid_complex_gaussian", n=2):
     channel = _silent_channel(1, n, x1.shape[1], 2)
     cfg = _cfg(t=x1.shape[1], n=n, fading=fading)
     yt, mag, s2 = _rotated_mac_outputs([x1, x2], channel, None)
-    v, _, branch = _mac_high_t(mag, converse._slot_levels(mag, s2), yt, cfg)
+    v, _, _, branch = _mac_high_t(mag, converse._slot_levels(mag, s2), yt, cfg)
     rhs = _mac_high_t_rhs(mag, s2, v, branch, cfg)
     return rhs[0], _h_given_x(mag, s2, cfg)[0], _log2_det(mag, s2)[0]
 
@@ -580,8 +580,10 @@ class TestMiEstimates:
 
 def _eval_chunks(bound, inputs, cfg, trials, chunk=50_000):
     """The engine's evaluation terms of ``bound`` on ``trials`` fresh
-    trials, drawn ``chunk`` at a time: (white, v, branch, log_sq, lin)
-    concatenated, branch 0 when unbranched."""
+    trials, drawn ``chunk`` at a time: (white, v, branch, log_sq, lin,
+    variate) concatenated, branch 0 when unbranched, with the control
+    variate ln(||y_perp||^2 / sigma^2) - psi(N - 1) of each non-pilot slot
+    (0 at the pilot) under the Gaussian-fading row model."""
     parts = []
     for seed in np.random.SeedSequence(cfg.seed).spawn(-(-trials // chunk)):
         rng = np.random.default_rng(seed)
@@ -589,10 +591,13 @@ def _eval_chunks(bound, inputs, cfg, trials, chunk=50_000):
         channel = sample_channel(len(inputs), cfg, rng, size=chunk)
         yt, mag, s2 = bound.outputs(xs, channel, None)
         s = converse._slot_levels(mag, s2)
-        v, c, branch = bound.pilot(mag, s, yt, cfg)
-        white, denom = converse._whiten(yt, v, s, c)
-        log_sq, lin = converse._conditioned_terms(white, denom, mag, v, s, cfg)
-        parts.append((white, v, branch, log_sq, lin))
+        v, nv2, c, branch = bound.pilot(mag, s, yt, cfg)
+        white, perp, _, denom = converse._whiten(yt, v, nv2, s, c)
+        log_sq, lin = converse._conditioned_terms(white, perp, denom, mag, v, s, cfg)
+        sigma2, _ = converse._residual_variance(mag, s, v)
+        off = np.arange(cfg.T) != v[:, None]
+        variate = np.log(np.where(off, perp, sigma2) / sigma2) - converse._digamma(cfg.N - 1)
+        parts.append((white, v, branch, log_sq, lin, np.where(off, variate, 0.0)))
     return tuple(np.concatenate(p) for p in zip(*parts))
 
 
@@ -603,25 +608,31 @@ def _within(diff, sigmas):
 
 def _paired_statistics(monkeypatch, inputs, cfg, powers, fading_check=None):
     """duality_bounds on ``inputs`` at ``powers``, and for each point and
-    bound, keyed (P, len(names)), the (conditioned, sampled) statistics of
-    its evaluation trials: the engine's own and the one that reads the
-    sampled norms' terms, on the same draws and fitted members, both formed
-    by the engine's kernel functions from each chunk's outputs and pilot."""
+    bound, keyed (P, len(names)), the (conditioned, sampled, log-sampled)
+    statistics of its evaluation trials: the engine's own, the one that
+    reads the sampled norms' terms, and the engine's with the sampled
+    ln ||w_t||^2 in place of its own, on the same draws and fitted
+    members, all formed by the engine's kernel functions from each chunk's
+    outputs and pilot."""
     stats = {}
     real = converse._PointSums.eval_chunk
 
-    def eval_chunk(acc, yt, mag, s2, v, s, c, branch):
-        white, denom = converse._whiten(yt, v, s, c)
+    def eval_chunk(acc, yt, mag, s2, v, nv2, s, c, branch):
+        white, perp, _, denom = converse._whiten(yt, v, nv2, s, c)
         group = acc._groups(white, v, branch)
-        log_sq, lin = converse._conditioned_terms(white, denom, mag, v, s, acc.cfg)
+        log_sq, lin = converse._conditioned_terms(white, perp, denom, mag, v, s, acc.cfg)
         log_det = converse._log_det(s, denom, v, acc.cfg.N)
         h_given_x = converse._h_given_x(mag, s2, acc.cfg)
+        log_sampled = log_norm_sq(white)
+        np.put(log_sampled, np.arange(len(v)) * white.shape[1] + v,
+               np.take(log_sq, np.arange(len(v)) * white.shape[1] + v))
         pair = (acc.statistic(group, log_det, log_sq, lin, h_given_x),
-                acc.statistic(group, log_det, log_norm_sq(white), white, h_given_x))
+                acc.statistic(group, log_det, log_norm_sq(white), white, h_given_x),
+                acc.statistic(group, log_det, log_sampled, lin, h_given_x))
         stats.setdefault((acc.cfg.P, len(acc.bound.names)), []).append(pair)
         if fading_check:
             fading_check(acc, white, group, log_det, log_sq, lin, h_given_x, pair[0])
-        return real(acc, yt, mag, s2, v, s, c, branch)
+        return real(acc, yt, mag, s2, v, nv2, s, c, branch)
 
     monkeypatch.setattr(converse._PointSums, "eval_chunk", eval_chunk)
     reports = converse.duality_bounds(*inputs, cfg, powers=powers)
@@ -638,7 +649,10 @@ class TestConditionedStatistic:
         # each replaced term minus its sampled value has mean 0 over 2e5
         # trials: the non-pilot ||w_t||^2 given (x, y_v), the pilot's
         # ln ||y_v||^2 and ||y_v||^2 given x; for the T <= N genie branch 2
-        # needs a weak user 2, so both users draw exponential norms
+        # needs a weak user 2, so both users draw exponential norms.  The
+        # control variate of each non-pilot ln ||w_t||^2, the log of a
+        # Gamma(N - 1, 1) orthogonal part less its mean psi(N - 1), has
+        # mean 0 too
         if case == "single_user":
             cfg = _cfg(t=4, n=2, p=100.0, seed=11)
             bound, inputs = converse._single_user_bound(4), [_iso(cfg)]
@@ -649,7 +663,7 @@ class TestConditionedStatistic:
             cfg = _cfg(t=2, n=2, p=100.0, seed=13)
             bound = converse._mac_bound(cfg)
             inputs = [InputDistribution(kind="exponential_norm", T=2, P=p) for p in (100.0, 1.0)]
-        white, v, branch, log_sq, lin = _eval_chunks(bound, inputs, cfg, 200_000)
+        white, v, branch, log_sq, lin, variate = _eval_chunks(bound, inputs, cfg, 200_000)
         rows = np.arange(len(v))
         slots = np.arange(cfg.T) != v[:, None]
         if case == "last_slot":
@@ -658,6 +672,7 @@ class TestConditionedStatistic:
         assert trials.sum() >= 30_000
         off = np.where(slots, white - lin, 0.0).sum(axis=1)[trials]
         assert _within(off, 4)
+        assert _within(np.where(slots, variate, 0.0).sum(axis=1)[trials], 4)
         pv = rows[trials], v[trials]
         assert _within(log_norm_sq(white[pv]) - log_sq[pv], 4)
         assert _within(white[pv] - lin[pv], 4)
@@ -666,18 +681,26 @@ class TestConditionedStatistic:
     def test_same_mean_smaller_error_on_the_same_draws(self, monkeypatch, t, n):
         # the engine's value and error are those of the conditioned
         # statistic; against the sampled one on the same draws its paired
-        # mean difference is within 3 SE, and its SE is at most 0.7x
+        # mean difference is within 3 SE, and its SE is at most 0.7x.  At
+        # N >= 3 the control variate of ln ||w_t||^2 alone keeps the mean
+        # (3 SE) and cuts the SE to at most 0.6x; at N = 2 the log term is
+        # the sampled one
         cfg = _cfg(t=t, n=n, p=10.0, trials=100_000, seed=0)
         (single, mac), paired = _paired_statistics(monkeypatch, [_iso(cfg), _iso(cfg)], cfg,
                                                    [10.0, 1000.0])
         for k, p in enumerate((10.0, 1000.0)):
             for rep, names in ((single[k], 2), (mac[k], 3)):
-                cond, sampled = paired[(p, names)]
+                cond, sampled, log_sampled = paired[(p, names)]
                 assert cond.size == rep.components["eval_trials"] == 50_000
                 assert rep.value == pytest.approx(cond.mean(), rel=1e-12)
                 assert rep.std_error == pytest.approx(cond.std() / np.sqrt(cond.size), rel=1e-9)
                 assert _within(cond - sampled, 3)
                 assert cond.std() <= 0.7 * sampled.std()
+                if n >= 3:
+                    assert _within(cond - log_sampled, 3)
+                    assert cond.std() <= 0.6 * log_sampled.std()
+                else:
+                    assert np.array_equal(cond, log_sampled)
 
     def test_annulus_reads_the_sampled_norms(self, monkeypatch):
         # off Gaussian fading the terms are the sampled norms' own, and the
@@ -696,8 +719,26 @@ class TestConditionedStatistic:
         _, paired = _paired_statistics(monkeypatch, [_iso(cfg), _iso(cfg)], cfg, [100.0, 1e4],
                                        fading_check=check)
         assert sum(seen) == 4 * 2_000
-        for cond, sampled in paired.values():
+        for cond, sampled, _ in paired.values():
             assert np.array_equal(cond, sampled)
+
+    @pytest.mark.parametrize("n,fading", [(4, "iid_complex_gaussian"), (2, "iid_complex_gaussian"),
+                                          (4, "iid_uniform_annulus")])
+    def test_log_term_carries_the_variate_from_three_antennas(self, n, fading):
+        # the non-pilot ln ||w_t||^2 is ln ||w_t||^2 less the control
+        # variate under Gaussian fading with N >= 3, and the sampled
+        # ln ||w_t||^2 bit for bit at N = 2 and off Gaussian fading; both
+        # genies of the MAC at T = 3 and the single-user one
+        cfg = _cfg(t=3, n=n, p=1000.0, seed=14, fading=fading)
+        for bound in (converse._single_user_bound(3), converse._mac_bound(cfg)):
+            white, v, _, log_sq, _, variate = _eval_chunks(bound, [_iso(cfg), _iso(cfg)], cfg,
+                                                           4_000, chunk=2_000)
+            off = np.arange(cfg.T) != v[:, None]
+            if n >= 3 and fading == "iid_complex_gaussian":
+                assert np.allclose(log_sq[off], np.log(white[off]) - variate[off], rtol=1e-13,
+                                   atol=1e-13)
+            else:
+                assert np.array_equal(log_sq[off], log_norm_sq(white[off]))
 
     @pytest.mark.parametrize("interferer", [True, False])
     def test_residual_variance_keeps_every_digit(self, interferer):
@@ -960,12 +1001,12 @@ class TestStreamingEngine:
 
         def fold(work, white, v, branch, log_det, log_sq, lin, rhs, h_given_x):
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(converse, "_whiten", lambda *args: (white, None))
+                mp.setattr(converse, "_whiten", lambda *args: (white, None, None, None))
                 mp.setattr(converse, "_log_det", lambda *args: log_det)
                 mp.setattr(converse, "_conditioned_terms", lambda *args: (log_sq, lin))
                 mp.setattr(converse, "_h_given_x", lambda *args: h_given_x)
                 mp.setattr(acc, "bound", replace(bound, rhs=lambda *args: rhs))
-                acc.fold(*work(None, None, None, v, None, None, branch))
+                acc.fold(*work(None, None, None, v, None, None, None, branch))
 
         for b in (300, 200):
             fold(acc.fit_chunk, *chunk(b))
@@ -1002,11 +1043,43 @@ class TestStreamingEngine:
         v = rng.integers(0, t, size=b)
         s = 1.0 + rng.uniform(size=(b, t))
         c = rng.uniform(size=(b, t))
-        whole = converse._whiten(yt, v, s, c)
-        parts = [converse._whiten(yt[i:i + 100], v[i:i + 100], s[i:i + 100], c[i:i + 100])
+        nv2 = converse._pilot_norm_sq(yt, v)
+        whole = converse._whiten(yt, v, nv2, s, c)
+        parts = [converse._whiten(yt[i:i + 100], v[i:i + 100], nv2[i:i + 100], s[i:i + 100],
+                                  c[i:i + 100])
                  for i in range(0, b, 100)]
-        for k in range(2):
+        for k in range(4):
             assert np.array_equal(whole[k], np.concatenate([p[k] for p in parts]))
+
+    def test_whitening_parts_keep_their_digits(self):
+        # at 140 dB ||y||^2 - |<y, u>|^2 keeps one to three digits; both
+        # parts of the projection form and their sum match 60-digit
+        # arithmetic on the same outputs to 1e-8 (measured: 1.3e-9, 6e-16
+        # and 6.3e-10; the orthogonal part's relative error is of order
+        # eps |<y, u>| / ||y_perp||, with |<y, u>| of order sqrt(P))
+        mpmath = pytest.importorskip("mpmath")
+        cfg = _cfg(t=4, n=2, p=1e14)
+        rng = np.random.default_rng(cfg.seed)
+        b = 40  # 120 non-pilot slots
+        channel = sample_channel(1, cfg, rng, size=b)
+        yt, mag, s2 = _user1_outputs(sample_inputs([_iso(cfg)], cfg, rng, size=b), channel, None)
+        s = converse._slot_levels(mag, s2)
+        v, nv2, c, _ = _strongest_pilot(mag, s, yt, cfg, cfg.T)
+        white, perp, along, denom = converse._whiten(yt, v, nv2, s, c)
+        with mpmath.workdps(60):
+            for i in range(b):
+                y = [[mpmath.mpc(complex(e)) for e in row] for row in yt[i]]
+                norm_v = mpmath.sqrt(sum(abs(row[v[i]]) ** 2 for row in y))
+                u = [row[v[i]] / norm_v for row in y]
+                for j in range(cfg.T):
+                    if j == v[i]:
+                        continue
+                    inner = sum(mpmath.conj(un) * row[j] for un, row in zip(u, y))
+                    ref_perp = sum(abs(row[j] - inner * un) ** 2 for un, row in zip(u, y))
+                    ref_along = abs(inner) ** 2
+                    ref_white = ref_perp / s[i, j] + ref_along / (s[i, j] + c * norm_v**2)
+                    for got, ref in ((perp, ref_perp), (along, ref_along), (white, ref_white)):
+                        assert abs(got[i, j] / ref - 1) <= 1e-8
 
     def test_log_det_uses_denom_up(self):
         # ln |det A|^2 is formed in the buffer of the kernel's scales denom,
@@ -1016,7 +1089,7 @@ class TestStreamingEngine:
         yt = sample_complex_gaussian(t, rng, size=(b, n))
         v = rng.integers(0, t, size=b)
         s, c = 1.0 + rng.uniform(size=(b, t)), rng.uniform(size=(b, t))
-        _, denom = converse._whiten(yt, v, s, c)
+        *_, denom = converse._whiten(yt, v, converse._pilot_norm_sq(yt, v), s, c)
         direct = -((n - 1) * np.log(s) + np.log(denom))
         direct[np.arange(b), v] = 0.0
         log_det = converse._log_det(s, denom, v, n)
