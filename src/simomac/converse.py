@@ -4,28 +4,29 @@ the two-user MAC.
 All rate quantities are bits per channel use.  Each bound is a genie
 shape of three plain functions (:class:`_Bound`) on one row model: the
 slot levels s (:func:`_slot_levels`), built once per chunk, and one
-h(Y | X) (:func:`_h_given_x`), which the MI oracles share.  The duality
-bounds draw their Monte-Carlo trials in fixed-size chunks, the fading
-and noise once for every power and both bounds, the inputs once for
-every power unless their law is truncated, and run the chunks on every
-CPU the process may use, folding each chunk's sums in chunk order, so
-the results do not depend on the CPU count.  Half the trials fit the
-auxiliary-output parameters (alpha, beta per branch and slot category)
-on sums of the whitened norms (:class:`~simomac.auxdist.NormSqSums`);
-the other half, a stream of their own, evaluate the bound against those
-fixed parameters and keep only plain sums (:class:`_PointSums`); both
-passes whiten through one kernel (:func:`_whiten`), which splits each
-slot into its parts along and orthogonal to the pilot output, so no
-digits cancel at high power.  So there is no fitting bias, and memory
-does not grow with the trial count.  Under Gaussian fading the
-evaluated statistic is Rao-Blackwellised (:func:`_conditioned_terms`):
-the pilot slot's terms of -ln q(Y) are replaced by their means given X,
-each other slot's ||w_t||^2 by its mean given X and the pilot output,
-and for N >= 3 its ln ||w_t||^2 carries a zero-mean control variate,
-the log of the orthogonal part's known Gamma(N - 1) law; so the bound
-keeps its mean at a smaller standard error.  The double-log remainder
-terms are carried in the reports with the calibrated constants of
-:mod:`simomac.auxdist`.
+h(Y | X) (:func:`_h_given_x`), which the MI oracles share; every genie
+decision is a function of the inputs.  The duality bounds draw their
+Monte-Carlo trials in fixed-size chunks, the fading and noise once for
+every power and both bounds, the inputs once for every power unless
+their law is truncated, and run the chunks on every CPU the process may
+use, folding each chunk's sums in chunk order, so the results do not
+depend on the CPU count.  Half the trials fit the auxiliary-output
+parameters (alpha, beta per branch and slot category) on sums of the
+whitened norms (:class:`~simomac.auxdist.NormSqSums`); the other half, a
+stream of their own, evaluate the bound against those fixed parameters
+and keep only plain sums (:class:`_PointSums`); both passes whiten
+through one kernel (:func:`_whiten`), the one reader of the pilot
+outputs, which splits each slot into its parts along and orthogonal to
+the pilot output, so no digits cancel at high power.  So there is no
+fitting bias, and memory does not grow with the trial count.  Under
+Gaussian fading the evaluated statistic is Rao-Blackwellised
+(:func:`_conditioned_terms`): the pilot slot's terms of -ln q(Y) are
+replaced by their means given X, each other slot's ||w_t||^2 by its mean
+given X and the pilot output, and for N >= 3 its ln ||w_t||^2 carries a
+zero-mean control variate, the log of the orthogonal part's known
+Gamma(N - 1) law; so the bound keeps its mean at a smaller standard
+error.  The double-log remainder terms are carried in the reports with
+the calibrated constants of :mod:`simomac.auxdist`.
 """
 
 from collections.abc import Callable
@@ -150,21 +151,16 @@ def _slot_levels(mag, s2):
     return s
 
 
-def _pilot_norm_sq(yt, v):
-    """(B,) ||y_v||^2 of each trial's outputs at its pilot slot v."""
-    return norm_sq(yt[np.arange(len(v)), :, v])
+def _whiten(yt, v, s, c, d):
+    """Squared whitened norms ||A y_i||^2, their two parts and the scales
+    s + c ||y_v||^2 + d of the pilot direction, each (B, T).
 
-
-def _whiten(yt, v, nv2, s, c):
-    """Squared whitened norms ||A y_i||^2, the two parts they are built
-    from, and the scales s + c ||y_v||^2 of the pilot direction, each (B, T).
-
-    yt: (B, N, T) outputs (rotated for the MAC); v: (B,) pilot slot; nv2:
-    (B,) its ||y_v||^2 (:func:`_pilot_norm_sq`); s, c: (B, T) whitening
-    scales, c possibly a scalar.  Non-pilot slot i is whitened by
-    A = (s_i I + c_i y_v y_v^H)^{-1/2}, which scales its part along
-    u = y_v / ||y_v|| by denom_i^{-1/2} and the orthogonal rest
-    y_perp = y_i - <y_i, u> u by s_i^{-1/2}, so
+    yt: (B, N, T) outputs (rotated for the MAC); v: (B,) pilot slot; s, c,
+    d: (B, T) whitening scales, c and d possibly scalars.  The one reader
+    of the pilot outputs y_v, it forms ||y_v||^2 once.  Non-pilot slot i
+    is whitened by A = (s_i I + (c_i + d_i / ||y_v||^2) y_v y_v^H)^{-1/2},
+    which scales its part along u = y_v / ||y_v|| by denom_i^{-1/2} and
+    the orthogonal rest y_perp = y_i - <y_i, u> u by s_i^{-1/2}, so
     ||A y_i||^2 = ||y_perp||^2 / s_i + |<y_i, u>|^2 / denom_i: a sum of
     non-negative terms, with no difference of two O(P) terms to cancel.
     Returns (white, perp, along, denom), perp = ||y_perp||^2 and
@@ -176,6 +172,7 @@ def _whiten(yt, v, nv2, s, c):
     """
     rows = np.arange(len(v))
     y_v = np.conjugate(yt[rows, :, v])  # conjugated back below: one (B, N) copy
+    nv2 = norm_sq(y_v)
     # slot i's part along u is <y_i, u> u = coef y_v, coef = <y_i, y_v> / ||y_v||^2
     coef = np.matmul(y_v[:, None, :], yt)[:, 0]
     coef.view(float)[...] *= 1.0 / np.maximum(nv2, 1e-300)[:, None]  # a real scale
@@ -192,6 +189,7 @@ def _whiten(yt, v, nv2, s, c):
     along = abs_sq(coef)
     along *= nv2[:, None]
     denom = s + c * nv2[:, None]
+    denom += d
     white = perp / s
     white += along / denom
     np.put(white, pilot, nv2)
@@ -200,7 +198,7 @@ def _whiten(yt, v, nv2, s, c):
 
 def _log_det(s, denom, v, n):
     """(B, T) ln |det A|^2 of the maps A on C^n of :func:`_whiten`, from
-    its scales s and denom = s + c ||y_v||^2; 0 at the pilot slot.  It is
+    its scales s and denom = s + c ||y_v||^2 + d; 0 at the pilot slot.  It is
     formed in denom's own buffer, so denom is used up: read it before."""
     log_s = np.log(s)
     log_s *= n - 1
@@ -240,17 +238,17 @@ def _conditioned_terms(white, perp, denom, mag, v, s, cfg):
     """(B, T) terms ln ||w_t||^2 and ||w_t||^2 that -ln q(Y) reads
     (:func:`~simomac.auxdist.radial_log_density`), Rao-Blackwellised under
     Gaussian fading, from the norms ``white``, orthogonal parts ``perp``
-    and scales (read, not changed) ``denom`` = s + c ||y_v||^2 of
+    and scales (read, not changed) ``denom`` = s + c ||y_v||^2 + d of
     :func:`_whiten`.
 
     Given X, the pilot's ||y_v||^2 is K_vv Gamma(N, 1), so its two terms
     become their means ln K_vv + psi(N) and N K_vv.  Given (X, y_v), slot
     t's entries are (K_tv / K_vv) y_v plus CN(0, sigma_t^2 I_N) noise
     (:func:`_residual_variance`), so each other slot's ||w_t||^2, which is
-    ||y_perp||^2 / s_t + |<y_t, u>|^2 / (s_t + c_t ||y_v||^2) with
-    u = y_v / ||y_v||, becomes its mean
+    ||y_perp||^2 / s_t + |<y_t, u>|^2 / denom_t with u = y_v / ||y_v|| and
+    denom_t = s_t + c_t ||y_v||^2 + d_t, becomes its mean
     (N - 1) sigma_t^2 / s_t + (mag_t mag_v ||y_v||^2 / K_vv^2 + sigma_t^2)
-    / (s_t + c_t ||y_v||^2).  Its ln ||w_t||^2 stays sampled, but for
+    / denom_t.  Its ln ||w_t||^2 stays sampled, but for
     N >= 3 it carries a control variate: ||y_perp||^2 / sigma_t^2, the
     noise orthogonal to u, is Gamma(N - 1, 1), so
     ln ||w_t||^2 - ln(||y_perp||^2 / sigma_t^2) + psi(N - 1) has the same
@@ -258,8 +256,8 @@ def _conditioned_terms(white, perp, denom, mag, v, s, cfg):
     ln(||w_t||^2 sigma_t^2 / ||y_perp||^2) + psi(N - 1), never formed at
     the pilot, where ||y_perp||^2 = 0.  At N = 2 the variate's one
     dimension against the parallel part's one gave no gain, so there
-    ln ||w_t||^2 is the sampled one.  The genies' s, c, slot categories
-    and branches are functions of (X, y_v), so each replaced term has the
+    ln ||w_t||^2 is the sampled one.  The genies' s, c, d, slot categories
+    and branches are functions of X, so each replaced term has the
     conditional mean of the term it replaces and the mean of the bound
     statistic is unchanged.  Off Gaussian fading the terms are the sampled
     ones, ln ||w_t||^2 and ||w_t||^2 of ``white``.
@@ -323,18 +321,18 @@ class _PointSums:
         rows = NormSqSums.of(np.empty(0), shape=(bound.branches, len(bound.names)))
         return cls(bound, cfg, rows, np.zeros(bound.branches, dtype=np.int64))
 
-    def _groups(self, white, v, branch):
+    def _groups(self, v, branch):
         """(B, T) aux group per slot, branch * categories + category."""
         n_names = len(self.bound.names)
-        group = _categories(v, white.shape[1], n_names)
+        group = _categories(v, self.cfg.T, n_names)
         group += n_names * branch[:, None]
         return group
 
-    def fit_chunk(self, yt, mag, s2, v, nv2, s, c, branch):
+    def fit_chunk(self, yt, mag, s2, v, s, c, d, branch):
         """A fit chunk's (sums,) of its whitened norms, for :meth:`fold`,
         from a bound's outputs and pilot; it takes no logarithm."""
-        white, *_ = _whiten(yt, v, nv2, s, c)
-        return (NormSqSums.of(white, self._groups(white, v, branch), self.rows.count.shape),)
+        white, *_ = _whiten(yt, v, s, c, d)
+        return (NormSqSums.of(white, self._groups(v, branch), self.rows.count.shape),)
 
     def fit(self):
         """Fit one canonical radial member per (branch, category) on the
@@ -376,11 +374,11 @@ class _PointSums:
         neg_q = -(ln_q.sum(axis=1) + log_det.sum(axis=1)) / LN2
         return (neg_q - h_given_x + self.bound.genie_cost) / self.cfg.T
 
-    def eval_chunk(self, yt, mag, s2, v, nv2, s, c, branch):
+    def eval_chunk(self, yt, mag, s2, v, s, c, d, branch):
         """An evaluation chunk's sums of its whitened norms, moments of its
         :meth:`statistic`, trials per branch and sum of rhs - h(Y | X)."""
-        white, perp, _, denom = _whiten(yt, v, nv2, s, c)
-        group = self._groups(white, v, branch)
+        white, perp, _, denom = _whiten(yt, v, s, c, d)
+        group = self._groups(v, branch)
         rows = NormSqSums.of(white, group, self.rows.count.shape)
         log_sq, lin = _conditioned_terms(white, perp, denom, mag, v, s, self.cfg)
         h_given_x = _h_given_x(mag, s2, self.cfg)
@@ -444,13 +442,13 @@ class _Bound:
     ``outputs(xs, channel, out)`` maps one chunk's inputs and
     :func:`sample_channel` draw to (yt, mag, s2): the outputs to whiten,
     built in the thread's (chunk, N, T) buffer ``out``, and the (mag, s2)
-    of :func:`_log2_det`.  ``pilot(mag, s, yt, cfg)`` reads the slot
-    levels s of :func:`_slot_levels` and gives the pilot slot, its
-    outputs' ||y_v||^2 (:func:`_pilot_norm_sq`, formed once per chunk),
-    the c of :func:`_whiten` (whose scales are denom = s + c ||y_v||^2)
-    and each trial's aux branch below ``branches``: (v, nv2, c, branch),
-    which with (yt, mag, s2, s) is what :class:`_PointSums` takes per
-    chunk.
+    of :func:`_log2_det`.  ``pilot(mag, s, cfg)`` reads the slot levels s
+    of :func:`_slot_levels` and never the outputs: every genie decision
+    and scale is a function of the inputs.  It gives the pilot slot, the
+    c and d of :func:`_whiten` (whose scales are denom = s + c ||y_v||^2
+    + d) and each trial's aux branch below ``branches``: (v, c, d,
+    branch), which with (yt, mag, s2, s) is what :class:`_PointSums`
+    takes per chunk.
     ``rhs(mag, s2, v, branch, cfg)`` gives the analytic right-hand side.
     ``names`` labels the aux categories.
     """
@@ -519,9 +517,9 @@ def _streamed_bounds(points, bounds):
             for bound, acc in zip(bounds, point_sums):
                 yt, mag, s2 = bound.outputs(xs, channel, y_buf)
                 s = _slot_levels(mag, s2)
-                v, nv2, c, branch = bound.pilot(mag, s, yt, cfg)
+                v, c, d, branch = bound.pilot(mag, s, cfg)
                 chunk = acc.eval_chunk if stream else acc.fit_chunk
-                results.append((acc, chunk(yt, mag, s2, v, nv2, s, c, branch)))
+                results.append((acc, chunk(yt, mag, s2, v, s, c, d, branch)))
         return results
 
     def fold(results):
@@ -552,12 +550,11 @@ def _user1_outputs(xs, channel, out):
     return superpose(xs[:1], channel, out=out), abs_sq(xs[0]), 0.0
 
 
-def _strongest_pilot(mag, s, yt, cfg, slots):
+def _strongest_pilot(mag, s, cfg, slots):
     """The pilot v, the strongest of the first ``slots`` slots, whitened
-    with the slot levels and c = 1: (v, ||y_v||^2, c = 1, branch = 0), one
-    branch."""
+    with the slot levels, c = 1 and d = 0: (v, 1, 0, branch = 0)."""
     v = np.argmax(mag[:, :slots], axis=1)
-    return v, _pilot_norm_sq(yt, v), 1.0, np.zeros_like(v)
+    return v, 1.0, 0.0, np.zeros_like(v)
 
 
 def _single_user_rhs(mag, s2, v, branch, cfg):
@@ -613,22 +610,22 @@ def _mac_high_t_rhs(mag, s2, v, branch, cfg):
     )
 
 
-def _mac_low_t(mag, s, yt, cfg):
+def _mac_low_t(mag, s, cfg):
     """(V, U)-genie for the T <= N regime with the three aux branches:
     0 when the pilot (largest mag / s) is the last slot, 1 otherwise, 2
-    when moreover the last entry dominates everything.  Returns (v,
-    ||y_v||^2, c, branch), c = 1 / s_v but P / ||y_v||^2 at the last slot
-    in branch 2, from the same ||y_v||^2 that :func:`_whiten` reads."""
-    b, _, t = yt.shape
+    when moreover the last entry dominates everything.  Returns (v, c, d,
+    branch): c = 1 / s_v and d = 0, but c = 0 and d = P at the last slot
+    in branch 2, whose scale along the pilot output is s_T + P."""
+    b, t = mag.shape
     v = np.argmax(mag / s, axis=1)
     head_max = mag[:, : t - 1].max(axis=1)
     u = mag[:, -1] >= np.maximum(head_max, s[:, -1])
     branch = np.where(v == t - 1, 0, np.where(u, 2, 1))
 
     c = np.repeat(1.0 / s[np.arange(b), v][:, None], t, axis=1)
-    nv2 = _pilot_norm_sq(yt, v)
-    c[:, -1] = np.where(branch == 2, cfg.P / np.maximum(nv2, 1e-300), c[:, -1])
-    return v, nv2, c, branch
+    d = np.zeros((b, t))
+    c[branch == 2, -1], d[branch == 2, -1] = 0.0, cfg.P
+    return v, c, d, branch
 
 
 def _mac_low_t_rhs(mag, s2, v, branch, cfg):

@@ -11,7 +11,7 @@ import numpy as np
 
 from .auxdist import NormSqSums, cross_entropy_expansion, fit_params, log_density_from_norm_sq
 from .channel import InputDistribution, truncate_to_peak
-from .converse import _log_det, _pilot_norm_sq, _whiten
+from .converse import _log_det, _whiten
 from .errors import counts
 from .linalg import TOL_ALGEBRAIC, norm_sq, sample_complex_gaussian
 
@@ -26,16 +26,16 @@ def entropy_shift_invariance(seed=0):
     directly with each slot's whitening matrix.
 
     The bounds evaluate the density of a non-pilot slot y_i of Y as
-    |det A|^2 q(A y_i), A = (s_i I + c_i y_v y_v^H)^{-1/2}: the entropy
-    shift h(A W) = h(W) + log |det A|^2 under a linear map.
+    |det A|^2 q(A y_i), A = (s_i I + (c_i + d_i / ||y_v||^2) y_v y_v^H)^{-1/2}:
+    the entropy shift h(A W) = h(W) + log |det A|^2 under a linear map.
     :func:`~simomac.converse._whiten` gives ||A y_i||^2 and its scales,
     from which :func:`~simomac.converse._log_det` gives ln |det A|^2, both
     without forming A and as the evaluation pass calls them; here A is
     formed from an eigendecomposition, and the aux member is evaluated at
     A y_i with 2 ln |det A| (slogdet) added.
-    Twenty random (2, 4) outputs with random pilot slots and scales;
-    returns the largest relative difference between the two values of
-    -ln q(Y).
+    Twenty random (2, 4) outputs with random pilot slots and scales s, c
+    and d; returns the largest relative difference between the two values
+    of -ln q(Y).
     """
     n, dim, count = 2, 4, 20
     rng = _rng(seed)
@@ -43,15 +43,17 @@ def entropy_shift_invariance(seed=0):
     v = rng.integers(dim, size=count)
     s = rng.uniform(0.5, 2.0, size=(count, dim))
     c = rng.uniform(0.0, 2.0, size=(count, dim))
-    white, _, _, denom = _whiten(y, v, _pilot_norm_sq(y, v), s, c)
+    d = rng.uniform(0.0, 20.0, size=(count, dim))
+    white, _, _, denom = _whiten(y, v, s, c, d)
     log_det = _log_det(s, denom, v, n)
     unit = fit_params(NormSqSums.of(white), n)
     whitened = -(log_density_from_norm_sq(white, unit).sum(axis=1) + log_det.sum(axis=1))
     direct = np.zeros(count)
     for b in range(count):
         y_v = y[b, :, v[b]]
+        nv2 = norm_sq(y_v)
         for i in range(dim):
-            m = s[b, i] * np.eye(n) + c[b, i] * np.outer(y_v, y_v.conj())
+            m = s[b, i] * np.eye(n) + (c[b, i] + d[b, i] / nv2) * np.outer(y_v, y_v.conj())
             lam, vec = np.linalg.eigh(m)
             a = np.eye(n) if i == v[b] else (vec / np.sqrt(lam)) @ vec.conj().T
             direct[b] -= (log_density_from_norm_sq(norm_sq(a @ y[b, :, i]), unit)

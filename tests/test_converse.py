@@ -55,11 +55,9 @@ def _silent_channel(b, n, t, users):
 
 def _pilot(x, slots=None):
     """The pilot slot that the single-user genie picks for each row of x."""
-    x = np.atleast_2d(np.asarray(x, dtype=complex))
-    channel = _silent_channel(len(x), 2, x.shape[1], 1)
-    yt, mag, s2 = _user1_outputs([x], channel, None)
-    s = converse._slot_levels(mag, s2)
-    return _strongest_pilot(mag, s, yt, _cfg(t=x.shape[1]), slots or x.shape[1])[0]
+    mag = abs_sq(np.atleast_2d(np.asarray(x, dtype=complex)))
+    s = converse._slot_levels(mag, 0.0)
+    return _strongest_pilot(mag, s, _cfg(t=mag.shape[1]), slots or mag.shape[1])[0]
 
 
 def _single_user_on_slots(input_dist, cfg, slots):
@@ -80,9 +78,9 @@ def _iso(cfg):
     return InputDistribution(kind="isotropic_peak", T=cfg.T, P=cfg.P)
 
 
-def _mac_high_t(mag, s, yt, cfg):
+def _mac_high_t(mag, s, cfg):
     """The pilot rule of the T >= N+1 genie: the strongest of the first T - 1 slots."""
-    return _strongest_pilot(mag, s, yt, cfg, cfg.T - 1)
+    return _strongest_pilot(mag, s, cfg, cfg.T - 1)
 
 
 _MAC_RHS = {_mac_high_t: _mac_high_t_rhs, _mac_low_t: _mac_low_t_rhs}
@@ -92,10 +90,9 @@ def _mac_engine(engine, mag, s2, t, n=2, p=100.0):
     """(v, s, c, rhs, branch) of a MAC genie engine and its right-hand
     side for one trial, from |x1t|^2 of the rotated input and
     s2 = ||x2||^2."""
-    yt = np.zeros((1, n, t), dtype=complex)
     mag, s2, cfg = np.array([mag], dtype=float), np.array([s2]), _cfg(t=t, n=n, p=p)
     s = converse._slot_levels(mag, s2)
-    v, _, c, branch = engine(mag, s, yt, cfg)
+    v, c, _, branch = engine(mag, s, cfg)
     return v, s, c, _MAC_RHS[engine](mag, s2, v, branch, cfg), branch
 
 
@@ -105,7 +102,7 @@ def _mac_chunk(x1, x2, fading="iid_complex_gaussian", n=2):
     channel = _silent_channel(1, n, x1.shape[1], 2)
     cfg = _cfg(t=x1.shape[1], n=n, fading=fading)
     yt, mag, s2 = _rotated_mac_outputs([x1, x2], channel, None)
-    v, _, _, branch = _mac_high_t(mag, converse._slot_levels(mag, s2), yt, cfg)
+    v, _, _, branch = _mac_high_t(mag, converse._slot_levels(mag, s2), cfg)
     rhs = _mac_high_t_rhs(mag, s2, v, branch, cfg)
     return rhs[0], _h_given_x(mag, s2, cfg)[0], _log2_det(mag, s2)[0]
 
@@ -139,6 +136,29 @@ class TestGenieIndices:
     def test_mac_all_zero_tie_rule(self):
         v, *_, branch = _mac_engine(_mac_low_t, [0.0, 0.0, 0.0], 0.0, t=3)
         assert v == [0] and branch == [1]
+
+    @pytest.mark.parametrize("t,n", [(4, 2), (3, 4)])
+    def test_every_genie_reads_only_the_inputs(self, t, n):
+        # every bound's pilot(mag, s, cfg) is a function of the inputs:
+        # c = 1 and d = 0 for the strongest-slot genies; c = 1 / s_v and
+        # d = 0 for the (V, U) genie, but c = 0 and d = P at the last slot
+        # in branch 2
+        rng = np.random.default_rng(4)
+        cfg = _cfg(t=t, n=n, p=10.0)
+        mag, s2 = rng.exponential(5.0, size=(300, t)), rng.exponential(2.0, size=300)
+        s = converse._slot_levels(mag, s2)
+        for bound in (converse._single_user_bound(t), converse._mac_bound(cfg)):
+            v, c, d, branch = bound.pilot(mag, s, cfg)
+            c, d = np.broadcast_to(c, s.shape), np.broadcast_to(d, s.shape)
+            if bound.branches == 1:
+                assert (c == 1.0).all() and (d == 0.0).all() and (branch == 0).all()
+                continue
+            assert set(branch) == {0, 1, 2}
+            last = np.zeros(s.shape, dtype=bool)
+            last[:, -1] = branch == 2
+            assert (c[last] == 0.0).all() and (d[last] == cfg.P).all()
+            c_v = np.broadcast_to(1.0 / s[np.arange(300), v][:, None], s.shape)
+            assert np.array_equal(c[~last], c_v[~last]) and (d[~last] == 0.0).all()
 
 
 class TestRotatedOutputs:
@@ -388,8 +408,7 @@ class TestEvalG:
         rng = np.random.default_rng(8)
         mag, s2 = rng.exponential(5.0, size=(300, 3)), rng.exponential(2.0, size=300)
         cfg = _cfg(t=3, p=10.0)
-        v, *_, branch = _mac_low_t(mag, converse._slot_levels(mag, s2),
-                                   np.zeros((300, 2, 3), dtype=complex), cfg)
+        v, *_, branch = _mac_low_t(mag, converse._slot_levels(mag, s2), cfg)
         rhs = _mac_low_t_rhs(mag, s2, v, branch, cfg)
         assert set(branch) == {0, 1, 2}
         single = [_mac_engine(_mac_low_t, m, s, t=3, p=10.0)[3][0] for m, s in zip(mag, s2)]
@@ -591,8 +610,8 @@ def _eval_chunks(bound, inputs, cfg, trials, chunk=50_000):
         channel = sample_channel(len(inputs), cfg, rng, size=chunk)
         yt, mag, s2 = bound.outputs(xs, channel, None)
         s = converse._slot_levels(mag, s2)
-        v, nv2, c, branch = bound.pilot(mag, s, yt, cfg)
-        white, perp, _, denom = converse._whiten(yt, v, nv2, s, c)
+        v, c, d, branch = bound.pilot(mag, s, cfg)
+        white, perp, _, denom = converse._whiten(yt, v, s, c, d)
         log_sq, lin = converse._conditioned_terms(white, perp, denom, mag, v, s, cfg)
         sigma2, _ = converse._residual_variance(mag, s, v)
         off = np.arange(cfg.T) != v[:, None]
@@ -617,9 +636,9 @@ def _paired_statistics(monkeypatch, inputs, cfg, powers, fading_check=None):
     stats = {}
     real = converse._PointSums.eval_chunk
 
-    def eval_chunk(acc, yt, mag, s2, v, nv2, s, c, branch):
-        white, perp, _, denom = converse._whiten(yt, v, nv2, s, c)
-        group = acc._groups(white, v, branch)
+    def eval_chunk(acc, yt, mag, s2, v, s, c, d, branch):
+        white, perp, _, denom = converse._whiten(yt, v, s, c, d)
+        group = acc._groups(v, branch)
         log_sq, lin = converse._conditioned_terms(white, perp, denom, mag, v, s, acc.cfg)
         log_det = converse._log_det(s, denom, v, acc.cfg.N)
         h_given_x = converse._h_given_x(mag, s2, acc.cfg)
@@ -632,7 +651,7 @@ def _paired_statistics(monkeypatch, inputs, cfg, powers, fading_check=None):
         stats.setdefault((acc.cfg.P, len(acc.bound.names)), []).append(pair)
         if fading_check:
             fading_check(acc, white, group, log_det, log_sq, lin, h_given_x, pair[0])
-        return real(acc, yt, mag, s2, v, nv2, s, c, branch)
+        return real(acc, yt, mag, s2, v, s, c, d, branch)
 
     monkeypatch.setattr(converse._PointSums, "eval_chunk", eval_chunk)
     reports = converse.duality_bounds(*inputs, cfg, powers=powers)
@@ -1043,10 +1062,10 @@ class TestStreamingEngine:
         v = rng.integers(0, t, size=b)
         s = 1.0 + rng.uniform(size=(b, t))
         c = rng.uniform(size=(b, t))
-        nv2 = converse._pilot_norm_sq(yt, v)
-        whole = converse._whiten(yt, v, nv2, s, c)
-        parts = [converse._whiten(yt[i:i + 100], v[i:i + 100], nv2[i:i + 100], s[i:i + 100],
-                                  c[i:i + 100])
+        d = rng.uniform(size=(b, t))
+        whole = converse._whiten(yt, v, s, c, d)
+        parts = [converse._whiten(yt[i:i + 100], v[i:i + 100], s[i:i + 100], c[i:i + 100],
+                                  d[i:i + 100])
                  for i in range(0, b, 100)]
         for k in range(4):
             assert np.array_equal(whole[k], np.concatenate([p[k] for p in parts]))
@@ -1064,8 +1083,8 @@ class TestStreamingEngine:
         channel = sample_channel(1, cfg, rng, size=b)
         yt, mag, s2 = _user1_outputs(sample_inputs([_iso(cfg)], cfg, rng, size=b), channel, None)
         s = converse._slot_levels(mag, s2)
-        v, nv2, c, _ = _strongest_pilot(mag, s, yt, cfg, cfg.T)
-        white, perp, along, denom = converse._whiten(yt, v, nv2, s, c)
+        v, c, d, _ = _strongest_pilot(mag, s, cfg, cfg.T)
+        white, perp, along, denom = converse._whiten(yt, v, s, c, d)
         with mpmath.workdps(60):
             for i in range(b):
                 y = [[mpmath.mpc(complex(e)) for e in row] for row in yt[i]]
@@ -1077,9 +1096,26 @@ class TestStreamingEngine:
                     inner = sum(mpmath.conj(un) * row[j] for un, row in zip(u, y))
                     ref_perp = sum(abs(row[j] - inner * un) ** 2 for un, row in zip(u, y))
                     ref_along = abs(inner) ** 2
-                    ref_white = ref_perp / s[i, j] + ref_along / (s[i, j] + c * norm_v**2)
+                    ref_white = ref_perp / s[i, j] + ref_along / (s[i, j] + c * norm_v**2 + d)
                     for got, ref in ((perp, ref_perp), (along, ref_along), (white, ref_white)):
                         assert abs(got[i, j] / ref - 1) <= 1e-8
+
+    def test_branch2_last_slot_whitens_by_s_plus_p(self):
+        # in branch 2 the last slot's scale along the pilot output is
+        # s_T + P bit for bit, also where a scale P / ||y_v||^2 times
+        # ||y_v||^2 misses P: at P = 100 and ||y_v||^2 = 11 it is
+        # 100.00000000000001
+        cfg = _cfg(t=3, n=2, p=100.0)
+        mag, s2 = np.array([[6.0, 1.0, 8.0]]), np.array([3.0])
+        s = converse._slot_levels(mag, s2)
+        v, c, d, branch = _mac_low_t(mag, s, cfg)
+        assert v == [0] and branch == [2]
+        yt = sample_complex_gaussian(3, np.random.default_rng(3), size=(1, 2))
+        yt[0, :, 0] = [3.0 + 1.0j, 1.0]  # ||y_v||^2 = 11 exactly
+        assert s[0, -1] + (cfg.P / 11.0) * 11.0 != s[0, -1] + cfg.P
+        *_, denom = converse._whiten(yt, v, s, c, d)
+        assert denom[0, -1] == s[0, -1] + cfg.P
+        assert denom[0, 1] == s[0, 1] + c[0, 1] * 11.0
 
     def test_log_det_uses_denom_up(self):
         # ln |det A|^2 is formed in the buffer of the kernel's scales denom,
@@ -1089,7 +1125,7 @@ class TestStreamingEngine:
         yt = sample_complex_gaussian(t, rng, size=(b, n))
         v = rng.integers(0, t, size=b)
         s, c = 1.0 + rng.uniform(size=(b, t)), rng.uniform(size=(b, t))
-        *_, denom = converse._whiten(yt, v, converse._pilot_norm_sq(yt, v), s, c)
+        *_, denom = converse._whiten(yt, v, s, c, 0.0)
         direct = -((n - 1) * np.log(s) + np.log(denom))
         direct[np.arange(b), v] = 0.0
         log_det = converse._log_det(s, denom, v, n)
