@@ -85,19 +85,25 @@ def log_norm_sq(norm_sq):
     return np.log(np.maximum(norm_sq, _NORM_SQ_FLOOR))
 
 
-def radial_log_density(log_sq, norm_sq, log_norm, shape, beta):
+def radial_log_density(log_sq, norm_sq, log_norm, shape, beta, at=None):
     """Natural-log density from the two terms it reads, ln ||w||^2
     (:func:`log_norm_sq`) and ||w||^2, and a member's
     :func:`log_normalizer`, alpha - N and beta, with no singularity check.
 
     The density is linear in the two terms, so a caller may pass their
     conditional means in place of sampled values: the mean of the result
-    is unchanged.  The member's three may be arrays of the norms' shape,
-    so that one call evaluates each norm under a member of its own.
+    is unchanged.  With ``at``, an integer array of the norms' shape, the
+    member's three are tables indexed by it, so that one call evaluates
+    each norm under a member of its own; each table is gathered only when
+    it is read, so no more than three arrays of the norms' shape are held
+    at once.
     """
-    log_density = shape * log_sq
-    log_density += log_norm  # in place: a chunk's (B, T) temporaries stay few
-    log_density -= norm_sq / beta
+    def member(table):
+        return table if at is None else np.take(table, at)
+
+    log_density = member(shape) * log_sq
+    log_density += member(log_norm)  # in place: a chunk's (B, T) temporaries stay few
+    log_density -= norm_sq / member(beta)
     return log_density
 
 

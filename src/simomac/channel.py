@@ -150,12 +150,12 @@ def sample_channel(users, cfg, rng, size=None, out=None, scratch=None):
     user's fading, from ``rng``.
 
     Returns (list of fading draws, noise), a function of the generator
-    state and (users, N, T, fading kind, B), not of P: the duality bounds
-    draw it once per trial chunk for every power.  With h1 and Z drawn
-    first, a draw for one user is the start of a draw for two, so the
-    single-user bound sees the same h1 and Z alone as beside the MAC
-    bound.  ``out`` and ``scratch`` go to :func:`sample_complex_gaussian`
-    for the noise.
+    state and (users, N, T, fading kind, B), not of P: off Gaussian
+    fading the duality bounds draw it once per trial chunk for every
+    power.  With h1 and Z drawn first, a draw for one user is the start
+    of a draw for two, so the single-user bound sees the same h1 and Z
+    alone as beside the MAC bound.  ``out`` and ``scratch`` go to
+    :func:`sample_complex_gaussian` for the noise.
     """
     b = cfg.trials if size is None else size
     hs = [sample_fading(cfg.fading_kind, cfg.N, rng, size=b)] if users else []

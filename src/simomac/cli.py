@@ -176,11 +176,12 @@ def cmd_bounds(args):
     warnings = []
     for k, p_db in enumerate(p_dbs):
         entry = {"P_dB": p_db, "slack_bits": remainder_slack_bits(powers[k])}
-        try:
-            entry["single_user_upper"] = _bound_to_dict(one_or_all([single[k]], None))
-            entry["mac_user1_upper"] = _bound_to_dict(one_or_all([mac[k]], None))
-        except InvalidRegime as exc:
-            warnings.append(f"P={p_db} dB: {exc}")
+        # each bound fails on its own: a failed single-user bound keeps a finite MAC bound
+        for key, reports in (("single_user_upper", single), ("mac_user1_upper", mac)):
+            try:
+                entry[key] = _bound_to_dict(one_or_all([reports[k]], None))
+            except InvalidRegime as exc:
+                warnings.append(f"P={p_db} dB: {exc}")
         if su_training is not None:
             su = su_training[k]
             entry["single_user_training"] = {"rate": su.rate, "std_error": su.std_error}

@@ -6,7 +6,7 @@ shape of three plain functions (:class:`_Bound`) on one row model: the
 slot levels s (:func:`_slot_levels`), built once per chunk, and one
 h(Y | X) (:func:`_h_given_x`), which the MI oracles share; every genie
 decision is a function of the inputs.  The duality bounds draw their
-Monte-Carlo trials in fixed-size chunks, the fading and noise once for
+Monte-Carlo trials in fixed-size chunks, the channel draws once for
 every power and both bounds, the inputs once for every power unless
 their law is truncated, and run the chunks on every CPU the process may
 use, folding each chunk's sums in chunk order, so the results do not
@@ -14,24 +14,31 @@ depend on the CPU count.  Half the trials fit the auxiliary-output
 parameters (alpha, beta per branch and slot category) on sums of the
 whitened norms (:class:`~simomac.auxdist.NormSqSums`); the other half, a
 stream of their own, evaluate the bound against those fixed parameters
-and keep only plain sums (:class:`_PointSums`); both passes whiten
-through one kernel (:func:`_whiten`), the one reader of the pilot
-outputs, which splits each slot into its parts along and orthogonal to
-the pilot output, so no digits cancel at high power.  So there is no
-fitting bias, and memory does not grow with the trial count.  Under
-Gaussian fading the evaluated statistic is Rao-Blackwellised
-(:func:`_conditioned_terms`): the pilot slot's terms of -ln q(Y) are
-replaced by their means given X, each other slot's ||w_t||^2 by its mean
-given X and the pilot output, and for N >= 3 its ln ||w_t||^2 carries a
-zero-mean control variate, the log of the orthogonal part's known
-Gamma(N - 1) law; so the bound keeps its mean at a smaller standard
-error.  The double-log remainder terms are carried in the reports with
-the calibrated constants of :mod:`simomac.auxdist`.
+and keep only plain sums (:class:`_PointSums`).  Both passes whiten each
+slot from its parts along and orthogonal to the pilot output
+(:class:`_Parts`) through one tail (:func:`_whiten`), so no digits
+cancel at high power.  Off Gaussian fading the parts come from the
+outputs (:func:`_project`, the one reader of the outputs).  Under
+Gaussian fading their law given X is known, each row of Y being
+CN(0, K(X)), so a chunk draws them instead (:func:`_drawn_parts`):
+||y_v||^2 = K_vv Gamma(N, 1), <y_t, u> = a_t + sigma_t CN(0, 1) and
+||y_perp,t||^2 = sigma_t^2 Gamma(N - 1, 1), each slot's exact joint law
+with the pilot; the statistic is a sum over slots, so its mean is that
+of the outputs.  So there is no fitting bias, and memory does not grow
+with the trial count.  Under Gaussian fading the evaluated statistic is
+also Rao-Blackwellised (:func:`_conditioned_terms`): the pilot slot's
+terms of -ln q(Y) are replaced by their means given X, each other slot's
+||w_t||^2 by its mean given X and the pilot output, and for N >= 3 its
+ln ||w_t||^2 carries a zero-mean control variate, the log of the drawn
+Gamma(N - 1) orthogonal part; so the bound keeps its mean at a smaller
+standard error.  The double-log remainder terms are carried in the
+reports with the calibrated constants of :mod:`simomac.auxdist`.
 """
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,16 +75,19 @@ from .linalg import (
     moments_of,
     norm_sq,
     run_chunks,
+    sample_complex_gaussian,
 )
 from .region import regime_objective
 
 # Samples per batched eigendecomposition in the mixture MI estimate.
 _MIXTURE_BLOCK = 512
 
-# Complex entries (trials x N x T) per chunk of the duality bounds: the
-# (chunk, N, T) arrays stay at 1 MiB whatever the trial count, so one
-# chunk in flight per CPU holds little memory.
-_CHUNK_ENTRIES = 2**16
+# Trial-slots (trials x T) per chunk of the duality bounds: 512 trials at
+# T = 32, 5,461 at T = 3.  Under Gaussian fading a chunk holds (chunk, T)
+# draws; off it each thread holds two (chunk, N, T) complex buffers, 2 MiB
+# each at N = 8.  Either way one chunk in flight per CPU holds little
+# memory, whatever the trial count.
+_CHUNK_SLOTS = 2**14
 
 
 @dataclass
@@ -126,12 +136,12 @@ def _trial_chunks(cfg, stream):
     floor(trials / 2) evaluation trials.  A stream of ``size`` trials is
     cut into chunks of ceil(size / count) trials, the last one possibly
     fewer, where count = ceil(size / cap) and cap =
-    max(2, ``_CHUNK_ENTRIES // (N T)``): no chunk exceeds the cap, and
-    the chunks are as equal as the cap allows, so the CPUs running them
+    max(2, ``_CHUNK_SLOTS // T``): no chunk exceeds the cap, and the
+    chunks are as equal as the cap allows, so the CPUs running them
     finish together.  Each chunk draws from :func:`_chunk_seed`.
     """
     size = (cfg.trials + 1 - stream) // 2  # >= 1: the bounds need trials >= 2
-    count = -(-size // max(2, _CHUNK_ENTRIES // (cfg.N * cfg.T)))
+    count = -(-size // max(2, _CHUNK_SLOTS // cfg.T))
     return range(0, size, -(-size // count))
 
 
@@ -151,29 +161,38 @@ def _slot_levels(mag, s2):
     return s
 
 
-def _whiten(yt, v, s, c, d):
-    """Squared whitened norms ||A y_i||^2, their two parts and the scales
-    s + c ||y_v||^2 + d of the pilot direction, each (B, T).
+class _Parts(NamedTuple):
+    """One chunk's whitening inputs of one bound, from a source: per trial
+    ||y_v||^2 of its pilot output y_v, and per slot t its part along
+    u = y_v / ||y_v||, |<y_t, u>|^2 (||y_v||^2 at the pilot), and the
+    orthogonal rest ||y_perp,t||^2 = ||y_t - <y_t, u> u||^2 (0 at the
+    pilot).  The drawn source (:func:`_drawn_parts`) also gives its row
+    model (sigma_t^2, K_vv, Gamma(N - 1) variate) for
+    :func:`_conditioned_terms`; the outputs source (:func:`_project`)
+    gives none."""
 
-    yt: (B, N, T) outputs (rotated for the MAC); v: (B,) pilot slot; s, c,
-    d: (B, T) whitening scales, c and d possibly scalars.  The one reader
-    of the pilot outputs y_v, it forms ||y_v||^2 once.  Non-pilot slot i
-    is whitened by A = (s_i I + (c_i + d_i / ||y_v||^2) y_v y_v^H)^{-1/2},
-    which scales its part along u = y_v / ||y_v|| by denom_i^{-1/2} and
-    the orthogonal rest y_perp = y_i - <y_i, u> u by s_i^{-1/2}, so
-    ||A y_i||^2 = ||y_perp||^2 / s_i + |<y_i, u>|^2 / denom_i: a sum of
-    non-negative terms, with no difference of two O(P) terms to cancel.
-    Returns (white, perp, along, denom), perp = ||y_perp||^2 and
-    along = |<y_i, u>|^2; the pilot slot is left as is, with the norm
-    ||y_v||^2 and perp 0.  y_perp is formed one antenna at a time in a
-    (B, T) temporary, so yt is only read and no (B, N, T) temporary is
-    made.  Each row depends on its own trial only, so chunks whiten
-    independently.
+    nv2: np.ndarray  # (B,)
+    along: np.ndarray  # (B, T)
+    perp: np.ndarray  # (B, T)
+    model: tuple | None = None
+
+
+def _project(yt, v):
+    """The outputs source: :class:`_Parts` of the (B, N, T) outputs yt
+    (rotated for the MAC) against their pilot slot v (B,).
+
+    The one reader of the outputs, it gathers y_v once and forms
+    ||y_v||^2 from that copy.  Slot t's part along u is <y_t, u> u =
+    coef y_v, coef = <y_t, y_v> / ||y_v||^2, and y_perp is formed one
+    antenna at a time in a (B, T) temporary, so yt is only read and no
+    (B, N, T) temporary is made.  Each part is a sum of non-negative
+    terms, so the whitened norm of :func:`_whiten` has no difference of
+    two O(P) terms to cancel.  Each row depends on its own trial only,
+    so chunks project independently.
     """
     rows = np.arange(len(v))
     y_v = np.conjugate(yt[rows, :, v])  # conjugated back below: one (B, N) copy
     nv2 = norm_sq(y_v)
-    # slot i's part along u is <y_i, u> u = coef y_v, coef = <y_i, y_v> / ||y_v||^2
     coef = np.matmul(y_v[:, None, :], yt)[:, 0]
     coef.view(float)[...] *= 1.0 / np.maximum(nv2, 1e-300)[:, None]  # a real scale
     np.conjugate(y_v, out=y_v)
@@ -184,29 +203,10 @@ def _whiten(yt, v, s, c, d):
         np.subtract(yt[:, k, :], diff, out=diff)
         perp += diff.real**2
         perp += diff.imag**2
-    pilot = rows * perp.shape[1] + v  # flat index of each trial's pilot slot
-    np.put(perp, pilot, 0.0)
+    np.put(perp, rows * perp.shape[1] + v, 0.0)
     along = abs_sq(coef)
     along *= nv2[:, None]
-    denom = s + c * nv2[:, None]
-    denom += d
-    white = perp / s
-    white += along / denom
-    np.put(white, pilot, nv2)
-    return white, perp, along, denom
-
-
-def _log_det(s, denom, v, n):
-    """(B, T) ln |det A|^2 of the maps A on C^n of :func:`_whiten`, from
-    its scales s and denom = s + c ||y_v||^2 + d; 0 at the pilot slot.  It is
-    formed in denom's own buffer, so denom is used up: read it before."""
-    log_s = np.log(s)
-    log_s *= n - 1
-    log_det = np.log(denom, out=denom)
-    log_det += log_s
-    np.negative(log_det, out=log_det)
-    log_det[np.arange(len(v)), v] = 0.0
-    return log_det
+    return _Parts(nv2, along, perp)
 
 
 def _residual_variance(mag, s, v):
@@ -228,49 +228,116 @@ def _residual_variance(mag, s, v):
     return sigma2, k_vv
 
 
+def _drawn_parts(draws, mag, s, v):
+    """The drawn source under Gaussian fading: :class:`_Parts` from one
+    chunk's ``draws`` (G0, g, G) of :func:`_drawn_source`, mapped to the
+    law of the outputs given X through the row model of
+    :func:`_residual_variance` on mag and the slot levels s.
+
+    Given X, the pilot's ||y_v||^2 is K_vv G0, G0 ~ Gamma(N, 1).  Given
+    (X, y_v), slot t's entries are (K_tv / K_vv) y_v plus CN(0, sigma_t^2
+    I_N) noise, so <y_t, u> = a_t + sigma_t g_t, with
+    a_t = |K_tv| ||y_v|| / K_vv = sqrt(mag_t mag_v ||y_v||^2) / K_vv and
+    g_t ~ CN(0, 1) (the noise is circularly symmetric, so K_tv's phase
+    does not matter), and ||y_perp,t||^2 = sigma_t^2 G_t with
+    G_t ~ Gamma(N - 1, 1).  This is each slot's exact joint law with the
+    pilot; only the correlation between slots differs from the outputs',
+    which no term of the bound statistic reads alone.  Every part is a
+    sum of non-negative terms.  The row model is kept for
+    :func:`_conditioned_terms`, G its Gamma(N - 1) variate.
+    """
+    g0, g, gamma = draws
+    sigma2, k_vv = _residual_variance(mag, s, v)
+    b, t = mag.shape
+    pilot = np.arange(b) * t + v  # flat index of each trial's pilot slot
+    nv2 = k_vv * g0
+    along = mag * (np.take(mag, pilot) * nv2 / k_vv**2)[:, None]  # a_t^2
+    np.sqrt(along, out=along)
+    sigma = np.sqrt(sigma2)
+    along += sigma * g.real
+    along *= along
+    sigma *= g.imag
+    sigma *= sigma
+    along += sigma  # |a_t + sigma_t g_t|^2
+    np.put(along, pilot, nv2)  # |<y_v, u>|^2 = ||y_v||^2
+    perp = sigma2 * gamma
+    np.put(perp, pilot, 0.0)
+    return _Parts(nv2, along, perp, (sigma2, k_vv, gamma))
+
+
+def _whiten(parts, v, s, c, d):
+    """Squared whitened norms ||A y_t||^2 and the scales s + c ||y_v||^2
+    + d of the pilot direction, each (B, T), from a source's
+    :class:`_Parts`.
+
+    v: (B,) pilot slot; s, c, d: (B, T) whitening scales, c and d possibly
+    scalars.  Non-pilot slot t is whitened by
+    A = (s_t I + (c_t + d_t / ||y_v||^2) y_v y_v^H)^{-1/2}, which scales
+    its part along u = y_v / ||y_v|| by denom_t^{-1/2} and the orthogonal
+    rest by s_t^{-1/2}, so ||A y_t||^2 = ||y_perp,t||^2 / s_t +
+    |<y_t, u>|^2 / denom_t: a sum of non-negative terms.  The pilot slot
+    is left as is, with the norm ||y_v||^2.  Returns (white, denom).
+    """
+    nv2 = parts.nv2
+    denom = s + c * nv2[:, None]
+    denom += d
+    white = parts.perp / s
+    white += parts.along / denom
+    np.put(white, np.arange(len(v)) * white.shape[1] + v, nv2)
+    return white, denom
+
+
+def _log_det(s, denom, v, n):
+    """(B, T) ln |det A|^2 of the maps A on C^n of :func:`_whiten`, from
+    its scales s and denom = s + c ||y_v||^2 + d; 0 at the pilot slot.  It is
+    formed in denom's own buffer, so denom is used up: read it before."""
+    log_s = np.log(s)
+    log_s *= n - 1
+    log_det = np.log(denom, out=denom)
+    log_det += log_s
+    np.negative(log_det, out=log_det)
+    log_det[np.arange(len(v)), v] = 0.0
+    return log_det
+
+
 def _digamma(n):
     """psi(n) = -gamma + sum_{k < n} 1/k for an integer n >= 1: the mean of
     ln G for G ~ Gamma(n, 1)."""
     return -np.euler_gamma + sum(1.0 / k for k in range(1, n))
 
 
-def _conditioned_terms(white, perp, denom, mag, v, s, cfg):
+def _conditioned_terms(white, denom, mag, v, s, model, n):
     """(B, T) terms ln ||w_t||^2 and ||w_t||^2 that -ln q(Y) reads
-    (:func:`~simomac.auxdist.radial_log_density`), Rao-Blackwellised under
-    Gaussian fading, from the norms ``white``, orthogonal parts ``perp``
-    and scales (read, not changed) ``denom`` = s + c ||y_v||^2 + d of
-    :func:`_whiten`.
+    (:func:`~simomac.auxdist.radial_log_density`), Rao-Blackwellised
+    under Gaussian fading, from the norms ``white`` and scales (read, not
+    changed) ``denom`` = s + c ||y_v||^2 + d of :func:`_whiten` and the
+    source's row ``model`` (sigma_t^2, K_vv, G) of :func:`_drawn_parts`.
 
     Given X, the pilot's ||y_v||^2 is K_vv Gamma(N, 1), so its two terms
     become their means ln K_vv + psi(N) and N K_vv.  Given (X, y_v), slot
-    t's entries are (K_tv / K_vv) y_v plus CN(0, sigma_t^2 I_N) noise
-    (:func:`_residual_variance`), so each other slot's ||w_t||^2, which is
-    ||y_perp||^2 / s_t + |<y_t, u>|^2 / denom_t with u = y_v / ||y_v|| and
-    denom_t = s_t + c_t ||y_v||^2 + d_t, becomes its mean
+    t's entries are (K_tv / K_vv) y_v plus CN(0, sigma_t^2 I_N) noise, so
+    each other slot's ||w_t||^2, which is ||y_perp||^2 / s_t +
+    |<y_t, u>|^2 / denom_t, becomes its mean
     (N - 1) sigma_t^2 / s_t + (mag_t mag_v ||y_v||^2 / K_vv^2 + sigma_t^2)
-    / denom_t.  Its ln ||w_t||^2 stays sampled, but for
-    N >= 3 it carries a control variate: ||y_perp||^2 / sigma_t^2, the
-    noise orthogonal to u, is Gamma(N - 1, 1), so
-    ln ||w_t||^2 - ln(||y_perp||^2 / sigma_t^2) + psi(N - 1) has the same
-    conditional mean, and it is one log,
-    ln(||w_t||^2 sigma_t^2 / ||y_perp||^2) + psi(N - 1), never formed at
-    the pilot, where ||y_perp||^2 = 0.  At N = 2 the variate's one
+    / denom_t.  Its ln ||w_t||^2 stays sampled, but for N >= 3 it carries
+    a control variate: ||y_perp||^2 / sigma_t^2 = G_t, the noise
+    orthogonal to u, is Gamma(N - 1, 1), so ln(||w_t||^2 / G_t) +
+    psi(N - 1) has the same conditional mean.  At N = 2 the variate's one
     dimension against the parallel part's one gave no gain, so there
-    ln ||w_t||^2 is the sampled one.  The genies' s, c, d, slot categories
-    and branches are functions of X, so each replaced term has the
-    conditional mean of the term it replaces and the mean of the bound
-    statistic is unchanged.  Off Gaussian fading the terms are the sampled
-    ones, ln ||w_t||^2 and ||w_t||^2 of ``white``.
+    ln ||w_t||^2 is the sampled one.  The genies' s, c, d, slot
+    categories and branches are functions of X, so each replaced term
+    has the conditional mean of the term it replaces and the mean of the
+    bound statistic is unchanged.  Without a row model (the outputs
+    source, off Gaussian fading) the terms are the sampled ones,
+    ln ||w_t||^2 and ||w_t||^2 of ``white``.
     """
-    if cfg.fading_kind != "iid_complex_gaussian":
+    if model is None:
         return log_norm_sq(white), white
-    n, (b, t) = cfg.N, white.shape
+    sigma2, k_vv, gamma = model
+    b, t = white.shape
     pilot = np.arange(b) * t + v  # flat index of each trial's pilot slot
-    sigma2, k_vv = _residual_variance(mag, s, v)
     if n >= 3:
-        gamma = perp / sigma2  # Gamma(N - 1, 1) given (X, y_v), off the pilot
-        np.put(gamma, pilot, 1.0)  # at the pilot ||y_perp||^2 = 0: no ratio is formed
-        log_sq = log_norm_sq(np.divide(white, gamma, out=gamma))
+        log_sq = log_norm_sq(white / gamma)
         log_sq += _digamma(n - 1)
     else:
         log_sq = log_norm_sq(white)
@@ -279,9 +346,9 @@ def _conditioned_terms(white, perp, denom, mag, v, s, cfg):
     lin = mag * (np.take(mag, pilot) * nv2 / k_vv**2)[:, None]  # |K_tv / K_vv|^2 ||y_v||^2
     lin += sigma2
     lin /= denom
-    sigma2 *= n - 1
-    sigma2 /= s
-    lin += sigma2
+    rest = sigma2 * (n - 1)
+    rest /= s
+    lin += rest
     np.put(lin, pilot, n * k_vv)
     return log_sq, lin
 
@@ -328,10 +395,10 @@ class _PointSums:
         group += n_names * branch[:, None]
         return group
 
-    def fit_chunk(self, yt, mag, s2, v, s, c, d, branch):
+    def fit_chunk(self, parts, mag, s2, v, s, c, d, branch):
         """A fit chunk's (sums,) of its whitened norms, for :meth:`fold`,
-        from a bound's outputs and pilot; it takes no logarithm."""
-        white, *_ = _whiten(yt, v, s, c, d)
+        from a bound's :class:`_Parts` and pilot; it takes no logarithm."""
+        white, _ = _whiten(parts, v, s, c, d)
         return (NormSqSums.of(white, self._groups(v, branch), self.rows.count.shape),)
 
     def fit(self):
@@ -370,17 +437,18 @@ class _PointSums:
         each trial, -ln q(Y) read from the (B, T) aux groups, ln |det A|^2
         and the terms ln ||w||^2 and ||w||^2 of :func:`_conditioned_terms`
         under the fitted members."""
-        ln_q = radial_log_density(log_sq, lin, *self.table[:, group])
+        ln_q = radial_log_density(log_sq, lin, *self.table, at=group)
         neg_q = -(ln_q.sum(axis=1) + log_det.sum(axis=1)) / LN2
         return (neg_q - h_given_x + self.bound.genie_cost) / self.cfg.T
 
-    def eval_chunk(self, yt, mag, s2, v, s, c, d, branch):
+    def eval_chunk(self, parts, mag, s2, v, s, c, d, branch):
         """An evaluation chunk's sums of its whitened norms, moments of its
         :meth:`statistic`, trials per branch and sum of rhs - h(Y | X)."""
-        white, perp, _, denom = _whiten(yt, v, s, c, d)
+        white, denom = _whiten(parts, v, s, c, d)
         group = self._groups(v, branch)
         rows = NormSqSums.of(white, group, self.rows.count.shape)
-        log_sq, lin = _conditioned_terms(white, perp, denom, mag, v, s, self.cfg)
+        log_sq, lin = _conditioned_terms(white, denom, mag, v, s, parts.model, self.cfg.N)
+        del white  # the terms replace it: one (B, T) array fewer held by the statistic
         h_given_x = _h_given_x(mag, s2, self.cfg)
         stat = self.statistic(group, _log_det(s, denom, v, self.cfg.N), log_sq, lin, h_given_x)
         trials = np.bincount(branch, minlength=self.bound.branches)
@@ -439,26 +507,109 @@ class _PointSums:
 class _Bound:
     """One duality bound of a streamed pass: its genie shape as functions.
 
-    ``outputs(xs, channel, out)`` maps one chunk's inputs and
-    :func:`sample_channel` draw to (yt, mag, s2): the outputs to whiten,
-    built in the thread's (chunk, N, T) buffer ``out``, and the (mag, s2)
-    of :func:`_log2_det`.  ``pilot(mag, s, cfg)`` reads the slot levels s
-    of :func:`_slot_levels` and never the outputs: every genie decision
-    and scale is a function of the inputs.  It gives the pilot slot, the
-    c and d of :func:`_whiten` (whose scales are denom = s + c ||y_v||^2
-    + d) and each trial's aux branch below ``branches``: (v, c, d,
-    branch), which with (yt, mag, s2, s) is what :class:`_PointSums`
-    takes per chunk.
+    ``levels(xs)`` maps one chunk's inputs to (x1t, s2): user 1's input,
+    rotated by U(x2) for the MAC, and s2 = ||x2||^2 (0 for user 1 alone),
+    from which mag = |x1t|^2 gives the (mag, s2) of :func:`_log2_det`.
+    ``pilot(mag, s, cfg)`` reads the slot levels s of :func:`_slot_levels`
+    and never the outputs: every genie decision and scale is a function
+    of the inputs.  It gives the pilot slot, the c and d of
+    :func:`_whiten` (whose scales are denom = s + c ||y_v||^2 + d) and
+    each trial's aux branch below ``branches``: (v, c, d, branch), which
+    with the chunk's :class:`_Parts` and (mag, s2, s) is what
+    :class:`_PointSums` takes per chunk.
     ``rhs(mag, s2, v, branch, cfg)`` gives the analytic right-hand side.
     ``names`` labels the aux categories.
     """
 
-    outputs: Callable
+    levels: Callable
     pilot: Callable
     rhs: Callable
     names: tuple
     genie_cost: float
     branches: int = 1
+
+
+def _outputs(x1t, s2, channel, out=None):
+    """Outputs h1 x1t^T + sqrt(s2) h2 e_T^T + Z, shape (B, N, T), of a
+    bound's (x1t, s2) and a :func:`sample_channel` draw, built in ``out``;
+    the interferer's term only where s2 is an array, not user 1's 0.
+
+    For the MAC these are the outputs rotated by U(x2): since
+    x2^T U(x2) = ||x2|| e_T^T, (h1 x1^T + h2 x2^T + Z) U =
+    h1 (x1^T U) + ||x2|| h2 e_T^T + Z U.  Given x2, U is a fixed unitary,
+    and i.i.d. CN(0, 1) noise is unitarily invariant (Marzetta & Hochwald,
+    IEEE Trans. IT 1999), so Z U has the law of Z whatever x1, x2, h1 and
+    h2 are: the outputs are drawn already rotated, with Z in place of
+    Z U, and only user 1's (B, T) input is rotated.
+    """
+    y = superpose([x1t], channel, out=out)
+    if np.ndim(s2):
+        y[:, :, -1] += np.sqrt(s2)[:, None] * channel[0][1]
+    return y
+
+
+def _drawn_source(cfg, rng, size):
+    """Under Gaussian fading, one chunk's source of :class:`_Parts`, a
+    function parts(x1t, s2, mag, s, v) of each point's and bound's inputs.
+
+    It draws from ``rng`` the ``size`` trials' G0 ~ Gamma(N, 1), then per
+    slot g ~ CN(0, 1) and G ~ Gamma(N - 1, 1) (0 at N = 1, which draws
+    nothing): the same draws for every point and bound, whatever the
+    number of users, each mapped to its own parts by :func:`_drawn_parts`.
+    No output is built.
+    """
+    n, t = cfg.N, cfg.T
+    draws = (rng.standard_gamma(n, size), sample_complex_gaussian(t, rng, size=size),
+             rng.standard_gamma(n - 1, (size, t)))
+    return lambda x1t, s2, mag, s, v: _drawn_parts(draws, mag, s, v)
+
+
+def _output_source(users, cfg, rng, size, scratch):
+    """Off Gaussian fading, one chunk's source of :class:`_Parts`, a
+    function parts(x1t, s2, mag, s, v) that builds each point's and
+    bound's outputs (:func:`_outputs`) and projects them (:func:`_project`).
+
+    It draws the chunk's channel for ``users`` from ``rng``
+    (:func:`sample_channel`: h1, Z, then h2), so a pass with one user
+    draws exactly the first two.  The noise's normal deviates pass
+    through the thread's Y buffer, which holds nothing until the first
+    bound builds its outputs in it.  The two (chunk, N, T) buffers live
+    in the thread's ``scratch``, reused from chunk to chunk and bound to
+    bound, so their memory is not faulted in afresh; they grow when a
+    chunk is longer than them.
+    """
+    if len(scratch.get("y", ())) < size:
+        shape = (size, cfg.N, cfg.T)
+        scratch.update(noise=np.empty(shape, dtype=complex), y=np.empty(shape, dtype=complex))
+    noise, out = scratch["noise"][:size], scratch["y"][:size]
+    draw = out.reshape(-1).view(float)[:noise.size].reshape(noise.shape)
+    channel = sample_channel(users, cfg, rng, size=size, out=noise, scratch=draw)
+    return lambda x1t, s2, mag, s, v: _project(_outputs(x1t, s2, channel, out), v)
+
+
+# Each fading kind's source of whitening inputs, made per chunk as
+# source(users, cfg, rng, size, scratch): drawn from their law given X
+# where it is known in closed form, which needs neither the user count
+# nor the thread's buffers, else projected from outputs.
+_SOURCES = {
+    "iid_complex_gaussian": lambda users, cfg, rng, size, scratch: _drawn_source(cfg, rng, size),
+    "iid_uniform_annulus": _output_source,
+}
+
+
+def _bound_sums(acc, stream, xs, parts):
+    """The fit (``stream`` 0) or evaluation sums of one chunk for the
+    point and bound of ``acc`` (:class:`_PointSums`), from the point's
+    inputs ``xs`` and the chunk's source ``parts``: the bound maps the
+    inputs to their levels, the slot levels (:func:`_slot_levels`) and
+    the pilot, and takes its whitening inputs from the source.  Its
+    temporaries go when it returns, before the next bound makes its own."""
+    x1t, s2 = acc.bound.levels(xs)
+    mag = abs_sq(x1t)
+    s = _slot_levels(mag, s2)
+    v, c, d, branch = acc.bound.pilot(mag, s, acc.cfg)
+    chunk = acc.eval_chunk if stream else acc.fit_chunk
+    return chunk(parts(x1t, s2, mag, s, v), mag, s2, v, s, c, d, branch)
 
 
 def _streamed_bounds(points, bounds):
@@ -472,22 +623,19 @@ def _streamed_bounds(points, bounds):
     point's :class:`_PointSums`: the fit pass folds sums of the whitened
     norms, every member is then fitted once, and the evaluation pass folds
     the moments of the bound statistic.  No trial is drawn twice, and
-    memory does not grow with the trial count.  For each point and bound,
-    a chunk builds the outputs, their slot levels (:func:`_slot_levels`)
-    and the pilot, and hands them to the point's _PointSums.
+    memory does not grow with the trial count.  A chunk hands each point
+    and bound in turn to :func:`_bound_sums`, so one bound's arrays are
+    held at a time.
 
-    Each chunk draws its channel once, for every point and bound, from a
-    generator on the first child of the chunk's seed (:func:`_chunk_seed`),
-    in the order h1, Z, h2 of :func:`sample_channel`: a pass with one user
-    draws exactly the first two.  Its inputs (x1 first) come from
+    Each chunk makes its source (:data:`_SOURCES`: under Gaussian fading
+    :func:`_drawn_source`, else :func:`_output_source`) once, for every
+    point and bound, from a generator on the first child of the chunk's
+    seed (:func:`_chunk_seed`); what it draws does not depend on the
+    number of users.  Its inputs (x1 first) come from
     :func:`sample_point_inputs` on the chunk's seed: each user's P-free
     draw once for the grid, mapped to every point's P, or for truncated
     laws a fresh draw per point.  So every point, and every bound of a
-    point, sees the draws of a call of its own.  Each thread draws the
-    noise, whose normal deviates pass through the Y buffer, and builds
-    each bound's outputs in turn in two (chunk, N, T) buffers of its own,
-    reused from chunk to chunk and bound to bound, so their memory is not
-    faulted in afresh.
+    point, sees the draws of a call of its own.
     """
     inputs0, cfg0 = points[0]
     if cfg0.trials < 2:
@@ -495,31 +643,19 @@ def _streamed_bounds(points, bounds):
                            "evaluate")
     streams = _trial_chunks(cfg0, 0), _trial_chunks(cfg0, 1)
     sums = [[_PointSums.empty(bound, cfg) for bound in bounds] for _, cfg in points]
+    source = _SOURCES[cfg0.fading_kind]
 
     def run(stream, i, scratch):
         """(_PointSums, its fit or evaluation sums) per point and bound of
         chunk i of ``stream``."""
         starts = streams[stream]
-        if not scratch:  # a fresh dict each pass: sized by this stream's chunks
-            shape = (starts.step, cfg0.N, cfg0.T)
-            scratch.update(noise=np.empty(shape, dtype=complex), y=np.empty(shape, dtype=complex))
         b = min(starts.step, starts.stop - starts[i])
-        noise, y_buf = scratch["noise"][:b], scratch["y"][:b]
-        # the noise's normal deviates pass through the front half of the Y
-        # buffer, which holds nothing until the first bound builds its outputs
-        draw = y_buf.reshape(-1).view(float)[:noise.size].reshape(noise.shape)
         seed = _chunk_seed(cfg0, stream, i)
-        channel_seed = np.random.SeedSequence(seed.entropy, spawn_key=seed.spawn_key + (0,))
-        channel = sample_channel(len(inputs0), cfg0, np.random.default_rng(channel_seed),
-                                 size=b, out=noise, scratch=draw)
+        source_seed = np.random.SeedSequence(seed.entropy, spawn_key=seed.spawn_key + (0,))
+        parts = source(len(inputs0), cfg0, np.random.default_rng(source_seed), b, scratch)
         results = []
-        for (_, cfg), point_sums, xs in zip(points, sums, sample_point_inputs(points, seed, b)):
-            for bound, acc in zip(bounds, point_sums):
-                yt, mag, s2 = bound.outputs(xs, channel, y_buf)
-                s = _slot_levels(mag, s2)
-                v, c, d, branch = bound.pilot(mag, s, cfg)
-                chunk = acc.eval_chunk if stream else acc.fit_chunk
-                results.append((acc, chunk(yt, mag, s2, v, s, c, d, branch)))
+        for point_sums, xs in zip(sums, sample_point_inputs(points, seed, b)):
+            results.extend((acc, _bound_sums(acc, stream, xs, parts)) for acc in point_sums)
         return results
 
     def fold(results):
@@ -544,10 +680,9 @@ def _streamed_bounds(points, bounds):
 # Single-user duality bound
 # ---------------------------------------------------------------------------
 
-def _user1_outputs(xs, channel, out):
-    """Outputs y = h1 x1^T + Z of user 1 alone, built in ``out``, with
-    mag = |x1|^2 and s2 = 0."""
-    return superpose(xs[:1], channel, out=out), abs_sq(xs[0]), 0.0
+def _user1_levels(xs):
+    """(x1, s2 = 0) of user 1 alone."""
+    return xs[0], 0.0
 
 
 def _strongest_pilot(mag, s, cfg, slots):
@@ -569,7 +704,7 @@ def _single_user_rhs(mag, s2, v, branch, cfg):
 def _single_user_bound(slots):
     """The single-user bound of :func:`_streamed_bounds`, its pilot the
     strongest of the first ``slots`` slots (1 <= slots <= T)."""
-    return _Bound(_user1_outputs, partial(_strongest_pilot, slots=slots), _single_user_rhs,
+    return _Bound(_user1_levels, partial(_strongest_pilot, slots=slots), _single_user_rhs,
                   ("pilot", "offpilot"), np.log2(slots))
 
 
@@ -646,25 +781,12 @@ def _mac_low_t_rhs(mag, s2, v, branch, cfg):
     )
 
 
-def _rotated_mac_outputs(xs, channel, out):
-    """The MAC outputs rotated by U(x2), built in ``out``, with
-    mag = |x1t|^2 of the rotated input x1t and s2 = ||x2||^2.
-
-    Since x2^T U(x2) = ||x2|| e_T^T, the rotated outputs are
-    (h1 x1^T + h2 x2^T + Z) U = h1 (x1^T U) + ||x2|| h2 e_T^T + Z U.  Given
-    x2, U is a fixed unitary, and i.i.d. CN(0, 1) noise is unitarily
-    invariant (Marzetta & Hochwald, IEEE Trans. IT 1999), so Z U has the
-    law of Z whatever x1, x2, h1 and h2 are: the outputs are drawn
-    already rotated, with Z in place of Z U, and only user 1's (B, T)
-    input is rotated.
-    """
+def _rotated_levels(xs):
+    """(x1t, s2) of the MAC: x1t = x1^T U(x2), user 1's input rotated by
+    U(x2), which moves user 2 to the last slot (:func:`_outputs`), and
+    s2 = ||x2||^2."""
     x1, x2 = xs
-    hs, _ = channel
-    x1t = apply_rotation(x1[:, None, :], x2)[:, 0]
-    s2 = norm_sq(x2)
-    yt = superpose([x1t], channel, out=out)
-    yt[:, :, -1] += np.sqrt(s2)[:, None] * hs[1]
-    return yt, abs_sq(x1t), s2
+    return apply_rotation(x1[:, None, :], x2)[:, 0], norm_sq(x2)
 
 
 def _mac_bound(cfg):
@@ -674,9 +796,9 @@ def _mac_bound(cfg):
     if t < 2:
         raise RegimeUnsupported("the MAC bound needs T >= 2")
     if regime_objective(t, cfg.N) == "f_exponent":
-        return _Bound(_rotated_mac_outputs, partial(_strongest_pilot, slots=t - 1),
+        return _Bound(_rotated_levels, partial(_strongest_pilot, slots=t - 1),
                       _mac_high_t_rhs, MAC_CATEGORIES, np.log2(t - 1))
-    return _Bound(_rotated_mac_outputs, _mac_low_t, _mac_low_t_rhs, MAC_CATEGORIES,
+    return _Bound(_rotated_levels, _mac_low_t, _mac_low_t_rhs, MAC_CATEGORIES,
                   np.log2(2 * t), branches=3)
 
 
@@ -699,8 +821,8 @@ def duality_bounds(input1, input2, cfg, *, powers=None):
     """(:func:`duality_bound_single_user` of input1, :func:`duality_bound_mac_user1`)
     from one fit pass and one evaluation pass over the trials.
 
-    Both bounds see the same chunks, h1, Z and x1, and each equals its
-    own call bit for bit (see :func:`_streamed_bounds`).  Raises
+    Both bounds see the same chunks, channel draws and x1, and each
+    equals its own call bit for bit (see :func:`_streamed_bounds`).  Raises
     RegimeUnsupported at T = 1 before drawing anything.  ``powers`` works
     as in :func:`duality_bound_single_user`; without it, the single-user
     error is raised before the MAC one.

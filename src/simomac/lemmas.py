@@ -11,7 +11,7 @@ import numpy as np
 
 from .auxdist import NormSqSums, cross_entropy_expansion, fit_params, log_density_from_norm_sq
 from .channel import InputDistribution, truncate_to_peak
-from .converse import _log_det, _whiten
+from .converse import _log_det, _project, _whiten
 from .errors import counts
 from .linalg import TOL_ALGEBRAIC, norm_sq, sample_complex_gaussian
 
@@ -28,7 +28,8 @@ def entropy_shift_invariance(seed=0):
     The bounds evaluate the density of a non-pilot slot y_i of Y as
     |det A|^2 q(A y_i), A = (s_i I + (c_i + d_i / ||y_v||^2) y_v y_v^H)^{-1/2}:
     the entropy shift h(A W) = h(W) + log |det A|^2 under a linear map.
-    :func:`~simomac.converse._whiten` gives ||A y_i||^2 and its scales,
+    :func:`~simomac.converse._whiten` gives ||A y_i||^2 and its scales
+    from the parts of :func:`~simomac.converse._project`,
     from which :func:`~simomac.converse._log_det` gives ln |det A|^2, both
     without forming A and as the evaluation pass calls them; here A is
     formed from an eigendecomposition, and the aux member is evaluated at
@@ -44,7 +45,7 @@ def entropy_shift_invariance(seed=0):
     s = rng.uniform(0.5, 2.0, size=(count, dim))
     c = rng.uniform(0.0, 2.0, size=(count, dim))
     d = rng.uniform(0.0, 20.0, size=(count, dim))
-    white, _, _, denom = _whiten(y, v, s, c, d)
+    white, denom = _whiten(_project(y, v), v, s, c, d)
     log_det = _log_det(s, denom, v, n)
     unit = fit_params(NormSqSums.of(white), n)
     whitened = -(log_density_from_norm_sq(white, unit).sum(axis=1) + log_det.sum(axis=1))

@@ -117,6 +117,28 @@ class TestBounds:
         assert all("single_user_upper" in pt and "mac_user1_upper" not in pt
                    for pt in rep["points"])
 
+    def test_failed_single_user_bound_keeps_the_mac_bound(self, capsys, monkeypatch):
+        # each bound fails on its own: the single-user error is warned
+        # about once per point, and the finite MAC bound is still reported
+        real = cli.duality_bounds
+
+        def no_single_user_bound(*args, powers, **kwargs):
+            _, mac = real(*args, powers=powers, **kwargs)
+            lost = InvalidRegime("category 'offpilot': mean ||A Y||^2 <= 1")
+            return [lost] * len(powers), mac
+
+        monkeypatch.setattr(cli, "duality_bounds", no_single_user_bound)
+        code, out = _run(capsys, ["bounds", "--T", "4", "--N", "2",
+                                  "--P-dB", "20,30", "--trials", "2000"])
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["slopes"] == []
+        assert rep["warnings"] == [f"P={p} dB: category 'offpilot': mean ||A Y||^2 <= 1"
+                                   for p in ("20.0", "30.0")]
+        assert all("mac_user1_upper" in pt and "single_user_upper" not in pt
+                   for pt in rep["points"])
+        assert all(np.isfinite(pt["mac_user1_upper"]["value"]) for pt in rep["points"])
+
     def test_one_pass_for_both_bounds(self, capsys, monkeypatch):
         # both bounds of the whole power grid come from one fit pass and
         # one evaluation pass

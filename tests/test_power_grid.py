@@ -124,39 +124,49 @@ def _check_grid(kind, t, n, trials, fading, p_dbs, seed, exponents, workers=1):
 )
 def test_grid_equals_per_power_calls(kind, t, n, trials, fading, p_dbs, seed, exponent_grid,
                                      workers):
-    # 192 entries per chunk: up to 4 chunks at N = T = 1, up to 75 at N T = 24
+    # 96 trial-slots per chunk: up to 8 chunks at T = 1, up to 38 at T = 6
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(converse, "_CHUNK_ENTRIES", 192)
+        mp.setattr(converse, "_CHUNK_SLOTS", 96)
         _check_grid(kind, t, n, trials, fading, p_dbs, seed, exponent_grid[:t], workers)
 
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_grid_over_several_chunks(monkeypatch, kind):
-    # T = 3, N = 2: 6 entries per trial, so at most 100 trials per chunk:
-    # 226 fit trials in chunks of 76, 76 and 74, 225 evaluation trials in
-    # three of 75
-    monkeypatch.setattr(converse, "_CHUNK_ENTRIES", 600)
+    # T = 3: 3 slots per trial, so at most 100 trials per chunk: 226 fit
+    # trials in chunks of 76, 76 and 74, 225 evaluation trials in three of
+    # 75
+    monkeypatch.setattr(converse, "_CHUNK_SLOTS", 300)
     _check_grid(kind, 3, 2, 451, "iid_complex_gaussian", [0, 20, 40], 5, [1.0, 0.5, 0.0])
 
 
+@pytest.mark.parametrize("fading", FADING_KINDS)
 @pytest.mark.parametrize("kind", ["isotropic_peak", "truncated"])
-def test_shared_draws_are_counted_once(monkeypatch, kind):
-    # the points, and both bounds of duality_bounds, share the fading and
-    # noise of every chunk of both streams, whatever the input law; an
+def test_shared_draws_are_counted_once(monkeypatch, kind, fading):
+    # the points, and both bounds of duality_bounds, share the source of
+    # every chunk of both streams (its channel, or under Gaussian fading
+    # its drawn whitening statistics), whatever the input law; an
     # untruncated law's P-free input draw is made once per chunk, whatever
     # the grid length, a truncated law's inputs once per point; no chunk is
-    # drawn twice.  Both passes build the slot levels once (_slot_levels)
-    # and whiten once (_whiten) per chunk of every point and bound; the fit
+    # drawn twice.  Under Gaussian fading no channel or output is drawn,
+    # and the row model is built once per chunk of every point and bound;
+    # off it the outputs are projected once per chunk of every point and
+    # bound.  Both passes build the slot levels once (_slot_levels) and
+    # whiten once (_whiten) per chunk of every point and bound; the fit
     # pass takes no log: ln |det A|^2 (_log_det), h(Y | X) and the
     # right-hand sides come from the evaluation chunks
     calls = Counter()
 
     def count(owner, name, key):
-        real = getattr(owner, name)
-        monkeypatch.setattr(owner, name,
-                            lambda *args, **kwargs: calls.update([key]) or real(*args, **kwargs))
+        table = isinstance(owner, dict)  # a dict entry, or a module or class attribute
+        real = owner[name] if table else getattr(owner, name)
+        (monkeypatch.setitem if table else monkeypatch.setattr)(
+            owner, name, lambda *args, **kwargs: calls.update([key]) or real(*args, **kwargs))
 
+    count(converse._SOURCES, fading, "source")
     count(converse, "sample_channel", "channel")
+    count(converse, "_drawn_parts", "drawn")
+    count(converse, "_residual_variance", "row_model")
+    count(converse, "_project", "project")
     count(InputDistribution, "draw", "draw")
     count(channel, "sample_inputs", "point")
     count(converse, "_slot_levels", "slot_levels")
@@ -165,21 +175,26 @@ def test_shared_draws_are_counted_once(monkeypatch, kind):
     count(converse, "_h_given_x", "h_given_x")
     for rhs in ("_single_user_rhs", "_mac_high_t_rhs", "_mac_low_t_rhs"):
         count(converse, rhs, "rhs")
-    cfg = ChannelConfig(T=2, N=2, P=10.0, trials=1_000, seed=1)
+    cfg = ChannelConfig(T=2, N=2, P=10.0, trials=1_000, seed=1, fading_kind=fading)
     dist = _input(kind, 2, 10.0, None, 1000.0)
     evaluation = len(converse._trial_chunks(cfg, 1))
     chunks = len(converse._trial_chunks(cfg, 0)) + evaluation
+    gaussian = fading == "iid_complex_gaussian"
     for powers in ([10.0], [10.0, 100.0, 1000.0]):
         for fn, args, users, bounds in ((duality_bound_single_user, (dist, cfg), 1, 1),
                                         (duality_bounds, (dist, dist, cfg), 2, 2)):
             calls.clear()
             fn(*args, powers=powers)
-            assert calls["channel"] == chunks
+            assert calls["source"] == chunks
+            assert calls["channel"] == (0 if gaussian else chunks)
             if kind == "truncated":
                 assert calls["point"] == len(powers) * chunks
             else:
                 assert calls["draw"] == users * chunks and calls["point"] == 0
-            assert calls["slot_levels"] == calls["whiten"] == len(powers) * bounds * chunks
+            whitened = len(powers) * bounds * chunks
+            assert calls["slot_levels"] == calls["whiten"] == whitened
+            assert calls["drawn"] == calls["row_model"] == (whitened if gaussian else 0)
+            assert calls["project"] == (0 if gaussian else whitened)
             for key in ("log_det", "h_given_x", "rhs"):
                 assert calls[key] == len(powers) * bounds * evaluation
 
