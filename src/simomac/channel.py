@@ -31,9 +31,11 @@ FADING_ENTROPY_DEFICIT = {"iid_complex_gaussian": 0.0, "iid_uniform_annulus": (
         (ANNULUS_R_HI * np.log(ANNULUS_R_HI) - ANNULUS_R_LO * np.log(ANNULUS_R_LO))
         / (ANNULUS_R_HI - ANNULUS_R_LO) - 1.0) / LN2)}
 
-# Powers from 150 dB on are rejected: the mixture MI's ln p(Y) is a difference of two O(P)
-# terms (at T = 4, N = 2: SE 0.048 bits at 150 dB, 633 at 200); the bounds stay sane to 300 dB.
-P_MAX = 1e15
+# Powers from 300 dB on are rejected: the duality bounds' outputs source forms each slot's
+# part orthogonal to the pilot output with a relative error that grows like eps sqrt(P),
+# and it runs out of digits at 330-350 dB.  The mixture MI oracle and the training rates
+# keep their digits to that limit.
+P_MAX = 1e30
 
 
 @dataclass
@@ -53,8 +55,9 @@ class ChannelConfig:
         real("P must be finite and positive", self.P, above=0, most=math.inf)
         if not self.P < P_MAX:
             raise InvalidParam(f"P = {10 * math.log10(self.P):.4g} dB is out of range: from "
-                               "150 dB on, the mixture MI oracle's ln p(Y), a difference of "
-                               "two O(P) terms, keeps too few correct digits (cancellation)")
+                               "300 dB on, the duality bounds' part of each output orthogonal "
+                               "to the pilot output keeps too few correct digits (its "
+                               "relative error grows like eps sqrt(P))")
         if self.fading_kind not in FADING_KINDS:
             raise InvalidParam(f"unknown fading kind {self.fading_kind!r}")
 

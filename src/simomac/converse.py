@@ -4,8 +4,8 @@ the two-user MAC.
 All rate quantities are bits per channel use.  Each bound is a genie
 shape of three plain functions (:class:`_Bound`) on one row model: the
 slot levels s (:func:`_slot_levels`), built once per chunk, and one
-h(Y | X) (:func:`_h_given_x`), which the MI oracles share; every genie
-decision is a function of the inputs.  The duality bounds draw their
+h(Y | X) (:func:`_h_given_x`), which the k-NN MI estimate shares; every
+genie decision is a function of the inputs.  The duality bounds draw their
 Monte-Carlo trials in fixed-size chunks, the channel draws once for
 every power and both bounds, the inputs once for every power unless
 their law is truncated, and run the chunks on every CPU the process may
@@ -69,7 +69,7 @@ from .linalg import (
     LOG2_PI_E,
     abs_sq,
     apply_rotation,
-    divided_difference_exp,
+    log_divided_difference_exp,
     mean_and_std_error,
     merge_moments,
     moments_of,
@@ -839,16 +839,27 @@ def duality_bounds(input1, input2, cfg, *, powers=None):
 def isotropic_mixture_mi_estimate(cfg, trials=None):
     """Unbiased MC estimate of (1/T) I(X;Y) for the isotropic peak-P input.
 
-    Given x, the output is exactly Gaussian, and the Haar average of the
-    likelihood over input directions has a closed form:
-    E_u[exp(u^H M u)] = (T-1)! * (divided difference of exp at eig(M)).
-    This gives E[-log p(Y)] without density-estimation bias, unlike the
-    k-NN route, which over-estimates h(Y) badly at high SNR in 2NT dims.
-    The outputs are drawn once; then each block of ``_MIXTURE_BLOCK``
-    samples gets one batched ``eigvalsh`` of M and one
-    :func:`~simomac.linalg.divided_difference_exp` (batched Pade scaling
-    and squaring of the bidiagonal exponential) at the eigenvalues
-    shifted by their maximum, so temporaries stay O(block * T^2).
+    Given x = sqrt(P) u, the output is exactly Gaussian, and
+    ln p(Y | u) = u^H A u - ||Y||^2 + const with A = c Y^T conj(Y),
+    c = P/(1+P).  The Haar average over u has a closed form,
+    E_u[exp(u^H A u)] = (T-1)! exp[mu], the divided difference of exp at
+    the eigenvalues mu of A, so the information density is
+    ln p(Y | u) - ln p(Y) = u^H A u - mu_max - ln exp[nu] - ln (T-1)!, with
+    nu = mu - mu_max taken largest first (nu_0 = 0).  The posterior of u
+    given Y is the complex Bingham law, proportional to exp(u^H A u), and by
+    the Leibniz rule on (z e^z)[nu] its mean of u^H A u is
+    mu_max + R - (T-1), R = exp[nu_1, ..., nu_(T-1)] / exp[nu] (R = 0 at
+    T = 1).  Each sample's statistic is therefore the density's mean given
+    Y, R - (T-1) - ln exp[nu] - ln (T-1)!: it has the density's mean at a
+    smaller spread (Rao-Blackwell), is exactly 0 at T = 1, reads neither
+    x nor ||Y||^2, and takes no difference of two O(P) terms, so it keeps
+    its digits over the whole power range with nothing clamped.  Unlike
+    the k-NN route it has no density-estimation bias.  The outputs are
+    drawn once; then each block of ``_MIXTURE_BLOCK`` samples gets one
+    batched ``eigvalsh`` of A and one
+    :func:`~simomac.linalg.log_divided_difference_exp` at nu, which
+    gives ln exp[nu] and R from one kappa-scaled exponential, so
+    temporaries stay O(block * T^2).
 
     Raises InvalidParam unless ``trials`` is an integer >= 1.
     """
@@ -856,26 +867,20 @@ def isotropic_mixture_mi_estimate(cfg, trials=None):
 
     if cfg.fading_kind != "iid_complex_gaussian":
         raise RegimeUnsupported("closed-form mixture needs Gaussian fading")
-    n, t, p = cfg.N, cfg.T, cfg.P
+    t, p = cfg.T, cfg.P
     (b,) = counts("trials", min(cfg.trials, 10_000) if trials is None else trials)
     iso = InputDistribution(kind="isotropic_peak", T=t, P=p)
     _, y = sample_outputs([iso], cfg, cfg.rng(stream=2), size=b)
     c = p / (1.0 + p)
-    ln_p = np.empty(b)
+    density = np.empty(b)
     for i in range(0, b, _MIXTURE_BLOCK):
         yb = y[i:i + _MIXTURE_BLOCK]
-        mu = np.linalg.eigvalsh(c * np.einsum("bns,bnt->bst", yb, yb.conj()))
-        mu_max = mu[:, -1]
-        dd = divided_difference_exp(mu - mu_max[:, None])
-        ln_p[i:i + _MIXTURE_BLOCK] = (
-            mu_max + np.log(np.maximum(dd, 1e-300)) - norm_sq(yb.reshape(len(yb), -1))
-        )
-    ln_p += lgamma(t) - n * t * np.log(np.pi) - n * np.log(1.0 + p)
-    neg_log_p = -ln_p / LN2
-    # ||x||^2 = P surely, and the determinant depends on x through ||x||^2 only
-    (h_cond,) = _h_given_x(np.full((1, 1), p), 0.0, cfg)
-    mean, se = mean_and_std_error(moments_of(neg_log_p))
-    return (mean - h_cond) / t, float(se / t)
+        mu = np.linalg.eigvalsh(c * np.einsum("bns,bnt->bst", yb, yb.conj()))[:, ::-1]
+        log_dd, ratio = log_divided_difference_exp(mu - mu[:, :1])
+        density[i:i + _MIXTURE_BLOCK] = ratio - log_dd
+    density -= (t - 1) + lgamma(t)
+    mean, se = mean_and_std_error(moments_of(density / LN2))
+    return mean / t, float(se / t)
 
 
 def mutual_information_lower_estimate(input_dist, cfg, max_knn_samples=20_000):

@@ -4,7 +4,11 @@ per-chunk moments.
 
 All vectors/matrices are plain numpy complex arrays.  Samplers take an
 explicit ``numpy.random.Generator`` so that parallel callers can use
-independent seeded streams.
+independent seeded streams.  The divided difference of exp comes in log
+form only (:func:`log_divided_difference_exp`), with the ratio R that
+drops its first node: a kappa-scaled bidiagonal exponential keeps the
+entries both are read from O(1) at any node spread, so neither is lost to
+underflow and nothing is clamped.
 """
 
 import os
@@ -77,27 +81,39 @@ _PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
 _THETA13 = 5.371920351148152
 
 
-def divided_difference_exp(nodes):
-    """Divided difference exp[mu_1, ..., mu_T] of exp, one per row.
+def log_divided_difference_exp(nodes):
+    """(ln exp[mu_1, ..., mu_T], R) per row, R = exp[mu_2, ..., mu_T] /
+    exp[mu_1, ..., mu_T] the ratio that drops the first node (R = 0 at
+    T = 1); exp[.] is the divided difference of exp.
 
-    nodes: (B, T) real; returns (B,).  Repeated nodes are allowed (the
-    confluent limit).  The value is the (0, T-1) entry of exp(J) for the
-    bidiagonal J = diag(mu) + superdiagonal of ones (McCurdy, Ng &
-    Parlett, Math. Comp. 1984), computed by a batched Pade-13 scaling
-    and squaring: each J_b is scaled by its own 2^-s_b with
+    nodes: (B, T) real; returns two (B,) arrays.  Repeated nodes are
+    allowed (the confluent limit).  The nodes are shifted by their
+    maximum, nu = mu - max mu (exact when that maximum is 0), and put on
+    the diagonal of the bidiagonal J = diag(nu) + kappa (superdiagonal),
+    kappa = max(spread of the nodes, 1).  Entry (i, j) of exp(J) is
+    kappa^(j-i) exp[nu_i, ..., nu_j] (Opitz, ZAMM 1964; McCurdy, Ng &
+    Parlett, Math. Comp. 1984; the kappa^(j-i) is the similarity by
+    diag(kappa^k)), which stays O(1) where the divided difference itself,
+    about kappa^-(T-1) at a wide spread, would underflow.  So
+    ln exp[mu] = max mu + ln r_(0,T-1) - (T-1) ln kappa and
+    R = kappa r_(1,T-1) / r_(0,T-1).  exp(J) comes from a batched Pade-13
+    scaling and squaring: each J_b is scaled by its own 2^-s_b with
     s_b = ceil(log2(max(||J_b||_1, theta_13) / theta_13)), and the
     squarings of already finished matrices are masked out.  The diagonal
-    is reset to the exact exp(mu 2^-s_b 2^k) after each squaring, so its
+    is reset to the exact exp(nu 2^-s_b 2^k) after each squaring, so its
     rounding error is not raised to the power 2^s_b (Al-Mohy & Higham,
-    SIMAX 2009, sec. 2); the result then stays within ~1e-14 relative of
-    a 60-digit reference even at nodes spread over 10^6.
+    SIMAX 2009, sec. 2); both results then stay within ~1e-13 of a
+    60-digit reference at node spreads up to 10^30.
     """
     mu = np.asarray(nodes, dtype=float)
     bsz, t = mu.shape
+    top = mu.max(axis=1)
+    nu = mu - top[:, None]
+    kappa = np.maximum(-nu.min(axis=1), 1.0)
     j = np.zeros((bsz, t, t))
     idx = np.arange(t)
-    j[:, idx, idx] = mu
-    j[:, idx[:-1], idx[1:]] = 1.0
+    j[:, idx, idx] = nu
+    j[:, idx[:-1], idx[1:]] = kappa[:, None]
     norm1 = np.abs(j).sum(axis=1).max(axis=1)
     s = np.ceil(np.log2(np.maximum(norm1, _THETA13) / _THETA13)).astype(int)
     scale = np.exp2(-s)[:, None]
@@ -112,11 +128,13 @@ def divided_difference_exp(nodes):
     v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
          + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
     r = np.linalg.solve(v - u, v + u)
-    r[:, idx, idx] = np.exp(mu * scale)
+    r[:, idx, idx] = np.exp(nu * scale)
     for k in range(int(s.max(initial=0))):
         r = np.where(k < s[:, None, None], r @ r, r)
-        r[:, idx, idx] = np.exp(mu * np.exp2(np.minimum(k + 1 - s, 0))[:, None])
-    return r[:, 0, -1]
+        r[:, idx, idx] = np.exp(nu * np.exp2(np.minimum(k + 1 - s, 0))[:, None])
+    log_dd = top + np.log(r[:, 0, -1]) - (t - 1) * np.log(kappa)
+    ratio = kappa * r[:, 1, -1] / r[:, 0, -1] if t > 1 else np.zeros(bsz)
+    return log_dd, ratio
 
 
 def cpu_count():

@@ -301,14 +301,14 @@ class TestBoundsPowerGrid:
         assert captured.out == ""
         assert "repeated power" in captured.err and "Traceback" not in captured.err
 
-    @pytest.mark.parametrize("p_db", ["150", "1600", "3000", "20,3100"])
-    def test_power_beyond_150_db_exit_2(self, capsys, p_db):
+    @pytest.mark.parametrize("p_db", ["300", "1600", "3000", "20,3100"])
+    def test_power_beyond_300_db_exit_2(self, capsys, p_db):
         code = main(["bounds", "--T", "4", "--N", "2", "--P-dB", p_db, "--trials", "200"])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
         _assert_one_error_line(captured.err)
-        assert "150 dB" in captured.err
+        assert "300 dB" in captured.err
 
     def test_145_db_still_reports(self, capsys):
         code, out = _run(capsys, ["bounds", "--T", "4", "--N", "2", "--P-dB", "145",
@@ -319,7 +319,7 @@ class TestBoundsPowerGrid:
 
     def test_149_db_reports_finite_bounds(self, capsys):
         # the whitened norms are a sum of non-negative parts: none
-        # underflows to the origin below the 150 dB limit
+        # underflows to the origin
         code, out = _run(capsys, ["bounds", "--T", "3", "--N", "4", "--P-dB", "149",
                                   "--trials", "20000", "--seed", "3"])
         assert code == 0
@@ -328,6 +328,17 @@ class TestBoundsPowerGrid:
         assert rep["warnings"] == []
         for key in ("single_user_upper", "mac_user1_upper"):
             assert np.isfinite(pt[key]["value"]) and np.isfinite(pt[key]["std_error"])
+
+    @pytest.mark.parametrize("t,n", [("3", "4"), ("4", "2")])
+    def test_up_to_290_db_reports_without_warnings(self, capsys, t, n):
+        code, out = _run(capsys, ["bounds", "--T", t, "--N", n, "--P-dB", "150,200,250,290",
+                                  "--trials", "20000", "--seed", "3"])
+        assert code == 0
+        rep = json.loads(out, parse_constant=pytest.fail)
+        assert rep["warnings"] == []
+        for pt in rep["points"]:
+            for key in ("single_user_upper", "mac_user1_upper"):
+                assert np.isfinite(pt[key]["value"]) and np.isfinite(pt[key]["std_error"])
 
     def test_one_failed_point_keeps_the_others(self, capsys, monkeypatch):
         # only the 20 dB point's MAC bound fails, so only it is lost

@@ -3,6 +3,7 @@ import threading
 import tracemalloc
 import warnings
 from dataclasses import replace
+from math import lgamma
 from functools import partial
 
 import numpy as np
@@ -20,6 +21,7 @@ from simomac.channel import (
     sample_channel,
     sample_fading,
     sample_inputs,
+    sample_outputs,
     superpose,
 )
 from simomac.converse import (
@@ -39,7 +41,8 @@ from simomac.converse import (
 )
 from simomac.errors import InvalidParam, InvalidRegime, RegimeUnsupported
 from simomac.knn_entropy import knn_entropy_bits
-from simomac.linalg import abs_sq, apply_rotation, norm_sq, sample_complex_gaussian
+from simomac.linalg import (LN2, abs_sq, apply_rotation, log_divided_difference_exp, norm_sq,
+                            sample_complex_gaussian)
 from simomac.region import regime_objective
 
 LOG2_PI_E = np.log2(np.pi * np.e)
@@ -590,7 +593,42 @@ class TestMiEstimates:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             mi, se = isotropic_mixture_mi_estimate(_cfg(t=t, n=n), trials=2_000)
-        assert np.isfinite(mi) and np.isfinite(se) and se > 0
+        if t == 1:  # one slot carries no direction, so no information
+            assert (mi, se) == (0.0, 0.0)
+        else:
+            assert np.isfinite(mi) and np.isfinite(se) and se > 0
+
+    @pytest.mark.parametrize("t,n", [(32, 8), (4, 2), (3, 4)])
+    def test_mixture_slope_up_to_the_power_limit(self, t, n):
+        # the statistic takes no difference of two O(P) terms and nothing
+        # underflows, so the pre-log (T-1)/T holds up to 290 dB
+        dbs = np.array([100.0, 200.0, 290.0])
+        mi = [isotropic_mixture_mi_estimate(_cfg(t=t, n=n, p=10 ** (db / 10)), trials=3_000)[0]
+              for db in dbs]
+        slopes = np.diff(mi) / np.diff(dbs / 10 * np.log2(10))
+        assert np.abs(slopes - (t - 1) / t).max() <= 1e-3
+
+    @pytest.mark.parametrize("p_db", [10, 30])
+    def test_mixture_is_the_conditioned_information_density(self, p_db):
+        # on the oracle's own draws, the sampled information density
+        # ln p(Y | x) - ln p(Y) has the oracle's mean at a larger spread
+        # (their difference per sample is u^H A u - E[u^H A u | Y]), and the
+        # plain -ln p(Y) - h(Y | X), which adds the zero-mean
+        # ln p(Y | x) + h(Y | X) = u^H A u - ||Y||^2 + NT, a larger spread still
+        cfg = _cfg(p=10 ** (p_db / 10), seed=4)
+        b, t = 3_000, cfg.T
+        mi, se = isotropic_mixture_mi_estimate(cfg, trials=b)
+        (x,), y = sample_outputs([_iso(cfg)], cfg, cfg.rng(stream=2), size=b)
+        c = cfg.P / (1.0 + cfg.P)
+        mu = np.linalg.eigvalsh(c * np.einsum("bns,bnt->bst", y, y.conj()))[:, ::-1]
+        log_dd, ratio = log_divided_difference_exp(mu - mu[:, :1])
+        quad = c * norm_sq(np.einsum("bnt,bt->bn", y, x.conj())) / cfg.P  # u^H A u
+        sampled = (quad - mu[:, 0] - log_dd - lgamma(t)) / (t * LN2)
+        diff = (quad - mu[:, 0] - ratio + (t - 1)) / (t * LN2)
+        plain = sampled - (quad - norm_sq(y.reshape(b, -1)) + cfg.N * t) / (t * LN2)
+        assert abs(mi - sampled.mean()) <= 3 * diff.std() / np.sqrt(b)
+        assert se <= 0.9 * sampled.std() / np.sqrt(b)
+        assert se <= 0.65 * plain.std() / np.sqrt(b)
 
 
 def _eval_chunks(bound, inputs, cfg, trials, chunk=50_000):

@@ -9,7 +9,7 @@ from simomac.linalg import (
     TOL_ALGEBRAIC,
     TOL_STRUCTURAL,
     apply_rotation,
-    divided_difference_exp,
+    log_divided_difference_exp,
     merge_moments,
     rotation_unitary_from,
     sample_complex_gaussian,
@@ -88,10 +88,31 @@ class TestSamplers:
         assert np.array_equal(a, b)
 
 
+def divided_difference_exp(nodes):
+    """exp[nodes] per row, from the log form."""
+    return np.exp(log_divided_difference_exp(nodes)[0])
+
+
+def _mp_divided_difference_exp(nodes):
+    """60-digit (ln exp[nodes], exp[nodes[1:]] / exp[nodes]) at distinct nodes,
+    from the sum over nodes of exp(x_i) / prod_(j != i) (x_i - x_j)."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        x = [mpmath.mpf(float(v)) for v in nodes]
+
+        def dd(xs):
+            return mpmath.fsum(mpmath.exp(a) / mpmath.fprod(a - b for b in xs[:i] + xs[i + 1:])
+                               for i, a in enumerate(xs))
+
+        whole = dd(x)
+        return float(mpmath.log(whole)), float(dd(x[1:]) / whole)
+
+
 class TestDividedDifferenceExp:
     def test_single_node_is_exp(self):
         a = np.array([[-30.0], [-1.5], [0.0], [2.0]])
         assert np.allclose(divided_difference_exp(a), np.exp(a[:, 0]), rtol=1e-14, atol=0)
+        assert np.array_equal(log_divided_difference_exp(a)[1], np.zeros(4))
 
     def test_two_distinct_nodes(self):
         # one batch mixing rows that need 0, 4 and 11 squarings
@@ -119,6 +140,44 @@ class TestDividedDifferenceExp:
             ref = float(mpmath.expm(j)[0, 3])
         assert divided_difference_exp(np.array([nodes]))[0] == pytest.approx(ref, rel=1e-12)
 
+    @pytest.mark.parametrize("t", [2, 3, 4, 8])
+    def test_log_and_ratio_against_multiprecision(self, t):
+        # largest node first at 0, the others spread below it over 1e-3 to
+        # 1e30, where exp[nodes] itself, about spread^-(T-1), underflows
+        rng = np.random.default_rng(t)
+        spreads = 10.0 ** np.array([-3, -1, 0, 1, 3, 6, 10, 15, 20, 25, 30])
+        nodes = np.zeros((spreads.size, t))
+        nodes[:, 1:] = -np.sort(rng.uniform(0, 1, (spreads.size, t - 1)), axis=1) * spreads[:, None]
+        log_dd, ratio = log_divided_difference_exp(nodes)
+        for row, got_log, got_ratio in zip(nodes, log_dd, ratio):
+            ref_log, ref_ratio = _mp_divided_difference_exp(row)
+            assert got_log == pytest.approx(ref_log, rel=1e-15, abs=1e-13)
+            assert got_ratio == pytest.approx(ref_ratio, rel=1e-13, abs=1e-13)
+
+    @pytest.mark.parametrize("t", [16, 32])
+    def test_log_and_ratio_where_the_divided_difference_underflows(self, t):
+        # exp[nodes] is about spread^-(T-1), below the least double here,
+        # as at the mixture's eigenvalues at T = 32 from about 90 dB
+        rng = np.random.default_rng(t)
+        spreads = 10.0 ** np.array([25, 30])
+        nodes = np.zeros((spreads.size, t))
+        nodes[:, 1:] = -np.sort(rng.uniform(0, 1, (spreads.size, t - 1)), axis=1) * spreads[:, None]
+        log_dd, ratio = log_divided_difference_exp(nodes)
+        for row, got_log, got_ratio in zip(nodes, log_dd, ratio):
+            ref_log, ref_ratio = _mp_divided_difference_exp(row)
+            assert ref_log < np.log(np.finfo(float).tiny)
+            assert got_log == pytest.approx(ref_log, rel=1e-15, abs=1e-13)
+            assert got_ratio == pytest.approx(ref_ratio, rel=1e-13, abs=1e-13)
+
+    def test_shifted_nodes_keep_the_ratio(self):
+        # ln exp[mu + a] = a + ln exp[mu], and the ratio does not move
+        nodes = np.array([[0.0, -0.5, -2.0, -7.0]])
+        log_dd, ratio = log_divided_difference_exp(nodes)
+        for a in (-1e3, -3.0, 5.0, 600.0):
+            got_log, got_ratio = log_divided_difference_exp(nodes + a)
+            assert got_log[0] == pytest.approx(log_dd[0] + a, rel=1e-15, abs=1e-13)
+            assert got_ratio[0] == pytest.approx(ratio[0], rel=1e-13)
+
     def test_haar_average_of_exponential_quadratic_form(self):
         # E_u[exp(u^H M u)] = (T-1)! exp[eig M] for u uniform on the sphere
         rng = np.random.default_rng(29)
@@ -129,6 +188,24 @@ class TestDividedDifferenceExp:
         se = vals.std() / np.sqrt(vals.size)
         expected = 2.0 * divided_difference_exp(np.linalg.eigvalsh(m)[None])[0]
         assert abs(vals.mean() - expected) <= 4 * se
+
+    @pytest.mark.parametrize("t", [2, 3, 4, 6])
+    def test_bingham_mean_of_quadratic_form(self, t):
+        # under the law on the sphere with density proportional to
+        # exp(u^H M u), E[u^H M u] = mu_max + R - (T-1) with R the ratio at
+        # the eigenvalues taken largest first (the Leibniz rule on
+        # (z e^z)[mu]); checked by importance weights on uniform draws
+        rng = np.random.default_rng(31 + t)
+        q, _ = np.linalg.qr(sample_complex_gaussian(t, rng, size=t))
+        mu = np.linspace(2.0, -1.5, t)
+        m = q @ np.diag(mu) @ q.conj().T
+        u = sample_uniform_complex_sphere(t, rng, size=400_000)
+        quad = np.einsum("bi,ij,bj->b", u.conj(), m, u).real
+        w = np.exp(quad - mu[0])
+        mean = (w * quad).sum() / w.sum()
+        se = np.sqrt(np.mean((w * (quad - mean)) ** 2) / w.size) / w.mean()
+        (ratio,) = log_divided_difference_exp(mu[None])[1]
+        assert abs(mean - (mu[0] + ratio - (t - 1))) <= 4 * se
 
 
 class TestSamplerAndNorms:

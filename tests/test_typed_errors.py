@@ -3,6 +3,7 @@ typed SimomacError, and a count that is not an integer, or a power that is
 not finite and positive, raises InvalidParam before anything is drawn."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -111,12 +112,14 @@ def test_nan_power_is_not_reported_as_out_of_range():
 
 def _entries(x1, x2, cfg, powers):
     """Every entry of the ``powers=`` calls of :func:`duality_bounds` and
-    both training rates: a BoundReport, a RateEstimate, or the
-    SimomacError of one point or of a whole call."""
+    both training rates, and the mixture MI at each power: a BoundReport,
+    a RateEstimate, an (mi, se) pair, or the SimomacError of one point or
+    of a whole call."""
     out = []
     for call in (lambda: [e for grid in duality_bounds(x1, x2, cfg, powers=powers) for e in grid],
                  lambda: single_user_training_rate(cfg, powers=powers),
-                 lambda: [r for pair in mac_training_rates(cfg, powers=powers) for r in pair]):
+                 lambda: [r for pair in mac_training_rates(cfg, powers=powers) for r in pair],
+                 lambda: [isotropic_mixture_mi_estimate(replace(cfg, P=p)) for p in powers]):
         try:
             out += call()
         except SimomacError as exc:
@@ -127,6 +130,8 @@ def _entries(x1, x2, cfg, powers):
 def _finite(entry):
     if isinstance(entry, BoundReport):
         nums = (entry.value, entry.std_error, entry.components["analytic_rhs_value"])
+    elif isinstance(entry, tuple):
+        nums = entry
     else:
         nums = (entry.rate, entry.std_error)
     return all(math.isfinite(x) for x in nums)
@@ -155,7 +160,7 @@ def _laws(draw, t, p):
 @st.composite
 def _cases(draw):
     t, n = draw(st.integers(1, 5)), draw(st.integers(1, 4))
-    p_dbs = draw(st.lists(st.floats(-30.0, 140.0), min_size=1, max_size=3))
+    p_dbs = draw(st.lists(st.floats(-30.0, 290.0), min_size=1, max_size=3))
     powers = [10.0 ** (db / 10.0) for db in p_dbs]
     cfg = ChannelConfig(T=t, N=n, P=powers[0], fading_kind=draw(st.sampled_from(FADING_KINDS)),
                         trials=draw(st.integers(2, 1000)), seed=draw(st.integers(0, 2**16)))
