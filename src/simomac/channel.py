@@ -61,10 +61,6 @@ class ChannelConfig:
         if self.fading_kind not in FADING_KINDS:
             raise InvalidParam(f"unknown fading kind {self.fading_kind!r}")
 
-    def rng(self, stream=0):
-        """Independent deterministic stream per worker index."""
-        return np.random.default_rng(np.random.SeedSequence((self.seed, stream)))
-
 
 def at_powers(inputs, cfg, powers):
     """One (inputs, cfg) pair per power, each a copy with P replaced; the
@@ -180,17 +176,6 @@ def superpose(xs, channel, out=None):
         y += h[:, :, None] * x[:, None, :]
     y += z
     return y
-
-
-def sample_outputs(inputs, cfg, rng, size=None):
-    """One block per trial: Y = sum_k h_k x_k^T + Z, shape (B, N, T).
-
-    ``inputs`` holds one InputDistribution per user.  Draws every user's
-    inputs, then the channel of :func:`sample_channel`, all from ``rng``;
-    B is ``size`` or ``cfg.trials``.  Returns (list of (B, T) inputs, Y).
-    """
-    xs = sample_inputs(inputs, cfg, rng, size)
-    return xs, superpose(xs, sample_channel(len(inputs), cfg, rng, size))
 
 
 INPUT_KINDS = (

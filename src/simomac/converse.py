@@ -53,12 +53,10 @@ from .auxdist import (
 )
 from .channel import (
     FADING_ENTROPY_DEFICIT,
-    InputDistribution,
     at_powers,
     one_or_all,
     sample_channel,
     sample_inputs,
-    sample_outputs,
     sample_point_inputs,
     superpose,
 )
@@ -69,6 +67,7 @@ from .linalg import (
     LOG2_PI_E,
     abs_sq,
     apply_rotation,
+    chunk_seed,
     log_divided_difference_exp,
     mean_and_std_error,
     merge_moments,
@@ -76,18 +75,11 @@ from .linalg import (
     norm_sq,
     run_chunks,
     sample_complex_gaussian,
+    sample_split_gaussian,
+    streamed_moments,
+    trial_chunks,
 )
 from .region import regime_objective
-
-# Samples per batched eigendecomposition in the mixture MI estimate.
-_MIXTURE_BLOCK = 512
-
-# Trial-slots (trials x T) per chunk of the duality bounds: 512 trials at
-# T = 32, 5,461 at T = 3.  Under Gaussian fading a chunk holds (chunk, T)
-# draws; off it each thread holds two (chunk, N, T) complex buffers, 2 MiB
-# each at N = 8.  Either way one chunk in flight per CPU holds little
-# memory, whatever the trial count.
-_CHUNK_SLOTS = 2**14
 
 
 @dataclass
@@ -129,26 +121,11 @@ def _h_given_x(mag, s2, cfg):
 # ---------------------------------------------------------------------------
 
 def _trial_chunks(cfg, stream):
-    """Start of each chunk of one trial stream, as a range whose step is the
-    chunk length and whose stop is the stream's trial count.
-
-    Stream 0 holds the ceil(trials / 2) fit trials, stream 1 the
-    floor(trials / 2) evaluation trials.  A stream of ``size`` trials is
-    cut into chunks of ceil(size / count) trials, the last one possibly
-    fewer, where count = ceil(size / cap) and cap =
-    max(2, ``_CHUNK_SLOTS // T``): no chunk exceeds the cap, and the
-    chunks are as equal as the cap allows, so the CPUs running them
-    finish together.  Each chunk draws from :func:`_chunk_seed`.
-    """
-    size = (cfg.trials + 1 - stream) // 2  # >= 1: the bounds need trials >= 2
-    count = -(-size // max(2, _CHUNK_SLOTS // cfg.T))
-    return range(0, size, -(-size // count))
-
-
-def _chunk_seed(cfg, stream, i):
-    """Seed of chunk i of ``stream``: the i-th child of the stream-th child
-    of SeedSequence((seed, 0)), made without spawning its siblings."""
-    return np.random.SeedSequence((cfg.seed, 0), spawn_key=(stream, i))
+    """:func:`~simomac.linalg.trial_chunks` at footprint T of the
+    ceil(trials / 2) fit trials (stream 0) or the floor(trials / 2)
+    evaluation trials (stream 1); the chunks' largest arrays are (chunk, T)
+    draws, or off Gaussian fading (chunk, N, T) buffers."""
+    return trial_chunks((cfg.trials + 1 - stream) // 2, cfg.T)  # >= 1: trials >= 2
 
 
 def _slot_levels(mag, s2):
@@ -553,14 +530,12 @@ def _drawn_source(cfg, rng, size):
     function parts(x1t, s2, mag, s, v) of each point's and bound's inputs.
 
     It draws from ``rng`` the ``size`` trials' G0 ~ Gamma(N, 1), then per
-    slot g ~ CN(0, 1) and G ~ Gamma(N - 1, 1) (0 at N = 1, which draws
-    nothing): the same draws for every point and bound, whatever the
-    number of users, each mapped to its own parts by :func:`_drawn_parts`.
-    No output is built.
+    slot g ~ CN(0, 1) and G ~ Gamma(N - 1, 1)
+    (:func:`~simomac.linalg.sample_split_gaussian`): the same draws for
+    every point and bound, whatever the number of users, each mapped to
+    its own parts by :func:`_drawn_parts`.  No output is built.
     """
-    n, t = cfg.N, cfg.T
-    draws = (rng.standard_gamma(n, size), sample_complex_gaussian(t, rng, size=size),
-             rng.standard_gamma(n - 1, (size, t)))
+    draws = sample_split_gaussian(cfg.N, cfg.T, rng, size)
     return lambda x1t, s2, mag, s, v: _drawn_parts(draws, mag, s, v)
 
 
@@ -630,8 +605,8 @@ def _streamed_bounds(points, bounds):
     Each chunk makes its source (:data:`_SOURCES`: under Gaussian fading
     :func:`_drawn_source`, else :func:`_output_source`) once, for every
     point and bound, from a generator on the first child of the chunk's
-    seed (:func:`_chunk_seed`); what it draws does not depend on the
-    number of users.  Its inputs (x1 first) come from
+    seed (:func:`~simomac.linalg.chunk_seed`); what it draws does not
+    depend on the number of users.  Its inputs (x1 first) come from
     :func:`sample_point_inputs` on the chunk's seed: each user's P-free
     draw once for the grid, mapped to every point's P, or for truncated
     laws a fresh draw per point.  So every point, and every bound of a
@@ -650,7 +625,7 @@ def _streamed_bounds(points, bounds):
         chunk i of ``stream``."""
         starts = streams[stream]
         b = min(starts.step, starts.stop - starts[i])
-        seed = _chunk_seed(cfg0, stream, i)
+        seed = chunk_seed(cfg0.seed, stream, i)
         source_seed = np.random.SeedSequence(seed.entropy, spawn_key=seed.spawn_key + (0,))
         parts = source(len(inputs0), cfg0, np.random.default_rng(source_seed), b, scratch)
         results = []
@@ -836,8 +811,18 @@ def duality_bounds(input1, input2, cfg, *, powers=None):
 # Plug-in mutual-information estimates (oracles for the bounds)
 # ---------------------------------------------------------------------------
 
+def _mixture_outputs(cfg, rng, size):
+    """(size, N, T) outputs of the isotropic peak-P input in the frame
+    where its direction is e_1: CN(0, 1) entries, column 0 scaled by
+    sqrt(1 + P)."""
+    y = sample_complex_gaussian(cfg.T, rng, size=(size, cfg.N))
+    y[:, :, 0] *= np.sqrt(1.0 + cfg.P)
+    return y
+
+
 def isotropic_mixture_mi_estimate(cfg, trials=None):
-    """Unbiased MC estimate of (1/T) I(X;Y) for the isotropic peak-P input.
+    """(estimate, standard error), two floats, of (1/T) I(X;Y) for the
+    isotropic peak-P input, unbiased.
 
     Given x = sqrt(P) u, the output is exactly Gaussian, and
     ln p(Y | u) = u^H A u - ||Y||^2 + const with A = c Y^T conj(Y),
@@ -854,12 +839,14 @@ def isotropic_mixture_mi_estimate(cfg, trials=None):
     smaller spread (Rao-Blackwell), is exactly 0 at T = 1, reads neither
     x nor ||Y||^2, and takes no difference of two O(P) terms, so it keeps
     its digits over the whole power range with nothing clamped.  Unlike
-    the k-NN route it has no density-estimation bias.  The outputs are
-    drawn once; then each block of ``_MIXTURE_BLOCK`` samples gets one
-    batched ``eigvalsh`` of A and one
-    :func:`~simomac.linalg.log_divided_difference_exp` at nu, which
-    gives ln exp[nu] and R from one kappa-scaled exponential, so
-    temporaries stay O(block * T^2).
+    the k-NN route it has no density-estimation bias.  A rotation of Y by
+    a unitary that maps u to e_1 leaves the noise's law (Marzetta &
+    Hochwald, IEEE Trans. IT 1999) and the eigenvalues of A as they are,
+    so Y is drawn in that frame (:func:`_mixture_outputs`).  Chunks of
+    :func:`~simomac.linalg.streamed_moments` (seed stream 2, footprint
+    T^2: its temporaries are (T, T)) each get one batched ``eigvalsh`` of
+    A and one :func:`~simomac.linalg.log_divided_difference_exp` at nu,
+    which gives ln exp[nu] and R from one kappa-scaled exponential.
 
     Raises InvalidParam unless ``trials`` is an integer >= 1.
     """
@@ -867,20 +854,18 @@ def isotropic_mixture_mi_estimate(cfg, trials=None):
 
     if cfg.fading_kind != "iid_complex_gaussian":
         raise RegimeUnsupported("closed-form mixture needs Gaussian fading")
-    t, p = cfg.T, cfg.P
+    t, c = cfg.T, cfg.P / (1.0 + cfg.P)
     (b,) = counts("trials", min(cfg.trials, 10_000) if trials is None else trials)
-    iso = InputDistribution(kind="isotropic_peak", T=t, P=p)
-    _, y = sample_outputs([iso], cfg, cfg.rng(stream=2), size=b)
-    c = p / (1.0 + p)
-    density = np.empty(b)
-    for i in range(0, b, _MIXTURE_BLOCK):
-        yb = y[i:i + _MIXTURE_BLOCK]
-        mu = np.linalg.eigvalsh(c * np.einsum("bns,bnt->bst", yb, yb.conj()))[:, ::-1]
+
+    def density(rng, size):
+        y = _mixture_outputs(cfg, rng, size)
+        mu = np.linalg.eigvalsh(c * np.einsum("bns,bnt->bst", y, y.conj()))[:, ::-1]
         log_dd, ratio = log_divided_difference_exp(mu - mu[:, :1])
-        density[i:i + _MIXTURE_BLOCK] = ratio - log_dd
-    density -= (t - 1) + lgamma(t)
-    mean, se = mean_and_std_error(moments_of(density / LN2))
-    return mean / t, float(se / t)
+        return ((ratio - log_dd - (t - 1) - lgamma(t)) / LN2,)
+
+    (moments,) = streamed_moments(density, b, t * t, cfg.seed, 2)
+    mean, se = mean_and_std_error(moments)
+    return float(mean / t), float(se / t)
 
 
 def mutual_information_lower_estimate(input_dist, cfg, max_knn_samples=20_000):
@@ -903,7 +888,7 @@ def mutual_information_lower_estimate(input_dist, cfg, max_knn_samples=20_000):
     (max_knn_samples,) = counts("max_knn_samples", max_knn_samples)
     if cfg.fading_kind != "iid_complex_gaussian":
         raise RegimeUnsupported("plug-in estimate needs the exact Gaussian branch")
-    rng = cfg.rng(stream=1)
+    rng = np.random.default_rng(chunk_seed(cfg.seed, 5, 0))
     (x,) = sample_inputs([input_dist], cfg, rng)
     m = min(cfg.trials, max_knn_samples)
     y = superpose([x[:m]], sample_channel(1, cfg, rng, size=m))

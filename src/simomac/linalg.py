@@ -1,6 +1,6 @@
-"""Complex linear algebra, random sampling primitives, the runner that
-spreads independent chunks of work over the CPUs, and the merge of their
-per-chunk moments.
+"""Complex linear algebra, random sampling primitives, and the one
+Monte-Carlo engine: the chunk and seed rules, the runner that spreads
+chunks of work over the CPUs, and the merge of their moments.
 
 All vectors/matrices are plain numpy complex arrays.  Samplers take an
 explicit ``numpy.random.Generator`` so that parallel callers can use
@@ -28,6 +28,11 @@ TOL_ALGEBRAIC = 1e-9
 # Nats to bits, and log2(pi e), the per-entry entropy of CN(0, 1) in bits.
 LN2 = np.log(2.0)
 LOG2_PI_E = np.log2(np.pi * np.e)
+
+# Entries of a chunk's largest array (:func:`trial_chunks`): one chunk in
+# flight per CPU holds little memory, whatever the trial count.
+_CHUNK_SLOTS = 2**14
+
 
 def rotation_unitary_from(x):
     """T x T unitary U whose last column is conj(x)/||x||.
@@ -196,6 +201,47 @@ def run_chunks(run, n, fold=None):
         raise errors[min(errors)]
 
 
+def trial_chunks(size, footprint):
+    """Start of each chunk of ``size`` >= 1 trials, each holding
+    ``footprint`` entries in its largest array, as a range whose step is
+    the chunk length: ceil(size / count) trials (the last chunk possibly
+    fewer), count = ceil(size / cap) with cap =
+    max(2, ``_CHUNK_SLOTS // footprint``), so the chunks are as equal as
+    the cap allows and the CPUs running them finish together."""
+    count = -(-size // max(2, _CHUNK_SLOTS // footprint))
+    return range(0, size, -(-size // count))
+
+
+def chunk_seed(seed, stream, i):
+    """Seed of chunk i of ``stream``: the i-th child of the stream-th child
+    of SeedSequence((seed, 0)), made without spawning its siblings.
+    Streams: 0 and 1 the duality bounds' fit and evaluation trials, 2 the
+    mixture MI estimate, 3 and 4 the single-user and MAC training rates,
+    5 the k-NN MI estimate (one chunk)."""
+    return np.random.SeedSequence((seed, 0), spawn_key=(stream, i))
+
+
+def streamed_moments(stat, size, footprint, seed, stream):
+    """One (count, mean, M2) per array that ``stat(rng, b)`` returns (or
+    yields, so one is held at a time) over ``size`` trials: chunk i of
+    :func:`trial_chunks` at ``footprint`` draws from :func:`chunk_seed`
+    (seed, stream, i) on :func:`run_chunks`, and its moments are merged
+    in chunk order, so neither memory nor the result depends on the trial
+    or CPU count."""
+    starts = trial_chunks(size, footprint)
+    merged = []
+
+    def run(i, scratch):
+        b = min(starts.step, size - starts[i])
+        return [moments_of(x) for x in stat(np.random.default_rng(chunk_seed(seed, stream, i)), b)]
+
+    def fold(moments):
+        merged[:] = [merge_moments(a, m) for a, m in zip(merged, moments)] if merged else moments
+
+    run_chunks(run, len(starts), fold=fold)
+    return merged
+
+
 def moments_of(x):
     """(count, mean, M2) of the rows of ``x``, for :func:`merge_moments`;
     M2 is not a BLAS dot product, which would cost the chunk threads memory."""
@@ -266,6 +312,20 @@ def sample_complex_gaussian(n, rng, size=None, out=None, scratch=None):
     rng.standard_normal(out=draw)
     np.multiply(draw, scale, out=z.imag)
     return z
+
+
+def sample_split_gaussian(n, t, rng, size):
+    """(G0, g, G), drawn in that order: ``size`` draws of the split of t
+    i.i.d. CN(0, I_n) vectors w_k against the direction u = w_0 / ||w_0||
+    of another, w_0, from their exact law.  G0 = ||w_0||^2 ~ Gamma(n, 1),
+    (size,); g_k = u^H w_k ~ CN(0, 1) and G_k = ||w_k - g_k u||^2 ~
+    Gamma(n - 1, 1), (size, t).  CN(0, I_n) is unitarily invariant, so in
+    an orthonormal basis whose first vector is u each w_k has n i.i.d.
+    CN(0, 1) coordinates: g_k is the first and G_k the squared norm of
+    the rest, all independent of each other and of w_0.  At n = 1, G = 0
+    and nothing is drawn for it."""
+    return (rng.standard_gamma(n, size), sample_complex_gaussian(t, rng, size=size),
+            rng.standard_gamma(n - 1, (size, t)))
 
 
 def sample_uniform_complex_sphere(n, rng, size=None):

@@ -9,23 +9,19 @@ Closed-form MMSE is available for Gaussian fading: with a pilot of
 amplitude sqrt(P), hhat ~ CN(0, P/(1+P) I_N) and the per-entry error
 variance is 1/(1+P).  The rates depend on the channel only through the
 squared norms of the CN(0, I_N) directions and, for the MAC, their Gram
-determinant, so those statistics are drawn from their exact laws, chunk by
-chunk, and only the moments of the per-trial rates are kept, merged
-chunk by chunk: memory does not grow with the trial count.
+determinant, so those statistics are drawn from their exact laws on the
+one Monte-Carlo engine (:func:`~simomac.linalg.streamed_moments`, at
+footprint 1), which keeps only the moments of the per-trial rates: memory
+does not grow with the trial count, nor do the rates depend on the CPUs.
 """
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from .channel import at_powers, one_or_all
 from .errors import RegimeUnsupported, real
-from .linalg import mean_and_std_error, merge_moments, moments_of
-
-# Trials per chunk of the channel statistics.  The chunk length fixes how
-# the draws interleave, so the rates depend on it.
-_CHUNK_TRIALS = 2**13
+from .linalg import abs_sq, mean_and_std_error, sample_split_gaussian, streamed_moments
 
 
 @dataclass
@@ -41,22 +37,6 @@ def _mmse_stats(P):
     return P / (1.0 + P), 1.0 / (1.0 + P)
 
 
-def _streamed_rates(cfg, cfgs, draw, per_trial):
-    """(mean, standard error) of the per-trial rates at each of ``cfgs``.
-
-    ``draw(rng, size)`` gives one chunk's channel statistics, drawn from
-    ``cfg.rng()`` chunk after chunk, once for every power;
-    ``per_trial(c, *stats)`` maps them to the chunk's rates at c.P.  Only
-    each power's count, mean and M2 are kept, merged in chunk order.
-    """
-    rng, moments = cfg.rng(), [(0, 0.0, 0.0)] * len(cfgs)
-    for lo in range(0, cfg.trials, _CHUNK_TRIALS):
-        stats = draw(rng, min(_CHUNK_TRIALS, cfg.trials - lo))
-        for k, c in enumerate(cfgs):
-            moments[k] = merge_moments(moments[k], moments_of(per_trial(c, *stats)))
-    return [mean_and_std_error(m) for m in moments]
-
-
 def single_user_training_rate(cfg, *, powers=None):
     """One pilot slot, T-1 data slots; rate (T-1)/T E log2(1 + SINR_eff).
 
@@ -64,7 +44,7 @@ def single_user_training_rate(cfg, *, powers=None):
     With ``powers``, returns one RateEstimate per power, equal to the call
     with cfg at that P: the estimate is hhat = sqrt(P/(1+P)) g for one
     CN(0, I_N) draw g, so ||g||^2 ~ Gamma(N, 1) is drawn once for the
-    whole grid, in chunks (:func:`_streamed_rates`).
+    whole grid, in chunks, on seed stream 3.
     """
     t, n = cfg.T, cfg.N
     if cfg.fading_kind != "iid_complex_gaussian":
@@ -73,12 +53,13 @@ def single_user_training_rate(cfg, *, powers=None):
     if t < 2:
         return one_or_all([RateEstimate(0.0, 0.0) for _ in cfgs], powers)
 
-    def per_trial(c, g2):
-        est_var, err_var = _mmse_stats(c.P)
-        return (t - 1) / t * np.log2(1.0 + c.P * est_var / (1.0 + c.P * err_var) * g2)
+    def rates(rng, size):
+        g2 = rng.standard_gamma(n, size)
+        for c in cfgs:  # one power's rates held at a time
+            est_var, err_var = _mmse_stats(c.P)
+            yield (t - 1) / t * np.log2(1.0 + c.P * est_var / (1.0 + c.P * err_var) * g2)
 
-    moments = _streamed_rates(cfg, cfgs, lambda rng, size: (rng.standard_gamma(n, size),),
-                              per_trial)
+    moments = [mean_and_std_error(m) for m in streamed_moments(rates, cfg.trials, 1, cfg.seed, 3)]
     return one_or_all([RateEstimate(float(r), float(se)) for r, se in moments], powers)
 
 
@@ -94,27 +75,12 @@ def tdma_rates(cfg, tau=0.5):
 def _gram_draws(n, rng, size):
     """Squared norms ||h_k||^2, (size, 2), and the Gram determinant
     det(H^H H) = ||h_1||^2 ||h_2||^2 - |h_1^H h_2|^2, (size,), of H = [h_1 h_2]
-    with i.i.d. h_1, h_2 ~ CN(0, I_N), drawn from their exact laws.
-
-    ||h_1||^2 ~ Gamma(N, 1).  Given h_1, c = u^H h_2 with u = h_1/||h_1||
-    is CN(0, 1) and h_2's part orthogonal to u is CN(0, I_{N-1}) in that
-    complement, both independent of h_1: so |c|^2 ~ Exp(1),
-    ||h_2||^2 = |c|^2 + G with G ~ Gamma(N-1, 1), |h_1^H h_2|^2 =
-    ||h_1||^2 |c|^2 and det(H^H H) = ||h_1||^2 G (no G, and a zero
-    determinant, at N = 1).  Three variates per trial, drawn in that
-    order.
-    """
-    g1 = rng.standard_gamma(n, size)
-    c2 = rng.standard_exponential(size)
-    gains_sq = np.empty((size, 2))
-    gains_sq[:, 0] = g1
-    gains_sq[:, 1] = c2
-    det = np.zeros(size)
-    if n > 1:
-        rest = rng.standard_gamma(n - 1, size)
-        gains_sq[:, 1] += rest
-        det = g1 * rest
-    return gains_sq, det
+    with i.i.d. h_1, h_2 ~ CN(0, I_N), from the split of h_2 against h_1's
+    direction (:func:`~simomac.linalg.sample_split_gaussian`):
+    ||h_1||^2 = G0, ||h_2||^2 = |g|^2 + G and det(H^H H) = G0 G."""
+    g0, g, rest = sample_split_gaussian(n, 1, rng, size)
+    gains_sq = np.column_stack([g0, abs_sq(g[:, 0]) + rest[:, 0]])
+    return gains_sq, g0 * rest[:, 0]
 
 
 def _gram_log2_det(gains_sq, det, rho):
@@ -135,7 +101,7 @@ def mac_training_rates(cfg, *, powers=None):
     With ``powers``, returns one (R1, R2) pair per power, equal to the
     call with cfg at that P; as in :func:`single_user_training_rate`,
     the channel statistics (:func:`_gram_draws`) are drawn once for the
-    whole grid, in chunks.
+    whole grid, in chunks, on seed stream 4.
     """
     t, n = cfg.T, cfg.N
     if cfg.fading_kind != "iid_complex_gaussian":
@@ -144,14 +110,16 @@ def mac_training_rates(cfg, *, powers=None):
         raise RegimeUnsupported("MAC training needs T >= 3; use tdma_rates")
     cfgs = [c for _, c in at_powers([], cfg, powers)]
 
-    def per_trial(c, gains_sq, det):
-        est_var, err_var = _mmse_stats(c.P)
-        # hhat = sqrt(est_var) g, so rho H^H H = (rho est_var) G^H G
-        rho = c.P / (1.0 + 2.0 * c.P * err_var) * est_var
-        sum_rate = _gram_log2_det(gains_sq, det, rho)
-        indiv = np.log2(1.0 + rho * gains_sq)  # (chunk, 2)
-        return (t - 2) / t * np.minimum(0.5 * sum_rate[:, None], indiv)
+    def rates(rng, size):
+        gains_sq, det = _gram_draws(n, rng, size)
+        for c in cfgs:  # one power's rates held at a time
+            est_var, err_var = _mmse_stats(c.P)
+            # hhat = sqrt(est_var) g, so rho H^H H = (rho est_var) G^H G
+            rho = c.P / (1.0 + 2.0 * c.P * err_var) * est_var
+            sum_rate = _gram_log2_det(gains_sq, det, rho)
+            indiv = np.log2(1.0 + rho * gains_sq)  # (chunk, 2)
+            yield (t - 2) / t * np.minimum(0.5 * sum_rate[:, None], indiv)
 
-    moments = _streamed_rates(cfg, cfgs, partial(_gram_draws, n), per_trial)
+    moments = [mean_and_std_error(m) for m in streamed_moments(rates, cfg.trials, 1, cfg.seed, 4)]
     return one_or_all([(RateEstimate(float(r[0]), float(se[0])),
                         RateEstimate(float(r[1]), float(se[1]))) for r, se in moments], powers)

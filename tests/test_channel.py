@@ -11,7 +11,7 @@ from simomac.channel import (
     InputDistribution,
     sample_channel,
     sample_fading,
-    sample_outputs,
+    sample_inputs,
     superpose,
     truncate_to_peak,
 )
@@ -55,7 +55,8 @@ class TestSampleOutputs:
         n, t, b = 2, 4, 100_000
         cfg = ChannelConfig(T=t, N=n, P=1.0, trials=b)
         zeros = _point(np.zeros(t))
-        _, y = sample_outputs([zeros, zeros], cfg, rng)
+        xs = sample_inputs([zeros, zeros], cfg, rng)
+        y = superpose(xs, sample_channel(2, cfg, rng))
         assert np.mean(np.linalg.norm(y, axis=(1, 2)) ** 2) == pytest.approx(
             n * t, rel=0.01
         )
@@ -65,18 +66,20 @@ class TestSampleOutputs:
         # fading and noise and the difference is h1 x1^T + h2 x2^T
         n, t = 4, 6
         cfg = ChannelConfig(T=t, N=n, P=1.0, trials=1)
-        _, y = sample_outputs([_point(np.ones(t)), _point(np.arange(t))], cfg,
-                              np.random.default_rng(4))
-        _, z = sample_outputs([_point(np.zeros(t)), _point(np.zeros(t))], cfg,
-                              np.random.default_rng(4))
+        xs = sample_inputs([_point(np.ones(t)), _point(np.arange(t))], cfg,
+                           np.random.default_rng(4))
+        y = superpose(xs, sample_channel(2, cfg, np.random.default_rng(4)))
+        zs = sample_inputs([_point(np.zeros(t)), _point(np.zeros(t))], cfg,
+                           np.random.default_rng(4))
+        z = superpose(zs, sample_channel(2, cfg, np.random.default_rng(4)))
         assert np.linalg.matrix_rank(y[0] - z[0], tol=1e-9) == 2
 
     def test_total_power_identity(self):
         rng = np.random.default_rng(5)
         n, t, b = 2, 3, 200_000
         cfg = ChannelConfig(T=t, N=n, P=1.0, trials=b)
-        (x1, x2), y = sample_outputs([_point([1.0, 2.0, 0.0]), _point([0.0, 1.0, 1.0])],
-                                     cfg, rng)
+        x1, x2 = sample_inputs([_point([1.0, 2.0, 0.0]), _point([0.0, 1.0, 1.0])], cfg, rng)
+        y = superpose([x1, x2], sample_channel(2, cfg, rng))
         assert x1.shape == x2.shape == (b, t)
         expected = n * (t + 5.0 + 2.0)
         assert np.mean(np.linalg.norm(y, axis=(1, 2)) ** 2) == pytest.approx(
@@ -87,7 +90,7 @@ class TestSampleOutputs:
         rng = np.random.default_rng(6)
         cfg = ChannelConfig(T=4, N=2, P=1.0, trials=10)
         with pytest.raises(InvalidParam):
-            sample_outputs([_point(np.ones(4)), _point(np.ones(3))], cfg, rng)
+            sample_inputs([_point(np.ones(4)), _point(np.ones(3))], cfg, rng)
 
 
 class TestConfig:
@@ -100,13 +103,6 @@ class TestConfig:
             ChannelConfig(T=1, N=1, P=1.0, fading_kind="nope")
         with pytest.raises(InvalidParam, match="seed"):
             ChannelConfig(T=1, N=1, P=1.0, seed=-1)
-
-    def test_independent_streams(self):
-        cfg = ChannelConfig(T=2, N=2, P=1.0, seed=5)
-        a = cfg.rng(0).standard_normal(4)
-        b = cfg.rng(1).standard_normal(4)
-        assert not np.allclose(a, b)
-        assert np.array_equal(a, cfg.rng(0).standard_normal(4))
 
 
 class TestInputDistributions:
@@ -228,7 +224,7 @@ class TestTruncation:
 class TestSampleOutputsDraws:
     def test_no_users_is_pure_noise(self):
         cfg = ChannelConfig(T=3, N=2, P=1.0, trials=40)
-        _, y = sample_outputs([], cfg, np.random.default_rng(8))
+        y = superpose([], sample_channel(0, cfg, np.random.default_rng(8)))
         z = sample_complex_gaussian(3, np.random.default_rng(8), size=(40, 2))
         assert np.array_equal(y, z)
 
@@ -237,7 +233,9 @@ class TestSampleOutputsDraws:
         # summed user by user
         cfg = ChannelConfig(T=4, N=3, P=10.0, trials=50)
         iso = InputDistribution(kind="isotropic_peak", T=4, P=10.0)
-        (x1, x2), y = sample_outputs([iso, iso], cfg, np.random.default_rng(9))
+        rng = np.random.default_rng(9)
+        x1, x2 = sample_inputs([iso, iso], cfg, rng)
+        y = superpose([x1, x2], sample_channel(2, cfg, rng))
         rng = np.random.default_rng(9)
         r1, r2 = iso.sample(rng, size=50), iso.sample(rng, size=50)
         h1 = sample_complex_gaussian(3, rng, size=50)
@@ -262,7 +260,9 @@ class TestSampleOutputsDraws:
         # single-trial block and a large one
         cfg = ChannelConfig(T=4, N=3, P=10.0, trials=trials)
         iso = InputDistribution(kind="isotropic_peak", T=4, P=10.0)
-        xs, ref = sample_outputs([iso, iso], cfg, np.random.default_rng(9))
+        rng = np.random.default_rng(9)
+        xs = sample_inputs([iso, iso], cfg, rng)
+        ref = superpose(xs, sample_channel(2, cfg, rng))
         rng = np.random.default_rng(9)
         iso.sample(rng, size=trials), iso.sample(rng, size=trials)
         noise = np.empty((trials, 3, 4), dtype=complex)

@@ -21,7 +21,6 @@ from simomac.channel import (
     sample_channel,
     sample_fading,
     sample_inputs,
-    sample_outputs,
     superpose,
 )
 from simomac.converse import (
@@ -580,11 +579,34 @@ class TestMiEstimates:
             tracemalloc.stop()
         assert peak < 48 * 2**20
 
-    def test_mixture_independent_of_block_size(self, monkeypatch):
+    def test_mixture_memory_does_not_grow_with_samples(self, monkeypatch):
+        # chunks of 16 samples at T = 32 (footprint T^2).  On one thread:
+        # ten times the samples, the same peak within 10 %.  On two, the
+        # peak at either sample count stays within 10 % of two one-thread
+        # peaks: all that two chunks in flight at once may hold
+        cfg = ChannelConfig(T=32, N=8, P=1000.0, trials=10_000, seed=0)
+
+        def peak(samples, threads):
+            monkeypatch.setattr(linalg, "cpu_count", lambda: threads)
+            tracemalloc.start()
+            try:
+                isotropic_mixture_mi_estimate(cfg, trials=samples)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one = [peak(samples, 1) for samples in (1_000, 10_000)]
+        assert abs(one[1] - one[0]) <= 0.1 * one[0]
+        for samples in (1_000, 10_000):
+            assert peak(samples, 2) <= 1.1 * 2 * one[0]
+
+    def test_mixture_independent_of_cpu_count(self, monkeypatch):
+        # 1,025 samples at T = 4 make two chunks, folded in chunk order
         cfg = _cfg(p=100.0, seed=3)
+        assert len(linalg.trial_chunks(1_025, cfg.T**2)) == 2
         results = []
-        for block in (1, 2048):
-            monkeypatch.setattr(converse, "_MIXTURE_BLOCK", block)
+        for threads in (1, 3):
+            monkeypatch.setattr(linalg, "cpu_count", lambda: threads)
             results.append(isotropic_mixture_mi_estimate(cfg, trials=1_025))
         assert results[0] == results[1]
 
@@ -610,22 +632,28 @@ class TestMiEstimates:
 
     @pytest.mark.parametrize("p_db", [10, 30])
     def test_mixture_is_the_conditioned_information_density(self, p_db):
-        # on the oracle's own draws, the sampled information density
-        # ln p(Y | x) - ln p(Y) has the oracle's mean at a larger spread
-        # (their difference per sample is u^H A u - E[u^H A u | Y]), and the
-        # plain -ln p(Y) - h(Y | X), which adds the zero-mean
+        # on the oracle's own draws, rebuilt chunk by chunk in the frame
+        # where the input's direction u is e_1, the sampled information
+        # density ln p(Y | x) - ln p(Y) has the oracle's mean at a larger
+        # spread (their difference per sample is u^H A u - E[u^H A u | Y]),
+        # and the plain -ln p(Y) - h(Y | X), which adds the zero-mean
         # ln p(Y | x) + h(Y | X) = u^H A u - ||Y||^2 + NT, a larger spread still
         cfg = _cfg(p=10 ** (p_db / 10), seed=4)
         b, t = 3_000, cfg.T
         mi, se = isotropic_mixture_mi_estimate(cfg, trials=b)
-        (x,), y = sample_outputs([_iso(cfg)], cfg, cfg.rng(stream=2), size=b)
+        starts = linalg.trial_chunks(b, t * t)
+        y = np.concatenate([
+            converse._mixture_outputs(cfg, np.random.default_rng(linalg.chunk_seed(cfg.seed, 2, i)),
+                                      min(starts.step, b - lo))
+            for i, lo in enumerate(starts)])
         c = cfg.P / (1.0 + cfg.P)
         mu = np.linalg.eigvalsh(c * np.einsum("bns,bnt->bst", y, y.conj()))[:, ::-1]
         log_dd, ratio = log_divided_difference_exp(mu - mu[:, :1])
-        quad = c * norm_sq(np.einsum("bnt,bt->bn", y, x.conj())) / cfg.P  # u^H A u
+        quad = c * norm_sq(y[:, :, 0])  # u^H A u at u = e_1
         sampled = (quad - mu[:, 0] - log_dd - lgamma(t)) / (t * LN2)
         diff = (quad - mu[:, 0] - ratio + (t - 1)) / (t * LN2)
         plain = sampled - (quad - norm_sq(y.reshape(b, -1)) + cfg.N * t) / (t * LN2)
+        assert mi == pytest.approx((sampled - diff).mean(), rel=1e-12)  # the oracle's draws
         assert abs(mi - sampled.mean()) <= 3 * diff.std() / np.sqrt(b)
         assert se <= 0.9 * sampled.std() / np.sqrt(b)
         assert se <= 0.65 * plain.std() / np.sqrt(b)
@@ -1020,24 +1048,31 @@ class TestStreamingEngine:
         for trials in (2_000, 20_000):
             assert peak(trials, 2) <= 1.1 * 2 * one[0]
 
-    @pytest.mark.parametrize("t,n,trials,step", [(32, 8, 5_000, 500), (32, 1, 5_000, 500),
-                                                  (3, 4, 50_000, 5000), (16_384, 1, 5, 2)])
-    def test_chunk_length_rule(self, t, n, trials, step):
+    @pytest.mark.parametrize("t,n,trials,step,flat,square", [
+        (32, 8, 5_000, 500, 5_000, 16), (32, 1, 5_000, 500, 5_000, 16),
+        (3, 4, 50_000, 5000, 12_500, 1_786), (16_384, 1, 5, 2, 5, 2)])
+    def test_chunk_length_rule(self, t, n, trials, step, flat, square):
         # ceil(trials / 2) fit trials, the rest evaluate; both streams are
         # cut into chunks of the same length, as equal as the cap of
         # max(2, 2^14 // T) trials allows, whatever N: 5 x 500 (cap 512)
-        # and 5 x 5,000 (cap 5,461)
+        # and 5 x 5,000 (cap 5,461).  The same rule at footprint 1 (the
+        # training rates: cap 2^14) and T^2 (the mixture: cap 16 at T = 32,
+        # 1,820 at T = 3 and 2 at T = 2^14) cuts all the trials into chunks
+        # of ``flat`` and ``square`` trials
         cfg = _cfg(t=t, n=n, trials=trials)
         fit = {5_000: 2_500, 50_000: 25_000, 5: 3}[trials]
-        for stream, size in ((0, fit), (1, trials - fit)):
-            assert _chunk_bounds(converse._trial_chunks(cfg, stream)) == [
-                (lo, min(lo + step, size)) for lo in range(0, size, step)]
+        for starts, size, length in ((converse._trial_chunks(cfg, 0), fit, step),
+                                     (converse._trial_chunks(cfg, 1), trials - fit, step),
+                                     (linalg.trial_chunks(trials, 1), trials, flat),
+                                     (linalg.trial_chunks(trials, t * t), trials, square)):
+            assert _chunk_bounds(starts) == [
+                (lo, min(lo + length, size)) for lo in range(0, size, length)]
 
     def test_three_chunks_and_an_odd_remainder(self, monkeypatch):
         # T = 2: 2 slots per trial, so at most 100 trials per chunk; the
         # 301 fit trials make three chunks of 76 and an odd remainder of 73,
         # the 300 evaluation trials three chunks of 100
-        monkeypatch.setattr(converse, "_CHUNK_SLOTS", 200)
+        monkeypatch.setattr(linalg, "_CHUNK_SLOTS", 200)
         cfg = _cfg(t=2, n=2, p=10.0, trials=601, seed=2)
         assert _chunk_bounds(converse._trial_chunks(cfg, 0)) == [(0, 76), (76, 152),
                                                                   (152, 228), (228, 301)]
@@ -1068,7 +1103,7 @@ class TestStreamingEngine:
         # 201 chunks over the two passes, on more threads than CPUs,
         # switching threads every microsecond: a lost or misplaced row would
         # change the report, also on a three-power grid of both bounds
-        monkeypatch.setattr(converse, "_CHUNK_SLOTS", 20)
+        monkeypatch.setattr(linalg, "_CHUNK_SLOTS", 20)
         cfg = _cfg(t=2, n=2, p=100.0, trials=2_001, seed=8)
         iso = InputDistribution(kind="isotropic_peak", T=2, P=100.0)
         powers = [10.0, 100.0, 1000.0]
@@ -1124,7 +1159,7 @@ class TestStreamingEngine:
     def test_chunk_error_stops_the_run(self, monkeypatch, workers):
         # 20 chunks per stream; every chunk from chunk 1 on raises when it
         # draws
-        monkeypatch.setattr(converse, "_CHUNK_SLOTS", 200)
+        monkeypatch.setattr(linalg, "_CHUNK_SLOTS", 200)
         monkeypatch.setattr(linalg, "cpu_count", lambda: workers)
         started = []
         real = converse.sample_point_inputs
@@ -1317,7 +1352,7 @@ class TestStreamingEngine:
     def test_single_user_shares_user1_draws_with_mac(self, monkeypatch):
         # user 1's inputs come first in every chunk's stream, so with a
         # silent interferer both analytic sides see the same inputs
-        monkeypatch.setattr(converse, "_CHUNK_SLOTS", 4 * 250)
+        monkeypatch.setattr(linalg, "_CHUNK_SLOTS", 4 * 250)
         p = 1000.0
         cfg = _cfg(p=p, trials=1_001, seed=29)
         i1 = InputDistribution(kind="isotropic_peak", T=4, P=p)

@@ -66,16 +66,15 @@ def _input(kind, t, p, exponents, max_p):
 
 
 def _on_threads(workers, fn, *args, **kwargs):
-    """_call(fn, ...) with the bounds' trial chunks run on ``workers``
-    threads."""
+    """_call(fn, ...) with its trial chunks run on ``workers`` threads."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(linalg, "cpu_count", lambda: workers)
         return _call(fn, *args, **kwargs)
 
 
 def _check_grid(kind, t, n, trials, fading, p_dbs, seed, exponents, workers=1):
-    """The grid calls, with the bounds on ``workers`` threads, against the
-    per-power calls on one thread."""
+    """The grid calls on ``workers`` threads against the per-power calls
+    on one thread."""
     powers = [10.0 ** (db / 10.0) for db in p_dbs]
     cfg = ChannelConfig(T=t, N=n, P=powers[0], fading_kind=fading, trials=trials, seed=seed)
     dist = _input(kind, t, powers[0], exponents, max(powers))
@@ -101,7 +100,7 @@ def _check_grid(kind, t, n, trials, fading, p_dbs, seed, exponents, workers=1):
             assert _same(got_single, su)
 
     for rates in (single_user_training_rate, mac_training_rates):
-        grid = _call(rates, cfg, powers=powers)
+        grid = _on_threads(workers, rates, cfg, powers=powers)
         singles = [_call(rates, c) for _, c in at]
         if isinstance(grid, SimomacError):
             assert all(_same(grid, s) for s in singles)
@@ -126,7 +125,7 @@ def test_grid_equals_per_power_calls(kind, t, n, trials, fading, p_dbs, seed, ex
                                      workers):
     # 96 trial-slots per chunk: up to 8 chunks at T = 1, up to 38 at T = 6
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(converse, "_CHUNK_SLOTS", 96)
+        mp.setattr(linalg, "_CHUNK_SLOTS", 96)
         _check_grid(kind, t, n, trials, fading, p_dbs, seed, exponent_grid[:t], workers)
 
 
@@ -135,7 +134,7 @@ def test_grid_over_several_chunks(monkeypatch, kind):
     # T = 3: 3 slots per trial, so at most 100 trials per chunk: 226 fit
     # trials in chunks of 76, 76 and 74, 225 evaluation trials in three of
     # 75
-    monkeypatch.setattr(converse, "_CHUNK_SLOTS", 300)
+    monkeypatch.setattr(linalg, "_CHUNK_SLOTS", 300)
     _check_grid(kind, 3, 2, 451, "iid_complex_gaussian", [0, 20, 40], 5, [1.0, 0.5, 0.0])
 
 

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from simomac import training
+from simomac import linalg
 from simomac.channel import ChannelConfig
 from simomac.errors import InvalidParam, RegimeUnsupported
 from simomac.linalg import abs_sq, norm_sq, sample_complex_gaussian
@@ -134,27 +134,37 @@ class TestGramDraws:
         _, det = _gram_draws(1, np.random.default_rng(3), 1_000)
         assert np.array_equal(det, np.zeros(1_000))
 
-    def test_chunked_moments_match_one_chunk(self, monkeypatch):
-        # the single-user rate draws one variate per trial, so its chunks cut
-        # one stream: merging the chunks' moments must give the one-chunk rate
-        cfg = _cfg(4, 2, 100.0, trials=50_000, seed=5)
-        chunked = single_user_training_rate(cfg)
-        monkeypatch.setattr(training, "_CHUNK_TRIALS", cfg.trials)
-        whole = single_user_training_rate(cfg)
-        assert chunked.rate == pytest.approx(whole.rate, rel=1e-13)
-        assert chunked.std_error == pytest.approx(whole.std_error, rel=1e-9)
+    def test_rates_independent_of_cpu_count(self, monkeypatch):
+        # seven chunks of one stream each, folded in chunk order: the rates
+        # at three powers are the same, bit for bit, on one thread and three
+        cfg = _cfg(3, 4, 100.0, trials=100_000, seed=5)
 
-    def test_memory_does_not_grow_with_trials(self):
-        # both rates at three powers keep per-power moments only: forty
-        # times the trials, the same peak within 10 %
-        peaks = []
-        for trials in (10_000, 400_000):
+        def both(threads):
+            monkeypatch.setattr(linalg, "cpu_count", lambda: threads)
+            return (single_user_training_rate(cfg, powers=[1e2, 1e3, 1e4]),
+                    mac_training_rates(cfg, powers=[1e2, 1e3, 1e4]))
+
+        assert len(linalg.trial_chunks(cfg.trials, 1)) == 7
+        assert both(1) == both(3)
+
+    def test_memory_does_not_grow_with_trials(self, monkeypatch):
+        # both rates at three powers keep per-power moments only.  On one
+        # thread: twenty-five times the trials, in chunks of the same
+        # 16,000 trials, the same peak within 10 %.  On two, the peak at
+        # either trial count stays within 10 % of two one-thread peaks: all
+        # that two chunks in flight at once may hold
+        def peak(trials, threads):
+            monkeypatch.setattr(linalg, "cpu_count", lambda: threads)
             cfg = _cfg(3, 4, 100.0, trials=trials)
             tracemalloc.start()
             try:
                 single_user_training_rate(cfg, powers=[1e2, 1e3, 1e4])
                 mac_training_rates(cfg, powers=[1e2, 1e3, 1e4])
-                peaks.append(tracemalloc.get_traced_memory()[1])
+                return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0]
+
+        one = [peak(trials, 1) for trials in (16_000, 400_000)]
+        assert abs(one[1] - one[0]) <= 0.1 * one[0]
+        for trials in (16_000, 400_000):
+            assert peak(trials, 2) <= 1.1 * 2 * one[0]
