@@ -19,7 +19,7 @@ import configparser
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from fractions import Fraction
 
 import numpy as np
@@ -119,20 +119,6 @@ def cmd_region(args):
 # bounds
 # ---------------------------------------------------------------------------
 
-def _bound_to_dict(rep):
-    return {
-        "value": rep.value,
-        "std_error": rep.std_error,
-        "eval_trials": rep.components.get("eval_trials"),
-        "remainder_terms": rep.remainder_terms,
-        "fitted": {k: list(v) for k, v in rep.components.get("fitted", {}).items()},
-        "analytic_rhs_value": rep.components.get("analytic_rhs_value"),
-        "branch_counts": rep.components.get("branch_counts"),
-        "pooled_fit": rep.components.get("pooled_fit"),
-        "nonpilot_pooled_fit": rep.components.get("nonpilot_pooled_fit"),
-    }
-
-
 def _power(p_db):
     """Linear power of a dB value; inf beyond the float range, which
     ChannelConfig then rejects like any other power it cannot handle."""
@@ -179,12 +165,11 @@ def cmd_bounds(args):
         # each bound fails on its own: a failed single-user bound keeps a finite MAC bound
         for key, reports in (("single_user_upper", single), ("mac_user1_upper", mac)):
             try:
-                entry[key] = _bound_to_dict(one_or_all([reports[k]], None))
+                entry[key] = asdict(one_or_all([reports[k]], None))
             except InvalidRegime as exc:
                 warnings.append(f"P={p_db} dB: {exc}")
         if su_training is not None:
-            su = su_training[k]
-            entry["single_user_training"] = {"rate": su.rate, "std_error": su.std_error}
+            entry["single_user_training"] = asdict(su_training[k])
         if mac_training is not None:
             r1, r2 = mac_training[k]
             entry["mac_training"] = {
@@ -264,11 +249,11 @@ def _verify_props(seed):
         for p_db, p, *reps in zip(p_dbs, powers, single, mac, low):
             slack, at = remainder_slack_bits(p), f"{kind}_{p_db}dB"
             reps = [one_or_all([rep], None) for rep in reps]
-            fewest = min(reps[2].components["branch_counts"].values())
+            fewest = min(reps[2].branch_counts.values())
             checks.append({"check": f"prop_mac_low_t_all_branches_{at}",
                            "margin": float(fewest), "slack": 0.0, "passed": fewest > 0})
             for name, rep in zip(("single_user", "mac_high_t", "mac_low_t"), reps):
-                gap = rep.value - rep.components["analytic_rhs_value"]
+                gap = rep.value - rep.analytic_rhs_value
                 checks.append({"check": f"prop_{name}_{at}", "margin": float(slack - gap),
                                "slack": slack + 3 * rep.std_error,
                                "passed": bool(gap <= slack + 3 * rep.std_error)})

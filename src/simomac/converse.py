@@ -5,12 +5,11 @@ All rate quantities are bits per channel use.  Each bound is a genie
 shape of three plain functions (:class:`_Bound`) on one row model: the
 slot levels s (:func:`_slot_levels`), built once per chunk, and one
 h(Y | X) (:func:`_h_given_x`), which the k-NN MI estimate shares; every
-genie decision is a function of the inputs.  The duality bounds draw their
-Monte-Carlo trials in fixed-size chunks, the channel draws once for
-every power and both bounds, the inputs once for every power unless
-their law is truncated, and run the chunks on every CPU the process may
-use, folding each chunk's sums in chunk order, so the results do not
-depend on the CPU count.  Half the trials fit the auxiliary-output
+genie decision is a function of the inputs.  The duality bounds run
+their Monte-Carlo trials as two streams of
+:func:`~simomac.linalg.streamed`, each chunk's channel drawn once for
+every power and both bounds, its inputs once for every power unless
+their law is truncated.  Half the trials fit the auxiliary-output
 parameters (alpha, beta per branch and slot category) on sums of the
 whitened norms (:class:`~simomac.auxdist.NormSqSums`); the other half, a
 stream of their own, evaluate the bound against those fixed parameters
@@ -73,23 +72,31 @@ from .linalg import (
     merge_moments,
     moments_of,
     norm_sq,
-    run_chunks,
     sample_complex_gaussian,
     sample_split_gaussian,
+    streamed,
     streamed_moments,
-    trial_chunks,
 )
 from .region import regime_objective
 
 
 @dataclass
 class BoundReport:
-    """A Monte-Carlo bound value with its provenance."""
+    """A Monte-Carlo bound value with its provenance, as ``simomac bounds``
+    prints it.  ``fitted`` maps each group seen to its member's (alpha,
+    beta); ``pooled_fit`` and, for the branched (V, U) genie only,
+    ``nonpilot_pooled_fit`` list the groups fitted on their pool over
+    branches and on that of every non-pilot group."""
 
     value: float  # bits per channel use
     std_error: float
-    remainder_terms: dict = field(default_factory=dict)
-    components: dict = field(default_factory=dict)
+    eval_trials: int  # the sample size behind std_error
+    remainder_terms: dict
+    fitted: dict
+    analytic_rhs_value: float  # the analytic right-hand side on the same samples
+    pooled_fit: list
+    branch_counts: dict | None = None  # evaluation trials per branch
+    nonpilot_pooled_fit: list | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -119,14 +126,6 @@ def _h_given_x(mag, s2, cfg):
 # ---------------------------------------------------------------------------
 # Duality-bound core shared by the three bounds
 # ---------------------------------------------------------------------------
-
-def _trial_chunks(cfg, stream):
-    """:func:`~simomac.linalg.trial_chunks` at footprint T of the
-    ceil(trials / 2) fit trials (stream 0) or the floor(trials / 2)
-    evaluation trials (stream 1); the chunks' largest arrays are (chunk, T)
-    draws, or off Gaussian fading (chunk, N, T) buffers."""
-    return trial_chunks((cfg.trials + 1 - stream) // 2, cfg.T)  # >= 1: trials >= 2
-
 
 def _slot_levels(mag, s2):
     """(B, T) slot levels s_t = 1 + s2 [t = T] from the (mag, s2) of
@@ -440,13 +439,10 @@ class _PointSums:
         self.rhs_gap += rhs_gap
 
     def report(self):
-        """The point's BoundReport; raises the error of the first
+        """The point's :class:`BoundReport`; raises the error of the first
         (branch, category) group seen in either stream whose fit failed or
-        whose least norm is singular under its member.  ``fitted`` and
-        ``pooled_fit`` and, when branched, ``nonpilot_pooled_fit`` list the
-        groups seen, in that order, fitted on their pool over branches and
-        on the pool of every non-pilot group; ``eval_trials`` is the
-        sample size behind ``std_error``."""
+        whose least norm is singular under its member.  Its groups are
+        listed in the order of :meth:`fit`."""
         fitted, pooled = {}, {"branches": [], "nonpilot": []}
         seen, least = self.rows.count.ravel() > 0, self.rows.least.ravel()
         for (label, member, pool), group_seen, low in zip(self.members, seen, least):
@@ -461,22 +457,22 @@ class _PointSums:
 
         t, cost, n = self.cfg.T, self.bound.genie_cost, self.moments[0]
         value, std_error = mean_and_std_error(self.moments)
-        components = {"analytic_rhs_value": float((self.rhs_gap + n * cost) / n / t),
-                      "eval_trials": int(n), "fitted": fitted}
-        if self.bound.branches > 1:
-            components["branch_counts"] = {k: int(m) for k, m in enumerate(self.branch_trials)}
-            components["nonpilot_pooled_fit"] = pooled["nonpilot"]
-        components["pooled_fit"] = pooled["branches"]
+        branched = self.bound.branches > 1
         return BoundReport(
             value=float(value),
             std_error=float(std_error),
+            eval_trials=int(n),
             remainder_terms={
                 "log_log_slack_bits": remainder_slack_bits(self.cfg.P),
                 "genie_cost_bits": float(cost),
                 # off Gaussian fading h(Y|X) is a lower bound, within N K D bits
                 "h_order_one_flagged": self.cfg.fading_kind != "iid_complex_gaussian",
             },
-            components=components,
+            fitted=fitted,
+            analytic_rhs_value=float((self.rhs_gap + n * cost) / n / t),
+            pooled_fit=pooled["branches"],
+            branch_counts=dict(enumerate(self.branch_trials.tolist())) if branched else None,
+            nonpilot_pooled_fit=pooled["nonpilot"] if branched else None,
         )
 
 
@@ -525,15 +521,16 @@ def _outputs(x1t, s2, channel, out=None):
     return y
 
 
-def _drawn_source(cfg, rng, size):
+def _drawn_source(users, cfg, rng, size, scratch):
     """Under Gaussian fading, one chunk's source of :class:`_Parts`, a
     function parts(x1t, s2, mag, s, v) of each point's and bound's inputs.
 
     It draws from ``rng`` the ``size`` trials' G0 ~ Gamma(N, 1), then per
     slot g ~ CN(0, 1) and G ~ Gamma(N - 1, 1)
     (:func:`~simomac.linalg.sample_split_gaussian`): the same draws for
-    every point and bound, whatever the number of users, each mapped to
-    its own parts by :func:`_drawn_parts`.  No output is built.
+    every point and bound, whatever the number of ``users``, each mapped
+    to its own parts by :func:`_drawn_parts`.  No output is built, and
+    the thread's ``scratch`` is not used.
     """
     draws = sample_split_gaussian(cfg.N, cfg.T, rng, size)
     return lambda x1t, s2, mag, s, v: _drawn_parts(draws, mag, s, v)
@@ -562,14 +559,8 @@ def _output_source(users, cfg, rng, size, scratch):
     return lambda x1t, s2, mag, s, v: _project(_outputs(x1t, s2, channel, out), v)
 
 
-# Each fading kind's source of whitening inputs, made per chunk as
-# source(users, cfg, rng, size, scratch): drawn from their law given X
-# where it is known in closed form, which needs neither the user count
-# nor the thread's buffers, else projected from outputs.
-_SOURCES = {
-    "iid_complex_gaussian": lambda users, cfg, rng, size, scratch: _drawn_source(cfg, rng, size),
-    "iid_uniform_annulus": _output_source,
-}
+# Each fading kind's source of whitening inputs
+_SOURCES = {"iid_complex_gaussian": _drawn_source, "iid_uniform_annulus": _output_source}
 
 
 def _bound_sums(acc, stream, xs, parts):
@@ -591,43 +582,34 @@ def _streamed_bounds(points, bounds):
     """For each of ``bounds``, one BoundReport per (inputs, cfg) point of
     :func:`at_powers`, or the SimomacError its fit or evaluation raised.
 
-    The trials form two streams (:func:`_trial_chunks`): ceil(trials / 2)
-    fit the aux members, the other floor(trials / 2) evaluate the bound.
-    Each stream is one pass of chunks over the CPUs
-    (:func:`~simomac.linalg.run_chunks`), folded in chunk order into each
+    The ceil(trials / 2) fit trials (stream 0) and the floor(trials / 2)
+    evaluation trials (stream 1) are each one
+    :func:`~simomac.linalg.streamed` pass at footprint T, folded into each
     point's :class:`_PointSums`: the fit pass folds sums of the whitened
     norms, every member is then fitted once, and the evaluation pass folds
-    the moments of the bound statistic.  No trial is drawn twice, and
-    memory does not grow with the trial count.  A chunk hands each point
-    and bound in turn to :func:`_bound_sums`, so one bound's arrays are
-    held at a time.
+    the moments of the bound statistic.  No trial is drawn twice.  A chunk
+    hands each point and bound in turn to :func:`_bound_sums`, so one
+    bound's arrays are held at a time.
 
-    Each chunk makes its source (:data:`_SOURCES`: under Gaussian fading
-    :func:`_drawn_source`, else :func:`_output_source`) once, for every
-    point and bound, from a generator on the first child of the chunk's
-    seed (:func:`~simomac.linalg.chunk_seed`); what it draws does not
-    depend on the number of users.  Its inputs (x1 first) come from
-    :func:`sample_point_inputs` on the chunk's seed: each user's P-free
-    draw once for the grid, mapped to every point's P, or for truncated
-    laws a fresh draw per point.  So every point, and every bound of a
-    point, sees the draws of a call of its own.
+    Each chunk makes its source (:data:`_SOURCES`) once, for every point
+    and bound, from a generator on the first child of the chunk's seed;
+    what it draws does not depend on the number of users.  Its inputs (x1
+    first) come from :func:`sample_point_inputs` on the chunk's seed: each
+    user's P-free draw once for the grid, mapped to every point's P, or
+    for truncated laws a fresh draw per point.  So every point, and every
+    bound of a point, sees the draws of a call of its own.
     """
     inputs0, cfg0 = points[0]
     if cfg0.trials < 2:
         raise InvalidParam("the bound needs trials >= 2: half the trials fit, the other half "
                            "evaluate")
-    streams = _trial_chunks(cfg0, 0), _trial_chunks(cfg0, 1)
     sums = [[_PointSums.empty(bound, cfg) for bound in bounds] for _, cfg in points]
     source = _SOURCES[cfg0.fading_kind]
 
-    def run(stream, i, scratch):
+    def chunk(stream, seed, b, scratch):
         """(_PointSums, its fit or evaluation sums) per point and bound of
-        chunk i of ``stream``."""
-        starts = streams[stream]
-        b = min(starts.step, starts.stop - starts[i])
-        seed = chunk_seed(cfg0.seed, stream, i)
-        source_seed = np.random.SeedSequence(seed.entropy, spawn_key=seed.spawn_key + (0,))
-        parts = source(len(inputs0), cfg0, np.random.default_rng(source_seed), b, scratch)
+        a chunk of ``stream``."""
+        parts = source(len(inputs0), cfg0, np.random.default_rng(seed.spawn(1)[0]), b, scratch)
         results = []
         for point_sums, xs in zip(sums, sample_point_inputs(points, seed, b)):
             results.extend((acc, _bound_sums(acc, stream, xs, parts)) for acc in point_sums)
@@ -637,10 +619,12 @@ def _streamed_bounds(points, bounds):
         for acc, chunk_sums in results:
             acc.fold(*chunk_sums)
 
-    run_chunks(partial(run, 0), len(streams[0]), fold=fold)
+    # footprint T: a chunk's largest arrays are (chunk, T) draws, or off
+    # Gaussian fading (chunk, N, T) buffers
+    streamed(partial(chunk, 0), (cfg0.trials + 1) // 2, cfg0.T, cfg0.seed, 0, fold)
     for acc in (acc for point_sums in sums for acc in point_sums):
         acc.fit()
-    run_chunks(partial(run, 1), len(streams[1]), fold=fold)
+    streamed(partial(chunk, 1), cfg0.trials // 2, cfg0.T, cfg0.seed, 1, fold)
     reports = [[] for _ in bounds]
     for point_sums in sums:
         for acc, out in zip(point_sums, reports):
@@ -686,8 +670,8 @@ def _single_user_bound(slots):
 def duality_bound_single_user(input_dist, cfg, *, powers=None):
     """Duality upper bound on the single-user rate (bits/channel use).
 
-    Returns a BoundReport whose components include the analytic
-    Proposition-style right-hand side evaluated on the same samples.
+    Returns a BoundReport, with the analytic Proposition-style right-hand
+    side evaluated on the same samples.
 
     With ``powers``, returns one entry per power, equal to the call with
     the input and cfg at that P: its BoundReport, or the SimomacError its
@@ -783,7 +767,7 @@ def duality_bound_mac_user1(input1, input2, cfg, *, powers=None):
     The genie follows :func:`~simomac.region.regime_objective`: with the
     f bracket (T >= N+1) the (T-1)-slot genie, cost log2(T-1); with the g
     bracket the (V, U) genie with three aux branches, cost log2(2T).
-    Raises RegimeUnsupported at T = 1.  Components carry the analytic
+    Raises RegimeUnsupported at T = 1.  The report carries the analytic
     right-hand side and, for the (V, U) genie, the trials per branch.
     ``powers`` works as in :func:`duality_bound_single_user`.
     """
@@ -848,6 +832,7 @@ def isotropic_mixture_mi_estimate(cfg, trials=None):
     A and one :func:`~simomac.linalg.log_divided_difference_exp` at nu,
     which gives ln exp[nu] and R from one kappa-scaled exponential.
 
+    ``trials`` samples are drawn, min(cfg.trials, 10,000) by default.
     Raises InvalidParam unless ``trials`` is an integer >= 1.
     """
     from math import lgamma

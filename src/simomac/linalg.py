@@ -1,6 +1,7 @@
 """Complex linear algebra, random sampling primitives, and the one
 Monte-Carlo engine: the chunk and seed rules, the runner that spreads
-chunks of work over the CPUs, and the merge of their moments.
+chunks of work over the CPUs, the runner of seeded trial streams on it
+(:func:`streamed`) and the merge of their moments.
 
 All vectors/matrices are plain numpy complex arrays.  Samplers take an
 explicit ``numpy.random.Generator`` so that parallel callers can use
@@ -213,32 +214,44 @@ def trial_chunks(size, footprint):
 
 
 def chunk_seed(seed, stream, i):
-    """Seed of chunk i of ``stream``: the i-th child of the stream-th child
-    of SeedSequence((seed, 0)), made without spawning its siblings.
-    Streams: 0 and 1 the duality bounds' fit and evaluation trials, 2 the
-    mixture MI estimate, 3 and 4 the single-user and MAC training rates,
-    5 the k-NN MI estimate (one chunk)."""
+    """Seed of chunk i of ``stream`` in :func:`streamed`: the i-th child of
+    the stream-th child of SeedSequence((seed, 0)), made without spawning
+    its siblings.  Streams: 0 and 1 the duality bounds' fit and evaluation
+    trials, 2 the mixture MI estimate, 3 and 4 the single-user and MAC
+    training rates, 5 the k-NN MI estimate (one chunk)."""
     return np.random.SeedSequence((seed, 0), spawn_key=(stream, i))
+
+
+def streamed(chunk, size, footprint, seed, stream, fold):
+    """Run ``size`` trials of ``stream`` in the chunks of
+    :func:`trial_chunks` at ``footprint`` on :func:`run_chunks`: chunk i,
+    of b trials, calls ``chunk(chunk_seed(seed, stream, i), b, scratch)``
+    with its thread's ``scratch``, and ``fold`` takes the results in chunk
+    order, so neither memory nor the folded result depends on the trial
+    or CPU count."""
+    starts = trial_chunks(size, footprint)
+
+    def run(i, scratch):
+        b = min(starts.step, size - starts[i])
+        return chunk(chunk_seed(seed, stream, i), b, scratch)
+
+    run_chunks(run, len(starts), fold=fold)
 
 
 def streamed_moments(stat, size, footprint, seed, stream):
     """One (count, mean, M2) per array that ``stat(rng, b)`` returns (or
-    yields, so one is held at a time) over ``size`` trials: chunk i of
-    :func:`trial_chunks` at ``footprint`` draws from :func:`chunk_seed`
-    (seed, stream, i) on :func:`run_chunks`, and its moments are merged
-    in chunk order, so neither memory nor the result depends on the trial
-    or CPU count."""
-    starts = trial_chunks(size, footprint)
+    yields, so one is held at a time) over ``size`` trials of
+    :func:`streamed`, each chunk's rng a generator on its seed, merged
+    in chunk order."""
     merged = []
 
-    def run(i, scratch):
-        b = min(starts.step, size - starts[i])
-        return [moments_of(x) for x in stat(np.random.default_rng(chunk_seed(seed, stream, i)), b)]
+    def chunk(seq, b, scratch):
+        return [moments_of(x) for x in stat(np.random.default_rng(seq), b)]
 
     def fold(moments):
         merged[:] = [merge_moments(a, m) for a, m in zip(merged, moments)] if merged else moments
 
-    run_chunks(run, len(starts), fold=fold)
+    streamed(chunk, size, footprint, seed, stream, fold)
     return merged
 
 

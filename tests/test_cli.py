@@ -3,6 +3,7 @@ import io
 import json
 import subprocess
 import sys
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from simomac import __version__, cli, converse
-from simomac.channel import FADING_KINDS
+from simomac.channel import FADING_KINDS, ChannelConfig, InputDistribution
 from simomac.cli import main
 from simomac.errors import InvalidRegime
 
@@ -76,6 +77,27 @@ class TestBounds:
             assert key in pt
         assert rep["slopes"][0]["from_dB"] == 20.0
         assert rep["config"]["regime"] == "T_ge_N_plus_1"
+
+    @pytest.mark.parametrize("t", [2, 4])
+    def test_a_bound_has_one_report_format(self, capsys, t):
+        # each bound entry is the library's BoundReport as it is, keyed by
+        # its fields: the branched (V, U) MAC genie at T = 2, the
+        # (T-1)-slot genie at T = 4
+        p_dbs, trials, seed = (20.0, 30.0), 8_000, 7
+        code, out = _run(capsys, ["bounds", "--T", str(t), "--N", "2", "--P-dB", "20,30",
+                                  "--trials", str(trials), "--seed", str(seed)])
+        assert code == 0
+        powers = [cli._power(p_db) for p_db in p_dbs]
+        cfg = ChannelConfig(T=t, N=2, P=powers[0], trials=trials, seed=seed)
+        iso = InputDistribution(kind="isotropic_peak", T=t, P=cfg.P)
+        single, mac = converse.duality_bounds(iso, iso, cfg, powers=powers)
+        names = {f.name for f in fields(converse.BoundReport)}
+        points = json.loads(out)["points"]
+        assert len(points) == len(p_dbs)
+        for pt, *reps in zip(points, single, mac):
+            for key, rep in zip(("single_user_upper", "mac_user1_upper"), reps):
+                assert pt[key] == json.loads(json.dumps(asdict(rep)))
+                assert set(pt[key]) == names
 
     def test_negative_db_list(self, capsys):
         code, out = _run(capsys, ["bounds", "--T", "2", "--N", "2",
@@ -143,8 +165,8 @@ class TestBounds:
         # both bounds of the whole power grid come from one fit pass and
         # one evaluation pass
         passes = []
-        real = converse.run_chunks
-        monkeypatch.setattr(converse, "run_chunks",
+        real = converse.streamed
+        monkeypatch.setattr(converse, "streamed",
                             lambda *args, **kwargs: passes.append(1) or real(*args, **kwargs))
         code, out = _run(capsys, ["bounds", "--T", "4", "--N", "2",
                                   "--P-dB", "20,30", "--trials", "2000"])

@@ -4,7 +4,6 @@ import tracemalloc
 import warnings
 from dataclasses import replace
 from math import lgamma
-from functools import partial
 
 import numpy as np
 import pytest
@@ -67,7 +66,9 @@ def _single_user_on_slots(input_dist, cfg, slots):
 
 
 def _chunk_bounds(starts):
-    """(lo, hi) of each chunk of a _trial_chunks range."""
+    """(lo, hi) of each chunk of a linalg.trial_chunks range; the bounds'
+    fit (s = 0) and evaluation (s = 1) streams are
+    linalg.trial_chunks((trials + 1 - s) // 2, T)."""
     return [(lo, min(lo + starts.step, starts.stop)) for lo in starts]
 
 
@@ -432,7 +433,7 @@ class TestSingleUserBound:
         iso = InputDistribution(kind="isotropic_peak", T=4, P=100.0)
         rep = duality_bound_single_user(iso, cfg)
         slack = rep.remainder_terms["log_log_slack_bits"]
-        assert rep.value <= rep.components["analytic_rhs_value"] + slack + 3 * rep.std_error
+        assert rep.value <= rep.analytic_rhs_value + slack + 3 * rep.std_error
 
     @pytest.mark.parametrize("fading,flagged", [("iid_complex_gaussian", False),
                                                 ("iid_uniform_annulus", True)])
@@ -489,15 +490,15 @@ class TestMacBound:
         i1 = InputDistribution(kind="isotropic_peak", T=2, P=100.0)
         rep2 = duality_bound_mac_user1(i1, i1, cfg2)
         assert rep2.remainder_terms["genie_cost_bits"] == pytest.approx(np.log2(4))
-        assert set(rep2.components["branch_counts"]) == {0, 1, 2}
+        assert set(rep2.branch_counts) == {0, 1, 2}
         # the report shape: branch counts and the non-pilot pool for the
         # T <= N genie only; every bound gives its evaluation trial count
         su = duality_bound_single_user(iso, cfg)
-        keys = {"analytic_rhs_value", "eval_trials", "fitted", "pooled_fit"}
-        assert set(su.components) == set(rep.components) == keys
-        assert set(rep2.components) == keys | {"branch_counts", "nonpilot_pooled_fit"}
+        branched = ("branch_counts", "nonpilot_pooled_fit")
+        assert all(getattr(r, k) is None for r in (su, rep) for k in branched)
+        assert all(getattr(rep2, k) is not None for k in branched)
         for r in (su, rep, rep2):
-            assert r.components["eval_trials"] == 10_000
+            assert r.eval_trials == 10_000
             assert set(r.remainder_terms) == {"log_log_slack_bits", "genie_cost_bits",
                                               "h_order_one_flagged"}
 
@@ -515,8 +516,8 @@ class TestMacBound:
                                   params={"x": np.zeros(4)})
         mac = duality_bound_mac_user1(i1, zero2, cfg)
         su = _single_user_on_slots(i1, cfg, 3)
-        assert mac.components["analytic_rhs_value"] == pytest.approx(
-            su.components["analytic_rhs_value"], abs=0.01
+        assert mac.analytic_rhs_value == pytest.approx(
+            su.analytic_rhs_value, abs=0.01
         )
         assert mac.value == pytest.approx(su.value, abs=0.15)
 
@@ -525,7 +526,7 @@ class TestMacBound:
         iso = InputDistribution(kind="isotropic_peak", T=4, P=100.0)
         rep = duality_bound_mac_user1(iso, iso, cfg)
         slack = rep.remainder_terms["log_log_slack_bits"]
-        assert rep.value <= rep.components["analytic_rhs_value"] + slack + 3 * rep.std_error
+        assert rep.value <= rep.analytic_rhs_value + slack + 3 * rep.std_error
 
 
 class TestMiEstimates:
@@ -779,7 +780,7 @@ class TestConditionedStatistic:
         for k, p in enumerate((10.0, 1000.0)):
             for rep, names in ((single[k], 2), (mac[k], 3)):
                 cond, sampled, log_sampled = paired[(p, names)]
-                assert cond.size == rep.components["eval_trials"] == 50_000
+                assert cond.size == rep.eval_trials == 50_000
                 assert rep.value == pytest.approx(cond.mean(), rel=1e-12)
                 assert rep.std_error == pytest.approx(cond.std() / np.sqrt(cond.size), rel=1e-9)
                 assert _within(cond - sampled, 3)
@@ -893,13 +894,13 @@ class TestDrawnSource:
     @staticmethod
     def _parts(source, bound, x1, x2, cfg, trials, chunk=50_000):
         """(v, branch, nv2, along, perp, white) of ``trials`` draws of the
-        fixed inputs (x1, x2) through ``source``, made as source(cfg, rng,
-        size) for each ``chunk`` of trials."""
+        fixed inputs (x1, x2) through ``source``, made as source(2, cfg,
+        rng, size, scratch) for each ``chunk`` of trials."""
         xs = [np.broadcast_to(np.asarray(x, dtype=complex), (chunk, cfg.T)).copy()
               for x in (x1, x2)]
-        out = []
+        out, scratch = [], {}
         for seed in np.random.SeedSequence(cfg.seed).spawn(trials // chunk):
-            parts_of = source(cfg, np.random.default_rng(seed), chunk)
+            parts_of = source(2, cfg, np.random.default_rng(seed), chunk, scratch)
             x1t, s2 = bound.levels(xs)
             mag = abs_sq(x1t)
             s = converse._slot_levels(mag, s2)
@@ -928,8 +929,7 @@ class TestDrawnSource:
             bound = converse._single_user_bound(t_n) if kind == "single_user" \
                 else converse._mac_bound(cfg)
             drawn = self._parts(converse._drawn_source, bound, x1_n, x2_n, cfg, 200_000)
-            outputs = self._parts(partial(converse._output_source, 2, scratch={}), bound,
-                                  x1_n, x2_n, cfg, 200_000)
+            outputs = self._parts(converse._output_source, bound, x1_n, x2_n, cfg, 200_000)
             v, branch = drawn[0][0], drawn[1][0]
             assert (drawn[0] == v).all() and (outputs[0] == v).all() and (drawn[1] == branch).all()
             if case.startswith("branch"):
@@ -971,10 +971,10 @@ class TestPooledFit:
         cfg = _cfg(t=3, n=4, p=100.0, trials=20_000, seed=1)
         iso = InputDistribution(kind="isotropic_peak", T=3, P=100.0)
         rep = duality_bound_mac_user1(iso, iso, cfg)
-        pooled = rep.components["pooled_fit"]
-        assert rep.components["branch_counts"][0] < 100
+        pooled = rep.pooled_fit
+        assert rep.branch_counts[0] < 100
         assert "branch0/pilot" in pooled
-        assert set(pooled) <= set(rep.components["fitted"])
+        assert set(pooled) <= set(rep.fitted)
         assert "branch1/pilot" not in pooled
 
     def test_own_fit_first_then_branches_then_nonpilot(self):
@@ -1000,9 +1000,9 @@ class TestPooledFit:
     def test_unbranched_bounds_never_pool(self):
         cfg = _cfg(t=4, n=2, trials=300)
         iso = InputDistribution(kind="isotropic_peak", T=4, P=100.0)
-        assert duality_bound_single_user(iso, cfg).components["pooled_fit"] == []
+        assert duality_bound_single_user(iso, cfg).pooled_fit == []
         mac = duality_bound_mac_user1(iso, iso, cfg)
-        assert mac.components["pooled_fit"] == []
+        assert mac.pooled_fit == []
 
 
 class TestStreamingEngine:
@@ -1061,10 +1061,11 @@ class TestStreamingEngine:
         # of ``flat`` and ``square`` trials
         cfg = _cfg(t=t, n=n, trials=trials)
         fit = {5_000: 2_500, 50_000: 25_000, 5: 3}[trials]
-        for starts, size, length in ((converse._trial_chunks(cfg, 0), fit, step),
-                                     (converse._trial_chunks(cfg, 1), trials - fit, step),
-                                     (linalg.trial_chunks(trials, 1), trials, flat),
-                                     (linalg.trial_chunks(trials, t * t), trials, square)):
+        for starts, size, length in (
+                (linalg.trial_chunks((cfg.trials + 1) // 2, cfg.T), fit, step),
+                (linalg.trial_chunks(cfg.trials // 2, cfg.T), trials - fit, step),
+                (linalg.trial_chunks(trials, 1), trials, flat),
+                (linalg.trial_chunks(trials, t * t), trials, square)):
             assert _chunk_bounds(starts) == [
                 (lo, min(lo + length, size)) for lo in range(0, size, length)]
 
@@ -1074,12 +1075,13 @@ class TestStreamingEngine:
         # the 300 evaluation trials three chunks of 100
         monkeypatch.setattr(linalg, "_CHUNK_SLOTS", 200)
         cfg = _cfg(t=2, n=2, p=10.0, trials=601, seed=2)
-        assert _chunk_bounds(converse._trial_chunks(cfg, 0)) == [(0, 76), (76, 152),
-                                                                  (152, 228), (228, 301)]
-        assert _chunk_bounds(converse._trial_chunks(cfg, 1)) == [(0, 100), (100, 200), (200, 300)]
+        assert _chunk_bounds(linalg.trial_chunks((cfg.trials + 1) // 2, cfg.T)) == [
+            (0, 76), (76, 152), (152, 228), (228, 301)]
+        assert _chunk_bounds(linalg.trial_chunks(cfg.trials // 2, cfg.T)) == [
+            (0, 100), (100, 200), (200, 300)]
         iso = InputDistribution(kind="isotropic_peak", T=2, P=10.0)
         rep = duality_bound_mac_user1(iso, iso, cfg)
-        assert sum(rep.components["branch_counts"].values()) == 601 // 2
+        assert sum(rep.branch_counts.values()) == 601 // 2
         again = duality_bound_mac_user1(iso, iso, cfg)
         assert (rep.value, rep.std_error) == (again.value, again.std_error)
 
@@ -1090,9 +1092,10 @@ class TestStreamingEngine:
         # off Gaussian fading each thread's output buffers grow with the
         # longer chunks
         cfg = _cfg(t=4, n=2, p=100.0, trials=16_385, seed=3, fading=fading)
-        assert _chunk_bounds(converse._trial_chunks(cfg, 0)) == [(0, 2_731), (2_731, 5_462),
-                                                                  (5_462, 8_193)]
-        assert _chunk_bounds(converse._trial_chunks(cfg, 1)) == [(0, 4_096), (4_096, 8_192)]
+        assert _chunk_bounds(linalg.trial_chunks((cfg.trials + 1) // 2, cfg.T)) == [
+            (0, 2_731), (2_731, 5_462), (5_462, 8_193)]
+        assert _chunk_bounds(linalg.trial_chunks(cfg.trials // 2, cfg.T)) == [
+            (0, 4_096), (4_096, 8_192)]
         iso = InputDistribution(kind="isotropic_peak", T=4, P=100.0)
         monkeypatch.setattr(linalg, "cpu_count", lambda: 1)
         one = duality_bounds(iso, iso, cfg)
@@ -1174,7 +1177,7 @@ class TestStreamingEngine:
         monkeypatch.setattr(converse, "sample_point_inputs", sample_point_inputs)
         cfg = _cfg(t=2, n=2, p=10.0, trials=4_000, seed=4)
         iso = InputDistribution(kind="isotropic_peak", T=2, P=10.0)
-        assert len(converse._trial_chunks(cfg, 0)) == 20
+        assert len(linalg.trial_chunks((cfg.trials + 1) // 2, cfg.T)) == 20
         threads = threading.active_count()
         with pytest.raises(InvalidParam, match="^chunk 1 failed$"):
             duality_bound_single_user(iso, cfg)
@@ -1234,7 +1237,7 @@ class TestStreamingEngine:
         white, v, br, log_det, log_sq, lin, rhs, h = (np.concatenate(p) for p in zip(*chunks))
         group = converse._categories(v, 3, 3) + 3 * br[:, None]
         ln_q = np.zeros(white.shape)
-        for label, (alpha, beta) in rep.components["fitted"].items():
+        for label, (alpha, beta) in rep.fitted.items():
             k = 3 * int(label[6]) + converse.MAC_CATEGORIES.index(label.split("/")[1])
             member = AuxDistParams(n=4, alpha=alpha, beta=beta)
             at = group == k
@@ -1246,10 +1249,10 @@ class TestStreamingEngine:
         stat = (neg_q - h + bound.genie_cost) / 3
         assert rep.value == pytest.approx(stat.mean(), rel=1e-12)
         assert rep.std_error == pytest.approx(stat.std() / np.sqrt(500), rel=1e-9)
-        assert rep.components["eval_trials"] == 500
-        assert rep.components["analytic_rhs_value"] == pytest.approx(
+        assert rep.eval_trials == 500
+        assert rep.analytic_rhs_value == pytest.approx(
             np.mean((rhs - h + bound.genie_cost) / 3), rel=1e-9)
-        assert rep.components["branch_counts"] == {k: int((br == k).sum()) for k in range(3)}
+        assert rep.branch_counts == {k: int((br == k).sum()) for k in range(3)}
 
     def test_whitening_by_chunks_is_bit_identical(self):
         # both sources' parts, the whitened norms and the scales of a chunk
@@ -1360,5 +1363,5 @@ class TestStreamingEngine:
                                   params={"x": np.zeros(4)})
         mac = duality_bound_mac_user1(i1, zero2, cfg)
         su = _single_user_on_slots(i1, cfg, 3)
-        assert mac.components["analytic_rhs_value"] == pytest.approx(
-            su.components["analytic_rhs_value"], rel=1e-12)
+        assert mac.analytic_rhs_value == pytest.approx(
+            su.analytic_rhs_value, rel=1e-12)

@@ -176,8 +176,8 @@ def test_shared_draws_are_counted_once(monkeypatch, kind, fading):
         count(converse, rhs, "rhs")
     cfg = ChannelConfig(T=2, N=2, P=10.0, trials=1_000, seed=1, fading_kind=fading)
     dist = _input(kind, 2, 10.0, None, 1000.0)
-    evaluation = len(converse._trial_chunks(cfg, 1))
-    chunks = len(converse._trial_chunks(cfg, 0)) + evaluation
+    evaluation = len(linalg.trial_chunks(cfg.trials // 2, cfg.T))
+    chunks = len(linalg.trial_chunks((cfg.trials + 1) // 2, cfg.T)) + evaluation
     gaussian = fading == "iid_complex_gaussian"
     for powers in ([10.0], [10.0, 100.0, 1000.0]):
         for fn, args, users, bounds in ((duality_bound_single_user, (dist, cfg), 1, 1),

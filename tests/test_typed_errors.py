@@ -129,7 +129,7 @@ def _entries(x1, x2, cfg, powers):
 
 def _finite(entry):
     if isinstance(entry, BoundReport):
-        nums = (entry.value, entry.std_error, entry.components["analytic_rhs_value"])
+        nums = (entry.value, entry.std_error, entry.analytic_rhs_value)
     elif isinstance(entry, tuple):
         nums = entry
     else:
