@@ -144,7 +144,7 @@ def sample_point_inputs(points, seed, size):
     yield [d.at_power(draws.pop(0)) for d in points[-1][0]]
 
 
-def sample_channel(users, cfg, rng, size=None, out=None, scratch=None):
+def sample_channel(users, cfg, rng, size=None, out=None):
     """User 1's (B, N) fading, the (B, N, T) noise, then every later
     user's fading, from ``rng``.
 
@@ -153,12 +153,12 @@ def sample_channel(users, cfg, rng, size=None, out=None, scratch=None):
     fading the duality bounds draw it once per trial chunk for every
     power.  With h1 and Z drawn first, a draw for one user is the start
     of a draw for two, so the single-user bound sees the same h1 and Z
-    alone as beside the MAC bound.  ``out`` and ``scratch`` go to
-    :func:`sample_complex_gaussian` for the noise.
+    alone as beside the MAC bound.  ``out``, a buffer the caller owns,
+    receives the noise (:func:`sample_complex_gaussian`).
     """
     b = cfg.trials if size is None else size
     hs = [sample_fading(cfg.fading_kind, cfg.N, rng, size=b)] if users else []
-    z = sample_complex_gaussian(cfg.T, rng, size=(b, cfg.N), out=out, scratch=scratch)
+    z = sample_complex_gaussian(cfg.T, rng, size=(b, cfg.N), out=out)
     hs += [sample_fading(cfg.fading_kind, cfg.N, rng, size=b) for _ in range(1, users)]
     return hs, z
 

@@ -58,11 +58,10 @@ def _usage_error(msg):
 def _load_config(path):
     cp = configparser.ConfigParser()
     if path:
-        if not os.path.exists(path):
-            _usage_error(f"config file {path} not found")
         try:
-            cp.read(path)
-        except configparser.Error as exc:
+            with open(path) as fh:
+                cp.read_file(fh)
+        except (OSError, UnicodeError, configparser.Error) as exc:
             _usage_error(f"config file {path}: {exc}".splitlines()[0])
     return cp
 
@@ -284,8 +283,11 @@ def cmd_export_plot(args):
     inner = region.inner_region(args.T, args.N)
     for name, reg in (("outer", outer), ("inner", inner)):
         path = f"{args.out}_{name}.csv"
-        with open(path, "w") as fh:
-            fh.write(region.polygon_export(reg))
+        try:
+            with open(path, "w") as fh:
+                fh.write(region.polygon_export(reg))
+        except OSError as exc:
+            _usage_error(f"cannot write {path}: {exc.strerror}")
         print(path)
     return 0
 

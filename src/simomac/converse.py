@@ -34,6 +34,7 @@ standard error.  The double-log remainder terms are carried in the
 reports with the calibrated constants of :mod:`simomac.auxdist`.
 """
 
+import threading
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import partial
@@ -521,7 +522,7 @@ def _outputs(x1t, s2, channel, out=None):
     return y
 
 
-def _drawn_source(users, cfg, rng, size, scratch):
+def _drawn_source(users, cfg, rng, size, buffers):
     """Under Gaussian fading, one chunk's source of :class:`_Parts`, a
     function parts(x1t, s2, mag, s, v) of each point's and bound's inputs.
 
@@ -529,33 +530,31 @@ def _drawn_source(users, cfg, rng, size, scratch):
     slot g ~ CN(0, 1) and G ~ Gamma(N - 1, 1)
     (:func:`~simomac.linalg.sample_split_gaussian`): the same draws for
     every point and bound, whatever the number of ``users``, each mapped
-    to its own parts by :func:`_drawn_parts`.  No output is built, and
-    the thread's ``scratch`` is not used.
+    to its own parts by :func:`_drawn_parts`.  No output is built, so the
+    thread's ``buffers`` go unused.
     """
     draws = sample_split_gaussian(cfg.N, cfg.T, rng, size)
     return lambda x1t, s2, mag, s, v: _drawn_parts(draws, mag, s, v)
 
 
-def _output_source(users, cfg, rng, size, scratch):
+def _output_source(users, cfg, rng, size, buffers):
     """Off Gaussian fading, one chunk's source of :class:`_Parts`, a
     function parts(x1t, s2, mag, s, v) that builds each point's and
     bound's outputs (:func:`_outputs`) and projects them (:func:`_project`).
 
     It draws the chunk's channel for ``users`` from ``rng``
     (:func:`sample_channel`: h1, Z, then h2), so a pass with one user
-    draws exactly the first two.  The noise's normal deviates pass
-    through the thread's Y buffer, which holds nothing until the first
-    bound builds its outputs in it.  The two (chunk, N, T) buffers live
-    in the thread's ``scratch``, reused from chunk to chunk and bound to
+    draws exactly the first two.  Z and each bound's Y are written into
+    two (chunk, N, T) arrays in ``buffers``, the thread's dict that
+    :func:`_streamed_bounds` owns, reused from chunk to chunk and bound to
     bound, so their memory is not faulted in afresh; they grow when a
-    chunk is longer than them.
+    chunk is longer than them.  Z's deviates pass through a temporary.
     """
-    if len(scratch.get("y", ())) < size:
+    if len(buffers.get("y", ())) < size:
         shape = (size, cfg.N, cfg.T)
-        scratch.update(noise=np.empty(shape, dtype=complex), y=np.empty(shape, dtype=complex))
-    noise, out = scratch["noise"][:size], scratch["y"][:size]
-    draw = out.reshape(-1).view(float)[:noise.size].reshape(noise.shape)
-    channel = sample_channel(users, cfg, rng, size=size, out=noise, scratch=draw)
+        buffers.update(noise=np.empty(shape, dtype=complex), y=np.empty(shape, dtype=complex))
+    noise, out = buffers["noise"][:size], buffers["y"][:size]
+    channel = sample_channel(users, cfg, rng, size=size, out=noise)
     return lambda x1t, s2, mag, s, v: _project(_outputs(x1t, s2, channel, out), v)
 
 
@@ -605,11 +604,13 @@ def _streamed_bounds(points, bounds):
                            "evaluate")
     sums = [[_PointSums.empty(bound, cfg) for bound in bounds] for _, cfg in points]
     source = _SOURCES[cfg0.fading_kind]
+    buffers = threading.local()  # the source's per-thread buffers, over both passes
 
-    def chunk(stream, seed, b, scratch):
+    def chunk(stream, seed, b):
         """(_PointSums, its fit or evaluation sums) per point and bound of
         a chunk of ``stream``."""
-        parts = source(len(inputs0), cfg0, np.random.default_rng(seed.spawn(1)[0]), b, scratch)
+        rng = np.random.default_rng(seed.spawn(1)[0])
+        parts = source(len(inputs0), cfg0, rng, b, buffers.__dict__)
         results = []
         for point_sums, xs in zip(sums, sample_point_inputs(points, seed, b)):
             results.extend((acc, _bound_sums(acc, stream, xs, parts)) for acc in point_sums)

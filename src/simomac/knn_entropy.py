@@ -17,7 +17,7 @@ from math import lgamma
 
 import numpy as np
 
-from .errors import InvalidParam, counts
+from .errors import DegenerateInput, InvalidParam, counts
 from .linalg import LN2, run_chunks
 
 # Real dimension from which the numpy search beats cKDTree(leafsize=64)
@@ -130,17 +130,16 @@ def kth_neighbour_distance(x, k):
     segment = max(_SEGMENT, k + 1)
     out = np.empty(n)
 
-    def run(i, scratch):
+    def run(i):
         lo, hi = i * _ROWS, min((i + 1) * _ROWS, n)
-        if not scratch:
-            scratch.update(approx=np.empty(_ROWS * min(n, segment), dtype=np.float32),
-                           below=np.empty(_ROWS * min(n, segment), dtype=bool))
         m, mg = hi - lo, margin[lo:hi]
+        approx_all = np.empty(m * min(n, segment), dtype=np.float32)
+        below_all = np.empty(approx_all.size, dtype=bool)
         found = []
         for s0 in range(0, n, segment):
             w = min(segment, n - s0)
-            approx = scratch["approx"][:m * w].reshape(m, w)
-            below = scratch["below"][:m * w].reshape(m, w)
+            approx = approx_all[:m * w].reshape(m, w)
+            below = below_all[:m * w].reshape(m, w)
             nt = w // tile
             whole = nt * tile
             np.matmul(left[lo:hi],
@@ -176,7 +175,8 @@ def knn_entropy_bits(samples, k=4):
 
     ``samples``: (n, d) real array, or complex (embedded automatically).
     Raises InvalidParam unless k >= 1 is an integer and the samples are a
-    finite numeric 2-D array of at least k + 1 points.
+    finite numeric 2-D array of at least k + 1 points; DegenerateInput if
+    k + 1 or more coincide, as a zero distance has no logarithm.
     """
     (k,) = counts("k", k)
     samples = np.asarray(samples)
@@ -195,7 +195,8 @@ def knn_entropy_bits(samples, k=4):
 
         # Exact query, so the leaf size changes speed only.
         eps = cKDTree(samples, leafsize=64).query(samples, k=k + 1, workers=-1)[0][:, k]
-    eps = np.maximum(eps, 1e-300)
+    if not eps.all():
+        raise DegenerateInput(f"k-NN entropy: {k + 1} or more of the points coincide")
     log_ball = (d / 2.0) * np.log(np.pi) - lgamma(d / 2.0 + 1.0)
     # digamma(n) - digamma(k) = sum_{j=k}^{n-1} 1/j
     h_nats = np.sum(1.0 / np.arange(k, n)) + log_ball + d * np.mean(np.log(eps))

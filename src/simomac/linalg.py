@@ -152,19 +152,18 @@ def cpu_count():
 
 
 def run_chunks(run, n, fold=None):
-    """Call ``run(i, scratch)`` for every chunk i < n; with ``fold``, call
+    """Call ``run(i)`` for every chunk i < n; with ``fold``, call
     ``fold(result)`` on each chunk's result in chunk order.
 
     The calling thread and min(CPUs, n) - 1 helper threads take the chunk
-    indices in order from one shared iterator.  Each thread passes a dict
-    of its own as ``scratch``, in which ``run`` may keep buffers for that
-    thread's later chunks.  A result that finishes before a lower chunk's
-    waits for it; ``fold`` runs under a lock, so the folds never overlap
-    and their order, and so any sum they build, does not depend on the
-    CPU count.  Once a chunk raises, no further chunk is started; after
-    the started ones have finished, the error of the lowest failed chunk
-    is raised.  Every chunk below it was started before it, so that is
-    the error a one-thread run raises.
+    indices in order from one shared iterator; a ``run`` that keeps buffers
+    for its thread's later chunks owns them.  A result that finishes
+    before a lower chunk's waits for it; ``fold`` runs under a lock, so
+    the folds never overlap and their order, and so any sum they build,
+    does not depend on the CPU count.  Once a chunk raises, no further
+    chunk is started; after the started ones have finished, the error of
+    the lowest failed chunk is raised.  Every chunk below it was started
+    before it, so that is the error a one-thread run raises.
     """
     lock = threading.Lock()
     todo = iter(range(n))
@@ -173,14 +172,13 @@ def run_chunks(run, n, fold=None):
 
     def work():
         nonlocal folded
-        scratch = {}
         while True:
             with lock:
                 i = None if errors else next(todo, None)
             if i is None:
                 return
             try:
-                result = run(i, scratch)
+                result = run(i)
             except BaseException as exc:  # re-raised below, on the calling thread
                 with lock:
                     errors[i] = exc
@@ -225,15 +223,15 @@ def chunk_seed(seed, stream, i):
 def streamed(chunk, size, footprint, seed, stream, fold):
     """Run ``size`` trials of ``stream`` in the chunks of
     :func:`trial_chunks` at ``footprint`` on :func:`run_chunks`: chunk i,
-    of b trials, calls ``chunk(chunk_seed(seed, stream, i), b, scratch)``
-    with its thread's ``scratch``, and ``fold`` takes the results in chunk
-    order, so neither memory nor the folded result depends on the trial
-    or CPU count."""
+    of b trials, calls ``chunk(chunk_seed(seed, stream, i), b)``, and
+    ``fold`` takes the results in chunk order, so neither memory nor the
+    folded result depends on the trial or CPU count.  A ``chunk`` that
+    keeps buffers for its thread's later chunks owns them."""
     starts = trial_chunks(size, footprint)
 
-    def run(i, scratch):
+    def run(i):
         b = min(starts.step, size - starts[i])
-        return chunk(chunk_seed(seed, stream, i), b, scratch)
+        return chunk(chunk_seed(seed, stream, i), b)
 
     run_chunks(run, len(starts), fold=fold)
 
@@ -245,7 +243,7 @@ def streamed_moments(stat, size, footprint, seed, stream):
     in chunk order."""
     merged = []
 
-    def chunk(seq, b, scratch):
+    def chunk(seq, b):
         return [moments_of(x) for x in stat(np.random.default_rng(seq), b)]
 
     def fold(moments):
@@ -306,20 +304,17 @@ def abs_sq(a):
     return out
 
 
-def sample_complex_gaussian(n, rng, size=None, out=None, scratch=None):
-    """CN(0,1) i.i.d. entries; shape (n,) or size + (n,).
-
-    ``out`` (complex) receives the draw and ``scratch`` (float, C-contiguous)
-    holds the normal deviates, each of the draw's shape; a caller drawing
-    repeatedly passes the same arrays, so their memory is not faulted in anew.
+def sample_complex_gaussian(n, rng, size=None, out=None):
+    """CN(0,1) i.i.d. entries; shape (n,) or size + (n,), written into
+    ``out`` (complex, that shape) when given: a caller drawing repeatedly
+    passes the same array, so its memory is not faulted in anew.
     """
     if n < 1:
         raise InvalidParam("dimension must be >= 1")
     shp = (n,) if size is None else tuple(np.atleast_1d(size)) + (n,)
-    # real parts first, then imaginary parts, each scaled by 1/sqrt(2) into
-    # one array through one reused float buffer
+    # real parts first, then imaginary parts, scaled by 1/sqrt(2) into z
     scale = 1.0 / np.sqrt(2.0)
-    draw = rng.standard_normal(shp, out=scratch)
+    draw = rng.standard_normal(shp)
     z = np.empty(shp, dtype=complex) if out is None else out
     np.multiply(draw, scale, out=z.real)
     rng.standard_normal(out=draw)

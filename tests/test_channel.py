@@ -266,9 +266,8 @@ class TestSampleOutputsDraws:
         rng = np.random.default_rng(9)
         iso.sample(rng, size=trials), iso.sample(rng, size=trials)
         noise = np.empty((trials, 3, 4), dtype=complex)
-        draw = np.empty((trials, 3, 4))
         y = np.empty((trials, 3, 4), dtype=complex)
-        channel = sample_channel(2, cfg, rng, out=noise, scratch=draw)
+        channel = sample_channel(2, cfg, rng, out=noise)
         assert channel[1] is noise
         assert superpose(xs, channel, out=y) is y
         assert np.array_equal(y, ref)

@@ -205,6 +205,16 @@ class TestExportPlot:
             assert path.read_text().startswith("0/1,0/1")
         assert f"{prefix}_outer.csv" in out
 
+    def test_unwritable_path_exit_2(self, capsys, tmp_path):
+        prefix = str(tmp_path / "missing" / "reg")
+        with pytest.raises(SystemExit) as exc:
+            main(["export-plot", "--T", "4", "--N", "2", "--out", prefix])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        _assert_one_error_line(captured.err)
+        assert f"{prefix}_outer.csv" in captured.err
+
 
 class TestConfigFile:
     def test_file_sets_defaults_and_flags_override(self, capsys, tmp_path,
@@ -230,6 +240,21 @@ class TestConfigFile:
         err = capsys.readouterr().err
         _assert_one_error_line(err)
         assert "/nonexistent.ini" in err
+
+    @pytest.mark.parametrize("kind", ["directory", "undecodable"])
+    def test_unreadable_config_exit_2(self, capsys, tmp_path, kind):
+        # a path that cannot be read as a config file is an error, not the
+        # built-in defaults
+        path = tmp_path
+        if kind == "undecodable":
+            path = tmp_path / "simomac.ini"
+            path.write_bytes(b"\xff\xfe[\x00b\x00")
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(path), "region", "--T", "4", "--N", "2"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        _assert_one_error_line(err)
+        assert str(path) in err
 
     def test_bad_value_exit_2(self, capsys, tmp_path):
         cfg = tmp_path / "simomac.ini"

@@ -895,12 +895,12 @@ class TestDrawnSource:
     def _parts(source, bound, x1, x2, cfg, trials, chunk=50_000):
         """(v, branch, nv2, along, perp, white) of ``trials`` draws of the
         fixed inputs (x1, x2) through ``source``, made as source(2, cfg,
-        rng, size, scratch) for each ``chunk`` of trials."""
+        rng, size, buffers) for each ``chunk`` of trials."""
         xs = [np.broadcast_to(np.asarray(x, dtype=complex), (chunk, cfg.T)).copy()
               for x in (x1, x2)]
-        out, scratch = [], {}
+        out, buffers = [], {}
         for seed in np.random.SeedSequence(cfg.seed).spawn(trials // chunk):
-            parts_of = source(2, cfg, np.random.default_rng(seed), chunk, scratch)
+            parts_of = source(2, cfg, np.random.default_rng(seed), chunk, buffers)
             x1t, s2 = bound.levels(xs)
             mag = abs_sq(x1t)
             s = converse._slot_levels(mag, s2)
@@ -1132,18 +1132,33 @@ class TestStreamingEngine:
         assert many == one
 
     @pytest.mark.parametrize("workers", [1, 3])
-    def test_each_thread_keeps_one_scratch(self, monkeypatch, workers):
-        # every chunk a thread runs sees that thread's dict, and only it
+    def test_each_thread_keeps_its_own_output_buffers(self, monkeypatch, workers):
+        # off Gaussian fading, every chunk a thread runs, in either pass,
+        # sees that thread's buffers dict and noise and Y arrays, and only
+        # them.  20 chunks of 50 trials per pass, so no buffer grows; on one
+        # CPU the calling thread keeps its buffers from the fit pass to the
+        # evaluation pass.  ``seen`` holds every object, so no id is reused
+        monkeypatch.setattr(linalg, "_CHUNK_SLOTS", 200)
         monkeypatch.setattr(linalg, "cpu_count", lambda: workers)
-        seen = {}
+        seen = []
+        real = converse._output_source
 
-        def run(i, scratch):
-            seen[i] = (threading.get_ident(), id(scratch))
+        def source(users, cfg, rng, size, buffers):
+            parts = real(users, cfg, rng, size, buffers)
+            seen.append((threading.current_thread(), buffers, buffers["noise"], buffers["y"]))
+            return parts
 
-        linalg.run_chunks(run, 40)
-        assert sorted(seen) == list(range(40))
-        assert len(set(seen.values())) == len({thread for thread, _ in seen.values()})
-        assert len(set(seen.values())) <= workers
+        monkeypatch.setitem(converse._SOURCES, "iid_uniform_annulus", source)
+        cfg = _cfg(t=4, n=2, p=100.0, trials=2_000, seed=3, fading="iid_uniform_annulus")
+        iso = InputDistribution(kind="isotropic_peak", T=4, P=100.0)
+        duality_bounds(iso, iso, cfg)
+        assert len(seen) == 40
+        threads = {entry[0] for entry in seen}
+        for k in (1, 2, 3):
+            owners = {id(entry[k]): entry[0] for entry in seen}
+            assert len(owners) == len(threads)
+            assert all(owners[id(entry[k])] is entry[0] for entry in seen)
+        assert len(threads) <= 1 + 2 * (workers - 1)
 
     def test_fold_sees_every_result_in_chunk_order(self, monkeypatch):
         # chunks finish out of order on more threads than CPUs, switching
@@ -1153,7 +1168,7 @@ class TestStreamingEngine:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            linalg.run_chunks(lambda i, scratch: i, 300, fold=folded.append)
+            linalg.run_chunks(lambda i: i, 300, fold=folded.append)
         finally:
             sys.setswitchinterval(interval)
         assert folded == list(range(300))

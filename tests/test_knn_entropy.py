@@ -6,7 +6,7 @@ from scipy.special import digamma, gammaln
 from simomac import converse, knn_entropy, linalg
 from simomac.channel import ChannelConfig, InputDistribution
 from simomac.converse import mutual_information_lower_estimate
-from simomac.errors import InvalidParam
+from simomac.errors import DegenerateInput, InvalidParam
 from simomac.knn_entropy import complex_to_real, kth_neighbour_distance, knn_entropy_bits
 from simomac.linalg import sample_complex_gaussian
 
@@ -81,6 +81,21 @@ class TestTooFewPoints:
         x = np.random.default_rng(4).normal(size=(100, 2))
         with pytest.raises(InvalidParam):
             knn_entropy_bits(x, k=2.5)
+
+    @pytest.mark.parametrize("d", [2, MIN_DIM - 1, MIN_DIM, 16])
+    def test_coincident_points_rejected(self, d):
+        # of 200 Gaussian points, k + 1 = 5 or 10 are one repeated point:
+        # their (k+1)-th neighbour distance is 0, which has no logarithm.
+        # k = 4 copies still leave every distance positive
+        x = np.random.default_rng(d).normal(size=(200, d))
+
+        def repeated(copies):
+            return np.concatenate([x[:201 - copies], [x[0]] * (copies - 1)])
+
+        for copies in (5, 10):
+            with pytest.raises(DegenerateInput):
+                knn_entropy_bits(repeated(copies))
+        assert np.isfinite(knn_entropy_bits(repeated(4)))
 
     def test_estimator_with_too_few_trials_raises(self):
         cfg = ChannelConfig(T=4, N=2, P=100.0, trials=3)

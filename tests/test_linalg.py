@@ -220,12 +220,11 @@ class TestSamplerAndNorms:
         assert np.array_equal(got.view(float), ref.view(float))
 
     def test_complex_gaussian_into_buffers(self):
-        # the same draw, written into the caller's arrays
+        # the same draw, written into the caller's array
         ref = sample_complex_gaussian(4, np.random.default_rng(5), size=(6, 2))
-        out, scratch = np.empty((6, 2, 4), dtype=complex), np.empty((6, 2, 4))
+        out = np.empty((6, 2, 4), dtype=complex)
         for _ in range(2):
-            got = sample_complex_gaussian(4, np.random.default_rng(5), size=(6, 2),
-                                          out=out, scratch=scratch)
+            got = sample_complex_gaussian(4, np.random.default_rng(5), size=(6, 2), out=out)
             assert got is out
             assert np.array_equal(got.view(float), ref.view(float))
 
